@@ -1,33 +1,45 @@
-"""Gated, zero-initialized cross-attention adapter in four variants.
+"""Gated, zero-initialized cross-attention adapter in four presets.
 
 The adapter turns LM hidden states into "adaptation prompts" and splices them
-into the frozen detector:
+into the frozen detector with one gated cross-attention kernel.  ``arch`` is
+the only setting that picks a variant; every decision it makes is read from
+two derived properties of ``AdapterConfig``:
 
-* Arch I   - text-fused LM vision states are gated directly into the
-             detector's vision features (no conv, no decoder injection).
-* Arch II  - LM vision states cross-attend over LM text states, go through a
-             strided conv to detector width, and the resulting prompts are
-             injected before the last decoder layer.
-* Arch III - same weights as Arch II but injected before the first decoder
-             layer, so the prompt influence propagates through the stack.
-* Arch IV  - text-free: the conv runs on raw LM vision states.
+* ``text_fusion``  - LM vision states first cross-attend over LM text states
+                     (a residual multi-head attention);
+* ``fuses_vision`` - prompts are the full LM grid mapped to detector width and
+                     gated into the detector's vision features before
+                     decoding; otherwise a strided conv shrinks the grid to
+                     prompts that are injected into the decoder queries right
+                     before decoder layer ``l_d``.
 
-The injection is a two-segment cross-attention: decoder queries attend over
-[prompts | themselves]; prompt-segment weights are softmax-normalized within
-the segment and scaled by tanh(g) (one gate per head), self-segment weights
-are a plain softmax.  With g = 0 and a zero output projection (both forced at
-construction) the whole adapter is an exact identity, so a freshly attached
-adapter cannot disturb the host detector.
+========  ===========  ============  =================================
+preset    text_fusion  fuses_vision  placement
+========  ===========  ============  =================================
+Arch I    yes          yes           detector vision features
+Arch II   yes          no            before decoder layer ``l_d``
+                                     (default: the last layer)
+Arch III  yes          no            before decoder layer 1 (``l_d``
+                                     is pinned to 1)
+Arch IV   no           no            before decoder layer ``l_d``
+========  ===========  ============  =================================
+
+The kernel: queries attend over the prompts and, when injecting, also over
+themselves as a second key segment.  Each segment is softmax-normalized on
+its own; prompt-segment weights are scaled by tanh(g) (one gate per head)
+and self-segment weights are a plain softmax.  With g = 0 and a zero output
+projection (both forced at construction) the whole adapter is an exact
+identity, so a freshly attached adapter cannot disturb the host detector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, Module, MultiHeadAttention
+from .layers import Linear, Module, MultiHeadAttention, linear_flops, mha_flops
 from .tensor import ConfigurationError, DimensionError, Tensor
 
 ARCHS = ("I", "II", "III", "IV")
@@ -37,7 +49,7 @@ ARCHS = ("I", "II", "III", "IV")
 class AdapterConfig:
     arch: str = "IV"
     l_lm: int = 2
-    l_d: int = 6
+    l_d: int | None = None        # None: the preset's layer (III: 1, else depth)
     heads: int = 4
     d: int = 64
     d_lm: int = 64
@@ -52,6 +64,12 @@ class AdapterConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
+        first_layer = self.arch == "III"
+        if self.l_d is None:
+            self.l_d = 1 if first_layer else self.depth
+        elif first_layer and self.l_d != 1:
+            raise ConfigurationError(
+                f"arch III injects before decoder layer 1, got l_d={self.l_d}")
         if not 0 <= self.l_lm <= self.n_lm:
             raise ConfigurationError(f"l_lm {self.l_lm} outside [0, {self.n_lm}]")
         if not 1 <= self.l_d <= self.depth:
@@ -59,24 +77,32 @@ class AdapterConfig:
         if self.d % self.heads:
             raise ConfigurationError(
                 f"width {self.d} not divisible by {self.heads} heads")
-        if self.arch != "I":
+        if not self.fuses_vision:
             h, w = self.prompt_grid
             if h < 1 or w < 1:
                 raise ConfigurationError(
                     f"conv on grid {self.grid} yields empty prompt ({h}x{w})")
 
     @property
+    def text_fusion(self) -> bool:
+        """Prompts see the LM text states (Arch I, II, III)."""
+        return self.arch != "IV"
+
+    @property
+    def fuses_vision(self) -> bool:
+        """Prompts gate into detector vision features, not decoder queries
+        (Arch I)."""
+        return self.arch == "I"
+
+    @property
     def prompt_grid(self) -> tuple[int, int]:
-        h, w = self.grid
-        ho = (h + 2 * self.conv_pad - self.conv_k) // self.conv_stride + 1
-        wo = (w + 2 * self.conv_pad - self.conv_k) // self.conv_stride + 1
-        return ho, wo
+        k = self.conv_k
+        return T.conv2d_output_hw(*self.grid, k, k, self.conv_stride,
+                                  self.conv_pad)
 
     @property
     def prompt_len(self) -> int:
-        if self.arch == "I":
-            return self.grid[0] * self.grid[1]
-        h, w = self.prompt_grid
+        h, w = self.grid if self.fuses_vision else self.prompt_grid
         return h * w
 
 
@@ -93,17 +119,16 @@ class FusionState(Module):
         self.gate = Tensor(np.zeros(cfg.heads), requires_grad=True)
         self.out_proj = Linear(d, d, rng)
         self.out_proj.zero_()
-        if cfg.arch in ("II", "III"):
+        if cfg.text_fusion:
             self.text_fusion = MultiHeadAttention(d_lm, cfg.heads, rng)
-        if cfg.arch != "I":
+        if cfg.fuses_vision:
+            self.proj_lm = Linear(d_lm, d, rng)
+        else:
             k = cfg.conv_k
             self.conv_kernel = Tensor(
                 rng.standard_normal((d, d_lm, k, k)) / np.sqrt(d_lm * k * k),
                 requires_grad=True)
             self.conv_bias = Tensor(np.zeros(d), requires_grad=True)
-        if cfg.arch == "I":
-            self.text_fusion = MultiHeadAttention(d_lm, cfg.heads, rng)
-            self.proj_lm = Linear(d_lm, d, rng)
 
     def make_text_fusion_identity(self) -> None:
         """Surgery: zero the text-fusion output map so the fusion block
@@ -116,24 +141,25 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, e_v_d: Tensor | None,
                  e_t_valid: np.ndarray | None = None) -> Tensor:
     """LM states -> adaptation prompts A_P of shape [B, L, d].
 
-    Arch IV needs only ``e_v_l``; II/III additionally fuse ``e_t`` into the
-    vision states first; Arch I returns detector-width tokens for the vision
-    gating path (no conv).
+    With ``text_fusion`` the vision states first attend over ``e_t``; with
+    ``fuses_vision`` every grid token is mapped to detector width (no conv)
+    for the vision gating path, which also requires ``e_v_d``.
     """
     b, l_v, d_lm = e_v_l.shape
     h, w = cfg.grid
     if l_v != h * w:
         raise DimensionError(f"{l_v} vision tokens do not tile grid {h}x{w}")
-    if cfg.arch in ("I", "II", "III"):
+    if cfg.text_fusion:
         if e_t is None:
             raise ConfigurationError(f"arch {cfg.arch} requires LM text states")
         mask = None
         if e_t_valid is not None:
             mask = T.additive_mask(e_t_valid)[:, None, None, :]
         e_v_l = T.add(e_v_l, state.text_fusion(e_v_l, e_t, mask=mask))
-    if cfg.arch == "I":
+    if cfg.fuses_vision:
         if e_v_d is None:
-            raise ConfigurationError("arch I requires detector vision features")
+            raise ConfigurationError(
+                f"arch {cfg.arch} requires detector vision features")
         return state.proj_lm(e_v_l)
     x = T.transpose(e_v_l, (0, 2, 1))
     x = T.reshape(x, b, d_lm, h, w)
@@ -144,18 +170,20 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, e_v_d: Tensor | None,
     return T.transpose(x, (0, 2, 1))
 
 
-def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor, state: FusionState,
-                         mask: np.ndarray | None = None,
-                         return_internals: bool = False):
-    """Two-segment gated cross-attention (the injection step).
+def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
+                     self_keys: bool, mask: np.ndarray | None,
+                     return_internals: bool):
+    """The adapter's one kernel: ``x + out_proj(attention)`` where the rows of
+    ``x`` attend over the L prompts and, with ``self_keys``, over the T rows
+    of ``x`` as a second key segment.
 
-    Keys/values are [prompts | queries]; RoPE positions run 0..L-1 over the
-    prompts and L..L+T-1 over the queries.  Per row and head the prompt
-    segment sums to tanh(g) and the self segment sums to 1.  ``mask`` is an
-    optional additive ndarray broadcastable to [B, heads, T, L+T].
+    RoPE positions run 0..L-1 over the prompts and L..L+T-1 over ``x`` (as
+    queries and as self keys).  Per row and head the prompt segment sums to
+    tanh(g) and the self segment to 1.  ``mask`` is an optional additive
+    ndarray broadcastable to [B, heads, T, L+S], S = T or 0 self keys.
     """
     cfg = state.cfg
-    b, t, d = e_d_prev.shape
+    b, t, d = x.shape
     l = a_p.shape[1]
     if l == 0:
         raise ConfigurationError("empty prompt sequence")
@@ -163,81 +191,75 @@ def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor, state: FusionState,
         raise DimensionError(
             f"prompt width {a_p.shape[2]} != detector width {d}")
     heads, d_h = cfg.heads, d // cfg.heads
+    s = t if self_keys else 0
 
-    def split(x, n):
-        return T.reshape(x, b, n, heads, d_h)
+    def split(y, n):
+        return T.reshape(y, b, n, heads, d_h)
 
-    q = split(state.wq(e_d_prev), t)
-    k = T.concat([split(state.wk(a_p), l), split(state.wk(e_d_prev), t)], axis=1)
-    v = T.concat([split(state.wv(a_p), l), split(state.wv(e_d_prev), t)], axis=1)
+    def keys(proj):
+        seg = split(proj(a_p), l)
+        return T.concat([seg, split(proj(x), t)], axis=1) if self_keys else seg
+
+    q = split(state.wq(x), t)
+    k, v = keys(state.wk), keys(state.wv)
     q = T.rope_apply(q, np.arange(l, l + t), base=cfg.rope_base)
-    k = T.rope_apply(k, np.arange(l + t), base=cfg.rope_base)
+    k = T.rope_apply(k, np.arange(l + s), base=cfg.rope_base)
     q = T.transpose(q, (0, 2, 1, 3))
     k = T.transpose(k, (0, 2, 3, 1))
     v = T.transpose(v, (0, 2, 1, 3))
-    scores = T.mul(T.matmul(q, k), 1.0 / np.sqrt(d_h))        # [B, h, T, L+T]
+    scores = T.mul(T.matmul(q, k), 1.0 / np.sqrt(d_h))        # [B, h, T, L+S]
     mask_p = mask_s = None
     if mask is not None:
         mask = np.broadcast_to(mask, (1,) * (4 - np.ndim(mask)) + np.shape(mask))
         mask_p, mask_s = mask[..., :l], mask[..., l:]
-    w_prompt = T.softmax(T.slice_axis(scores, 3, 0, l), axis=-1, mask=mask_p)
-    w_self = T.softmax(T.slice_axis(scores, 3, l, l + t), axis=-1, mask=mask_s)
-    gate = T.reshape(T.tanh_gate(state.gate), 1, cfg.heads, 1, 1)
-    w_tilde = T.concat([T.mul(gate, w_prompt), w_self], axis=3)
-    out = T.matmul(w_tilde, v)                                # [B, h, T, d_h]
+    prompt = T.slice_axis(scores, 3, 0, l) if self_keys else scores
+    gate = T.reshape(T.tanh(state.gate), 1, heads, 1, 1)
+    weights = T.mul(gate, T.softmax(prompt, axis=-1, mask=mask_p))
+    if self_keys:
+        w_self = T.softmax(T.slice_axis(scores, 3, l, l + s), axis=-1,
+                           mask=mask_s)
+        weights = T.concat([weights, w_self], axis=3)
+    out = T.matmul(weights, v)                                # [B, h, T, d_h]
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), b, t, d)
-    result = T.add(e_d_prev, state.out_proj(out))
+    result = T.add(x, state.out_proj(out))
     if return_internals:
         return result, {
             "scores": scores.data.copy(),
-            "weights": w_tilde.data.copy(),
+            "weights": weights.data.copy(),
             "prompt_len": l,
         }
     return result
 
 
-def fuse_vision(e_v_d: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
-    """Arch I: gate prompt content into the detector's vision features, with
-    the same zero-init guarantees as the injection path."""
-    cfg = state.cfg
-    b, p, d = e_v_d.shape
-    l = a_p.shape[1]
-    heads, d_h = cfg.heads, d // cfg.heads
+def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor, state: FusionState,
+                         mask: np.ndarray | None = None,
+                         return_internals: bool = False):
+    """The injection step: decoder queries attend over [prompts | queries]."""
+    return _gated_attention(e_d_prev, a_p, state, True, mask, return_internals)
 
-    def split(x, n):
-        return T.reshape(x, b, n, heads, d_h)
 
-    q = T.rope_apply(split(state.wq(e_v_d), p), np.arange(l, l + p),
-                     base=cfg.rope_base)
-    k = T.rope_apply(split(state.wk(a_p), l), np.arange(l), base=cfg.rope_base)
-    v = split(state.wv(a_p), l)
-    q = T.transpose(q, (0, 2, 1, 3))
-    k = T.transpose(k, (0, 2, 3, 1))
-    v = T.transpose(v, (0, 2, 1, 3))
-    weights = T.softmax(T.mul(T.matmul(q, k), 1.0 / np.sqrt(d_h)), axis=-1)
-    gate = T.reshape(T.tanh_gate(state.gate), 1, heads, 1, 1)
-    out = T.matmul(T.mul(gate, weights), v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), b, p, d)
-    return T.add(e_v_d, state.out_proj(out))
+def fuse_vision(e_v_d: Tensor, a_p: Tensor, state: FusionState,
+                return_internals: bool = False):
+    """The vision step (``fuses_vision``): detector vision features attend
+    over the prompts alone, with the same zero-init guarantees."""
+    return _gated_attention(e_v_d, a_p, state, False, None, return_internals)
 
 
 class FusionHook:
     """Binds computed prompts to a detector pass.  ``inject`` transforms query
-    embeddings right before decoder layer ``l_d``; ``vision`` rewrites vision
-    features before decoding (Arch I only)."""
+    embeddings right before decoder layer ``l_d`` (None for a vision-fusing
+    adapter); ``vision`` rewrites vision features before decoding."""
 
-    def __init__(self, state: FusionState, a_p: Tensor | None,
-                 vision_delta: bool = False):
+    def __init__(self, state: FusionState, a_p: Tensor):
         self.state = state
         self.a_p = a_p
-        self.l_d = None if vision_delta else state.cfg.l_d
-        self._vision = vision_delta
+        self.l_d = None if state.cfg.fuses_vision else state.cfg.l_d
 
     def inject(self, q: Tensor) -> Tensor:
         return zero_init_cross_attn(q, self.a_p, self.state)
 
     def vision(self, e_v_d: Tensor) -> Tensor:
-        if not self._vision:
+        if not self.state.cfg.fuses_vision:
             return e_v_d
         return fuse_vision(e_v_d, self.a_p, self.state)
 
@@ -246,17 +268,13 @@ def bind(state: FusionState, e_v_l: Tensor, e_t: Tensor | None = None,
          e_v_d: Tensor | None = None,
          e_t_valid: np.ndarray | None = None) -> FusionHook:
     """Convenience: prompts + hook for one batch of LM states."""
-    a_p = make_prompts(e_v_l, e_t, e_v_d, state.cfg, state, e_t_valid)
-    return FusionHook(state, a_p, vision_delta=(state.cfg.arch == "I"))
+    return FusionHook(state, make_prompts(e_v_l, e_t, e_v_d, state.cfg, state,
+                                          e_t_valid))
 
 
 # ---------------------------------------------------------------------------
 # analytic parameter / FLOP accounting
 # ---------------------------------------------------------------------------
-
-
-def _linear_flops(b_rows: int, d_in: int, d_out: int, bias: bool = True) -> int:
-    return 2 * b_rows * d_in * d_out + (b_rows * d_out if bias else 0)
 
 
 def adapter_param_count(state: FusionState) -> int:
@@ -267,60 +285,32 @@ def adapter_param_flops(cfg: AdapterConfig, b: int = 1, t_queries: int = 4,
                         text_len: int = 8) -> tuple[int, int]:
     """(trainable parameter count, FLOPs for one adapter forward).
 
-    The FLOP expression mirrors the op-level conventions of the tensor core;
-    the acceptance suite checks it against a metered forward exactly.
+    ``t_queries`` is the number of rows that attend: decoder queries, or
+    detector vision tokens for a vision-fusing adapter.  The FLOP expression
+    mirrors the op-level conventions of the tensor core; the acceptance suite
+    checks it against a metered forward exactly.
     """
     d, d_lm, h = cfg.d, cfg.d_lm, cfg.heads
     gh, gw = cfg.grid
     l_v = gh * gw
-    l = cfg.prompt_len
+    l, t = cfg.prompt_len, t_queries
+    s = 0 if cfg.fuses_vision else t                      # self-segment keys
 
-    params = 3 * (d * d + d) + h + (d * d + d)            # wq,wk,wv + gate + out_proj
-    if cfg.arch != "I":
-        params += d * d_lm * cfg.conv_k ** 2 + d
-    if cfg.arch in ("I", "II", "III"):
-        params += 4 * (d_lm * d_lm + d_lm)                # text-fusion mha
-    if cfg.arch == "I":
-        params += d_lm * d + d                            # proj_lm
-
+    params = 4 * (d * d + d) + h                          # wq,wk,wv,out_proj + gate
     flops = 0
-    if cfg.arch in ("I", "II", "III"):
-        flops += _linear_flops(b * l_v, d_lm, d_lm)       # fusion wq
-        flops += 2 * _linear_flops(b * text_len, d_lm, d_lm)
-        flops += 2 * b * l_v * d_lm * text_len            # scores
-        flops += b * h * l_v * text_len                   # scale
-        flops += 3 * b * h * l_v * text_len               # softmax
-        flops += 2 * b * l_v * d_lm * text_len            # values
-        flops += _linear_flops(b * l_v, d_lm, d_lm)       # fusion wo
-        flops += b * l_v * d_lm                           # residual add
-    if cfg.arch != "I":
+    if cfg.text_fusion:
+        params += 4 * (d_lm * d_lm + d_lm)
+        flops += mha_flops(b, l_v, text_len, d_lm, h) + b * l_v * d_lm
+    if cfg.fuses_vision:
+        params += d_lm * d + d                            # proj_lm
+        flops += linear_flops(b * l_v, d_lm, d)
+    else:
         ph, pw = cfg.prompt_grid
+        params += d * d_lm * cfg.conv_k ** 2 + d
         flops += 2 * b * d * ph * pw * d_lm * cfg.conv_k ** 2
         flops += b * d * ph * pw                          # conv bias add
-    if cfg.arch == "I":
-        flops += _linear_flops(b * l_v, d_lm, d)          # proj_lm
-        p = t_queries                                     # vision token count
-        flops += _linear_flops(b * p, d, d)               # wq
-        flops += 2 * _linear_flops(b * l, d, d)           # wk, wv on prompts
-        flops += 3 * b * p * d + 3 * b * l * d            # rope on q, k
-        flops += 2 * b * p * d * l                        # scores
-        flops += b * h * p * l                            # scale
-        flops += 3 * b * h * p * l                        # softmax
-        flops += h + b * h * p * l                        # tanh(g) + gating
-        flops += 2 * b * p * d * l                        # weights @ values
-        flops += _linear_flops(b * p, d, d)               # out_proj
-        flops += b * p * d                                # residual add
-        return params, flops
-
-    t = t_queries
-    flops += _linear_flops(b * t, d, d)                   # wq
-    flops += 2 * (_linear_flops(b * l, d, d) + _linear_flops(b * t, d, d))
-    flops += 3 * b * t * d + 3 * b * (l + t) * d          # rope q, k
-    flops += 2 * b * t * d * (l + t)                      # scores matmul
-    flops += b * h * t * (l + t)                          # scale
-    flops += 3 * b * h * t * l + 3 * b * h * t * t        # segment softmaxes
+    # gated attention over L prompt + S self keys, out_proj included
+    flops += mha_flops(b, t, l + s, d, h, rope=True)
     flops += h + b * h * t * l                            # tanh(g) + gating
-    flops += 2 * b * t * d * (l + t)                      # weighted values
-    flops += _linear_flops(b * t, d, d)                   # out_proj
     flops += b * t * d                                    # residual add
     return params, flops

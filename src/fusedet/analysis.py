@@ -32,6 +32,7 @@ from .adapter import (AdapterConfig, FusionState, adapter_param_count,
                       adapter_param_flops, bind)
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
+from .layers import linear_flops, mha_flops
 from .mllm import TAG_SYSTEM, TAG_TEXT, TAG_VISION, MiniMllm, MllmConfig
 from .scenes import PACK_WIDTH
 from .tensor import FlopsMeter, UsageError
@@ -158,8 +159,10 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
         raise UsageError(
             f"l_lm values {bad} outside the decoder depth range 0..{mllm.cfg.n}")
     if cache is None:
-        cache = tr.Stage3Cache(mllm, det, train_scenes, cfg.l_d,
-                               full_decode=cfg.arch == "I", chunk=cfg.eval_chunk)
+        acfg = cfg.adapter_config()
+        cache = tr.Stage3Cache(mllm, det, train_scenes, acfg.l_d,
+                               full_decode=acfg.fuses_vision,
+                               chunk=cfg.eval_chunk)
     results = []
     for seed in seeds:
         for l_lm in l_lm_values:
@@ -215,36 +218,19 @@ def write_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _linear_flops(rows: int, d_in: int, d_out: int) -> int:
-    return 2 * rows * d_in * d_out + rows * d_out
-
-
 def _layernorm_flops(rows: int, d: int) -> int:
     return 7 * rows * d + 4 * rows
 
 
-def _mha_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
-               rope: bool = False) -> int:
-    f = _linear_flops(b * t_q, d, d) + 2 * _linear_flops(b * t_k, d, d)
-    if rope:
-        f += 3 * b * t_q * d + 3 * b * t_k * d
-    f += 2 * b * t_q * d * t_k                    # scores
-    f += b * heads * t_q * t_k                    # 1/sqrt(d_head) scale
-    f += 3 * b * heads * t_q * t_k                # softmax
-    f += 2 * b * t_q * d * t_k                    # weights @ values
-    f += _linear_flops(b * t_q, d, d)             # output projection
-    return f
-
-
 def _mlp_flops(rows: int, d_in: int, d_hidden: int, d_out: int) -> int:
-    return (_linear_flops(rows, d_in, d_hidden) + rows * d_hidden
-            + _linear_flops(rows, d_hidden, d_out))
+    return (linear_flops(rows, d_in, d_hidden) + rows * d_hidden
+            + linear_flops(rows, d_hidden, d_out))
 
 
 def _lm_block_flops(b: int, n_seq: int, d: int, heads: int, mlp_ratio: int) -> int:
     rows = b * n_seq
     return (_layernorm_flops(rows, d)
-            + _mha_flops(b, n_seq, n_seq, d, heads, rope=True) + rows * d
+            + mha_flops(b, n_seq, n_seq, d, heads, rope=True) + rows * d
             + _layernorm_flops(rows, d)
             + _mlp_flops(rows, d, mlp_ratio * d, d) + rows * d)
 
@@ -261,22 +247,22 @@ def detector_forward_flops(dcfg: DetectorConfig, n_patches: int, d_patch: int,
     """Detector inference on encoded patches: vision/text encoders, phrase
     pooling, the decoder stack, and both heads."""
     d, h, q, w = dcfg.d, dcfg.heads, dcfg.queries, text_width
-    f = _linear_flops(b * n_patches, d_patch, d) + b * n_patches * d
-    f += (_mha_flops(b, w, w, d, h, rope=True) + b * w * d
+    f = linear_flops(b * n_patches, d_patch, d) + b * n_patches * d
+    f += (mha_flops(b, w, w, d, h, rope=True) + b * w * d
           + _layernorm_flops(b * w, d))                       # text encoder
     f += 2 * b * n_cand * w * d                               # phrase pooling
-    per_layer = (_layernorm_flops(b * q, d) + _mha_flops(b, q, q, d, h)
+    per_layer = (_layernorm_flops(b * q, d) + mha_flops(b, q, q, d, h)
                  + b * q * d
-                 + _layernorm_flops(b * q, d) + _mha_flops(b, q, n_patches, d, h)
+                 + _layernorm_flops(b * q, d) + mha_flops(b, q, n_patches, d, h)
                  + b * q * d
-                 + _layernorm_flops(b * q, d) + _mha_flops(b, q, w, d, h)
+                 + _layernorm_flops(b * q, d) + mha_flops(b, q, w, d, h)
                  + b * q * d
                  + _layernorm_flops(b * q, d)
                  + _mlp_flops(b * q, d, dcfg.mlp_ratio * d, d) + b * q * d)
     f += dcfg.depth * per_layer
     f += _layernorm_flops(b * q, d)                           # output norm
     f += _mlp_flops(b * q, d, d, 4) + b * q * 4               # box head
-    f += _linear_flops(b * q, d, d)                           # class projection
+    f += linear_flops(b * q, d, d)                            # class projection
     f += 2 * b * q * d * n_cand + b * q * n_cand              # candidate logits
     f += 2 * b * q * d + b * q                                # background column
     return f
@@ -340,7 +326,6 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     h, w = mcfg.grid
     det = GroundingDetector(dcfg, mcfg.d_patch, h * w, rng)
     state = FusionState(acfg, rng)
-    needs_text = acfg.arch in ("I", "II", "III")
 
     images = T.constant(rng.standard_normal((b, 3, mcfg.canvas, mcfg.canvas)) * 0.1)
     det_ids = rng.integers(1, dcfg.vocab, (b, REPORT_TEXT_WIDTH))
@@ -351,7 +336,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
 
     def lm_prompts(patches):
         vis = mllm.align_vision(patches)
-        if needs_text:
+        if acfg.text_fusion:
             return mllm.hidden_from_aligned(vis, acfg.l_lm, lm_ids, lm_valid)
         return mllm.hidden_from_aligned(vis, acfg.l_lm)
 
@@ -373,9 +358,8 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
 
     def adapter_forward():
-        hook = bind(state, e_v_l, e_t, e_v_d=e_vis,
-                    e_t_valid=lm_valid if needs_text else None)
-        if acfg.arch == "I":
+        hook = bind(state, e_v_l, e_t, e_v_d=e_vis, e_t_valid=lm_valid)
+        if acfg.fuses_vision:
             hook.vision(e_vis)
         else:
             hook.inject(q_probe)
@@ -387,8 +371,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         patches = mllm.encode_image(images)
         e_v_l, e_t = lm_prompts(patches)
         e_vis = det.encode_vision(patches)
-        hook = bind(state, e_v_l, e_t, e_v_d=e_vis,
-                    e_t_valid=lm_valid if needs_text else None)
+        hook = bind(state, e_v_l, e_t, e_v_d=e_vis, e_t_valid=lm_valid)
         return detector_core(e_vis, hook=hook)
 
     with FlopsMeter() as m_total:
@@ -399,16 +382,16 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     a_core = detector_forward_flops(dcfg, p_grid, mcfg.d_patch,
                                     REPORT_TEXT_WIDTH, dcfg.queries, b)
     a_lm = prompt_path_flops(mcfg, acfg.l_lm,
-                             REPORT_LM_TEXT if needs_text else 0, b)
+                             REPORT_LM_TEXT if acfg.text_fusion else 0, b)
     _, a_adapter = adapter_param_flops(
-        acfg, b=b, t_queries=p_grid if acfg.arch == "I" else dcfg.queries,
+        acfg, b=b, t_queries=p_grid if acfg.fuses_vision else dcfg.queries,
         text_len=REPORT_LM_TEXT)
 
     p_det = mllm.vision.param_count() + det.param_count()
     p_adapter = adapter_param_count(state)
     p_lm = (mllm.projector.param_count() + mllm.sys_embed.size
             + sum(blk.param_count() for blk in mllm.blocks[:acfg.l_lm])
-            + (mllm.tok_embed.size if needs_text else 0))
+            + (mllm.tok_embed.size if acfg.text_fusion else 0))
 
     lat = {"detector": None, "+adapter": None, "+lm-prompts": None, "total": None}
     if measure_latency:

@@ -51,7 +51,7 @@ class ExperimentConfig:
     # fusion adapter
     arch: str = "IV"
     l_lm: int = 2
-    l_d: int = 6
+    l_d: int = 6                  # Arch II/IV injection layer; III pins 1
     adapter_heads: int = 4
     conv_k: int = 3
     conv_stride: int = 2
@@ -104,8 +104,12 @@ class ExperimentConfig:
             background_weight=self.background_weight)
 
     def adapter_config(self, **overrides) -> AdapterConfig:
+        # l_d places the Arch II and IV injection; Arch III pins its own
+        # layer (1), so the preset resolves it unless an override names one
+        arch = overrides.get("arch", self.arch)
         kw = dict(
-            arch=self.arch, l_lm=self.l_lm, l_d=self.l_d,
+            arch=self.arch, l_lm=self.l_lm,
+            l_d=None if arch == "III" else self.l_d,
             heads=self.adapter_heads, d=self.det_d, d_lm=self.d_lm,
             grid=self.mllm_config().aligned_grid, conv_k=self.conv_k,
             conv_stride=self.conv_stride, conv_pad=self.conv_pad,

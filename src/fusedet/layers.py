@@ -163,6 +163,26 @@ class MultiHeadAttention(Module):
         return out
 
 
+def linear_flops(rows: int, d_in: int, d_out: int) -> int:
+    """Closed-form FLOPs of ``Linear`` (with bias) on ``rows`` input rows."""
+    return 2 * rows * d_in * d_out + rows * d_out
+
+
+def mha_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
+              rope: bool = False) -> int:
+    """Closed-form FLOPs of ``MultiHeadAttention`` (d_kv = d): projections,
+    optional RoPE, scaled scores, softmax, weighted values, output map."""
+    f = linear_flops(b * t_q, d, d) + 2 * linear_flops(b * t_k, d, d)
+    if rope:
+        f += 3 * b * t_q * d + 3 * b * t_k * d
+    f += 2 * b * t_q * d * t_k                    # scores
+    f += b * heads * t_q * t_k                    # 1/sqrt(d_head) scale
+    f += 3 * b * heads * t_q * t_k                # softmax
+    f += 2 * b * t_q * d * t_k                    # weights @ values
+    f += linear_flops(b * t_q, d, d)              # output projection
+    return f
+
+
 class TransformerBlock(Module):
     """Pre-LN decoder block: self-attention then MLP, both residual."""
 

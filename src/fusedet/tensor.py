@@ -42,7 +42,6 @@ __all__ = [
     "exp",
     "log",
     "tanh",
-    "tanh_gate",
     "sigmoid",
     "gelu",
     "relu",
@@ -392,11 +391,6 @@ def tanh(a) -> Tensor:
         acc(a, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), bw, "tanh")
-
-
-def tanh_gate(g: Tensor) -> Tensor:
-    """Squash a gate into (-1, 1).  Alias for element-wise tanh."""
-    return tanh(g)
 
 
 def sigmoid(a) -> Tensor:

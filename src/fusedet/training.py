@@ -324,8 +324,8 @@ def _detector_outputs(det: GroundingDetector, e_vis: Tensor,
 
 
 def _lm_states(mllm: MiniMllm, vis: Tensor, acfg, scenes):
-    """LM hidden states the adapter consumes (text-free except I/II/III)."""
-    if acfg.arch in ("I", "II", "III"):
+    """LM hidden states the adapter consumes (text only with text fusion)."""
+    if acfg.text_fusion:
         ids, valid = pad_token_rows([s.query.ids for s in scenes])
         e_v_l, e_t = mllm.hidden_from_aligned(vis, acfg.l_lm, ids, valid)
         return e_v_l, e_t, valid
@@ -358,10 +358,8 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
     hook = bind(state, e_v_l, e_t, e_v_d=evd, e_t_valid=valid)
     etxt_np, tvalid, pooled_np, counts = cache.text_batch(idx, det.cfg.d)
     e_txt = T.constant(etxt_np)
-    if acfg.arch == "I":
+    if acfg.fuses_vision or cache.pre_state is None:
         q = det.decode(hook.vision(evd), e_txt, tvalid, hook=hook)
-    elif cache.pre_state is None:
-        q = det.decode(evd, e_txt, tvalid, hook=hook)
     else:
         q = det.decode(evd, e_txt, tvalid, hook=hook,
                        start_state=T.constant(cache.pre_state[idx]),
@@ -435,7 +433,7 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
     ]
     configure_trainable(groups, mllm, det, state)
     if cached:
-        full = acfg.arch == "I"
+        full = acfg.fuses_vision
         if cache is None:
             cache = Stage3Cache(mllm, det, scenes, acfg.l_d,
                                 full_decode=full, chunk=cfg.eval_chunk)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterConfig, FusionState
+from .adapter import ARCHS, AdapterConfig, FusionState
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, SubstitutionHead
 from .layers import MLP, LayerNorm, Linear, MultiHeadAttention
@@ -184,18 +184,18 @@ def _composed_cases(rng):
          det.layers[1].txt_attn.wo.bias, det.box_head.fc2.bias,
          det.class_proj.bias, det.bg_embed]))
 
-    for arch in ("I", "II", "IV"):
+    for arch in ARCHS:
         acfg = AdapterConfig(arch=arch, d=12, d_lm=12, heads=2, grid=(2, 2),
-                             l_lm=1, l_d=2, conv_stride=1, n_lm=2, depth=2)
+                             l_lm=1, conv_stride=1, n_lm=2, depth=2)
         state = FusionState(acfg, np.random.default_rng(rng.integers(1 << 30)))
         _randomize_adapter(state, rng)
         params = [state.gate, state.wq.bias, state.wk.bias, state.wv.bias,
                   state.out_proj.bias, mllm.projector.mlp.fc2.bias]
-        if arch == "I":
+        if acfg.fuses_vision:
             params.append(state.proj_lm.bias)
         else:
             params.append(state.conv_bias)
-        if arch == "II":
+        if acfg.text_fusion:
             params.append(state.text_fusion.wo.bias)
         cases.append((
             f"composed/fused-loss-arch-{arch}",

@@ -34,13 +34,16 @@ def adapter_inputs(cfg, rng, b=2, t=4, text=6):
 
 
 def segment_softmax_oracle(scores, gate, l, mask=None):
-    """Brute-force reference for the two-segment attention weights."""
+    """Brute-force reference for the two-segment attention weights; the self
+    segment is empty when ``scores`` has only the ``l`` prompt columns."""
     s = scores.copy()
     if mask is not None:
         s = s + mask
     out = np.empty_like(s)
     for seg, g in ((slice(0, l), np.tanh(gate)), (slice(l, None), None)):
         block = s[..., seg]
+        if block.shape[-1] == 0:
+            continue
         e = np.exp(block - block.max(-1, keepdims=True))
         w = e / e.sum(-1, keepdims=True)
         if g is not None:
@@ -110,6 +113,32 @@ class TestGateAlgebra:
         g = np.tanh(state.gate.data)
         assert np.allclose(prompt_mass, g[None, :, None], atol=1e-12)
         assert np.allclose(self_mass, 1.0, atol=1e-12)
+
+    def vision_internals(self, gate_values, seed=3):
+        state = make_state("I")
+        randomize(state, seed)
+        state.gate.data = np.asarray(gate_values, dtype=float)
+        rng = np.random.default_rng(seed + 1)
+        e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng, b=2, t=3)
+        a_p = make_prompts(e_v_l, e_t, e_v_d, state.cfg, state)
+        _, info = fuse_vision(e_v_d, a_p, state, return_internals=True)
+        return state, info
+
+    def test_vision_path_weights_match_bruteforce(self):
+        """Arch I runs the same kernel with no self segment: its weights are
+        the prompt segment alone."""
+        gate = [0.7, -0.4, 0.0, 2.0]
+        state, info = self.vision_internals(gate)
+        l = info["prompt_len"]
+        assert info["weights"].shape == (2, 4, 3, l)
+        want = segment_softmax_oracle(info["scores"], np.array(gate), l)
+        assert np.allclose(info["weights"], want, atol=1e-12)
+
+    def test_vision_path_mass_is_the_gate(self):
+        state, info = self.vision_internals([0.3, 1.2, -0.8, 0.5])
+        g = np.tanh(state.gate.data)
+        assert np.allclose(info["weights"].sum(-1), g[None, :, None],
+                           atol=1e-12)
 
     def test_zero_gate_heads_pass_nothing(self):
         state, info = self.build_internals([0.0, 0.0, 1.0, 1.0])
@@ -322,6 +351,18 @@ class TestConfigValidation:
             AdapterConfig(heads=5)
         with pytest.raises(ConfigurationError):
             AdapterConfig(grid=(1, 1), conv_pad=0)   # empty prompt
+
+    def test_first_layer_preset_pins_l_d(self):
+        """Arch III injects before decoder layer 1; any other layer is a
+        contradiction, not a silent fallback to the last layer."""
+        assert AdapterConfig(arch="III").l_d == 1
+        assert AdapterConfig(arch="II").l_d == AdapterConfig().depth
+        state = make_state("III", seed=39)
+        rng = np.random.default_rng(40)
+        e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
+        assert bind(state, e_v_l, e_t).l_d == 1
+        with pytest.raises(ConfigurationError, match="III.*l_d=6"):
+            AdapterConfig(arch="III", l_d=6)
 
     def test_make_prompts_input_checks(self):
         state = make_state("II", seed=29)

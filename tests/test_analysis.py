@@ -2,6 +2,7 @@
 and the two-route (metered vs closed-form) cost accounting."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,24 @@ class TestLayerSweep:
         col = header.index("val-spatial/acc")
         assert float(rows[0][col]) == res[0].metrics["val-spatial"]["acc"]
 
+    def test_first_layer_preset_sweeps(self, sweep_bench):
+        """An Arch III sweep builds its cache for the preset's layer 1 and
+        reproduces a direct run of the same weights injected at layer 1."""
+        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg3 = replace(cfg, arch="III")
+        with pytest.raises(UsageError, match="l_d=6"):
+            layer_sweep(cfg3, mllm, det, snap, train, vals,
+                        l_lm_values=[1], seeds=[0], cache=cache)
+        res = layer_sweep(cfg3, mllm, det, snap, train, vals,
+                          l_lm_values=[1], seeds=[0])
+        _, direct = tr.run_stage3_experiment(
+            replace(cfg, arch="II", run_seed=0), mllm, det, snap, train, vals,
+            l_lm=1, l_d=1)
+        assert direct["l_d"] == 1
+        for split, m in direct["metrics"].items():
+            del m["per_scene"]
+            assert res[0].metrics[split] == m
+
     def test_negative_depth_rejected(self):
         with pytest.raises(UsageError, match=">= 0"):
             AblationResult(l_lm=-1, seed=0, metrics={})
@@ -258,10 +277,12 @@ def random_accounting_configs(rng):
     dcfg = DetectorConfig(d=d, heads=heads, depth=int(rng.integers(1, 4)),
                           queries=int(rng.integers(2, 5)))
     arch = ("I", "II", "III", "IV")[rng.integers(4)]
+    l_lm = int(rng.integers(0, n + 1))
+    # l_d is drawn for every arch so later draws stay put; Arch III pins 1
+    l_d = int(rng.integers(1, dcfg.depth + 1))
     acfg = AdapterConfig(arch=arch, d=d, d_lm=d_lm, heads=heads,
-                         grid=mcfg.aligned_grid,
-                         l_lm=int(rng.integers(0, n + 1)),
-                         l_d=int(rng.integers(1, dcfg.depth + 1)),
+                         grid=mcfg.aligned_grid, l_lm=l_lm,
+                         l_d=1 if arch == "III" else l_d,
                          conv_stride=int(rng.choice([1, 2])),
                          n_lm=n, depth=dcfg.depth)
     return dcfg, mcfg, acfg

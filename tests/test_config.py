@@ -7,6 +7,7 @@ import pytest
 
 from fusedet import config
 from fusedet.config import ExperimentConfig
+from fusedet.training import build_adapter
 from fusedet.tensor import UsageError
 
 
@@ -82,6 +83,14 @@ class TestDerivedConfigs:
         a = cfg.adapter_config(arch="III", l_d=1, l_lm=0)
         assert (a.arch, a.l_d, a.l_lm) == ("III", 1, 0)
         assert cfg.arch == "IV"              # base config untouched
+
+    def test_first_layer_preset_resolves_its_layer(self):
+        """The experiment-level l_d places Arch II/IV; Arch III always
+        injects before decoder layer 1."""
+        cfg = ExperimentConfig(l_d=4)
+        assert cfg.adapter_config(arch="III").l_d == 1
+        assert cfg.adapter_config(arch="II").l_d == 4
+        assert build_adapter(ExperimentConfig(), arch="III").cfg.l_d == 1
 
     def test_seed_fields_are_independent(self):
         cfg = ExperimentConfig(seed=1, run_seed=2, data_seed=3)

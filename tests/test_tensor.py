@@ -141,13 +141,13 @@ class TestSoftmax:
 
 class TestTanhGate:
     def test_zero(self):
-        assert T.tanh_gate(T.constant(0.0)).item() == 0.0
+        assert T.tanh(T.constant(0.0)).item() == 0.0
 
     def test_saturation(self):
-        assert abs(T.tanh_gate(T.constant(20.0)).item() - 1.0) <= 1e-8
+        assert abs(T.tanh(T.constant(20.0)).item() - 1.0) <= 1e-8
 
     def test_reference_value(self):
-        assert abs(T.tanh_gate(T.constant(0.5)).item() - np.tanh(0.5)) <= 1e-12
+        assert abs(T.tanh(T.constant(0.5)).item() - np.tanh(0.5)) <= 1e-12
 
 
 class TestConv2d:
