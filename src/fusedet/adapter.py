@@ -175,7 +175,9 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
                      return_internals: bool):
     """The adapter's one kernel: ``x + out_proj(attention)`` where the rows of
     ``x`` attend over the L prompts and, with ``self_keys``, over the T rows
-    of ``x`` as a second key segment.
+    of ``x`` as a second key segment.  The attention core is ``T.attention``,
+    the same op ``MultiHeadAttention`` runs, with the prompts as its gated
+    key segment.
 
     RoPE positions run 0..L-1 over the prompts and L..L+T-1 over ``x`` (as
     queries and as self keys).  Per row and head the prompt segment sums to
@@ -190,45 +192,23 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
     if a_p.shape[2] != d:
         raise DimensionError(
             f"prompt width {a_p.shape[2]} != detector width {d}")
-    heads, d_h = cfg.heads, d // cfg.heads
     s = t if self_keys else 0
 
-    def split(y, n):
-        return T.reshape(y, b, n, heads, d_h)
-
     def keys(proj):
-        seg = split(proj(a_p), l)
-        return T.concat([seg, split(proj(x), t)], axis=1) if self_keys else seg
+        seg = proj(a_p)
+        return T.concat([seg, proj(x)], axis=1) if self_keys else seg
 
-    q = split(state.wq(x), t)
+    q = state.wq(x)
     k, v = keys(state.wk), keys(state.wv)
-    q = T.rope_apply(q, np.arange(l, l + t), base=cfg.rope_base)
-    k = T.rope_apply(k, np.arange(l + s), base=cfg.rope_base)
-    q = T.transpose(q, (0, 2, 1, 3))
-    k = T.transpose(k, (0, 2, 3, 1))
-    v = T.transpose(v, (0, 2, 1, 3))
-    scores = T.mul(T.matmul(q, k), 1.0 / np.sqrt(d_h))        # [B, h, T, L+S]
-    mask_p = mask_s = None
-    if mask is not None:
-        mask = np.broadcast_to(mask, (1,) * (4 - np.ndim(mask)) + np.shape(mask))
-        mask_p, mask_s = mask[..., :l], mask[..., l:]
-    prompt = T.slice_axis(scores, 3, 0, l) if self_keys else scores
-    gate = T.reshape(T.tanh(state.gate), 1, heads, 1, 1)
-    weights = T.mul(gate, T.softmax(prompt, axis=-1, mask=mask_p))
-    if self_keys:
-        w_self = T.softmax(T.slice_axis(scores, 3, l, l + s), axis=-1,
-                           mask=mask_s)
-        weights = T.concat([weights, w_self], axis=3)
-    out = T.matmul(weights, v)                                # [B, h, T, d_h]
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), b, t, d)
-    result = T.add(x, state.out_proj(out))
-    if return_internals:
-        return result, {
-            "scores": scores.data.copy(),
-            "weights": weights.data.copy(),
-            "prompt_len": l,
-        }
-    return result
+    core = T.attention(q, k, v, cfg.heads, mask=mask, rope_base=cfg.rope_base,
+                       pos_q=np.arange(l, l + t), pos_k=np.arange(l + s),
+                       gate=T.tanh(state.gate), gated_keys=l,
+                       return_internals=return_internals)
+    if not return_internals:
+        return T.add(x, state.out_proj(core))
+    out, scores, weights = core
+    return T.add(x, state.out_proj(out)), {
+        "scores": scores, "weights": weights, "prompt_len": l}
 
 
 def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor, state: FusionState,

@@ -3,10 +3,11 @@ attention profiling, cost accounting, the substitution control, gradient
 verification, and evaluation.
 
 Every subcommand takes ``--config FILE`` (flat ``key = value`` text over the
-``ExperimentConfig`` fields), ``--seed N``, and ``--out DIR``.  Checkpoints
-are directories in the parameter-file format; reports are JSON with the
-resolved config embedded, plus JSON-lines for per-step / per-scene records
-and CSV for tables.
+``ExperimentConfig`` fields), ``--seed N``, and ``--out DIR``.  Every command
+but the read-only ``gradcheck`` writes the resolved config to
+``DIR/resolved-config.txt``.  Checkpoints are directories in the
+parameter-file format; reports are JSON with the resolved config embedded,
+plus JSON-lines for per-step / per-scene records and CSV for tables.
 
 Checkpoint layout under ``--out`` (the default is ``./runs``):
 
@@ -291,6 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _BACKBONE_COMMANDS = {"gen-data", "analyze-attention"}
+# commands that only read: no --out directory, no resolved-config.txt
+_READ_ONLY_COMMANDS = {"gradcheck"}
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -325,8 +328,9 @@ def cli(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        save_file(cfg, out / "resolved-config.txt")
+        if args.command not in _READ_ONLY_COMMANDS:
+            out.mkdir(parents=True, exist_ok=True)
+            save_file(cfg, out / "resolved-config.txt")
         return COMMANDS[args.command](cfg, out, args)
     except (UsageError, NumericsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
-from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention, cross_entropy
+from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention
 from .scenes import VOCAB, SyntheticScene, box_iou, encode
 from .tensor import Tensor, UsageError
 
@@ -106,13 +106,16 @@ class GroundingDetector(Module):
     # -- decoder ------------------------------------------------------------
 
     def decode(self, e_vis: Tensor, e_txt: Tensor, txt_valid: np.ndarray,
-               hook=None, collect: bool = False,
-               start_state: Tensor | None = None, start_layer: int = 1):
-        """Run decoder layers ``start_layer .. depth`` over the query set.
+               hook=None, start_state: Tensor | None = None,
+               start_layer: int = 1, upto_layer: int | None = None) -> Tensor:
+        """Run decoder layers ``start_layer .. depth`` over the query set and
+        apply the output norm.
 
         ``start_state`` resumes from a cached mid-stack state (the default
-        starts from the learned query embeddings).  A hook's ``inject`` fires
-        right before its target layer.
+        starts from the learned query embeddings).  With ``upto_layer`` the
+        run stops after that layer and returns its raw state, the one layer
+        ``upto_layer + 1`` consumes.  A hook's ``inject`` fires right before
+        its target layer.
         """
         b = e_vis.shape[0]
         if start_state is None:
@@ -126,18 +129,17 @@ class GroundingDetector(Module):
         if hook is not None and hook.l_d is not None and hook.l_d < start_layer:
             raise UsageError(
                 f"hook targets layer {hook.l_d} before start layer {start_layer}")
+        stop = self.cfg.depth if upto_layer is None else upto_layer
+        if not start_layer - 1 <= stop <= self.cfg.depth:
+            raise UsageError(
+                f"upto_layer {stop} outside [{start_layer - 1}, {self.cfg.depth}]")
         txt_mask = T.additive_mask(txt_valid)[:, None, None, :]
-        states = []
-        for i, layer in enumerate(self.layers[start_layer - 1:], start=start_layer):
+        for i, layer in enumerate(self.layers[start_layer - 1:stop],
+                                  start=start_layer):
             if hook is not None and hook.l_d == i:
                 q = hook.inject(q)
             q = layer(q, e_vis, e_txt, txt_mask)
-            if collect:
-                states.append(q)
-        q = self.ln_out(q)
-        if collect:
-            return q, states
-        return q
+        return q if upto_layer is not None else self.ln_out(q)
 
     # -- heads --------------------------------------------------------------
 
@@ -257,15 +259,25 @@ def detection_loss(boxes: Tensor, logits: Tensor, counts: np.ndarray,
 
     Per scene: box_weight * L1 on matched boxes, phrase_weight * CE on matched
     queries' candidate labels, background_weight * CE pushing unmatched
-    queries to the background class.
+    queries to the background class.  Each CE runs over the scene's real
+    candidates plus background; padded candidate columns are masked out.
+
+    Matching runs per scene on numpy; the loss is then one weighted L1 term
+    and one masked cross-entropy over the whole batch, built from target and
+    weight arrays.
     """
     b, nq, _ = boxes.shape
-    terms = []
+    n_col = logits.shape[2]
+    bg = n_col - 1
+    gt_boxes = np.zeros((b, nq, 4))
+    box_w = np.zeros((b, nq, 1))
+    labels = np.full((b, nq), bg)
+    row_w = np.full((b, nq), cfg.background_weight)
+    col_ok = np.zeros((b, 1, n_col), dtype=bool)
     for i, scene in enumerate(scenes):
-        # drop this scene's padded candidate columns; background moves to the
-        # last kept column
-        keep = np.r_[np.arange(counts[i]), logits.shape[2] - 1]
-        bg_label = int(counts[i])
+        # this scene's real candidate columns plus the background column
+        keep = np.r_[np.arange(counts[i]), bg]
+        col_ok[i, 0, keep] = True
         raw = logits.data[i][:, keep]
         shifted = np.exp(raw - raw.max(-1, keepdims=True))
         probs = shifted / shifted.sum(-1, keepdims=True)
@@ -275,30 +287,17 @@ def detection_loss(boxes: Tensor, logits: Tensor, counts: np.ndarray,
             l1 = np.abs(boxes.data[i] - scene.gt_boxes[j]).sum(-1)
             cost[:, j] = cfg.box_weight * l1 + cfg.phrase_weight * (
                 1.0 - probs[:, scene.gt_labels[j]])
-        pairs = match_hungarian(cost)
-        matched = {qi for qi, _ in pairs}
-        scene_logits = T.slice_axis(logits, 0, i, i + 1)
-        scene_logits = T.reshape(scene_logits, nq, logits.shape[2])
-        scene_logits = T.index_select(scene_logits, 1, keep)
-        for qi, gj in pairs:
-            box_q = T.reshape(T.slice_axis(T.slice_axis(boxes, 0, i, i + 1),
-                                           1, qi, qi + 1), 4)
-            diff = T.sub(box_q, T.constant(scene.gt_boxes[gj]))
-            terms.append(T.mul(T.tsum(T.absval(diff)), cfg.box_weight))
-            row = T.slice_axis(scene_logits, 0, qi, qi + 1)
-            terms.append(T.mul(
-                cross_entropy(row, np.array([scene.gt_labels[gj]])),
-                cfg.phrase_weight))
-        un = [qi for qi in range(nq) if qi not in matched]
-        if un:
-            rows = T.index_select(scene_logits, 0, np.array(un))
-            terms.append(T.mul(
-                cross_entropy(rows, np.full(len(un), bg_label)),
-                cfg.background_weight * len(un)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return T.mul(total, 1.0 / len(scenes))
+        for qi, gj in match_hungarian(cost):
+            gt_boxes[i, qi] = scene.gt_boxes[gj]
+            box_w[i, qi] = cfg.box_weight
+            labels[i, qi] = scene.gt_labels[gj]
+            row_w[i, qi] = cfg.phrase_weight
+    scale = 1.0 / len(scenes)
+    l1 = T.tsum(T.mul(T.absval(T.sub(boxes, T.constant(gt_boxes))),
+                      T.constant(box_w * scale)))
+    ce = T.weighted_cross_entropy(logits, labels, row_w * scale,
+                                  mask=T.additive_mask(col_ok))
+    return T.add(l1, ce)
 
 
 def query_column(scene: SyntheticScene) -> int:

@@ -77,10 +77,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = T.add(out, self.bias)
-        return out
+        return T.linear(x, self.weight, self.bias)
 
     def zero_(self) -> None:
         """Hard-set weights (and bias) to exact zeros, keeping trainability."""
@@ -107,15 +104,12 @@ class LayerNorm(Module):
         self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = T.tmean(x, axis=-1, keepdims=True)
-        xc = T.sub(x, mu)
-        var = T.tmean(T.mul(xc, xc), axis=-1, keepdims=True)
-        rstd = T.power(T.add(var, self._eps), -0.5)
-        return T.add(T.mul(T.mul(xc, rstd), self.gamma), self.beta)
+        return T.layer_norm(x, self.gamma, self.beta, self._eps)
 
 
 class MultiHeadAttention(Module):
     """Standard multi-head attention; optional RoPE on queries and keys.
+    Projections are ``Linear`` layers around the fused ``T.attention`` core.
 
     ``mask`` is an additive ndarray broadcastable to [B, h, Tq, Tk].  With
     ``return_scores`` the pre-softmax scaled scores come back as a plain
@@ -135,32 +129,15 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d_kv, d, rng)
         self.wo = Linear(d, d, rng)
 
-    def _split(self, x: Tensor, b: int, t: int) -> Tensor:
-        return T.reshape(x, b, t, self.heads, self.d_head)
-
     def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
                  pos_q=None, pos_k=None, return_scores: bool = False):
-        b, tq, _ = x_q.shape
-        tk = x_kv.shape[1]
-        q = self._split(self.wq(x_q), b, tq)
-        k = self._split(self.wk(x_kv), b, tk)
-        v = self._split(self.wv(x_kv), b, tk)
-        if self.rope_base is not None:
-            q = T.rope_apply(q, np.arange(tq) if pos_q is None else pos_q,
-                             base=self.rope_base)
-            k = T.rope_apply(k, np.arange(tk) if pos_k is None else pos_k,
-                             base=self.rope_base)
-        q = T.transpose(q, (0, 2, 1, 3))
-        k = T.transpose(k, (0, 2, 3, 1))
-        v = T.transpose(v, (0, 2, 1, 3))
-        scores = T.mul(T.matmul(q, k), 1.0 / np.sqrt(self.d_head))
-        weights = T.softmax(scores, axis=-1, mask=mask)
-        out = T.matmul(weights, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), b, tq, self.heads * self.d_head)
-        out = self.wo(out)
+        core = T.attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv), self.heads,
+                           mask=mask, rope_base=self.rope_base, pos_q=pos_q,
+                           pos_k=pos_k, return_internals=return_scores)
         if return_scores:
-            return out, scores.data.copy()
-        return out
+            out, scores, _ = core
+            return self.wo(out), scores
+        return self.wo(core)
 
 
 def linear_flops(rows: int, d_in: int, d_out: int) -> int:
@@ -168,19 +145,24 @@ def linear_flops(rows: int, d_in: int, d_out: int) -> int:
     return 2 * rows * d_in * d_out + rows * d_out
 
 
-def mha_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
-              rope: bool = False) -> int:
-    """Closed-form FLOPs of ``MultiHeadAttention`` (d_kv = d): projections,
-    optional RoPE, scaled scores, softmax, weighted values, output map."""
-    f = linear_flops(b * t_q, d, d) + 2 * linear_flops(b * t_k, d, d)
-    if rope:
-        f += 3 * b * t_q * d + 3 * b * t_k * d
+def attention_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
+                    rope: bool = False) -> int:
+    """Closed-form FLOPs of the ungated ``T.attention`` core: optional RoPE,
+    scaled scores, softmax, weighted values."""
+    f = 3 * b * t_q * d + 3 * b * t_k * d if rope else 0
     f += 2 * b * t_q * d * t_k                    # scores
     f += b * heads * t_q * t_k                    # 1/sqrt(d_head) scale
     f += 3 * b * heads * t_q * t_k                # softmax
     f += 2 * b * t_q * d * t_k                    # weights @ values
-    f += linear_flops(b * t_q, d, d)              # output projection
     return f
+
+
+def mha_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
+              rope: bool = False) -> int:
+    """Closed-form FLOPs of ``MultiHeadAttention`` (d_kv = d): q/k/v
+    projections, the attention core, output map."""
+    return (2 * linear_flops(b * t_q, d, d) + 2 * linear_flops(b * t_k, d, d)
+            + attention_flops(b, t_q, t_k, d, heads, rope))
 
 
 class TransformerBlock(Module):
@@ -210,11 +192,8 @@ class TransformerBlock(Module):
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of [N, C] logits against integer targets [N]."""
-    n, c = logits.shape
+    n, _ = logits.shape
     targets = np.asarray(targets, dtype=np.intp)
     if targets.shape != (n,):
         raise DimensionError(f"targets shape {targets.shape} != ({n},)")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), targets] = 1.0
-    logp = T.log_softmax(logits, axis=-1)
-    return T.mul(T.tsum(T.mul(logp, T.constant(onehot))), -1.0 / n)
+    return T.weighted_cross_entropy(logits, targets, np.full(n, 1.0 / n))

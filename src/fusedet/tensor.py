@@ -39,6 +39,9 @@ __all__ = [
     "neg",
     "power",
     "matmul",
+    "linear",
+    "layer_norm",
+    "attention",
     "exp",
     "log",
     "tanh",
@@ -48,6 +51,7 @@ __all__ = [
     "absval",
     "softmax",
     "log_softmax",
+    "weighted_cross_entropy",
     "reshape",
     "transpose",
     "concat",
@@ -77,6 +81,15 @@ reductions (sum, mean)   1 per input element
 element-wise ops         1 per output element
 data movement            0 (reshape, transpose, concat, slice, gather,
                             pixel (un)shuffle)
+weighted_cross_entropy   3 per logit (log-softmax) + 2 per row (weight, sum)
+
+Fused ops count exactly what their unfused op sequence counted:
+linear                   matmul + bias add: 2*rows*d_in*d_out + rows*d_out
+layer_norm               mean, center, mean square, +eps, **-0.5, scale,
+                         shift: 7 per element + 4 per row
+attention                rope on q and k (when on), scores matmul, 1/sqrt(d_h)
+                         scale, softmax per key segment, gate (when on: 1 per
+                         gated weight), weights @ values
 """
 
 
@@ -499,6 +512,47 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (x,), bw, "log_softmax")
 
 
+def weighted_cross_entropy(logits, targets, weights,
+                           mask: np.ndarray | None = None) -> Tensor:
+    """Scalar sum over rows of ``weights * -log softmax(logits + mask)[target]``
+    along the last axis: one tape node.
+
+    ``targets`` (integers) and ``weights`` have the shape of ``logits``
+    without its last axis; ``mask`` is an optional additive ndarray (0 / -inf)
+    broadcastable to ``logits``.  Masked columns get exactly zero
+    probability; a row with no unmasked column, or whose target column is
+    masked, is rejected.
+    """
+    x = as_tensor(logits)
+    targets = np.asarray(targets, dtype=np.intp)
+    weights = np.asarray(weights, dtype=np.float64)
+    if targets.shape != x.shape[:-1] or weights.shape != targets.shape:
+        raise DimensionError(
+            f"targets {targets.shape} and weights {weights.shape} must both be "
+            f"{x.shape[:-1]} for logits {x.shape}")
+    z = x.data
+    if mask is not None:
+        z = z + np.asarray(mask, dtype=np.float64)
+        if not np.all(np.isfinite(z).any(axis=-1)):
+            raise DegenerateInputError("cross-entropy row fully masked out")
+    z = z - np.max(z, axis=-1, keepdims=True)
+    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    if not np.all(np.isfinite(picked)):
+        raise DegenerateInputError("cross-entropy target column masked out")
+    out_data = np.asarray(-np.sum(weights * picked))
+    _count_flops(3 * x.size + 2 * targets.size)
+
+    def bw(g, acc):
+        p = np.exp(logp)
+        np.put_along_axis(p, targets[..., None],
+                          np.take_along_axis(p, targets[..., None], axis=-1) - 1.0,
+                          axis=-1)
+        acc(x, (g * weights)[..., None] * p)
+
+    return _make(out_data, (x,), bw, "weighted_cross_entropy")
+
+
 def _norm_axis(axis: int, ndim: int) -> int:
     if not -ndim <= axis < ndim:
         raise DimensionError(f"axis {axis} out of range for ndim {ndim}")
@@ -525,12 +579,215 @@ def matmul(a, b) -> Tensor:
     _count_flops(2 * m * k * n * batch)
 
     def bw(g, acc):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        acc(a, _unbroadcast(ga, a.shape))
-        acc(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if not b.requires_grad:
+            return
+        if b.ndim == 2:
+            # one GEMM over every row instead of a stack of per-batch products
+            acc(b, np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n)))
+        else:
+            acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _make(out_data, (a, b), bw, "matmul")
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops (one tape node each, closed-form backward)
+# ---------------------------------------------------------------------------
+
+
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` with ``w`` of shape
+    [d_in, d_out]: one tape node.  The forward is matmul then bias add, so
+    values equal the two-op sequence; the weight gradient is one GEMM over
+    the flattened rows."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2:
+        raise DimensionError(
+            f"linear needs >=2-d input and a 2-d weight, got {x.shape} and {w.shape}")
+    k, n = w.shape
+    if x.shape[-1] != k:
+        raise DimensionError(f"linear inner extents differ: {x.shape} vs {w.shape}")
+    out_data = np.matmul(x.data, w.data)
+    _count_flops(2 * out_data.size * k)
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != (n,):
+            raise DimensionError(f"linear bias shape {b.shape} != ({n},)")
+        out_data = out_data + b.data
+        _count_flops(out_data.size)
+        parents = (x, w, b)
+
+    def bw(g, acc):
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            # a C-ordered w^T runs the stacked products faster than a view
+            acc(x, np.matmul(g, np.ascontiguousarray(w.data.T)))
+        if w.requires_grad:
+            acc(w, np.matmul(x.data.reshape(-1, k).T, g2))
+        if b is not None and b.requires_grad:
+            acc(b, g2.sum(axis=0))
+
+    return _make(out_data, parents, bw, "linear")
+
+
+def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    ``gamma`` and shift by ``beta``.  The forward repeats the unfused op
+    sequence (mean, center, mean square, +eps, **-0.5, scale, shift) in the
+    same order, so values and FLOPs equal it."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise DimensionError(
+            f"layer_norm affine shapes {gamma.shape}, {beta.shape} != ({d},)")
+    inv_n = 1.0 / d
+    mu = np.sum(x.data, axis=-1, keepdims=True) * inv_n
+    xc = x.data - mu
+    var = np.sum(xc * xc, axis=-1, keepdims=True) * inv_n
+    rstd = (var + eps) ** -0.5
+    xhat = xc * rstd
+    out_data = xhat * gamma.data + beta.data
+    _count_flops(7 * x.size + 4 * (x.size // d))
+
+    def bw(g, acc):
+        g2 = g.reshape(-1, d)
+        if gamma.requires_grad:
+            acc(gamma, np.sum(g2 * xhat.reshape(-1, d), axis=0))
+        if beta.requires_grad:
+            acc(beta, g2.sum(axis=0))
+        if x.requires_grad:
+            gh = g * gamma.data
+            acc(x, rstd * (gh - np.mean(gh, axis=-1, keepdims=True)
+                           - xhat * np.mean(gh * xhat, axis=-1, keepdims=True)))
+
+    return _make(out_data, (x, gamma, beta), bw, "layer_norm")
+
+
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
+              rope_base: float | None = None, pos_q=None, pos_k=None,
+              gate=None, gated_keys: int = 0, return_internals: bool = False):
+    """Multi-head attention core on projected inputs: one tape node.
+
+    ``q`` is [B, Tq, d]; ``k`` and ``v`` are [B, Tk, d].  Each is split into
+    ``heads`` heads; with ``rope_base`` set, q and k are rotated by RoPE at
+    ``pos_q`` / ``pos_k`` (default 0..T-1).  Scores q.k / sqrt(d_h) are
+    softmax-normalized along the keys and weight the values; heads merge back
+    to [B, Tq, d].  ``mask`` is an additive ndarray broadcastable to
+    [B, heads, Tq, Tk]; a row with no unmasked key is rejected.
+
+    With ``gate`` (a [heads] tensor) the first ``gated_keys`` keys form a
+    segment of their own: softmax-normalized alone and scaled by ``gate``
+    per head.  The remaining keys, if any, form a plain softmax segment.
+
+    The forward repeats the unfused op sequence (split, rope, transpose,
+    matmul, scale, softmax per segment, gate, concat, matmul, merge) on the
+    same arrays, so values and FLOPs equal it.  ``return_internals`` also
+    returns the scaled scores and the weights as detached ndarrays.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape \
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise DimensionError(
+            f"attention wants q [B,Tq,d], k and v [B,Tk,d]; got {q.shape}, "
+            f"{k.shape}, {v.shape}")
+    b, tq, d = q.shape
+    tk = k.shape[1]
+    if d % heads:
+        raise DimensionError(f"width {d} not divisible by {heads} heads")
+    dh = d // heads
+    l = tk if gate is None else gated_keys
+    if not 0 < l <= tk:
+        raise DimensionError(f"gated segment of {l} keys outside [1, {tk}]")
+    if gate is not None:
+        gate = as_tensor(gate)
+        if gate.shape != (heads,):
+            raise DimensionError(f"gate shape {gate.shape} != ({heads},)")
+    qh = q.data.reshape(b, tq, heads, dh)
+    kh = k.data.reshape(b, tk, heads, dh)
+    flops = 0
+    rope_q = rope_k = None
+    if rope_base is not None:
+        rope_q = _rope_tables(np.arange(tq) if pos_q is None else pos_q, tq, dh,
+                              rope_base)
+        rope_k = _rope_tables(np.arange(tk) if pos_k is None else pos_k, tk, dh,
+                              rope_base)
+        qh, kh = _rope_rotate(qh, *rope_q), _rope_rotate(kh, *rope_k)
+        flops += 3 * (q.size + k.size)
+    qt = qh.transpose(0, 2, 1, 3)                             # [B, h, Tq, dh]
+    kt = kh.transpose(0, 2, 3, 1)                             # [B, h, dh, Tk]
+    vt = v.data.reshape(b, tk, heads, dh).transpose(0, 2, 1, 3)
+    scale = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qt, kt) * scale                        # [B, h, Tq, Tk]
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), scores.shape)
+
+    def seg_softmax(lo, hi):
+        z = scores[..., lo:hi]
+        if mask is not None:
+            z = z + mask[..., lo:hi]
+            if not np.all(np.isfinite(z).any(axis=-1)):
+                raise DegenerateInputError("softmax slice fully masked out")
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    y_p = seg_softmax(0, l)
+    y_s = seg_softmax(l, tk) if l < tk else None
+    if gate is None:
+        weights = y_p
+    else:
+        g4 = gate.data.reshape(1, heads, 1, 1)
+        weights = g4 * y_p
+        flops += weights.size
+        if y_s is not None:
+            weights = np.concatenate([weights, y_s], axis=3)
+    out_data = np.matmul(weights, vt).transpose(0, 2, 1, 3).reshape(b, tq, d)
+    # scores and weighted values (2 * dh each), scale (1), softmax (3)
+    flops += 4 * scores.size * dh + 4 * scores.size
+    _count_flops(flops)
+    parents = (q, k, v) if gate is None else (q, k, v, gate)
+
+    def softmax_bw(y, gy):
+        return y * (gy - np.sum(gy * y, axis=-1, keepdims=True))
+
+    def merge(gh, rope, n):
+        """[B, h, T, dh] head gradient -> [B, T, d] input gradient."""
+        gh = gh.transpose(0, 2, 1, 3)
+        if rope is not None:
+            gh = _rope_rotate(gh, *rope, -1.0)
+        return gh.reshape(b, n, d)
+
+    def bw(g, acc):
+        go = g.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)   # [B, h, Tq, dh]
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(weights, -1, -2), go)
+            acc(v, gv.transpose(0, 2, 1, 3).reshape(b, tk, d))
+        gated = gate is not None and gate.requires_grad
+        if not (q.requires_grad or k.requires_grad or gated):
+            return
+        gw = np.matmul(go, np.swapaxes(vt, -1, -2))          # [B, h, Tq, Tk]
+        if gate is None:
+            gs = softmax_bw(y_p, gw)
+        else:
+            gw_p = gw[..., :l]
+            if gated:
+                acc(gate, np.sum(gw_p * y_p, axis=(0, 2, 3)))
+            gs = np.empty_like(scores)
+            gs[..., :l] = softmax_bw(y_p, gw_p * g4)
+            if y_s is not None:
+                gs[..., l:] = softmax_bw(y_s, gw[..., l:])
+        gs *= scale
+        if q.requires_grad:
+            acc(q, merge(np.matmul(gs, np.swapaxes(kt, -1, -2)), rope_q, tq))
+        if k.requires_grad:
+            acc(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qt), rope_k, tk))
+
+    out = _make(out_data, parents, bw, "attention")
+    if return_internals:
+        return out, scores.copy(), weights.copy()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -782,32 +1039,43 @@ def rope_angles(positions, d_head: int, base: float = 10000.0) -> tuple[np.ndarr
     return np.cos(ang), np.sin(ang)
 
 
+def _rope_tables(positions, t: int, d_head: int, base: float):
+    """[1, T, 1, d_h/2] (cos, sin) tables for [B, T, h, d_h] operands."""
+    pos = np.asarray(positions)
+    if pos.shape != (t,):
+        raise DimensionError(
+            f"positions length {pos.shape} does not match T={t}")
+    cos, sin = rope_angles(pos, d_head, base)      # [T, dh/2]
+    return cos[None, :, None, :], sin[None, :, None, :]
+
+
+def _rope_rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 sign: float = 1.0) -> np.ndarray:
+    """Rotate (even, odd) channel pairs by +angle (``sign`` 1) or by -angle
+    (``sign`` -1, the transpose used by the backward pass)."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    if sign > 0:
+        out[..., 0::2] = xe * cos - xo * sin
+        out[..., 1::2] = xe * sin + xo * cos
+    else:
+        out[..., 0::2] = xe * cos + xo * sin
+        out[..., 1::2] = -xe * sin + xo * cos
+    return out
+
+
 def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
     """Rotate consecutive (even, odd) channel pairs of [B,T,h,d_h] by
     position * base**(-2i/d_h).  Norm-preserving per pair."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise DimensionError(f"rope_apply wants [B,T,h,d_h], got {x.shape}")
-    bsz, t, h, dh = x.shape
-    pos = np.asarray(positions)
-    if pos.shape != (t,):
-        raise DimensionError(
-            f"positions length {pos.shape} does not match T={t}")
-    cos, sin = rope_angles(pos, dh, base)          # [T, dh/2]
-    cos = cos[None, :, None, :]
-    sin = sin[None, :, None, :]
-    xe, xo = x.data[..., 0::2], x.data[..., 1::2]
-    out_data = np.empty_like(x.data)
-    out_data[..., 0::2] = xe * cos - xo * sin
-    out_data[..., 1::2] = xe * sin + xo * cos
+    cos, sin = _rope_tables(positions, x.shape[1], x.shape[3], base)
+    out_data = _rope_rotate(x.data, cos, sin)
     _count_flops(3 * x.size)
 
     def bw(g, acc):
-        ge, go = g[..., 0::2], g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = ge * cos + go * sin
-        gx[..., 1::2] = -ge * sin + go * cos
-        acc(x, gx)
+        acc(x, _rope_rotate(g, cos, sin, -1.0))
 
     return _make(out_data, (x,), bw, "rope_apply")
 
@@ -859,9 +1127,9 @@ def backward(loss: Tensor) -> None:
             node._backward_fn(g, acc)
             node._parents = ()
             node._backward_fn = None
+        elif node.grad is None:
+            node.grad = np.array(g, dtype=np.float64)
         else:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
             node.grad += g
 
 

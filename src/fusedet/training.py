@@ -282,8 +282,8 @@ class Stage3Cache:
                 self.etxt[lo + j] = e_txt.data[j, :w].copy()
                 self.pooled[lo + j] = pooled.data[j, :counts[j]].copy()
             if need_state:
-                _, states = det.decode(e_vis, e_txt, valid, collect=True)
-                self.pre_state[lo:hi] = states[l_d - 2].data
+                self.pre_state[lo:hi] = det.decode(e_vis, e_txt, valid,
+                                                   upto_layer=l_d - 1).data
 
     def text_batch(self, idx: np.ndarray, d: int):
         """Pad per-scene text/pooled rows into fixed-width batch arrays."""

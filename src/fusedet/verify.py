@@ -3,9 +3,9 @@
 Each case compares analytic gradients against central differences at step
 1e-5 and reports the worst relative error.  Cases run on micro models (width
 ~12, two layers) so the whole suite finishes in seconds while still walking
-the exact production code paths: primitive ops, the shared layers, the
-caption loss, the grounding loss, the fused stage-3 loss for each adapter
-placement, and the substitution control.
+the exact production code paths: primitive and fused tape ops, the shared
+layers, the caption loss, the grounding loss, the fused stage-3 loss for each
+adapter placement, and the substitution control.
 
 Composed checks perturb the small parameter leaves (gates, biases) of every
 component; a wiring bug that detaches any sub-graph shows up as an analytic
@@ -64,6 +64,16 @@ def _primitive_cases(rng):
         ("op/div", lambda: T.div(x, y), [x, y]),
         ("op/matmul", lambda: T.matmul(a, b), [a, b]),
     ]
+    w = _param(rng, 4, 3, scale=0.5)
+    bias = _param(rng, 3, scale=0.3)
+    gamma = _param(rng, 4, scale=0.3, shift=1.0)
+    beta = _param(rng, 4, scale=0.3)
+    unary += [
+        ("op/linear-2d", lambda: T.linear(x, w, bias), [x, w, bias]),
+        ("op/linear-3d-nobias", lambda: T.linear(a, w), [a, w]),
+        ("op/layer_norm", lambda: T.layer_norm(a, gamma, beta), [a, gamma, beta]),
+    ]
+    unary += _attention_cases(rng)
     cases = []
     for name, fn, params in unary:
         cases.append((name, (lambda f=fn: _weighted_sum(rng, f())), params))
@@ -87,14 +97,48 @@ def _primitive_cases(rng):
     return cases
 
 
+def _attention_cases(rng):
+    """The fused attention core (an additive key mask, RoPE at the adapter's
+    position offsets, a gated prompt segment before a plain segment) and the
+    masked cross-entropy of the detection loss."""
+    q = _param(rng, 2, 3, 8, scale=0.6)
+    k = _param(rng, 2, 5, 8, scale=0.6)
+    v = _param(rng, 2, 5, 8, scale=0.6)
+    gate = _param(rng, 2, scale=0.5)
+    valid = np.ones((2, 5), dtype=bool)
+    valid[1, 3:] = False
+    mask = T.additive_mask(valid)[:, None, None, :]
+    offsets = dict(rope_base=50.0, pos_q=np.arange(2, 5), pos_k=np.arange(5))
+    logits = _param(rng, 2, 3, 5)
+    labels = np.array([[0, 4, 1], [0, 4, 4]])
+    weights = np.array([[1.0, 0.5, 2.0], [1.0, 0.5, 0.5]])
+    cols = np.ones((2, 1, 5), dtype=bool)
+    cols[1, 0, 1:4] = False
+    return [
+        ("op/attention-masked", lambda: T.attention(q, k, v, 2, mask=mask),
+         [q, k, v]),
+        ("op/attention-rope-offsets", lambda: T.attention(q, k, v, 2, **offsets),
+         [q, k, v]),
+        ("op/attention-gated-segments",
+         lambda: T.attention(q, k, v, 2, gate=gate, gated_keys=2, **offsets),
+         [q, k, v, gate]),
+        ("op/cross-entropy-masked",
+         lambda: T.weighted_cross_entropy(logits, labels, weights,
+                                          mask=T.additive_mask(cols)),
+         [logits]),
+    ]
+
+
 def _layer_cases(rng):
     lin = Linear(5, 4, rng)
+    lin_nb = Linear(5, 4, rng, bias=False)
     ln = LayerNorm(6)
     ln.gamma.data[:] = rng.uniform(0.5, 1.5, 6)
     ln.beta.data[:] = rng.standard_normal(6) * 0.3
     mlp = MLP(5, 7, 4, rng)
     mha = MultiHeadAttention(8, 2, rng, rope_base=50.0)
     xl = _param(rng, 3, 5, scale=0.7)
+    xs = _param(rng, 2, 3, 5, scale=0.7)
     xn = _param(rng, 2, 4, 6, scale=0.7)
     xa = _param(rng, 2, 5, 8, scale=0.5)
     valid = np.ones((2, 5), dtype=bool)
@@ -103,6 +147,8 @@ def _layer_cases(rng):
     return [
         ("layer/linear", lambda: _weighted_sum(rng, lin(xl)),
          [xl, lin.weight, lin.bias]),
+        ("layer/linear-3d-nobias", lambda: _weighted_sum(rng, lin_nb(xs)),
+         [xs, lin_nb.weight]),
         ("layer/layernorm", lambda: _weighted_sum(rng, ln(xn)),
          [xn, ln.gamma, ln.beta]),
         ("layer/mlp", lambda: _weighted_sum(rng, mlp(xl)),

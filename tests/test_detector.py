@@ -138,14 +138,15 @@ class TestDecode:
         assert q.shape == (2, cfg.queries, cfg.d)
 
     def test_resume_matches_full_run(self):
-        """Restarting from a collected mid-stack state reproduces the full
+        """Restarting from a stopped mid-stack state reproduces the full
         decode bit for bit (the cache-path guarantee)."""
         det, _ = make_detector()
         e_vis, e_txt, valid = self.setup_inputs(det)
-        full, states = det.decode(e_vis, e_txt, valid, collect=True)
+        full = det.decode(e_vis, e_txt, valid)
         for layer in (2, 4, 6):
+            state = det.decode(e_vis, e_txt, valid, upto_layer=layer - 1)
             resumed = det.decode(e_vis, e_txt, valid,
-                                 start_state=T.constant(states[layer - 2].data),
+                                 start_state=T.constant(state.data),
                                  start_layer=layer)
             assert np.array_equal(resumed.data, full.data)
 

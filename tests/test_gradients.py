@@ -167,6 +167,97 @@ def test_composed_softmax_matmul():
         assert err < TOL
 
 
+# -- fused ops ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x_shape,bias", [((3, 4), True), ((3, 4), False),
+                                          ((2, 3, 4), True), ((2, 3, 4), False)],
+                         ids=["2d-bias", "2d", "3d-bias", "3d"])
+def test_linear_grads(x_shape, bias):
+    for seed in range(20):
+        rng = np.random.default_rng(13_000 + seed)
+        x, w, b = _params(rng, x_shape, (4, 5), (5,))
+        params = [x, w, b] if bias else [x, w]
+        err = finite_diff_check(
+            lambda: _weighted_sum(rng, T.linear(x, w, b if bias else None)),
+            params, eps=EPS)
+        assert err < TOL, f"seed {seed}: {err}"
+
+
+def test_layer_norm_grads():
+    for seed in range(20):
+        rng = np.random.default_rng(14_000 + seed)
+        x, gamma, beta = _params(rng, (2, 3, 6), (6,), (6,))
+        err = finite_diff_check(
+            lambda: _weighted_sum(rng, T.layer_norm(x, gamma, beta)),
+            [x, gamma, beta], eps=EPS)
+        assert err < TOL, f"seed {seed}: {err}"
+
+
+def _attention_inputs(rng, tq=3, tk=4, d=4):
+    return _params(rng, (2, tq, d), (2, tk, d), (2, tk, d), scale=0.7)
+
+
+def test_attention_masked_grads():
+    for seed in range(20):
+        rng = np.random.default_rng(15_000 + seed)
+        q, k, v = _attention_inputs(rng)
+        valid = rng.uniform(size=(2, 4)) > 0.4
+        valid[:, 0] = True
+        mask = T.additive_mask(valid)[:, None, None, :]
+        err = finite_diff_check(
+            lambda: _weighted_sum(rng, T.attention(q, k, v, 2, mask=mask)),
+            [q, k, v], eps=EPS)
+        assert err < TOL, f"seed {seed}: {err}"
+
+
+def test_attention_rope_offset_grads():
+    """RoPE with the adapter's positions: queries at L..L+T-1, keys 0..L+T-1."""
+    for seed in range(20):
+        rng = np.random.default_rng(16_000 + seed)
+        q, k, v = _attention_inputs(rng)
+        err = finite_diff_check(
+            lambda: _weighted_sum(rng, T.attention(
+                q, k, v, 2, rope_base=100.0, pos_q=np.arange(2, 5),
+                pos_k=np.arange(4))),
+            [q, k, v], eps=EPS)
+        assert err < TOL, f"seed {seed}: {err}"
+
+
+@pytest.mark.parametrize("gated_keys", [2, 4], ids=["two-segments", "gated-only"])
+def test_attention_gated_segment_grads(gated_keys):
+    for seed in range(20):
+        rng = np.random.default_rng(17_000 + seed)
+        q, k, v = _attention_inputs(rng)
+        (gate,) = _params(rng, (2,), scale=0.5)
+        valid = np.ones((2, 4), dtype=bool)
+        valid[1, 1] = False                    # one masked prompt key
+        mask = T.additive_mask(valid)[:, None, None, :]
+        err = finite_diff_check(
+            lambda: _weighted_sum(rng, T.attention(
+                q, k, v, 2, mask=mask, rope_base=100.0,
+                pos_q=np.arange(gated_keys, gated_keys + 3), pos_k=np.arange(4),
+                gate=T.tanh(gate), gated_keys=gated_keys)),
+            [q, k, v, gate], eps=EPS)
+        assert err < TOL, f"seed {seed}: {err}"
+
+
+def test_masked_cross_entropy_grads():
+    for seed in range(20):
+        rng = np.random.default_rng(18_000 + seed)
+        (x,) = _params(rng, (2, 3, 5))
+        cols = rng.uniform(size=(2, 1, 5)) > 0.4
+        cols[..., -1] = True
+        labels = np.where(rng.uniform(size=(2, 3)) > 0.5, 4,
+                          np.argmax(cols, axis=-1))
+        weights = rng.uniform(0.2, 2.0, size=(2, 3))
+        err = finite_diff_check(
+            lambda: T.weighted_cross_entropy(x, labels, weights,
+                                             mask=T.additive_mask(cols)),
+            [x], eps=EPS)
+        assert err < TOL, f"seed {seed}: {err}"
+
+
 def test_quadratic_is_nearly_exact():
     rng = np.random.default_rng(12)
     (x,) = _params(rng, (4,))

@@ -315,6 +315,147 @@ class TestFlopsMeter:
         assert seen == sorted(seen)
 
 
+def fused_attention_inputs(rng, tq=3, tk=5, d=8):
+    return tuple(T.constant(rng.standard_normal((2, n, d)))
+                 for n in (tq, tk, tk))
+
+
+def unfused_attention(q, k, v, heads, mask=None, rope=None, gate=None,
+                      gated_keys=0):
+    """The op sequence ``T.attention`` fuses, written with the unfused ops."""
+    b, tq, d = q.shape
+    tk, dh = k.shape[1], d // heads
+    qh, kh = T.reshape(q, b, tq, heads, dh), T.reshape(k, b, tk, heads, dh)
+    if rope is not None:
+        base, pos_q, pos_k = rope
+        qh, kh = T.rope_apply(qh, pos_q, base), T.rope_apply(kh, pos_k, base)
+    qh = T.transpose(qh, (0, 2, 1, 3))
+    kh = T.transpose(kh, (0, 2, 3, 1))
+    vh = T.transpose(T.reshape(v, b, tk, heads, dh), (0, 2, 1, 3))
+    scores = T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(dh))
+    if gate is None:
+        weights = T.softmax(scores, axis=-1, mask=mask)
+    else:
+        m = None if mask is None else np.broadcast_to(mask, scores.shape)
+        l = gated_keys
+        weights = T.mul(T.reshape(gate, 1, heads, 1, 1), T.softmax(
+            T.slice_axis(scores, 3, 0, l), axis=-1,
+            mask=None if m is None else m[..., :l]))
+        if l < tk:
+            weights = T.concat([weights, T.softmax(
+                T.slice_axis(scores, 3, l, tk), axis=-1,
+                mask=None if m is None else m[..., l:])], axis=3)
+    out = T.transpose(T.matmul(weights, vh), (0, 2, 1, 3))
+    return T.reshape(out, b, tq, d)
+
+
+class TestFusedOps:
+    """Each fused op returns bitwise the values of the op sequence it fuses,
+    and its FLOPs equal that sequence's and the closed forms."""
+
+    @staticmethod
+    def metered(fn):
+        with FlopsMeter() as m:
+            out = fn()
+        return out.data, m.accumulated
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear(self, shape, bias):
+        from fusedet.layers import linear_flops
+        rng = np.random.default_rng(3)
+        x = T.constant(rng.standard_normal(shape))
+        w = T.constant(rng.standard_normal((4, 6)))
+        b = T.constant(rng.standard_normal(6)) if bias else None
+        got, flops = self.metered(lambda: T.linear(x, w, b))
+        want, want_flops = self.metered(
+            lambda: T.add(T.matmul(x, w), b) if bias else T.matmul(x, w))
+        rows = int(np.prod(shape[:-1]))
+        assert got.tobytes() == want.tobytes()
+        assert flops == want_flops
+        assert flops == (linear_flops(rows, 4, 6) if bias else 2 * rows * 4 * 6)
+
+    def test_layer_norm(self):
+        from fusedet.analysis import _layernorm_flops
+        rng = np.random.default_rng(4)
+        x = T.constant(rng.standard_normal((2, 3, 8)) * 3 + 1)
+        gamma = T.constant(rng.standard_normal(8))
+        beta = T.constant(rng.standard_normal(8))
+
+        def unfused():
+            mu = T.tmean(x, axis=-1, keepdims=True)
+            xc = T.sub(x, mu)
+            var = T.tmean(T.mul(xc, xc), axis=-1, keepdims=True)
+            rstd = T.power(T.add(var, 1e-5), -0.5)
+            return T.add(T.mul(T.mul(xc, rstd), gamma), beta)
+
+        got, flops = self.metered(lambda: T.layer_norm(x, gamma, beta, 1e-5))
+        want, want_flops = self.metered(unfused)
+        assert got.tobytes() == want.tobytes()
+        assert flops == want_flops == _layernorm_flops(6, 8)
+
+    @pytest.mark.parametrize("rope", [False, True])
+    def test_attention(self, rope):
+        from fusedet.layers import attention_flops
+        rng = np.random.default_rng(5)
+        q, k, v = fused_attention_inputs(rng)
+        valid = np.ones((2, 5), dtype=bool)
+        valid[0, 3:] = False
+        mask = T.additive_mask(valid)[:, None, None, :]
+        kw = dict(rope_base=50.0, pos_q=np.arange(4, 7), pos_k=np.arange(5)) \
+            if rope else {}
+        got, flops = self.metered(lambda: T.attention(q, k, v, 2, mask=mask, **kw))
+        want, want_flops = self.metered(lambda: unfused_attention(
+            q, k, v, 2, mask=mask,
+            rope=(50.0, np.arange(4, 7), np.arange(5)) if rope else None))
+        assert got.tobytes() == want.tobytes()
+        assert flops == want_flops == attention_flops(2, 3, 5, 8, 2, rope=rope)
+
+    @pytest.mark.parametrize("gated_keys", [2, 5])
+    def test_gated_attention(self, gated_keys):
+        from fusedet.layers import attention_flops
+        rng = np.random.default_rng(6)
+        q, k, v = fused_attention_inputs(rng)
+        gate = T.constant(rng.uniform(-1, 1, 2))
+        valid = np.ones((2, 5), dtype=bool)
+        valid[1, 0] = False
+        mask = T.additive_mask(valid)[:, None, None, :]
+        kw = dict(mask=mask, gate=gate, gated_keys=gated_keys)
+        got, flops = self.metered(lambda: T.attention(q, k, v, 2, **kw))
+        want, want_flops = self.metered(lambda: unfused_attention(q, k, v, 2, **kw))
+        assert got.tobytes() == want.tobytes()
+        assert flops == want_flops
+        assert flops == attention_flops(2, 3, 5, 8, 2) + 2 * 2 * 3 * gated_keys
+
+    def test_attention_internals_are_detached_copies(self):
+        q, k, v = fused_attention_inputs(np.random.default_rng(7))
+        out, scores, weights = T.attention(q, k, v, 2, return_internals=True)
+        assert scores.shape == weights.shape == (2, 2, 3, 5)
+        assert scores.base is None and weights.base is None
+        assert np.allclose(weights.sum(-1), 1.0)
+        again = T.attention(q, k, v, 2)
+        assert out.data.tobytes() == again.data.tobytes()
+
+    def test_masked_cross_entropy_matches_log_softmax(self):
+        rng = np.random.default_rng(8)
+        logits = rng.standard_normal((2, 3, 5))
+        cols = np.array([[[True, True, False, False, True]],
+                         [[True, True, True, True, True]]])
+        labels = np.array([[0, 4, 1], [3, 2, 4]])
+        weights = rng.uniform(0.5, 2.0, (2, 3))
+        with FlopsMeter() as m:
+            got = T.weighted_cross_entropy(T.constant(logits), labels, weights,
+                                           mask=T.additive_mask(cols))
+        assert m.accumulated == 3 * logits.size + 2 * labels.size
+        want = 0.0
+        for i in range(2):
+            keep = np.flatnonzero(cols[i, 0])
+            logp = T.log_softmax(T.constant(logits[i][:, keep])).data
+            for r in range(3):
+                want -= weights[i, r] * logp[r, list(keep).index(labels[i, r])]
+        assert float(got.data) == pytest.approx(want, rel=1e-13)
+
+
 class TestTapeMechanics:
     def test_constant_gets_no_grad_buffer(self):
         a = T.constant([1.0, 2.0])
@@ -368,6 +509,56 @@ class TestNumericsGuard:
     def test_division_blowup_rejected(self):
         with pytest.raises(NumericsError):
             T.div(T.constant([1.0]), T.constant([0.0]))
+
+
+class TestFusedOpsGuards:
+    """The fused ops keep the per-op guards: a non-finite value is caught at
+    the fused op's output and named after it."""
+
+    def test_nan_linear_weight_names_linear(self):
+        from fusedet.layers import Linear
+        lin = Linear(4, 3, np.random.default_rng(0))
+        lin.weight.data[1, 2] = np.nan
+        with pytest.raises(NumericsError, match="'linear'"):
+            lin(T.constant(np.ones((2, 4))))
+
+    def test_nan_layernorm_weight_names_layer_norm(self):
+        from fusedet.layers import LayerNorm
+        ln = LayerNorm(4)
+        ln.gamma.data[0] = np.nan
+        with pytest.raises(NumericsError, match="'layer_norm'"):
+            ln(T.constant(np.arange(8.0).reshape(2, 4)))
+
+    def test_nan_attention_input_and_gate_name_attention(self):
+        q, k, v = fused_attention_inputs(np.random.default_rng(1))
+        v.data[0, 1, 2] = np.nan
+        with pytest.raises(NumericsError, match="'attention'"):
+            T.attention(q, k, v, 2)
+        q, k, v = fused_attention_inputs(np.random.default_rng(1))
+        gate = T.constant(np.zeros(2))
+        gate.data[1] = np.nan
+        with pytest.raises(NumericsError, match="'attention'"):
+            T.attention(q, k, v, 2, gate=gate, gated_keys=2)
+
+    def test_fully_masked_attention_row_rejected(self):
+        q, k, v = fused_attention_inputs(np.random.default_rng(2))
+        valid = np.ones((2, 5), dtype=bool)
+        valid[1] = False
+        with pytest.raises(DegenerateInputError):
+            T.attention(q, k, v, 2, mask=T.additive_mask(valid)[:, None, None, :])
+        valid[1] = [False, False, True, True, True]     # prompt segment empty
+        with pytest.raises(DegenerateInputError):
+            T.attention(q, k, v, 2, mask=T.additive_mask(valid)[:, None, None, :],
+                        gate=T.constant(np.ones(2)), gated_keys=2)
+
+    def test_masked_cross_entropy_rejects_dead_rows_and_targets(self):
+        x = T.constant(np.zeros((2, 3)))
+        cols = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(DegenerateInputError, match="fully masked"):
+            T.weighted_cross_entropy(x, [0, 0], [1.0, 1.0], T.additive_mask(cols))
+        cols[1] = True
+        with pytest.raises(DegenerateInputError, match="target"):
+            T.weighted_cross_entropy(x, [1, 0], [1.0, 1.0], T.additive_mask(cols))
 
 
 class TestBroadcastGrads:

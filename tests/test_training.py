@@ -278,6 +278,41 @@ class TestCachedEquivalence:
                             b["train"], cache=cache)
 
 
+def non_leaf_tape_nodes(loss) -> int:
+    """Interior nodes ``backward`` will visit from ``loss``."""
+    seen, stack, interior = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        interior += bool(node._parents)
+        stack.extend(node._parents)
+    return interior
+
+
+class TestTapeSize:
+    def test_default_pretrain_step_tape_is_small(self, monkeypatch):
+        """One default-config pretrain loss at batch 16 stays a short tape:
+        fused Linear / LayerNorm / attention ops and the batched detection
+        loss (about 1,500 interior nodes with the unfused ops)."""
+        cfg = dataclasses.replace(ExperimentConfig(), n_pretrain=16,
+                                  pretrain_steps=1)
+        assert cfg.pretrain_batch == 16
+        sizes = []
+        original = T.backward
+
+        def counting_backward(loss):
+            sizes.append(non_leaf_tape_nodes(loss))
+            original(loss)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        mllm, det = tr.build_models(cfg)
+        tr.pretrain_detector(cfg, mllm, det, tr.load_split(cfg, "pretrain"))
+        assert len(sizes) == 1
+        assert sizes[0] <= 200, sizes
+
+
 class TestRunLoop:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_abort_names_stage_and_step(self):
