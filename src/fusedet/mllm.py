@@ -103,7 +103,7 @@ class VisionEncoder(Module):
         _, c, h, w = patches.shape
         tokens = T.reshape(patches, b, c, h * w)
         tokens = T.transpose(tokens, (0, 2, 1))               # row-major grid
-        return T.add(T.matmul(tokens, self.weight), self.bias)
+        return T.linear(tokens, self.weight, self.bias)
 
 
 class Projector(Module):

@@ -581,12 +581,7 @@ def matmul(a, b) -> Tensor:
     def bw(g, acc):
         if a.requires_grad:
             acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if not b.requires_grad:
-            return
-        if b.ndim == 2:
-            # one GEMM over every row instead of a stack of per-batch products
-            acc(b, np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n)))
-        else:
+        if b.requires_grad:
             acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _make(out_data, (a, b), bw, "matmul")
