@@ -16,7 +16,9 @@ two derived properties of ``AdapterConfig``:
 ========  ===========  ============  =================================
 preset    text_fusion  fuses_vision  placement
 ========  ===========  ============  =================================
-Arch I    yes          yes           detector vision features
+Arch I    yes          yes           detector vision features, before
+                                     decoder layer 1 (``l_d`` is pinned
+                                     to 1)
 Arch II   yes          no            before decoder layer ``l_d``
                                      (default: the last layer)
 Arch III  yes          no            before decoder layer 1 (``l_d``
@@ -43,13 +45,15 @@ from .layers import Linear, Module, MultiHeadAttention, linear_flops, mha_flops
 from .tensor import ConfigurationError, DimensionError, Tensor
 
 ARCHS = ("I", "II", "III", "IV")
+# presets that act before decoder layer 1, so their l_d is pinned to 1
+FIRST_LAYER_ARCHS = ("I", "III")
 
 
 @dataclass
 class AdapterConfig:
     arch: str = "IV"
     l_lm: int = 2
-    l_d: int | None = None        # None: the preset's layer (III: 1, else depth)
+    l_d: int | None = None        # None: the preset's layer (I, III: 1, else depth)
     heads: int = 4
     d: int = 64
     d_lm: int = 64
@@ -64,12 +68,13 @@ class AdapterConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
-        first_layer = self.arch == "III"
+        first_layer = self.arch in FIRST_LAYER_ARCHS
         if self.l_d is None:
             self.l_d = 1 if first_layer else self.depth
         elif first_layer and self.l_d != 1:
             raise ConfigurationError(
-                f"arch III injects before decoder layer 1, got l_d={self.l_d}")
+                f"arch {self.arch} acts before decoder layer 1, "
+                f"got l_d={self.l_d}")
         if not 0 <= self.l_lm <= self.n_lm:
             raise ConfigurationError(f"l_lm {self.l_lm} outside [0, {self.n_lm}]")
         if not 1 <= self.l_d <= self.depth:
@@ -130,20 +135,15 @@ class FusionState(Module):
                 requires_grad=True)
             self.conv_bias = Tensor(np.zeros(d), requires_grad=True)
 
-    def make_text_fusion_identity(self) -> None:
-        """Surgery: zero the text-fusion output map so the fusion block
-        becomes a residual no-op (Arch II degenerates to Arch IV)."""
-        self.text_fusion.wo.zero_()
 
-
-def make_prompts(e_v_l: Tensor, e_t: Tensor | None, e_v_d: Tensor | None,
-                 cfg: AdapterConfig, state: FusionState,
+def make_prompts(e_v_l: Tensor, e_t: Tensor | None, cfg: AdapterConfig,
+                 state: FusionState,
                  e_t_valid: np.ndarray | None = None) -> Tensor:
     """LM states -> adaptation prompts A_P of shape [B, L, d].
 
     With ``text_fusion`` the vision states first attend over ``e_t``; with
     ``fuses_vision`` every grid token is mapped to detector width (no conv)
-    for the vision gating path, which also requires ``e_v_d``.
+    for the vision gating path.
     """
     b, l_v, d_lm = e_v_l.shape
     h, w = cfg.grid
@@ -157,9 +157,6 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, e_v_d: Tensor | None,
             mask = T.additive_mask(e_t_valid)[:, None, None, :]
         e_v_l = T.add(e_v_l, state.text_fusion(e_v_l, e_t, mask=mask))
     if cfg.fuses_vision:
-        if e_v_d is None:
-            raise ConfigurationError(
-                f"arch {cfg.arch} requires detector vision features")
         return state.proj_lm(e_v_l)
     x = T.transpose(e_v_l, (0, 2, 1))
     x = T.reshape(x, b, d_lm, h, w)
@@ -245,11 +242,10 @@ class FusionHook:
 
 
 def bind(state: FusionState, e_v_l: Tensor, e_t: Tensor | None = None,
-         e_v_d: Tensor | None = None,
          e_t_valid: np.ndarray | None = None) -> FusionHook:
     """Convenience: prompts + hook for one batch of LM states."""
-    return FusionHook(state, make_prompts(e_v_l, e_t, e_v_d, state.cfg, state,
-                                          e_t_valid))
+    return FusionHook(state, make_prompts(e_v_l, e_t, cfg=state.cfg,
+                                          state=state, e_t_valid=e_t_valid))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from . import training as tr
 from .adapter import (AdapterConfig, FusionState, adapter_param_count,
-                      adapter_param_flops, bind)
+                      adapter_param_flops, bind, fuse_vision)
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
 from .layers import linear_flops, mha_flops
@@ -342,11 +342,9 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
 
     def detector_core(e_vis, hook=None):
         e_txt = det.encode_text(det_ids, det_valid)
-        pooled, _ = pool_phrases(e_txt, spans, dcfg.queries)
-        if hook is not None:
-            e_vis = hook.vision(e_vis)
-        q = det.decode(e_vis, e_txt, det_valid, hook=hook)
-        return det.boxes(q), det.phrase_logits(q, pooled)
+        pooled, counts = pool_phrases(e_txt, spans, dcfg.queries)
+        return tr._detector_outputs(det, e_vis,
+                                    (e_txt, det_valid, pooled, counts), hook)
 
     with FlopsMeter() as m_patch:
         patches = mllm.encode_image(images)
@@ -358,9 +356,9 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
 
     def adapter_forward():
-        hook = bind(state, e_v_l, e_t, e_v_d=e_vis, e_t_valid=lm_valid)
+        hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
         if acfg.fuses_vision:
-            hook.vision(e_vis)
+            fuse_vision(e_vis, hook.a_p, state)
         else:
             hook.inject(q_probe)
 
@@ -371,7 +369,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         patches = mllm.encode_image(images)
         e_v_l, e_t = lm_prompts(patches)
         e_vis = det.encode_vision(patches)
-        hook = bind(state, e_v_l, e_t, e_v_d=e_vis, e_t_valid=lm_valid)
+        hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
         return detector_core(e_vis, hook=hook)
 
     with FlopsMeter() as m_total:

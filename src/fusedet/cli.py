@@ -138,6 +138,12 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
+def _sweep_point_line(point: analysis.AblationResult) -> str:
+    accs = " ".join(f"{split} acc {m['acc']:.3f}"
+                    for split, m in point.metrics.items())
+    return f"l_lm={point.l_lm} seed={point.seed} {accs}"
+
+
 def cmd_ablate_layers(cfg: ExperimentConfig, out: Path, args) -> int:
     mllm, det = _backbones(cfg, out)
     layers = [int(v) for v in args.layers.split(",") if v != ""]
@@ -145,7 +151,7 @@ def cmd_ablate_layers(cfg: ExperimentConfig, out: Path, args) -> int:
     results = analysis.layer_sweep(
         cfg, mllm, det, tr.snapshot(mllm.projector),
         tr.load_split(cfg, "train"), _val_splits(cfg), layers, seeds,
-        progress=lambda msg: print(msg, flush=True))
+        progress=lambda point: print(_sweep_point_line(point), flush=True))
     analysis.write_ablation_csv(results, out / "ablation.csv")
     for l_lm, mean in analysis.rank_layers(results):
         print(f"l_lm={l_lm}: mean val-spatial acc {mean:.3f}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
-from .adapter import AdapterConfig
+from .adapter import FIRST_LAYER_ARCHS, AdapterConfig
 from .detector import DetectorConfig
 from .mllm import MllmConfig
 from .tensor import UsageError
@@ -51,7 +51,7 @@ class ExperimentConfig:
     # fusion adapter
     arch: str = "IV"
     l_lm: int = 2
-    l_d: int = 6                  # Arch II/IV injection layer; III pins 1
+    l_d: int = 6                  # Arch II/IV injection layer; I, III pin 1
     adapter_heads: int = 4
     conv_k: int = 3
     conv_stride: int = 2
@@ -104,12 +104,13 @@ class ExperimentConfig:
             background_weight=self.background_weight)
 
     def adapter_config(self, **overrides) -> AdapterConfig:
-        # l_d places the Arch II and IV injection; Arch III pins its own
-        # layer (1), so the preset resolves it unless an override names one
+        # l_d places the Arch II and IV injection; the first-layer presets
+        # pin their own (1), so the preset resolves it unless an override
+        # names one
         arch = overrides.get("arch", self.arch)
         kw = dict(
             arch=self.arch, l_lm=self.l_lm,
-            l_d=None if arch == "III" else self.l_d,
+            l_d=None if arch in FIRST_LAYER_ARCHS else self.l_d,
             heads=self.adapter_heads, d=self.det_d, d_lm=self.d_lm,
             grid=self.mllm_config().aligned_grid, conv_k=self.conv_k,
             conv_stride=self.conv_stride, conv_pad=self.conv_pad,

@@ -232,15 +232,6 @@ class MiniMllm(Module):
             return hidden, scores
         return hidden
 
-    def truncate(self, h: Tensor, layout: TokenLayout) -> tuple[Tensor, Tensor]:
-        """Hidden state -> (vision slice, text slice), exact views by span."""
-        v0, v1 = layout.vision_span
-        t0, t1 = layout.text_span
-        if v1 <= v0 or t1 <= t0:
-            raise ConfigurationError(
-                f"empty span: vision {layout.vision_span}, text {layout.text_span}")
-        return (T.slice_axis(h, 1, v0, v1), T.slice_axis(h, 1, t0, t1))
-
     # -- training objective -------------------------------------------------
 
     def lm_loss(self, images: Tensor, text_ids: np.ndarray,

@@ -9,12 +9,15 @@ Design points:
 * the gradient tape is rebuilt on every forward pass; ``backward`` populates
   the ``grad`` buffer of each ``requires_grad`` leaf and then frees the tape.
 * a tensor participates in the tape iff ``requires_grad`` is set on it or on
-  one of its ancestors, so graphs over frozen weights cost nothing extra.
+  one of its ancestors and no ``no_tape`` scope is open, so graphs over
+  frozen weights cost nothing extra.
 * FLOPs are counted into every active ``FlopsMeter`` scope, using the
   conventions spelled out in ``FLOP_CONVENTIONS``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import special as _sp_special
@@ -27,16 +30,13 @@ __all__ = [
     "UsageError",
     "DegenerateInputError",
     "NumericsError",
-    "tensor",
     "constant",
     "zeros",
     "ones",
-    "randn",
     "add",
     "sub",
     "mul",
     "div",
-    "neg",
     "power",
     "matmul",
     "linear",
@@ -47,7 +47,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "gelu",
-    "relu",
     "absval",
     "softmax",
     "log_softmax",
@@ -67,6 +66,7 @@ __all__ = [
     "rope_apply",
     "rope_angles",
     "backward",
+    "no_tape",
     "finite_diff_check",
     "additive_mask",
     "causal_mask",
@@ -221,9 +221,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -247,10 +244,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
@@ -263,9 +256,20 @@ def ones(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
-def randn(rng: np.random.Generator, *shape, scale: float = 1.0,
-          requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+# one entry per open ``no_tape`` scope
+_NO_TAPE: list[bool] = []
+
+
+@contextmanager
+def no_tape():
+    """Ops inside the ``with`` block record no tape: their outputs never
+    require gradients, so every intermediate is freed as soon as it is
+    unused.  For forward passes whose values are kept, never differentiated."""
+    _NO_TAPE.append(True)
+    try:
+        yield
+    finally:
+        _NO_TAPE.pop()
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
@@ -274,7 +278,7 @@ def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: st
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if not _NO_TAPE and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -350,16 +354,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, (a, b), bw, "div")
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    _count_flops(a.size)
-
-    def bw(g, acc):
-        acc(a, -g)
-
-    return _make(-a.data, (a,), bw, "neg")
-
-
 def power(a, p: float) -> Tensor:
     """Element-wise ``a ** p`` for a fixed float exponent."""
     a = as_tensor(a)
@@ -429,17 +423,6 @@ def gelu(a) -> Tensor:
         acc(a, g * (cdf + a.data * pdf))
 
     return _make(out_data, (a,), bw, "gelu")
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-    _count_flops(out_data.size)
-
-    def bw(g, acc):
-        acc(a, g * (a.data > 0.0))
-
-    return _make(out_data, (a,), bw, "relu")
 
 
 def absval(a) -> Tensor:

@@ -11,12 +11,15 @@ Order of operations for a complete experiment:
                          by upsampled LM vision states, the substitution head
                          trained with the stage-3 budget.
 
-Everything trains with Adam under a cosine-decayed learning rate.  Stage 3 runs
-against cached activations of the frozen components; the cache is an
-exact-value shortcut (same ops on the same values), and an equivalence test
-compares it against the uncached path.  Reports embed the resolved config and
-the full loss curve but no wall-clock fields, so a repeated run produces
-byte-identical report files.
+Everything trains with Adam under a cosine-decayed learning rate.  Every
+detector pass (both detector losses, both stage-3 losses, evaluation, the
+gradient check and the cost report) runs through ``_detector_outputs`` over a
+``_candidate_text`` tuple; ``fused_outputs`` is that pass from images.  Stage 3
+runs against cached activations of the frozen components; the cache stores
+the same pass's own arrays, so it is an exact-value shortcut (same ops on the
+same values), and an equivalence test compares it against the uncached path.
+Reports embed the resolved config and the full loss curve but no wall-clock
+fields, so a repeated run produces byte-identical report files.
 """
 
 from __future__ import annotations
@@ -240,64 +243,50 @@ def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int = 64
 
 
 class Stage3Cache:
-    """Per-scene activations of everything frozen during stage 3.
+    """Per-scene activations of everything frozen during stage 3, stored as
+    the arrays of the detector pass that consumes them.
 
     regroup    [N, L_v, c_in]  vision groups, stopping right before the first
                                trainable map (the projector MLP)
     evd        [N, P, d]       detector vision features
-    etxt       list [W_i, d]   candidate-text encodings, exact widths
-    pooled     list [C_i, d]   per-candidate pooled embeddings
-    counts     [N]
+    text       (e_txt [N, W, d], valid [N, W], pooled [N, Q, d], counts [N]):
+                               ``_candidate_text`` of the scenes, padded
+                               positions included
     pre_state  [N, Q, d]|None  decoder state entering layer l_d with no
                                adapter attached (None when every decoder layer
-                               must re-run per step: l_d == 1 or Arch I)
+                               must re-run per step: l_d == 1 or full_decode)
+
+    Every array is allocated once and filled chunk by chunk in place, with no
+    tape recorded (nothing here is differentiated).
     """
 
     def __init__(self, mllm: MiniMllm, det: GroundingDetector,
                  scenes: list[SyntheticScene], l_d: int,
                  full_decode: bool, chunk: int = 64):
         n = len(scenes)
-        patches, self.regroup = cache_vision(mllm, scenes, chunk)
-        d = det.cfg.d
+        d, nq = det.cfg.d, det.cfg.queries
         self.scenes = scenes
         self.l_d = l_d
         self.full_decode = full_decode
-        self.max_c = det.cfg.queries
-        self.evd = np.empty((n, patches.shape[1], d))
-        self.etxt: list[np.ndarray] = [None] * n
-        self.pooled: list[np.ndarray] = [None] * n
-        self.counts = np.array([len(s.candidates) for s in scenes])
         need_state = not full_decode and l_d > 1
-        self.pre_state = np.empty((n, det.cfg.queries, d)) if need_state else None
-        for lo, hi in _chunks(n, chunk):
-            batch = scenes[lo:hi]
-            e_vis = det.encode_vision(T.constant(patches[lo:hi]))
-            ids, valid, spans = pack_candidates(
-                [s.candidates for s in batch], width=PACK_WIDTH)
-            e_txt = det.encode_text(ids, valid)
-            pooled, counts = pool_phrases(e_txt, spans, det.cfg.queries)
-            self.evd[lo:hi] = e_vis.data
-            for j, scene in enumerate(batch):
-                w = int(valid[j].sum())
-                self.etxt[lo + j] = e_txt.data[j, :w].copy()
-                self.pooled[lo + j] = pooled.data[j, :counts[j]].copy()
-            if need_state:
-                self.pre_state[lo:hi] = det.decode(e_vis, e_txt, valid,
-                                                   upto_layer=l_d - 1).data
-
-    def text_batch(self, idx: np.ndarray, d: int):
-        """Pad per-scene text/pooled rows into fixed-width batch arrays."""
-        rows = [self.etxt[i] for i in idx]
-        etxt = np.zeros((len(idx), PACK_WIDTH, d))
-        valid = np.zeros((len(idx), PACK_WIDTH), dtype=bool)
-        for j, r in enumerate(rows):
-            etxt[j, : r.shape[0]] = r
-            valid[j, : r.shape[0]] = True
-        counts = self.counts[idx]
-        pooled = np.zeros((len(idx), self.max_c, d))
-        for j, i in enumerate(idx):
-            pooled[j, : self.counts[i]] = self.pooled[i]
-        return etxt, valid, pooled, counts
+        with T.no_tape():
+            patches, self.regroup = cache_vision(mllm, scenes, chunk)
+            self.evd = np.empty((n, patches.shape[1], d))
+            self.text = (np.empty((n, PACK_WIDTH, d)),
+                         np.empty((n, PACK_WIDTH), dtype=bool),
+                         np.empty((n, nq, d)), np.empty(n, dtype=np.intp))
+            self.pre_state = np.empty((n, nq, d)) if need_state else None
+            for lo, hi in _chunks(n, chunk):
+                e_vis = det.encode_vision(T.constant(patches[lo:hi]))
+                e_txt, valid, pooled, counts = _candidate_text(det,
+                                                               scenes[lo:hi])
+                self.evd[lo:hi] = e_vis.data
+                for dst, src in zip(self.text, (e_txt.data, valid,
+                                                pooled.data, counts)):
+                    dst[lo:hi] = src
+                if need_state:
+                    self.pre_state[lo:hi] = det.decode(
+                        e_vis, e_txt, valid, upto_layer=l_d - 1).data
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +300,26 @@ def _caption_loss(mllm: MiniMllm, regroup: np.ndarray, ids: np.ndarray,
     return mllm.lm_loss_from_aligned(vis, ids[idx], valid[idx])
 
 
-def _detector_outputs(det: GroundingDetector, e_vis: Tensor,
-                      scenes: list[SyntheticScene], hook=None):
+def _candidate_text(det: GroundingDetector, scenes: list[SyntheticScene]):
+    """(e_txt [B,W,d], valid [B,W], pooled [B,Q,d], counts [B]) for the
+    scenes' candidate phrases, packed at ``PACK_WIDTH``."""
     ids, valid, spans = pack_candidates(
         [s.candidates for s in scenes], width=PACK_WIDTH)
     e_txt = det.encode_text(ids, valid)
     pooled, counts = pool_phrases(e_txt, spans, det.cfg.queries)
-    if hook is not None:
+    return e_txt, valid, pooled, counts
+
+
+def _detector_outputs(det: GroundingDetector, e_vis: Tensor, text, hook=None,
+                      start_state: Tensor | None = None, start_layer: int = 1):
+    """The one detector pass: (boxes, logits, counts) for vision features and
+    a ``_candidate_text`` tuple.  A hook's vision step runs only when the
+    decode starts at layer 1; a resumed decode starts from ``start_state``."""
+    e_txt, valid, pooled, counts = text
+    if hook is not None and start_layer == 1:
         e_vis = hook.vision(e_vis)
-    q = det.decode(e_vis, e_txt, valid, hook=hook)
+    q = det.decode(e_vis, e_txt, valid, hook=hook, start_state=start_state,
+                   start_layer=start_layer)
     return det.boxes(q), det.phrase_logits(q, pooled), counts
 
 
@@ -333,40 +333,61 @@ def _lm_states(mllm: MiniMllm, vis: Tensor, acfg, scenes):
     return e_v_l, None, None
 
 
+def _substituted_vision(cfg: ExperimentConfig, mllm: MiniMllm,
+                        det: GroundingDetector, sub: SubstitutionHead,
+                        vis: Tensor) -> Tensor:
+    """Detector vision features replaced by the substitution head's map of
+    the LM vision states at depth ``cfg.l_lm``."""
+    e_v_l, _ = mllm.hidden_from_aligned(vis, cfg.l_lm)
+    return T.add(sub(e_v_l), det.vis_pos)
+
+
+def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
+                  det: GroundingDetector, scenes: list[SyntheticScene],
+                  state: FusionState | None = None,
+                  sub: SubstitutionHead | None = None):
+    """The uncached detector pass from images: (boxes, logits, counts) for the
+    plain detector, with a fusion adapter, or with the substitution head."""
+    if state is not None and sub is not None:
+        raise UsageError("pass a fusion state or a substitution head, not both")
+    patches = mllm.encode_image(T.constant(np.stack([s.image for s in scenes])))
+    hook = None
+    if sub is not None:
+        e_vis = _substituted_vision(cfg, mllm, det, sub,
+                                    mllm.align_vision(patches))
+    else:
+        e_vis = det.encode_vision(patches)
+        if state is not None:
+            vis = mllm.align_vision(patches)
+            hook = bind(state, *_lm_states(mllm, vis, state.cfg, scenes))
+    return _detector_outputs(det, e_vis, _candidate_text(det, scenes), hook)
+
+
 def stage3_loss_naive(cfg: ExperimentConfig, mllm: MiniMllm,
                       det: GroundingDetector, state: FusionState,
                       scenes: list[SyntheticScene]) -> Tensor:
     """Reference stage-3 loss with no caching: full frozen forward passes."""
-    images = T.constant(np.stack([s.image for s in scenes]))
-    patches = mllm.encode_image(images)
-    vis = mllm.align_vision(patches)
-    e_v_l, e_t, valid = _lm_states(mllm, vis, state.cfg, scenes)
-    e_vis = det.encode_vision(patches)
-    hook = bind(state, e_v_l, e_t, e_v_d=e_vis, e_t_valid=valid)
-    boxes, logits, counts = _detector_outputs(det, e_vis, scenes, hook)
-    return detection_loss(boxes, logits, counts, scenes, det.cfg)
+    return detection_loss(*fused_outputs(cfg, mllm, det, scenes, state),
+                          scenes, det.cfg)
 
 
 def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
                        det: GroundingDetector, state: FusionState,
                        cache: Stage3Cache, idx: np.ndarray) -> Tensor:
-    acfg = state.cfg
+    """The stage-3 loss on cached frozen activations; the decode resumes at
+    the cache's ``l_d`` when it holds a pre-state."""
     scenes = [cache.scenes[i] for i in idx]
     vis = mllm.projector(T.constant(cache.regroup[idx]))
-    e_v_l, e_t, valid = _lm_states(mllm, vis, acfg, scenes)
-    evd = T.constant(cache.evd[idx])
-    hook = bind(state, e_v_l, e_t, e_v_d=evd, e_t_valid=valid)
-    etxt_np, tvalid, pooled_np, counts = cache.text_batch(idx, det.cfg.d)
-    e_txt = T.constant(etxt_np)
-    if acfg.fuses_vision or cache.pre_state is None:
-        q = det.decode(hook.vision(evd), e_txt, tvalid, hook=hook)
-    else:
-        q = det.decode(evd, e_txt, tvalid, hook=hook,
-                       start_state=T.constant(cache.pre_state[idx]),
-                       start_layer=acfg.l_d)
-    boxes = det.boxes(q)
-    logits = det.phrase_logits(q, T.constant(pooled_np))
-    return detection_loss(boxes, logits, counts, scenes, det.cfg)
+    hook = bind(state, *_lm_states(mllm, vis, state.cfg, scenes))
+    e_txt, valid, pooled, counts = cache.text
+    text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]),
+            counts[idx])
+    resume = cache.pre_state is not None
+    outputs = _detector_outputs(
+        det, T.constant(cache.evd[idx]), text, hook,
+        start_state=T.constant(cache.pre_state[idx]) if resume else None,
+        start_layer=cache.l_d if resume else 1)
+    return detection_loss(*outputs, scenes, det.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +405,9 @@ def pretrain_detector(cfg: ExperimentConfig, mllm: MiniMllm,
     def loss_fn(idx):
         e_vis = det.encode_vision(T.constant(patches[idx]))
         batch = [scenes[i] for i in idx]
-        boxes, logits, counts = _detector_outputs(det, e_vis, batch)
-        return detection_loss(boxes, logits, counts, batch, det.cfg)
+        return detection_loss(
+            *_detector_outputs(det, e_vis, _candidate_text(det, batch)),
+            batch, det.cfg)
 
     losses = _run_loop("pretrain", cfg.pretrain_steps, cfg.pretrain_batch,
                        len(scenes), groups, loss_fn, cfg.seed, cfg.grad_clip)
@@ -465,10 +487,10 @@ def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
     def loss_fn(idx):
         batch = [scenes[i] for i in idx]
         vis = mllm.projector(T.constant(regroup[idx]))
-        e_v_l, _ = mllm.hidden_from_aligned(vis, cfg.l_lm)
-        e_vis = T.add(sub(e_v_l), det.vis_pos)
-        boxes, logits, counts = _detector_outputs(det, e_vis, batch)
-        return detection_loss(boxes, logits, counts, batch, det.cfg)
+        e_vis = _substituted_vision(cfg, mllm, det, sub, vis)
+        return detection_loss(
+            *_detector_outputs(det, e_vis, _candidate_text(det, batch)),
+            batch, det.cfg)
 
     losses = _run_loop("substitution", cfg.sub_steps, cfg.sub_batch,
                        len(scenes), groups, loss_fn, cfg.run_seed,
@@ -485,23 +507,9 @@ def grounded_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
                      det: GroundingDetector, scenes: list[SyntheticScene],
                      state: FusionState | None = None,
                      sub: SubstitutionHead | None = None):
-    """Numpy (boxes [B,Q,4], logits [B,Q,C+1]) for one batch of scenes."""
-    if state is not None and sub is not None:
-        raise UsageError("pass a fusion state or a substitution head, not both")
-    images = T.constant(np.stack([s.image for s in scenes]))
-    patches = mllm.encode_image(images)
-    hook = None
-    if sub is not None:
-        vis = mllm.align_vision(patches)
-        e_v_l, _ = mllm.hidden_from_aligned(vis, cfg.l_lm)
-        e_vis = T.add(sub(e_v_l), det.vis_pos)
-    else:
-        e_vis = det.encode_vision(patches)
-        if state is not None:
-            vis = mllm.align_vision(patches)
-            e_v_l, e_t, valid = _lm_states(mllm, vis, state.cfg, scenes)
-            hook = bind(state, e_v_l, e_t, e_v_d=e_vis, e_t_valid=valid)
-    boxes, logits, _ = _detector_outputs(det, e_vis, scenes, hook)
+    """Numpy (boxes [B,Q,4], logits [B,Q,Q+1]) for one batch of scenes; the
+    logit columns are the candidates padded to Q, then background."""
+    boxes, logits, _ = fused_outputs(cfg, mllm, det, scenes, state, sub)
     return boxes.data, logits.data
 
 
@@ -509,18 +517,10 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
              scenes: list[SyntheticScene], state: FusionState | None = None,
              sub: SubstitutionHead | None = None) -> dict:
     """Chunked full-split evaluation -> grounding metrics."""
-    max_c = max(len(s.candidates) for s in scenes)
-    all_boxes, all_logits = [], []
-    for lo, hi in _chunks(len(scenes), cfg.eval_chunk):
-        boxes, logits = grounded_outputs(cfg, mllm, det, scenes[lo:hi],
-                                         state=state, sub=sub)
-        padded = np.zeros((logits.shape[0], logits.shape[1], max_c + 1))
-        k = min(max_c, logits.shape[2] - 1)
-        padded[:, :, :k] = logits[:, :, :k]
-        padded[:, :, -1] = logits[:, :, -1]
-        all_boxes.append(boxes)
-        all_logits.append(padded)
-    return eval_grounding(np.concatenate(all_boxes), np.concatenate(all_logits),
+    boxes, logits = zip(*(grounded_outputs(cfg, mllm, det, scenes[lo:hi],
+                                           state=state, sub=sub)
+                          for lo, hi in _chunks(len(scenes), cfg.eval_chunk)))
+    return eval_grounding(np.concatenate(boxes), np.concatenate(logits),
                           scenes, cfg.iou_thresh)
 
 

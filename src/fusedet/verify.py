@@ -22,7 +22,8 @@ import numpy as np
 from . import tensor as T
 from .adapter import ARCHS, AdapterConfig, FusionState
 from .config import ExperimentConfig
-from .detector import DetectorConfig, GroundingDetector, SubstitutionHead
+from .detector import (DetectorConfig, GroundingDetector, SubstitutionHead,
+                       detection_loss)
 from .layers import MLP, LayerNorm, Linear, MultiHeadAttention
 from .mllm import MiniMllm, MllmConfig
 from .scenes import Query, SyntheticScene, encode
@@ -215,17 +216,14 @@ def _composed_cases(rng):
 
     det = _micro_detector(rng)
     scenes = [_micro_scene(rng) for _ in range(2)]
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(l_lm=1)          # the substitution head's LM tap
 
-    def grounding_loss():
-        images = T.constant(np.stack([s.image for s in scenes]))
-        e_vis = det.encode_vision(mllm.encode_image(images))
-        boxes, logits, counts = tr._detector_outputs(det, e_vis, scenes)
-        from .detector import detection_loss
-        return detection_loss(boxes, logits, counts, scenes, det.cfg)
+    def fused_loss(**kw):
+        return lambda: detection_loss(
+            *tr.fused_outputs(cfg, mllm, det, scenes, **kw), scenes, det.cfg)
 
     cases.append((
-        "composed/grounding-loss", grounding_loss,
+        "composed/grounding-loss", fused_loss(),
         [det.vis_proj.bias, det.layers[0].mlp.fc2.bias,
          det.layers[1].txt_attn.wo.bias, det.box_head.fc2.bias,
          det.class_proj.bias, det.bg_embed]))
@@ -250,17 +248,7 @@ def _composed_cases(rng):
 
     sub = SubstitutionHead(12, 12, mllm.cfg.grid, mllm.cfg.shuffle_r,
                            np.random.default_rng(3))
-
-    def substitution_loss():
-        images = T.constant(np.stack([s.image for s in scenes]))
-        vis = mllm.align_vision(mllm.encode_image(images))
-        e_v_l, _ = mllm.hidden_from_aligned(vis, 1)
-        e_vis = T.add(sub(e_v_l), det.vis_pos)
-        boxes, logits, counts = tr._detector_outputs(det, e_vis, scenes)
-        from .detector import detection_loss
-        return detection_loss(boxes, logits, counts, scenes, det.cfg)
-
-    cases.append(("composed/substitution-loss", substitution_loss,
+    cases.append(("composed/substitution-loss", fused_loss(sub=sub),
                   [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]))
     return cases
 

@@ -59,7 +59,7 @@ class TestZeroInitIdentity:
         state = make_state(arch)
         rng = np.random.default_rng(1)
         e_v_l, e_t, e_v_d, e_d_prev = adapter_inputs(state.cfg, rng)
-        a_p = make_prompts(e_v_l, e_t, e_v_d, state.cfg, state)
+        a_p = make_prompts(e_v_l, e_t, state.cfg, state)
         if arch == "I":
             out = fuse_vision(e_v_d, a_p, state)
             assert np.array_equal(out.data, e_v_d.data)
@@ -79,7 +79,7 @@ class TestZeroInitIdentity:
         randomize(state)
         rng = np.random.default_rng(2)
         e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng)
-        a_p = make_prompts(e_v_l, None, None, state.cfg, state)
+        a_p = make_prompts(e_v_l, None, state.cfg, state)
         out = zero_init_cross_attn(e_d_prev, a_p, state)
         assert not np.allclose(out.data, e_d_prev.data)
 
@@ -91,7 +91,7 @@ class TestGateAlgebra:
         state.gate.data = np.asarray(gate_values, dtype=float)
         rng = np.random.default_rng(seed + 1)
         e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng, b=2, t=3)
-        a_p = make_prompts(e_v_l, None, None, state.cfg, state)
+        a_p = make_prompts(e_v_l, None, state.cfg, state)
         _, info = zero_init_cross_attn(e_d_prev, a_p, state, mask=mask,
                                        return_internals=True)
         return state, info
@@ -120,7 +120,7 @@ class TestGateAlgebra:
         state.gate.data = np.asarray(gate_values, dtype=float)
         rng = np.random.default_rng(seed + 1)
         e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng, b=2, t=3)
-        a_p = make_prompts(e_v_l, e_t, e_v_d, state.cfg, state)
+        a_p = make_prompts(e_v_l, e_t, state.cfg, state)
         _, info = fuse_vision(e_v_d, a_p, state, return_internals=True)
         return state, info
 
@@ -156,7 +156,7 @@ class TestGateAlgebra:
         rng = np.random.default_rng(5)
         e_v_l = T.constant(rng.standard_normal((1, 16, cfg.d_lm)))
         e_d_prev = T.constant(rng.standard_normal((1, 3, cfg.d)))
-        a_p = make_prompts(e_v_l, None, None, cfg, state)
+        a_p = make_prompts(e_v_l, None, cfg, state)
         l, t = 16, 3
         mask = np.zeros((1, 1, t, l + t))
         mask[..., 2] = -np.inf                 # block prompt column 2
@@ -186,11 +186,11 @@ class TestArchitectureRelations:
         randomize(st2, 7)
         st4 = make_state("IV", seed=8)
         self.copy_shared(st2, st4)
-        st2.make_text_fusion_identity()
+        st2.text_fusion.wo.zero_()
         rng = np.random.default_rng(9)
         e_v_l, e_t, _, e_d_prev = adapter_inputs(st2.cfg, rng)
-        p2 = make_prompts(e_v_l, e_t, None, st2.cfg, st2)
-        p4 = make_prompts(e_v_l, None, None, st4.cfg, st4)
+        p2 = make_prompts(e_v_l, e_t, st2.cfg, st2)
+        p4 = make_prompts(e_v_l, None, st4.cfg, st4)
         assert np.array_equal(p2.data, p4.data)
         o2 = zero_init_cross_attn(e_d_prev, p2, st2)
         o4 = zero_init_cross_attn(e_d_prev, p4, st4)
@@ -211,8 +211,8 @@ class TestArchitectureRelations:
         randomize(state, 12)
         rng = np.random.default_rng(13)
         e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
-        a = make_prompts(e_v_l, None, None, state.cfg, state)
-        b = make_prompts(e_v_l, e_t, None, state.cfg, state)
+        a = make_prompts(e_v_l, None, state.cfg, state)
+        b = make_prompts(e_v_l, e_t, state.cfg, state)
         assert np.array_equal(a.data, b.data)
 
 
@@ -259,7 +259,7 @@ class TestHookLocality:
         e_v_l = T.constant(rng.standard_normal((1, l_v, state.cfg.d_lm)))
         e_t = T.constant(rng.standard_normal((1, 5, state.cfg.d_lm)))
         e_v_d = T.constant(rng.standard_normal((1, 7, state.cfg.d)))
-        hook = bind(state, e_v_l, e_t, e_v_d=e_v_d)
+        hook = bind(state, e_v_l, e_t)
         assert hook.l_d is None
         assert hook.vision(e_v_d).shape == e_v_d.shape
 
@@ -274,7 +274,7 @@ class TestGradientEscape:
         state.zero_grad()
         rng = np.random.default_rng(seed)
         e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng)
-        a_p = make_prompts(e_v_l, None, None, state.cfg, state)
+        a_p = make_prompts(e_v_l, None, state.cfg, state)
         out = zero_init_cross_attn(e_d_prev, a_p, state)
         target = T.constant(rng.standard_normal(out.shape))
         diff = T.sub(out, target)
@@ -310,7 +310,7 @@ class TestGradientEscape:
         e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng, b=1, t=3)
 
         def f():
-            a_p = make_prompts(e_v_l, None, None, state.cfg, state)
+            a_p = make_prompts(e_v_l, None, state.cfg, state)
             out = zero_init_cross_attn(e_d_prev, a_p, state)
             return T.tsum(T.mul(out, out))
 
@@ -325,7 +325,7 @@ class TestGradientEscape:
         e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng, b=1, t=3)
 
         def f():
-            a_p = make_prompts(e_v_l, e_t, e_v_d, state.cfg, state)
+            a_p = make_prompts(e_v_l, e_t, state.cfg, state)
             out = fuse_vision(e_v_d, a_p, state)
             return T.tsum(T.mul(out, out))
 
@@ -364,18 +364,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="III.*l_d=6"):
             AdapterConfig(arch="III", l_d=6)
 
+    def test_vision_preset_pins_l_d(self):
+        """Arch I gates the vision features, before decoder layer 1, so its
+        l_d is pinned to 1 as Arch III's is: no other value selects
+        anything."""
+        assert AdapterConfig(arch="I").l_d == 1
+        assert AdapterConfig(arch="I", l_d=1).l_d == 1
+        for l_d in (2, 6):
+            with pytest.raises(ConfigurationError, match=f"arch I .*l_d={l_d}"):
+                AdapterConfig(arch="I", l_d=l_d)
+
     def test_make_prompts_input_checks(self):
         state = make_state("II", seed=29)
         rng = np.random.default_rng(30)
-        e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng)
+        e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
         with pytest.raises(ConfigurationError):
-            make_prompts(e_v_l, None, None, state.cfg, state)  # text required
+            make_prompts(e_v_l, None, state.cfg, state)  # text required
         bad = T.constant(rng.standard_normal((2, 5, state.cfg.d_lm)))
         with pytest.raises(DimensionError):
-            make_prompts(bad, e_t, None, state.cfg, state)     # grid mismatch
-        st1 = make_state("I", seed=31)
-        with pytest.raises(ConfigurationError):
-            make_prompts(e_v_l, e_t, None, st1.cfg, st1)       # vision required
+            make_prompts(bad, e_t, state.cfg, state)     # grid mismatch
 
     def test_injection_input_checks(self):
         state = make_state("IV", seed=32)
@@ -411,8 +418,7 @@ class TestAccounting:
         e_d_prev = T.constant(rng.standard_normal((b, t, cfg.d)))
         with FlopsMeter() as meter:
             needs_text = arch in ("I", "II", "III")
-            a_p = make_prompts(e_v_l, e_t if needs_text else None,
-                               e_v_d if arch == "I" else None, cfg, state)
+            a_p = make_prompts(e_v_l, e_t if needs_text else None, cfg, state)
             if arch == "I":
                 fuse_vision(e_v_d, a_p, state)
             else:
@@ -427,7 +433,7 @@ class TestAccounting:
         e_v_l = T.constant(rng.standard_normal((1, 64, cfg.d_lm)))
         e_d_prev = T.constant(rng.standard_normal((1, 4, cfg.d)))
         with FlopsMeter() as meter:
-            a_p = make_prompts(e_v_l, None, None, cfg, state)
+            a_p = make_prompts(e_v_l, None, cfg, state)
             zero_init_cross_attn(e_d_prev, a_p, state)
         assert a_p.shape[1] == 16
         _, analytic = adapter_param_flops(cfg, b=1, t_queries=4)

@@ -278,11 +278,11 @@ def random_accounting_configs(rng):
                           queries=int(rng.integers(2, 5)))
     arch = ("I", "II", "III", "IV")[rng.integers(4)]
     l_lm = int(rng.integers(0, n + 1))
-    # l_d is drawn for every arch so later draws stay put; Arch III pins 1
+    # l_d is drawn for every arch so later draws stay put; I and III pin 1
     l_d = int(rng.integers(1, dcfg.depth + 1))
     acfg = AdapterConfig(arch=arch, d=d, d_lm=d_lm, heads=heads,
                          grid=mcfg.aligned_grid, l_lm=l_lm,
-                         l_d=1 if arch == "III" else l_d,
+                         l_d=1 if arch in ("I", "III") else l_d,
                          conv_stride=int(rng.choice([1, 2])),
                          n_lm=n, depth=dcfg.depth)
     return dcfg, mcfg, acfg

@@ -8,7 +8,7 @@ import pytest
 from fusedet import config
 from fusedet.config import ExperimentConfig
 from fusedet.training import build_adapter
-from fusedet.tensor import UsageError
+from fusedet.tensor import ConfigurationError, UsageError
 
 
 class TestRoundTrips:
@@ -91,6 +91,15 @@ class TestDerivedConfigs:
         assert cfg.adapter_config(arch="III").l_d == 1
         assert cfg.adapter_config(arch="II").l_d == 4
         assert build_adapter(ExperimentConfig(), arch="III").cfg.l_d == 1
+
+    def test_vision_preset_resolves_layer_one(self):
+        """The experiment-level l_d does not reach Arch I, which fuses
+        before decoder layer 1; naming another layer is rejected."""
+        cfg = ExperimentConfig(l_d=4)
+        assert cfg.adapter_config(arch="I").l_d == 1
+        assert build_adapter(cfg, arch="I").cfg.l_d == 1
+        with pytest.raises(ConfigurationError, match="arch I "):
+            cfg.adapter_config(arch="I", l_d=4)
 
     def test_seed_fields_are_independent(self):
         cfg = ExperimentConfig(seed=1, run_seed=2, data_seed=3)

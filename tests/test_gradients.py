@@ -28,12 +28,10 @@ def _weighted_sum(rng, t):
 
 
 UNARY_OPS = [
-    ("neg", T.neg, 1.0),
     ("exp", T.exp, 0.5),
     ("tanh", T.tanh, 1.0),
     ("sigmoid", T.sigmoid, 1.0),
     ("gelu", T.gelu, 1.0),
-    ("relu_shifted", lambda x: T.relu(x + 0.2), 1.0),
     ("softmax", lambda x: T.softmax(x, axis=-1), 1.0),
     ("log_softmax", lambda x: T.log_softmax(x, axis=-1), 1.0),
     ("reshape", lambda x: T.reshape(x, 6, 2), 1.0),

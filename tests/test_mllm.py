@@ -165,23 +165,6 @@ class TestSequenceAssembly:
         for a, b in zip(short, hidden[:3]):
             assert np.array_equal(a.data, b.data)
 
-    def test_truncate_slices_by_span(self):
-        mllm = make_mllm()
-        img = rand_images(np.random.default_rng(13), b=2)
-        ids = np.array([[5, 6, 7], [8, 9, 10]])
-        x, layout = mllm.embed_sequence(T.constant(img), ids)
-        e_v, e_t = mllm.truncate(x, layout)
-        assert np.array_equal(e_v.data, x.data[:, 2:6])
-        assert np.array_equal(e_t.data, x.data[:, 6:9])
-
-    def test_truncate_rejects_empty_text(self):
-        mllm = make_mllm()
-        img = rand_images(np.random.default_rng(14), b=1)
-        x, layout = mllm.embed_sequence(T.constant(img),
-                                        np.zeros((1, 0), dtype=np.intp))
-        with pytest.raises(ConfigurationError):
-            mllm.truncate(x, layout)
-
 
 class TestCausalStructure:
     def test_prefix_states_are_bit_identical(self):

@@ -496,6 +496,25 @@ class TestTapeMechanics:
         out = T.matmul(a, a)
         assert out._parents == () and not out.requires_grad
 
+    def test_no_tape_scope_records_nothing_and_closes(self):
+        """Inside ``no_tape`` trainable weights give the same values with no
+        tape; the scope closes on exit, also when the block raises."""
+        rng = np.random.default_rng(17)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = T.constant(rng.standard_normal((2, 3)))
+        taped = T.tanh(T.matmul(x, w))
+        with T.no_tape():
+            with T.no_tape():
+                inner = T.tanh(T.matmul(x, w))
+            free = T.tanh(T.matmul(x, w))
+        assert inner._parents == () and not inner.requires_grad
+        assert free._parents == () and not free.requires_grad
+        assert free.data.tobytes() == taped.data.tobytes()
+        with pytest.raises(NumericsError):
+            with T.no_tape():
+                T.log(T.constant([-1.0]))
+        assert T.matmul(x, w).requires_grad
+
 
 class TestNumericsGuard:
     def test_non_finite_construction_rejected(self):

@@ -237,7 +237,8 @@ class TestCachedEquivalence:
     """The cached stage-3 loss is an exact-value shortcut, never an
     approximation: both routes must agree to the last bit."""
 
-    @pytest.mark.parametrize("arch,l_d", [("IV", 6), ("IV", 1), ("I", 6)])
+    @pytest.mark.parametrize("arch,l_d", [("IV", 6), ("IV", 1), ("I", 1),
+                                          ("II", 3), ("III", 1)])
     def test_single_loss_identical(self, bench, arch, l_d):
         b = bench
         cfg = b["cfg"]
@@ -253,6 +254,21 @@ class TestCachedEquivalence:
         cached = tr.stage3_loss_cached(cfg, b["mllm"], b["det"], state,
                                        cache, idx)
         assert naive.data == cached.data
+
+    def test_cache_text_is_the_pass_text(self, bench):
+        """``Stage3Cache.text`` holds ``_candidate_text``'s own arrays,
+        padded positions included, for scenes from different chunks."""
+        b = bench
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3,
+                               full_decode=False, chunk=8)
+        idx = np.array([0, 5, 13, 23, 9])
+        want = tr._candidate_text(b["det"], [b["train"][i] for i in idx])
+        assert len(cache.text) == len(want) == 4
+        for got, ref in zip(cache.text, want):
+            ref = ref.data if isinstance(ref, Tensor) else ref
+            assert got[idx].dtype == ref.dtype
+            assert got[idx].shape == ref.shape
+            assert got[idx].tobytes() == ref.tobytes()
 
     def test_full_run_identical(self, bench):
         b = bench
