@@ -29,9 +29,19 @@ Arch IV   no           no            before decoder layer ``l_d``
 The kernel: queries attend over the prompts and, when injecting, also over
 themselves as a second key segment.  Each segment is softmax-normalized on
 its own; prompt-segment weights are scaled by tanh(g) (one gate per head)
-and self-segment weights are a plain softmax.  With g = 0 and a zero output
-projection (both forced at construction) the whole adapter is an exact
-identity, so a freshly attached adapter cannot disturb the host detector.
+and self-segment weights are a plain softmax.  Every gate starts at exactly 0,
+so the prompt segment contributes exactly nothing at construction:
+
+* with ``fuses_vision`` the prompt segment is the whole attention core, so
+  the core is exactly 0 and the output projection keeps its random weight
+  (with a zero bias); the gate then gets a gradient from the first step;
+* when injecting, the self segment keeps the core non-zero, so the output
+  projection (weight and bias) starts at exactly 0 as well; its weight gets a
+  gradient from the first step and opens the gate after it.
+
+Either way the whole adapter is an exact identity, so a freshly attached
+adapter cannot disturb the host detector, and no weight sits at a saddle
+where both the gate and the map behind it are zero.
 """
 
 from __future__ import annotations
@@ -113,7 +123,9 @@ class AdapterConfig:
 
 class FusionState(Module):
     """All adapter weights.  Invariants at construction: every gate is exactly
-    zero and the output projection (weight and bias) is exactly zero."""
+    zero and the output projection's bias is exactly zero; its weight is
+    exactly zero too when injecting (the self segment needs it) and stays
+    random with ``fuses_vision`` (a zero gate already zeroes the core)."""
 
     def __init__(self, cfg: AdapterConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -123,7 +135,8 @@ class FusionState(Module):
         self.wv = Linear(d, d, rng)
         self.gate = Tensor(np.zeros(cfg.heads), requires_grad=True)
         self.out_proj = Linear(d, d, rng)
-        self.out_proj.zero_()
+        if not cfg.fuses_vision:
+            self.out_proj.zero_()
         if cfg.text_fusion:
             self.text_fusion = MultiHeadAttention(d_lm, cfg.heads, rng)
         if cfg.fuses_vision:

@@ -88,14 +88,17 @@ def attention_medians(mllm: MiniMllm, images: np.ndarray, text_ids: np.ndarray,
     (query, key) pair the causal/padding mask admits, taken per head and
     batch element, then averaged.  Scores are pre-softmax, so gating by the
     later normalization never hides scale differences between modalities.
+    The LM runs with no tape recorded.
     """
     ids = np.asarray(text_ids, dtype=np.intp)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise UsageError(
             f"attention_medians needs a [B, T>=1] text batch, got {ids.shape}")
-    x, layout = mllm.embed_sequence(T.constant(np.asarray(images, dtype=np.float64)),
-                                    ids)
-    _, scores = mllm.forward_collect(x, layout, text_valid, return_scores=True)
+    with T.no_tape():
+        x, layout = mllm.embed_sequence(
+            T.constant(np.asarray(images, dtype=np.float64)), ids)
+        _, scores = mllm.forward_collect(x, layout, text_valid,
+                                         return_scores=True)
     admitted = np.isfinite(
         np.broadcast_to(mllm.sequence_mask(layout, text_valid), scores[0].shape))
     medians: dict[str, list[float]] = {name: [] for name, _ in MODALITIES}
@@ -312,7 +315,8 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     count comes from one full fused pass, so the additivity of the deltas is
     itself a measured fact rather than an identity of the formulas.  Latency
     (median of warm repetitions, single scene) is optional because wall-clock
-    is the one column that cannot be reproduced from the config alone.
+    is the one column that cannot be reproduced from the config alone.  The
+    metered and timed passes record no tape, so latency is the forward alone.
     """
     if acfg.grid != mcfg.aligned_grid:
         raise UsageError(
@@ -346,34 +350,45 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         return tr._detector_outputs(det, e_vis,
                                     (e_txt, det_valid, pooled, counts), hook)
 
-    with FlopsMeter() as m_patch:
-        patches = mllm.encode_image(images)
-    with FlopsMeter() as m_core:
-        detector_core(det.encode_vision(patches))
-    with FlopsMeter() as m_lm:
-        e_v_l, e_t = lm_prompts(patches)
-    e_vis = det.encode_vision(patches)
-    q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
-
-    def adapter_forward():
-        hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
-        if acfg.fuses_vision:
-            fuse_vision(e_vis, hook.a_p, state)
-        else:
-            hook.inject(q_probe)
-
-    with FlopsMeter() as m_adapter:
-        adapter_forward()
-
-    def fused_forward():
-        patches = mllm.encode_image(images)
-        e_v_l, e_t = lm_prompts(patches)
+    with T.no_tape():
+        with FlopsMeter() as m_patch:
+            patches = mllm.encode_image(images)
+        with FlopsMeter() as m_core:
+            detector_core(det.encode_vision(patches))
+        with FlopsMeter() as m_lm:
+            e_v_l, e_t = lm_prompts(patches)
         e_vis = det.encode_vision(patches)
-        hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
-        return detector_core(e_vis, hook=hook)
+        q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
 
-    with FlopsMeter() as m_total:
-        fused_forward()
+        def adapter_forward():
+            hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
+            if acfg.fuses_vision:
+                fuse_vision(e_vis, hook.a_p, state)
+            else:
+                hook.inject(q_probe)
+
+        with FlopsMeter() as m_adapter:
+            adapter_forward()
+
+        def fused_forward():
+            patches = mllm.encode_image(images)
+            e_v_l, e_t = lm_prompts(patches)
+            e_vis = det.encode_vision(patches)
+            hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
+            return detector_core(e_vis, hook=hook)
+
+        with FlopsMeter() as m_total:
+            fused_forward()
+
+        lat = {"detector": None, "+adapter": None, "+lm-prompts": None, "total": None}
+        if measure_latency:
+            lat["detector"] = median_latency_ms(
+                lambda: detector_core(det.encode_vision(mllm.encode_image(images))),
+                repeats, warmup)
+            lat["+adapter"] = median_latency_ms(adapter_forward, repeats, warmup)
+            lat["+lm-prompts"] = median_latency_ms(
+                lambda: lm_prompts(patches), repeats, warmup)
+            lat["total"] = median_latency_ms(fused_forward, repeats, warmup)
 
     p_grid = h * w
     a_patch = patch_encoder_flops(mcfg, b)
@@ -390,16 +405,6 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     p_lm = (mllm.projector.param_count() + mllm.sys_embed.size
             + sum(blk.param_count() for blk in mllm.blocks[:acfg.l_lm])
             + (mllm.tok_embed.size if acfg.text_fusion else 0))
-
-    lat = {"detector": None, "+adapter": None, "+lm-prompts": None, "total": None}
-    if measure_latency:
-        lat["detector"] = median_latency_ms(
-            lambda: detector_core(det.encode_vision(mllm.encode_image(images))),
-            repeats, warmup)
-        lat["+adapter"] = median_latency_ms(adapter_forward, repeats, warmup)
-        lat["+lm-prompts"] = median_latency_ms(
-            lambda: lm_prompts(patches), repeats, warmup)
-        lat["total"] = median_latency_ms(fused_forward, repeats, warmup)
 
     rows = [
         {"framework": "detector", "params": p_det,

@@ -10,7 +10,12 @@ Design points:
   the ``grad`` buffer of each ``requires_grad`` leaf and then frees the tape.
 * a tensor participates in the tape iff ``requires_grad`` is set on it or on
   one of its ancestors and no ``no_tape`` scope is open, so graphs over
-  frozen weights cost nothing extra.
+  frozen weights cost nothing extra, and neither do forward-only passes over
+  trainable ones (they open a ``no_tape`` scope).
+* an op may write in place only into an array it allocated itself and that
+  no backward closure has captured yet, never into an input's ``data`` or a
+  view of it; the ufuncs and their operand order stay those of the
+  out-of-place form, so values do not change.
 * FLOPs are counted into every active ``FlopsMeter`` scope, using the
   conventions spelled out in ``FLOP_CONVENTIONS``.
 """
@@ -264,7 +269,10 @@ _NO_TAPE: list[bool] = []
 def no_tape():
     """Ops inside the ``with`` block record no tape: their outputs never
     require gradients, so every intermediate is freed as soon as it is
-    unused.  For forward passes whose values are kept, never differentiated."""
+    unused.  For forward passes whose values are kept, never differentiated:
+    ``training.grounded_outputs`` (hence ``evaluate``), ``training.cache_vision``,
+    the ``Stage3Cache`` build, ``analysis.attention_medians`` and the metered
+    and timed passes of ``analysis.compute_report``."""
     _NO_TAPE.append(True)
     try:
         yield
@@ -414,7 +422,10 @@ def sigmoid(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact GELU, x * Phi(x) with the Gaussian CDF."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + _sp_special.erf(a.data / np.sqrt(2.0)))
+    cdf = a.data / np.sqrt(2.0)
+    _sp_special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = a.data * cdf
     _count_flops(out_data.size)
 
@@ -594,7 +605,7 @@ def linear(x, w, b=None) -> Tensor:
         b = as_tensor(b)
         if b.shape != (n,):
             raise DimensionError(f"linear bias shape {b.shape} != ({n},)")
-        out_data = out_data + b.data
+        out_data += b.data
         _count_flops(out_data.size)
         parents = (x, w, b)
 
@@ -624,10 +635,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     inv_n = 1.0 / d
     mu = np.sum(x.data, axis=-1, keepdims=True) * inv_n
     xc = x.data - mu
-    var = np.sum(xc * xc, axis=-1, keepdims=True) * inv_n
+    buf = xc * xc
+    var = np.sum(buf, axis=-1, keepdims=True) * inv_n
     rstd = (var + eps) ** -0.5
-    xhat = xc * rstd
-    out_data = xhat * gamma.data + beta.data
+    xhat = np.multiply(xc, rstd, out=xc)
+    out_data = np.multiply(xhat, gamma.data, out=buf)
+    out_data += beta.data
     _count_flops(7 * x.size + 4 * (x.size // d))
 
     def bw(g, acc):
@@ -698,7 +711,8 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     kt = kh.transpose(0, 2, 3, 1)                             # [B, h, dh, Tk]
     vt = v.data.reshape(b, tk, heads, dh).transpose(0, 2, 1, 3)
     scale = 1.0 / np.sqrt(dh)
-    scores = np.matmul(qt, kt) * scale                        # [B, h, Tq, Tk]
+    scores = np.matmul(qt, kt)                                # [B, h, Tq, Tk]
+    scores *= scale
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), scores.shape)
 
@@ -708,8 +722,10 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
             z = z + mask[..., lo:hi]
             if not np.all(np.isfinite(z).any(axis=-1)):
                 raise DegenerateInputError("softmax slice fully masked out")
-        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-        return e / np.sum(e, axis=-1, keepdims=True)
+        e = z - np.max(z, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= np.sum(e, axis=-1, keepdims=True)
+        return e
 
     y_p = seg_softmax(0, l)
     y_s = seg_softmax(l, tk) if l < tk else None

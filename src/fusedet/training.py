@@ -18,8 +18,11 @@ gradient check and the cost report) runs through ``_detector_outputs`` over a
 runs against cached activations of the frozen components; the cache stores
 the same pass's own arrays, so it is an exact-value shortcut (same ops on the
 same values), and an equivalence test compares it against the uncached path.
-Reports embed the resolved config and the full loss curve but no wall-clock
-fields, so a repeated run produces byte-identical report files.
+Evaluation (``grounded_outputs``, so ``evaluate``) and the frozen-activation
+caches (``cache_vision``, ``Stage3Cache``) only ever run forward, so they
+record no tape even over trainable modules.  Reports embed the resolved
+config and the full loss curve but no wall-clock fields, so a repeated run
+produces byte-identical report files.
 """
 
 from __future__ import annotations
@@ -232,14 +235,20 @@ def _chunks(n: int, size: int):
 def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int = 64
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(patch tokens [N,P,d_patch], regrouped pre-projector groups
-    [N,L_v,c_in]) for the frozen vision encoder."""
-    images = np.stack([s.image for s in scenes])
-    patches, regroup = [], []
-    for lo, hi in _chunks(len(scenes), chunk):
-        p = mllm.encode_image(T.constant(images[lo:hi]))
-        patches.append(p.data)
-        regroup.append(mllm.regroup_patches(p).data)
-    return np.concatenate(patches), np.concatenate(regroup)
+    [N,L_v,c_in]) for the frozen vision encoder.  Both arrays are allocated
+    once and filled chunk by chunk, stacking one chunk's images at a time,
+    with no tape recorded."""
+    mcfg, n = mllm.cfg, len(scenes)
+    h, w = mcfg.grid
+    patches = np.empty((n, h * w, mcfg.d_patch))
+    regroup = np.empty((n, mcfg.l_v, mcfg.d_patch * mcfg.shuffle_r ** 2))
+    with T.no_tape():
+        for lo, hi in _chunks(n, chunk):
+            p = mllm.encode_image(T.constant(
+                np.stack([s.image for s in scenes[lo:hi]])))
+            patches[lo:hi] = p.data
+            regroup[lo:hi] = mllm.regroup_patches(p).data
+    return patches, regroup
 
 
 class Stage3Cache:
@@ -256,8 +265,9 @@ class Stage3Cache:
                                adapter attached (None when every decoder layer
                                must re-run per step: l_d == 1 or full_decode)
 
-    Every array is allocated once and filled chunk by chunk in place, with no
-    tape recorded (nothing here is differentiated).
+    ``regroup`` comes from the one ``cache_vision`` call; like it, every array
+    is allocated once and filled chunk by chunk in place, with no tape
+    recorded (nothing here is differentiated).
     """
 
     def __init__(self, mllm: MiniMllm, det: GroundingDetector,
@@ -508,8 +518,10 @@ def grounded_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
                      state: FusionState | None = None,
                      sub: SubstitutionHead | None = None):
     """Numpy (boxes [B,Q,4], logits [B,Q,Q+1]) for one batch of scenes; the
-    logit columns are the candidates padded to Q, then background."""
-    boxes, logits, _ = fused_outputs(cfg, mllm, det, scenes, state, sub)
+    logit columns are the candidates padded to Q, then background.  Runs
+    ``fused_outputs`` with no tape recorded, whatever is trainable."""
+    with T.no_tape():
+        boxes, logits, _ = fused_outputs(cfg, mllm, det, scenes, state, sub)
     return boxes.data, logits.data
 
 

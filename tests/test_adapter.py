@@ -68,11 +68,19 @@ class TestZeroInitIdentity:
             assert np.array_equal(out.data, e_d_prev.data)
 
     def test_construction_invariants(self):
+        """Gates and the output bias start at zero; the output weight is zero
+        when injecting and keeps its random draw on the vision path, which
+        moves no other draw (I and II share every draw up to the conv)."""
         for arch in ARCHS:
             state = make_state(arch)
             assert np.all(state.gate.data == 0.0)
-            assert np.all(state.out_proj.weight.data == 0.0)
             assert np.all(state.out_proj.bias.data == 0.0)
+            zero_weight = np.all(state.out_proj.weight.data == 0.0)
+            assert zero_weight == (not state.cfg.fuses_vision)
+        vision, inject = make_state("I").state_arrays(), make_state("II").state_arrays()
+        for name, arr in vision.items():
+            if name.startswith(("wq.", "wk.", "wv.", "text_fusion.")):
+                assert np.array_equal(arr, inject[name]), name
 
     def test_identity_breaks_once_weights_move(self):
         state = make_state("IV")

@@ -427,6 +427,14 @@ class TestFusedOps:
         assert flops == want_flops
         assert flops == attention_flops(2, 3, 5, 8, 2) + 2 * 2 * 3 * gated_keys
 
+    def test_gelu(self):
+        from scipy import special
+        x = np.random.default_rng(9).standard_normal((3, 5)) * 2
+        got, flops = self.metered(lambda: T.gelu(T.constant(x)))
+        want = x * (0.5 * (1.0 + special.erf(x / np.sqrt(2.0))))
+        assert got.tobytes() == want.tobytes()
+        assert flops == x.size
+
     def test_attention_internals_are_detached_copies(self):
         q, k, v = fused_attention_inputs(np.random.default_rng(7))
         out, scores, weights = T.attention(q, k, v, 2, return_internals=True)
@@ -454,6 +462,67 @@ class TestFusedOps:
             for r in range(3):
                 want -= weights[i, r] * logp[r, list(keep).index(labels[i, r])]
         assert float(got.data) == pytest.approx(want, rel=1e-13)
+
+
+def fused_op_case(name, rng):
+    """(tensor inputs, ndarray inputs, forward) for one fused-op call."""
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    valid = np.ones((2, 5), dtype=bool)
+    valid[1, 0] = False
+    mask = T.additive_mask(valid)[:, None, None, :]
+    q, k, v, gate = t(2, 3, 8), t(2, 5, 8), t(2, 5, 8), t(2)
+    if name.startswith("linear"):
+        x = t(5, 4) if name.startswith("linear_2d") else t(2, 3, 4)
+        w, b = t(4, 6), (t(6) if name.endswith("bias") else None)
+        tensors = [x, w] + ([b] if b is not None else [])
+        return tensors, [], lambda: T.linear(x, w, b)
+    if name == "layer_norm":
+        x, gamma, beta = t(2, 3, 8), t(8), t(8)
+        return [x, gamma, beta], [], lambda: T.layer_norm(x, gamma, beta)
+    if name == "gelu":
+        x = t(3, 7)
+        return [x], [], lambda: T.gelu(x)
+    if name == "attention_mask":
+        return [q, k, v], [mask], lambda: T.attention(q, k, v, 2, mask=mask)
+    if name == "attention_rope":
+        pos_q, pos_k = np.arange(5, 8), np.arange(5)
+        return [q, k, v], [mask, pos_q, pos_k], lambda: T.attention(
+            q, k, v, 2, mask=mask, rope_base=50.0, pos_q=pos_q, pos_k=pos_k)
+    if name.startswith("attention_gated"):
+        keys = 2 if name.endswith("2") else 5
+        return [q, k, v, gate], [mask], lambda: T.attention(
+            q, k, v, 2, mask=mask, gate=gate, gated_keys=keys)
+    assert name == "weighted_cross_entropy"
+    logits = t(2, 3, 5)
+    targets = np.array([[0, 4, 1], [3, 2, 4]])
+    weights = rng.uniform(0.5, 2.0, (2, 3))
+    cols = np.ones((2, 1, 5), dtype=bool)
+    cols[0, 0, 2] = False
+    ce_mask = T.additive_mask(cols)
+    return [logits], [targets, weights, ce_mask], lambda: \
+        T.weighted_cross_entropy(logits, targets, weights, ce_mask)
+
+
+class TestFusedOpsLeaveInputs:
+    """A fused op may reuse the arrays it allocates itself, never an input:
+    forward and backward leave every input's bytes as they were."""
+
+    @pytest.mark.parametrize("name", [
+        "linear_2d_bias", "linear_2d", "linear_3d_bias", "linear_3d",
+        "layer_norm", "gelu", "attention_mask", "attention_rope",
+        "attention_gated_2", "attention_gated_5", "weighted_cross_entropy"])
+    def test_inputs_unchanged(self, name):
+        rng = np.random.default_rng(23)
+        tensors, arrays, forward = fused_op_case(name, rng)
+        before = [a.tobytes() for a in [p.data for p in tensors] + arrays]
+        out = forward()
+        upstream = T.constant(rng.standard_normal(out.shape))
+        T.tsum(T.mul(out, upstream)).backward()
+        after = [a.tobytes() for a in [p.data for p in tensors] + arrays]
+        assert after == before
+        assert all(p.grad is not None for p in tensors)
 
 
 class TestTapeMechanics:

@@ -10,7 +10,9 @@ import pytest
 
 from fusedet import tensor as T
 from fusedet import training as tr
+from fusedet.adapter import ARCHS
 from fusedet.config import ExperimentConfig
+from fusedet.scenes import pad_token_rows
 from fusedet.tensor import NumericsError, Tensor, UsageError
 
 
@@ -153,18 +155,34 @@ class TestFreezing:
         assert tr.module_digest(mllm) == frozen
         assert tr.module_digest(det) != before
 
-    def test_stage3_touches_only_adapter_and_projector(self, bench):
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_stage3_touches_only_adapter_and_projector(self, bench, arch):
         b = bench
         mllm_before = tr.snapshot(b["mllm"])
         state, _ = tr.run_stage3_experiment(
             b["cfg"], b["mllm"], b["det"], b["projector"], b["train"],
-            {}, cache=stage3_cache(b))
+            {}, arch=arch)
         assert tr.module_digest(b["det"]) == b["det_digest"]
         after = tr.snapshot(b["mllm"])
         for name in mllm_before:
             if not name.startswith("projector."):
                 assert np.array_equal(after[name], mllm_before[name]), name
         assert np.any(state.gate.data != 0.0)          # adapter escaped zero
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_fresh_adapter_gets_a_gradient(self, bench, arch):
+        """One naive stage-3 backward from a fresh adapter reaches the gate
+        or the output map: zero init is no saddle."""
+        b = bench
+        tr.restore(b["mllm"].projector, b["projector"])
+        state = tr.build_adapter(b["cfg"], arch=arch)
+        tr.configure_trainable(
+            [tr.ParamGroup("adapter", state.named_parameters(), 1.0)],
+            b["mllm"], b["det"], state)
+        tr.stage3_loss_naive(b["cfg"], b["mllm"], b["det"], state,
+                             b["train"][:4]).backward()
+        grads = [p.grad for p in (state.gate, state.out_proj.weight)]
+        assert any(g is not None and np.any(g != 0.0) for g in grads)
 
     def test_substitution_touches_only_head_and_projector(self, bench):
         b = bench
@@ -386,3 +404,60 @@ class TestEvaluation:
         fused = tr.evaluate(b["cfg"], b["mllm"], b["det"], scenes, state=state)
         plain = tr.evaluate(b["cfg"], b["mllm"], b["det"], scenes)
         assert fused == plain
+
+
+class TestForwardOnlyPasses:
+    """Evaluation, the frozen-feature caches and the diagnostics record no
+    tape even when every module they run is trainable; the uncached pass
+    that the stage-3 loss differentiates still does."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        nodes = []
+        make = T._make
+
+        def recording_make(*args):
+            nodes.append(make(*args))
+            return nodes[-1]
+
+        monkeypatch.setattr(T, "_make", recording_make)
+        return nodes
+
+    @pytest.fixture(scope="class")
+    def trainable(self):
+        cfg = tiny_config()
+        mllm, det = tr.build_models(cfg)
+        state = tr.build_adapter(cfg, arch="II")
+        for m in (mllm, det, state):
+            m.set_trainable(True)
+        return cfg, mllm, det, state, tr.load_split(cfg, "val-spatial")[:6]
+
+    def test_forward_only_passes_build_no_tape(self, made, trainable):
+        from fusedet.analysis import attention_medians, compute_report
+        cfg, mllm, det, state, scenes = trainable
+        images = np.stack([s.image for s in scenes])
+        ids, valid = pad_token_rows([s.caption for s in scenes])
+        passes = {
+            "grounded_outputs": lambda: tr.grounded_outputs(
+                cfg, mllm, det, scenes, state=state),
+            "evaluate": lambda: tr.evaluate(cfg, mllm, det, scenes,
+                                            state=state),
+            "cache_vision": lambda: tr.cache_vision(mllm, scenes, chunk=4),
+            "attention_medians": lambda: attention_medians(mllm, images, ids,
+                                                           valid),
+            "compute_report": lambda: compute_report(
+                cfg.detector_config(), cfg.mllm_config(),
+                cfg.adapter_config(arch="I"), measure_latency=True,
+                repeats=1, warmup=0),
+        }
+        for name, run in passes.items():
+            made.clear()
+            run()
+            assert made, name
+            assert not any(n.requires_grad for n in made), name
+
+    def test_fused_outputs_still_tapes(self, made, trainable):
+        cfg, mllm, det, state, scenes = trainable
+        boxes, logits, _ = tr.fused_outputs(cfg, mllm, det, scenes, state)
+        assert boxes.requires_grad and logits.requires_grad
+        assert any(n.requires_grad for n in made)
