@@ -3,14 +3,17 @@
 Per-parameter file layout, all little-endian:
 
     magic   4 bytes  b"LEDT"
-    version u32      1
+    version u32      2
     rank    u32
     extents u64 * rank
-    payload f32, row-major
+    payload f64, row-major
 
 A checkpoint directory holds one ``.ledt`` file per named parameter plus a
 ``manifest.txt`` with one tab-separated ``name<TAB>file<TAB>shape`` line per
 parameter, sorted by name so identical states produce identical bytes.
+The payload is the float64 the code computes in, so a run staged through
+checkpoints equals the same run in one process.  Version 1 files (float32
+payloads) are rejected.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ import numpy as np
 from .tensor import Tensor, UsageError
 
 MAGIC = b"LEDT"
-VERSION = 1
+VERSION = 2
 MANIFEST = "manifest.txt"
 
 
 def save_tensor(path: str | Path, values) -> None:
     arr = values.data if isinstance(values, Tensor) else np.asarray(values)
     shape = arr.shape
-    arr = np.ascontiguousarray(arr, dtype="<f4")
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     header = MAGIC + struct.pack("<II", VERSION, len(shape))
     header += struct.pack(f"<{len(shape)}Q", *shape)
     with open(path, "wb") as fh:
@@ -49,9 +52,9 @@ def load_tensor(path: str | Path) -> np.ndarray:
     extents = struct.unpack_from(f"<{rank}Q", raw, 12)
     offset = 12 + 8 * rank
     count = int(np.prod(extents, dtype=np.int64)) if rank else 1
-    if len(raw) != offset + 4 * count:
+    if len(raw) != offset + 8 * count:
         raise UsageError(f"{path}: payload size does not match header extents")
-    payload = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     return payload.astype(np.float64).reshape(extents)
 
 
@@ -93,16 +96,3 @@ def load_checkpoint(directory: str | Path) -> dict[str, np.ndarray]:
         out[name] = arr
     return out
 
-
-def checkpoint_bytes(directory: str | Path, prefix: str = "") -> bytes:
-    """Concatenated raw bytes of every parameter file whose name starts with
-    ``prefix``, in manifest order.  Used to assert freezing contracts."""
-    directory = Path(directory)
-    blob = b""
-    for line in (directory / MANIFEST).read_text().splitlines():
-        if not line.strip():
-            continue
-        name, fname, _ = line.split("\t")
-        if name.startswith(prefix):
-            blob += (directory / fname).read_bytes()
-    return blob

@@ -168,8 +168,8 @@ def cmd_analyze_attention(cfg: ExperimentConfig, out: Path, args) -> int:
     images = np.stack([s.image for s in scenes])
     profile = analysis.attention_medians(mllm, images, ids, valid)
     analysis.write_attention_csv(profile, out / "attention_profile.csv")
-    for layer, name, median in profile.layer_rows():
-        print(f"layer {layer} {name}: median {median:+.4f}")
+    for r in profile.layer_rows():
+        print(f"layer {r['layer']} {r['modality']}: median {r['median']:+.4f}")
     print(f"wrote {out / 'attention_profile.csv'}")
     return 0
 

@@ -253,6 +253,17 @@ def match_bruteforce(costs: np.ndarray) -> tuple[list[tuple[int, int]], float]:
 # ---------------------------------------------------------------------------
 
 
+def _candidate_probs(logits: np.ndarray, n_cand: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """One scene's phrase distribution per query slot over its real
+    candidate columns plus the background column (the last); returns the
+    kept column indices and the probabilities."""
+    keep = np.r_[np.arange(n_cand), logits.shape[-1] - 1]
+    raw = logits[:, keep]
+    shifted = np.exp(raw - raw.max(-1, keepdims=True))
+    return keep, shifted / shifted.sum(-1, keepdims=True)
+
+
 def detection_loss(boxes: Tensor, logits: Tensor, counts: np.ndarray,
                    scenes: list[SyntheticScene], cfg: DetectorConfig) -> Tensor:
     """Hungarian-matched loss, summed per scene and averaged over the batch.
@@ -275,12 +286,8 @@ def detection_loss(boxes: Tensor, logits: Tensor, counts: np.ndarray,
     row_w = np.full((b, nq), cfg.background_weight)
     col_ok = np.zeros((b, 1, n_col), dtype=bool)
     for i, scene in enumerate(scenes):
-        # this scene's real candidate columns plus the background column
-        keep = np.r_[np.arange(counts[i]), bg]
+        keep, probs = _candidate_probs(logits.data[i], counts[i])
         col_ok[i, 0, keep] = True
-        raw = logits.data[i][:, keep]
-        shifted = np.exp(raw - raw.max(-1, keepdims=True))
-        probs = shifted / shifted.sum(-1, keepdims=True)
         g = len(scene.gt_boxes)
         cost = np.zeros((nq, g))
         for j in range(g):
@@ -317,11 +324,7 @@ def eval_grounding(boxes: np.ndarray, logits: np.ndarray,
     the query phrase; padded candidate columns are excluded."""
     per_scene = []
     for i, scene in enumerate(scenes):
-        n_cand = len(scene.candidates)
-        keep = np.r_[np.arange(n_cand), logits.shape[2] - 1]
-        row = logits[i][:, keep]
-        shifted = np.exp(row - row.max(-1, keepdims=True))
-        probs = shifted / shifted.sum(-1, keepdims=True)
+        _, probs = _candidate_probs(logits[i], len(scene.candidates))
         pick = int(np.argmax(probs[:, query_column(scene)]))
         iou = box_iou(boxes[i, pick], scene.query.target_box)
         per_scene.append({

@@ -258,19 +258,13 @@ class MiniMllm(Module):
         picked = T.index_select(flat, 0, keep)
         return cross_entropy(picked, text_ids.reshape(-1)[keep])
 
-    def hidden_for_adapter(self, images: Tensor, l_lm: int,
-                           text_ids: np.ndarray | None = None,
-                           text_valid: np.ndarray | None = None):
-        """Vision-span (and text-span) states from layer ``l_lm``, running the
-        shortest sufficient forward.  Text defaults to none (Arch IV)."""
-        vis = self.align_vision(self.encode_image(images))
-        return self.hidden_from_aligned(vis, l_lm, text_ids, text_valid)
-
     def hidden_from_aligned(self, vis: Tensor, l_lm: int,
                             text_ids: np.ndarray | None = None,
                             text_valid: np.ndarray | None = None):
-        """`hidden_for_adapter` starting from aligned vision tokens, so the
-        frozen encoder/regroup prefix can come from a cache."""
+        """Vision-span (and text-span) states from layer ``l_lm``, running the
+        shortest sufficient forward from aligned vision tokens, so the frozen
+        encoder/regroup prefix can come from a cache.  Text defaults to none
+        (Arch IV)."""
         if not 0 <= l_lm <= self.cfg.n:
             raise ConfigurationError(f"l_lm {l_lm} outside [0, {self.cfg.n}]")
         ids = np.zeros((vis.shape[0], 0), dtype=np.intp) \

@@ -96,7 +96,7 @@ def module_digest(module) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SGD with cosine decay
+# Adam with cosine decay
 # ---------------------------------------------------------------------------
 
 

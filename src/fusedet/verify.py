@@ -1,18 +1,23 @@
 """Finite-difference verification of every differentiable path.
 
-Each case compares analytic gradients against central differences at step
-1e-5 and reports the worst relative error.  Cases run on micro models (width
-~12, two layers) so the whole suite finishes in seconds while still walking
-the exact production code paths: primitive and fused tape ops, the shared
-layers, the caption loss, the grounding loss, the fused stage-3 loss for each
-adapter placement, and the substitution control.
+``CASES`` is the one catalogue of gradient checks: an ordered list of
+``(name, build)`` pairs where ``build(rng)`` draws a case's tensors and its
+structure (masks, strides, positions) and returns ``(loss_fn, params)``.
+The ``gradcheck`` command walks it at one seed and the tier-1 tests walk
+every ``op/`` and ``layer/`` case over twenty seeds.  Each check compares
+analytic gradients against central differences at step ``EPS`` and reports
+the worst relative error, which must stay below ``GRADCHECK_TOL``.
 
-Composed checks perturb the small parameter leaves (gates, biases) of every
-component; a wiring bug that detaches any sub-graph shows up as an analytic
-gradient of zero against a non-zero numeric one.  The fusion gate and output
-projection start at zero by design, which parks them at a stationary point
-of the prompt path; the fused cases therefore run from a randomized adapter
-state so that gradients flow through every projection.
+Composed cases run on micro models (width ~12, two layers) so the whole
+catalogue finishes in seconds while still walking the exact production code
+paths: the caption loss, the grounding loss, the fused stage-3 loss for each
+adapter placement, and the substitution control.  They perturb the small
+parameter leaves (gates, biases) of every component; a wiring bug that
+detaches any sub-graph shows up as an analytic gradient of zero against a
+non-zero numeric one.  The fusion gate starts at zero by design, and so does
+the output projection on the injection path (Arch II-IV); that parks the
+adapter at a stationary point, so the fused cases run from a randomized
+adapter state in which gradients flow through every projection.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from .adapter import ARCHS, AdapterConfig, FusionState
 from .config import ExperimentConfig
 from .detector import (DetectorConfig, GroundingDetector, SubstitutionHead,
                        detection_loss)
-from .layers import MLP, LayerNorm, Linear, MultiHeadAttention
+from .layers import (MLP, LayerNorm, Linear, MultiHeadAttention,
+                     TransformerBlock)
 from .mllm import MiniMllm, MllmConfig
 from .scenes import Query, SyntheticScene, encode
 from .tensor import Tensor, finite_diff_check
@@ -34,130 +40,159 @@ GRADCHECK_TOL = 1e-4
 EPS = 1e-5
 
 
-def _weighted_sum(rng: np.random.Generator, t: Tensor) -> Tensor:
+def _weighted_sum(t: Tensor) -> Tensor:
     # weights come from a fixed stream so re-evaluations during finite
     # differencing see the identical scalarization
     w = T.constant(np.random.default_rng(99).standard_normal(t.shape))
     return T.tsum(T.mul(t, w))
 
 
-def _param(rng, *shape, scale=1.0, shift=0.0):
-    return Tensor(rng.standard_normal(shape) * scale + shift,
-                  requires_grad=True)
+def _param(rng, *shape, scale=1.0):
+    return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
-def _primitive_cases(rng):
-    x = _param(rng, 3, 4, scale=0.8)
-    y = _param(rng, 3, 4, scale=0.8, shift=2.5)   # positive / away from zero
-    a = _param(rng, 2, 3, 4)
-    b = _param(rng, 2, 4, 5)
-    unary = [
-        ("op/exp", lambda: T.exp(x), [x]),
-        ("op/log", lambda: T.log(y), [y]),
-        ("op/tanh", lambda: T.tanh(x), [x]),
-        ("op/sigmoid", lambda: T.sigmoid(x), [x]),
-        ("op/gelu", lambda: T.gelu(x), [x]),
-        ("op/power", lambda: T.power(y, 1.7), [y]),
-        ("op/softmax", lambda: T.softmax(x), [x]),
-        ("op/log_softmax", lambda: T.log_softmax(x), [x]),
-        ("op/add", lambda: T.add(x, y), [x, y]),
-        ("op/mul", lambda: T.mul(x, y), [x, y]),
-        ("op/div", lambda: T.div(x, y), [x, y]),
-        ("op/matmul", lambda: T.matmul(a, b), [a, b]),
-    ]
-    w = _param(rng, 4, 3, scale=0.5)
-    bias = _param(rng, 3, scale=0.3)
-    gamma = _param(rng, 4, scale=0.3, shift=1.0)
-    beta = _param(rng, 4, scale=0.3)
-    unary += [
-        ("op/linear-2d", lambda: T.linear(x, w, bias), [x, w, bias]),
-        ("op/linear-3d-nobias", lambda: T.linear(a, w), [a, w]),
-        ("op/layer_norm", lambda: T.layer_norm(a, gamma, beta), [a, gamma, beta]),
-    ]
-    unary += _attention_cases(rng)
-    cases = []
-    for name, fn, params in unary:
-        cases.append((name, (lambda f=fn: _weighted_sum(rng, f())), params))
-
-    img = _param(rng, 2, 2, 6, 6, scale=0.5)
-    ker = _param(rng, 3, 2, 3, 3, scale=0.3)
-    cases.append(("op/conv2d",
-                  lambda: _weighted_sum(rng, T.conv2d(img, ker, stride=1,
-                                                      padding=1)),
-                  [img, ker]))
-    seq = _param(rng, 2, 5, 2, 8, scale=0.5)   # [B, T, heads, d_head]
-    cases.append(("op/rope",
-                  lambda: _weighted_sum(rng, T.rope_apply(seq, np.arange(5),
-                                                          base=100.0)),
-                  [seq]))
-    table = _param(rng, 7, 4, scale=0.5)
-    ids = rng.integers(0, 7, (2, 3))
-    cases.append(("op/embedding",
-                  lambda: _weighted_sum(rng, T.embedding(table, ids)),
-                  [table]))
-    return cases
+def _positive(rng):
+    return Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
 
 
-def _attention_cases(rng):
-    """The fused attention core (an additive key mask, RoPE at the adapter's
-    position offsets, a gated prompt segment before a plain segment) and the
-    masked cross-entropy of the detection loss."""
-    q = _param(rng, 2, 3, 8, scale=0.6)
-    k = _param(rng, 2, 5, 8, scale=0.6)
-    v = _param(rng, 2, 5, 8, scale=0.6)
-    gate = _param(rng, 2, scale=0.5)
-    valid = np.ones((2, 5), dtype=bool)
-    valid[1, 3:] = False
-    mask = T.additive_mask(valid)[:, None, None, :]
-    offsets = dict(rope_base=50.0, pos_q=np.arange(2, 5), pos_k=np.arange(5))
-    logits = _param(rng, 2, 3, 5)
-    labels = np.array([[0, 4, 1], [0, 4, 4]])
-    weights = np.array([[1.0, 0.5, 2.0], [1.0, 0.5, 0.5]])
-    cols = np.ones((2, 1, 5), dtype=bool)
-    cols[1, 0, 1:4] = False
-    return [
-        ("op/attention-masked", lambda: T.attention(q, k, v, 2, mask=mask),
-         [q, k, v]),
-        ("op/attention-rope-offsets", lambda: T.attention(q, k, v, 2, **offsets),
-         [q, k, v]),
-        ("op/attention-gated-segments",
-         lambda: T.attention(q, k, v, 2, gate=gate, gated_keys=2, **offsets),
-         [q, k, v, gate]),
-        ("op/cross-entropy-masked",
-         lambda: T.weighted_cross_entropy(logits, labels, weights,
-                                          mask=T.additive_mask(cols)),
-         [logits]),
-    ]
+def _nonzero(rng):
+    return Tensor(rng.uniform(0.5, 2.0, (3, 4))
+                  * rng.choice([-1.0, 1.0], (3, 4)), requires_grad=True)
 
 
-def _layer_cases(rng):
-    lin = Linear(5, 4, rng)
-    lin_nb = Linear(5, 4, rng, bias=False)
+def _on(op, *draws):
+    """``op`` on fresh tensors, scalarized by a fixed weighted sum.  Each
+    draw is a shape (standard normal) or a ``draw(rng)``."""
+    def build(rng):
+        xs = [d(rng) if callable(d) else _param(rng, *d) for d in draws]
+        return (lambda: _weighted_sum(op(*xs))), xs
+    return build
+
+
+def _key_mask(rng, b, tk):
+    """Additive attention mask over random keys, key 0 always kept."""
+    valid = rng.uniform(size=(b, tk)) > 0.4
+    valid[:, 0] = True
+    return T.additive_mask(valid)[:, None, None, :]
+
+
+# ---------------------------------------------------------------------------
+# ops that draw their own structure
+# ---------------------------------------------------------------------------
+
+
+def _masked_softmax(rng):
+    x = _param(rng, 2, 6)
+    valid = rng.uniform(size=6) > 0.3
+    valid[0] = True
+    mask = T.additive_mask(valid)
+    return (lambda: _weighted_sum(T.softmax(x, axis=-1, mask=mask))), [x]
+
+
+def _softmax_matmul(q, k, v):
+    """Attention written out op by op: a scaled softmax between matmuls."""
+    s = T.matmul(q, T.transpose(k, (1, 0)))
+    return T.matmul(T.softmax(T.mul(s, 1.0 / np.sqrt(4.0)), axis=-1), v)
+
+
+def _conv2d(rng):
+    stride = int(rng.integers(1, 3))
+    pad = int(rng.integers(0, 2))
+    x, k = _param(rng, 2, 2, 5, 5), _param(rng, 3, 2, 3, 3)
+    return (lambda: _weighted_sum(T.conv2d(x, k, stride=stride, padding=pad))
+            ), [x, k]
+
+
+def _rope(rng):
+    x = _param(rng, 1, 3, 2, 8)            # [B, T, heads, d_head]
+    pos = rng.integers(0, 16, size=3)
+    base = float(rng.choice([100.0, 10000.0]))
+    return (lambda: _weighted_sum(T.rope_apply(x, pos, base=base))), [x]
+
+
+def _embedding(rng):
+    table = _param(rng, 5, 3)
+    ids = rng.integers(0, 5, size=(2, 4))
+    return (lambda: _weighted_sum(T.embedding(table, ids))), [table]
+
+
+def _qkv(rng):
+    return [_param(rng, 2, t, 4, scale=0.7) for t in (3, 4, 4)]
+
+
+def _attention_masked(rng):
+    q, k, v = _qkv(rng)
+    mask = _key_mask(rng, 2, 4)
+    return (lambda: _weighted_sum(T.attention(q, k, v, 2, mask=mask))
+            ), [q, k, v]
+
+
+def _attention_rope_offsets(rng):
+    """RoPE at the adapter's offsets: queries after a prompt of length 2."""
+    q, k, v = _qkv(rng)
+    return (lambda: _weighted_sum(T.attention(
+        q, k, v, 2, rope_base=100.0, pos_q=np.arange(2, 5),
+        pos_k=np.arange(4)))), [q, k, v]
+
+
+def _attention_gated(gated_keys):
+    """A tanh-gated prompt segment of ``gated_keys`` keys before a plain
+    segment (none when every key is gated), one prompt key masked."""
+    def build(rng):
+        q, k, v = _qkv(rng)
+        gate = _param(rng, 2, scale=0.5)
+        valid = np.ones((2, 4), dtype=bool)
+        valid[1, 1] = False
+        mask = T.additive_mask(valid)[:, None, None, :]
+        return (lambda: _weighted_sum(T.attention(
+            q, k, v, 2, mask=mask, rope_base=100.0,
+            pos_q=np.arange(gated_keys, gated_keys + 3), pos_k=np.arange(4),
+            gate=T.tanh(gate), gated_keys=gated_keys))), [q, k, v, gate]
+    return build
+
+
+def _cross_entropy_masked(rng):
+    """The detection loss's CE: random candidate columns (background kept),
+    labels on kept columns or background, random row weights."""
+    x = _param(rng, 2, 3, 5)
+    cols = rng.uniform(size=(2, 1, 5)) > 0.4
+    cols[..., -1] = True
+    labels = np.where(rng.uniform(size=(2, 3)) > 0.5, 4,
+                      np.argmax(cols, axis=-1))
+    weights = rng.uniform(0.2, 2.0, size=(2, 3))
+    mask = T.additive_mask(cols)
+    return (lambda: T.weighted_cross_entropy(x, labels, weights, mask=mask)
+            ), [x]
+
+
+# ---------------------------------------------------------------------------
+# shared layers
+# ---------------------------------------------------------------------------
+
+
+def _module(make, x_shape, pick, scale=0.7):
+    """Module ``make(rng)`` on a fresh input; ``pick(module)`` lists the
+    module parameters checked beside the input."""
+    def build(rng):
+        m = make(rng)
+        x = _param(rng, *x_shape, scale=scale)
+        return (lambda: _weighted_sum(m(x))), [x, *pick(m)]
+    return build
+
+
+def _random_layernorm(rng):
     ln = LayerNorm(6)
     ln.gamma.data[:] = rng.uniform(0.5, 1.5, 6)
     ln.beta.data[:] = rng.standard_normal(6) * 0.3
-    mlp = MLP(5, 7, 4, rng)
+    return ln
+
+
+def _attention_layer(rng):
     mha = MultiHeadAttention(8, 2, rng, rope_base=50.0)
-    xl = _param(rng, 3, 5, scale=0.7)
-    xs = _param(rng, 2, 3, 5, scale=0.7)
-    xn = _param(rng, 2, 4, 6, scale=0.7)
-    xa = _param(rng, 2, 5, 8, scale=0.5)
-    valid = np.ones((2, 5), dtype=bool)
-    valid[1, 3:] = False
-    mask = T.additive_mask(valid)[:, None, None, :]
-    return [
-        ("layer/linear", lambda: _weighted_sum(rng, lin(xl)),
-         [xl, lin.weight, lin.bias]),
-        ("layer/linear-3d-nobias", lambda: _weighted_sum(rng, lin_nb(xs)),
-         [xs, lin_nb.weight]),
-        ("layer/layernorm", lambda: _weighted_sum(rng, ln(xn)),
-         [xn, ln.gamma, ln.beta]),
-        ("layer/mlp", lambda: _weighted_sum(rng, mlp(xl)),
-         [xl, mlp.fc1.bias, mlp.fc2.bias]),
-        ("layer/attention-masked-rope",
-         lambda: _weighted_sum(rng, mha(xa, xa, mask=mask)),
-         [xa, mha.wq.bias, mha.wk.bias, mha.wv.bias, mha.wo.bias]),
-    ]
+    x = _param(rng, 2, 5, 8, scale=0.5)
+    mask = _key_mask(rng, 2, 5)
+    return (lambda: _weighted_sum(mha(x, x, mask=mask))
+            ), [x, mha.wq.bias, mha.wk.bias, mha.wv.bias, mha.wo.bias]
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +200,13 @@ def _layer_cases(rng):
 # ---------------------------------------------------------------------------
 
 _CANVAS = 8
+_CFG = ExperimentConfig(l_lm=1)     # the substitution head's LM tap
 
 
 def _micro_mllm(rng):
     cfg = MllmConfig(d_lm=12, n=2, heads=2, patch=4, canvas=_CANVAS,
                      shuffle_r=1, proj_in=48, proj_hidden=10, sys_len=1)
     return MiniMllm(cfg, rng)
-
-
-def _micro_detector(rng):
-    cfg = DetectorConfig(d=12, heads=2, depth=2, queries=3)
-    return GroundingDetector(cfg, d_patch=48, n_patches=4, rng=rng)
 
 
 def _micro_scene(rng):
@@ -192,75 +223,141 @@ def _micro_scene(rng):
         gt_labels=np.array([0, 1], dtype=np.intp))
 
 
-def _randomize_adapter(state: FusionState, rng) -> None:
-    state.gate.data[:] = rng.standard_normal(state.gate.shape) * 0.3
-    state.out_proj.weight.data[:] = \
-        rng.standard_normal(state.out_proj.weight.shape) * 0.2
+def _micro_grounding(rng):
+    """A micro LM, detector and two scenes."""
+    mllm = _micro_mllm(rng)
+    det = GroundingDetector(DetectorConfig(d=12, heads=2, depth=2, queries=3),
+                            d_patch=48, n_patches=4, rng=rng)
+    return mllm, det, [_micro_scene(rng) for _ in range(2)]
 
 
-def _composed_cases(rng):
-    cases = []
-
+def _caption_loss(rng):
     mllm = _micro_mllm(rng)
     ids = np.stack([encode(["<bos>", "the", "red", "circle", "<eos>"]),
                     encode(["<bos>", "the", "blue", "square", "<eos>"])])
     valid = np.ones(ids.shape, dtype=bool)
     valid[1, 4] = False
     images = T.constant(rng.standard_normal((2, 3, _CANVAS, _CANVAS)) * 0.4)
-    cases.append((
-        "composed/caption-loss",
-        lambda: mllm.lm_loss(images, ids, valid),
-        [mllm.projector.mlp.fc1.bias, mllm.projector.mlp.fc2.bias,
-         mllm.blocks[0].attn.wq.bias, mllm.blocks[1].mlp.fc2.bias,
-         mllm.ln_f.beta, mllm.sys_embed]))
+    return (lambda: mllm.lm_loss(images, ids, valid)), [
+        mllm.projector.mlp.fc1.bias, mllm.projector.mlp.fc2.bias,
+        mllm.blocks[0].attn.wq.bias, mllm.blocks[1].mlp.fc2.bias,
+        mllm.ln_f.beta, mllm.sys_embed]
 
-    det = _micro_detector(rng)
-    scenes = [_micro_scene(rng) for _ in range(2)]
-    cfg = ExperimentConfig(l_lm=1)          # the substitution head's LM tap
 
-    def fused_loss(**kw):
-        return lambda: detection_loss(
-            *tr.fused_outputs(cfg, mllm, det, scenes, **kw), scenes, det.cfg)
+def _grounding_loss(rng):
+    mllm, det, scenes = _micro_grounding(rng)
+    return (lambda: detection_loss(*tr.fused_outputs(_CFG, mllm, det, scenes),
+                                   scenes, det.cfg)), [
+        det.vis_proj.bias, det.layers[0].mlp.fc2.bias,
+        det.layers[1].txt_attn.wo.bias, det.box_head.fc2.bias,
+        det.class_proj.bias, det.bg_embed]
 
-    cases.append((
-        "composed/grounding-loss", fused_loss(),
-        [det.vis_proj.bias, det.layers[0].mlp.fc2.bias,
-         det.layers[1].txt_attn.wo.bias, det.box_head.fc2.bias,
-         det.class_proj.bias, det.bg_embed]))
 
-    for arch in ARCHS:
+def _fused_loss(arch):
+    def build(rng):
+        mllm, det, scenes = _micro_grounding(rng)
         acfg = AdapterConfig(arch=arch, d=12, d_lm=12, heads=2, grid=(2, 2),
                              l_lm=1, conv_stride=1, n_lm=2, depth=2)
-        state = FusionState(acfg, np.random.default_rng(rng.integers(1 << 30)))
-        _randomize_adapter(state, rng)
+        state = FusionState(acfg, rng)
+        # off the zero-init stationary point (see the module docstring)
+        state.gate.data[:] = rng.standard_normal(state.gate.shape) * 0.3
+        state.out_proj.weight.data[:] = \
+            rng.standard_normal(state.out_proj.weight.shape) * 0.2
         params = [state.gate, state.wq.bias, state.wk.bias, state.wv.bias,
-                  state.out_proj.bias, mllm.projector.mlp.fc2.bias]
-        if acfg.fuses_vision:
-            params.append(state.proj_lm.bias)
-        else:
-            params.append(state.conv_bias)
+                  state.out_proj.bias, mllm.projector.mlp.fc2.bias,
+                  state.proj_lm.bias if acfg.fuses_vision else state.conv_bias]
         if acfg.text_fusion:
             params.append(state.text_fusion.wo.bias)
-        cases.append((
-            f"composed/fused-loss-arch-{arch}",
-            lambda st=state: tr.stage3_loss_naive(cfg, mllm, det, st, scenes),
-            params))
+        return (lambda: tr.stage3_loss_naive(_CFG, mllm, det, state, scenes)
+                ), params
+    return build
 
-    sub = SubstitutionHead(12, 12, mllm.cfg.grid, mllm.cfg.shuffle_r,
-                           np.random.default_rng(3))
-    cases.append(("composed/substitution-loss", fused_loss(sub=sub),
-                  [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]))
-    return cases
+
+def _substitution_loss(rng):
+    mllm, det, scenes = _micro_grounding(rng)
+    sub = SubstitutionHead(12, 12, mllm.cfg.grid, mllm.cfg.shuffle_r, rng)
+    return (lambda: detection_loss(
+        *tr.fused_outputs(_CFG, mllm, det, scenes, sub=sub), scenes, det.cfg)
+    ), [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]
+
+
+# ---------------------------------------------------------------------------
+# the catalogue
+# ---------------------------------------------------------------------------
+
+CASES = [
+    ("op/exp", _on(T.exp, lambda rng: _param(rng, 3, 4, scale=0.5))),
+    ("op/log", _on(T.log, _positive)),
+    ("op/tanh", _on(T.tanh, (3, 4))),
+    ("op/sigmoid", _on(T.sigmoid, (3, 4))),
+    ("op/gelu", _on(T.gelu, (3, 4))),
+    ("op/power", _on(lambda x: T.power(x, 1.7), _positive)),
+    ("op/power-2", _on(lambda x: T.power(x, 2.0), (3, 4))),
+    ("op/softmax", _on(T.softmax, (3, 4))),
+    ("op/softmax-masked", _masked_softmax),
+    ("op/log_softmax", _on(T.log_softmax, (3, 4))),
+    ("op/reshape", _on(lambda x: T.reshape(x, 6, 2), (3, 4))),
+    ("op/transpose", _on(lambda x: T.transpose(x, (1, 0)), (3, 4))),
+    ("op/slice", _on(lambda x: T.slice_axis(x, 1, 1, 3), (3, 4))),
+    ("op/sum-axis", _on(lambda x: T.tsum(x, axis=0, keepdims=True), (3, 4))),
+    ("op/mean-axis",
+     _on(lambda x: T.tmean(x, axis=1, keepdims=True), (3, 4))),
+    ("op/concat", _on(lambda a, b: T.concat([a, b], axis=1), (2, 3), (2, 2))),
+    ("op/add", _on(T.add, (3, 4), (3, 4))),
+    ("op/add-broadcast", _on(T.add, (3, 4), (4,))),
+    ("op/sub", _on(T.sub, (3, 4), (3, 4))),
+    ("op/mul", _on(T.mul, (3, 4), (3, 4))),
+    ("op/mul-broadcast", _on(T.mul, (3, 4), (3, 1))),
+    ("op/div", _on(T.div, (3, 4), _nonzero)),
+    ("op/matmul", _on(T.matmul, (3, 4), (4, 2))),
+    ("op/matmul-batched", _on(T.matmul, (2, 3, 4), (4, 2))),
+    ("op/matmul-batched-both", _on(T.matmul, (2, 3, 4), (2, 4, 2))),
+    ("op/softmax-matmul", _on(_softmax_matmul, (3, 4), (5, 4), (5, 2))),
+    ("op/linear-2d-bias", _on(T.linear, (3, 4), (4, 5), (5,))),
+    ("op/linear-2d", _on(T.linear, (3, 4), (4, 5))),
+    ("op/linear-3d-bias", _on(T.linear, (2, 3, 4), (4, 5), (5,))),
+    ("op/linear-3d", _on(T.linear, (2, 3, 4), (4, 5))),
+    ("op/layer_norm", _on(T.layer_norm, (2, 3, 4), (4,), (4,))),
+    ("op/attention-masked", _attention_masked),
+    ("op/attention-rope-offsets", _attention_rope_offsets),
+    ("op/attention-gated-segments", _attention_gated(2)),
+    ("op/attention-gated-only", _attention_gated(4)),
+    ("op/cross-entropy-masked", _cross_entropy_masked),
+    ("op/conv2d", _conv2d),
+    ("op/pixel_unshuffle",
+     _on(lambda x: T.pixel_unshuffle(x, 2), (1, 2, 4, 4))),
+    ("op/rope", _rope),
+    ("op/embedding", _embedding),
+    ("layer/linear", _module(lambda rng: Linear(5, 4, rng), (3, 5),
+                             lambda m: [m.weight, m.bias])),
+    ("layer/linear-3d-nobias",
+     _module(lambda rng: Linear(5, 4, rng, bias=False), (2, 3, 5),
+             lambda m: [m.weight])),
+    ("layer/layernorm", _module(_random_layernorm, (2, 4, 6),
+                                lambda m: [m.gamma, m.beta])),
+    ("layer/mlp", _module(lambda rng: MLP(5, 7, 4, rng), (3, 5),
+                          lambda m: [m.fc1.bias, m.fc2.bias])),
+    ("layer/attention-masked-rope", _attention_layer),
+    ("layer/transformer-block",
+     _module(lambda rng: TransformerBlock(4, 2, rng, mlp_ratio=1), (1, 3, 4),
+             lambda m: [m.attn.wq.weight, m.mlp.fc1.bias], scale=1.0)),
+    ("composed/caption-loss", _caption_loss),
+    ("composed/grounding-loss", _grounding_loss),
+    *((f"composed/fused-loss-arch-{arch}", _fused_loss(arch))
+      for arch in ARCHS),
+    ("composed/substitution-loss", _substitution_loss),
+]
+
+
+def check_case(build, seed: int) -> float:
+    """Max relative error of one catalogue case drawn at ``seed``."""
+    fn, params = build(np.random.default_rng(seed))
+    return finite_diff_check(fn, params, eps=EPS)
 
 
 def run_gradcheck(seed: int = 0) -> list[tuple[str, float]]:
-    """Run every case; returns (name, max relative error) pairs."""
-    rng = np.random.default_rng(seed)
-    results = []
-    for name, fn, params in (_primitive_cases(rng) + _layer_cases(rng)
-                             + _composed_cases(rng)):
-        results.append((name, finite_diff_check(fn, params, eps=EPS)))
-    return results
+    """Check every catalogue case at ``seed``; (name, max relative error)."""
+    return [(name, check_case(build, seed)) for name, build in CASES]
 
 
 def max_error(results: list[tuple[str, float]]) -> float:

@@ -16,16 +16,25 @@ def test_byte_layout_is_pinned(tmp_path):
     ck.save_tensor(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
     raw = path.read_bytes()
     assert raw[:4] == b"LEDT"
-    assert struct.unpack_from("<II", raw, 4) == (1, 2)
+    assert struct.unpack_from("<II", raw, 4) == (2, 2)
     assert struct.unpack_from("<QQ", raw, 12) == (2, 2)
-    payload = np.frombuffer(raw, dtype="<f4", offset=28)
+    payload = np.frombuffer(raw, dtype="<f8", offset=28)
     np.testing.assert_array_equal(payload, [1.0, 2.0, 3.0, 4.0])
-    assert len(raw) == 28 + 16
+    assert len(raw) == 28 + 32
 
 
-def test_round_trip_exact_for_f32_values(tmp_path):
+def test_version_one_rejected(tmp_path):
+    """The float32 layout of version 1 has no reader."""
+    p = tmp_path / "v1.ledt"
+    p.write_bytes(b"LEDT" + struct.pack("<IIQ", 1, 1, 2)
+                  + np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(UsageError, match="unsupported version 1"):
+        ck.load_tensor(p)
+
+
+def test_round_trip_exact_for_float64(tmp_path):
     rng = np.random.default_rng(0)
-    arr = rng.standard_normal((3, 4, 5)).astype(np.float32).astype(np.float64)
+    arr = rng.standard_normal((3, 4, 5))
     ck.save_tensor(tmp_path / "a.ledt", arr)
     back = ck.load_tensor(tmp_path / "a.ledt")
     assert back.dtype == np.float64
@@ -56,7 +65,7 @@ def test_truncated_payload_rejected(tmp_path):
 def test_checkpoint_directory_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     named = {
-        "det.q_embed": rng.standard_normal((4, 8)).astype(np.float32).astype(np.float64),
+        "det.q_embed": rng.standard_normal((4, 8)),
         "adapter.gate": np.zeros(2),
         "mllm.tok": Tensor(rng.standard_normal((16, 8))),
     }
@@ -74,21 +83,11 @@ def test_save_is_deterministic(tmp_path):
     named = {"a.w": rng.standard_normal((3, 3)), "b.w": rng.standard_normal(5)}
     ck.save_checkpoint(tmp_path / "one", named)
     ck.save_checkpoint(tmp_path / "two", named)
-    b1 = ck.checkpoint_bytes(tmp_path / "one")
-    b2 = ck.checkpoint_bytes(tmp_path / "two")
-    assert b1 == b2
-    m1 = (tmp_path / "one" / "manifest.txt").read_bytes()
-    m2 = (tmp_path / "two" / "manifest.txt").read_bytes()
-    assert m1 == m2
-
-
-def test_checkpoint_bytes_prefix_filter(tmp_path):
-    named = {"det.a": np.ones(2), "adapter.b": np.zeros(3)}
-    ck.save_checkpoint(tmp_path, named)
-    all_bytes = ck.checkpoint_bytes(tmp_path)
-    det_bytes = ck.checkpoint_bytes(tmp_path, prefix="det.")
-    assert len(det_bytes) < len(all_bytes)
-    assert det_bytes in all_bytes
+    files = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "two").iterdir())
+    for name in files:
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "two" / name).read_bytes())
 
 
 def test_missing_manifest(tmp_path):

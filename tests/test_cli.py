@@ -1,8 +1,12 @@
 """Command-line surface: which commands leave files behind, and what the
 long-running ones print."""
 
+import re
+
 from fusedet import analysis, cli
 from fusedet import training as tr
+from fusedet.checkpoint import load_checkpoint
+from fusedet.config import load_file
 
 
 def test_gradcheck_is_read_only(tmp_path, monkeypatch):
@@ -50,3 +54,44 @@ def test_ablate_layers_prints_one_line_per_point(tmp_path, monkeypatch, capsys):
         "l_lm=2 seed=1 val-category acc 0.625 val-spatial acc 0.625",
     ]
     assert (tmp_path / "runs" / "ablation.csv").is_file()
+
+
+def test_analyze_attention_prints_one_line_per_row(tmp_path, monkeypatch,
+                                                   capsys):
+    """One ``layer N <modality>: median ±x.xxxx`` line per profile row; the
+    stage-2 checkpoint load is stubbed, so the LM keeps its init weights."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text("n_val = 2\nlm_layers = 2\n")
+    monkeypatch.setattr(cli, "_load_into", lambda module, out, name: None)
+    assert cli.cli(["analyze-attention", "--config", "tiny.cfg",
+                    "--batch", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [(layer, name) for layer in (1, 2)
+            for name, _ in analysis.MODALITIES]
+    assert len(lines) == len(rows) + 1
+    for line, (layer, name) in zip(lines, rows):
+        assert re.fullmatch(rf"layer {layer} {name}: median [+-]\d+\.\d{{4}}",
+                            line), line
+    assert (tmp_path / "runs" / "attention_profile.csv").is_file()
+
+
+def test_staged_run_equals_one_process(tmp_path, monkeypatch):
+    """``train --stage 1 → 2 → 3`` through checkpoints trains the same
+    adapter, bit for bit, as the same run in one process."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "n_pretrain = 16\nn_train = 16\nn_val = 10\n"
+        "pretrain_steps = 10\ns1_steps = 10\ns2_steps = 10\ns3_steps = 10\n"
+        "pretrain_batch = 4\ns1_batch = 4\ns2_batch = 4\ns3_batch = 4\n"
+        "lm_layers = 2\nl_lm = 1\ndet_depth = 2\nl_d = 2\n")
+    for stage in ("1", "2", "3"):
+        assert cli.cli(["train", "--stage", stage, "--config", "tiny.cfg"]) == 0
+    cfg = load_file("tiny.cfg")
+    staged = tr.build_adapter(cfg)
+    tr.restore(staged, load_checkpoint(tmp_path / "runs" / "adapter"))
+
+    mllm, det, _ = tr.prepare_backbones(cfg)
+    state, _ = tr.run_stage3_experiment(
+        cfg, mllm, det, tr.snapshot(mllm.projector),
+        tr.load_split(cfg, "train"), {})
+    assert tr.module_digest(staged) == tr.module_digest(state)

@@ -109,14 +109,6 @@ class TestLayerNorm:
         assert np.allclose(out.data.mean(-1), 0.0, atol=1e-12)
         assert np.allclose(out.data.std(-1), 1.0, atol=1e-3)
 
-    def test_gradient(self):
-        rng = np.random.default_rng(7)
-        ln = LayerNorm(6)
-        x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-        err = T.finite_diff_check(
-            lambda: T.tsum(T.mul(ln(x), ln(x))), [x, ln.gamma, ln.beta])
-        assert err < 1e-4
-
 
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("rope", [None, 10000.0])
@@ -195,14 +187,6 @@ class TestTransformerBlock:
         again = blk(T.constant(x2), mask=mask, positions=np.arange(6)).data
         assert np.allclose(base[0, :4], again[0, :4])
         assert not np.allclose(base[0, 4:], again[0, 4:])
-
-    def test_gradient_through_block(self):
-        rng = np.random.default_rng(15)
-        blk = TransformerBlock(4, 2, rng, mlp_ratio=1)
-        x = Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True)
-        err = T.finite_diff_check(lambda: T.tsum(T.mul(blk(x), blk(x))),
-                                  [x, blk.attn.wq.weight, blk.mlp.fc1.bias])
-        assert err < 1e-4
 
 
 class TestCrossEntropy:

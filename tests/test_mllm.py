@@ -237,11 +237,15 @@ class TestLmLoss:
         assert float(got.data) == pytest.approx(want, abs=1e-10)
 
 
+def aligned(mllm, img):
+    return mllm.align_vision(mllm.encode_image(T.constant(img)))
+
+
 class TestAdapterTaps:
     def test_layer_zero_is_the_embedding(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(21), b=1)
-        e_v, e_t = mllm.hidden_for_adapter(T.constant(img), 0)
+        e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 0)
         x, layout = mllm.embed_sequence(T.constant(img),
                                         np.zeros((1, 0), dtype=np.intp))
         assert e_t is None
@@ -251,7 +255,7 @@ class TestAdapterTaps:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(22), b=1)
         ids = np.array([[5, 6]])
-        e_v, e_t = mllm.hidden_for_adapter(T.constant(img), 3, ids)
+        e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 3, ids)
         x, layout = mllm.embed_sequence(T.constant(img), ids)
         h3 = mllm.forward_collect(x, layout)[3]
         assert np.array_equal(e_v.data, h3.data[:, 2:6])
@@ -261,13 +265,13 @@ class TestAdapterTaps:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(23), b=1)
         with pytest.raises(ConfigurationError):
-            mllm.hidden_for_adapter(T.constant(img), 5)
+            mllm.hidden_from_aligned(aligned(mllm, img), 5)
 
     def test_text_free_tap_ignores_text_weights(self):
         """Arch-IV-style taps must not depend on the token embedding table."""
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(24), b=1)
-        before, _ = mllm.hidden_for_adapter(T.constant(img), 2)
+        before, _ = mllm.hidden_from_aligned(aligned(mllm, img), 2)
         mllm.tok_embed.data = mllm.tok_embed.data + 100.0
-        after, _ = mllm.hidden_for_adapter(T.constant(img), 2)
+        after, _ = mllm.hidden_from_aligned(aligned(mllm, img), 2)
         assert np.array_equal(before.data, after.data)
