@@ -32,6 +32,15 @@ def test_version_one_rejected(tmp_path):
         ck.load_tensor(p)
 
 
+def test_round_trip_exact_for_f32_values(tmp_path):
+    rng = np.random.default_rng(0)
+    arr = rng.standard_normal((3, 4, 5)).astype(np.float32).astype(np.float64)
+    ck.save_tensor(tmp_path / "a.ledt", arr)
+    back = ck.load_tensor(tmp_path / "a.ledt")
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, arr)
+
+
 def test_round_trip_exact_for_float64(tmp_path):
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((3, 4, 5))

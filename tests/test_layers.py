@@ -10,6 +10,15 @@ from fusedet.layers import (LayerNorm, Linear, MLP, Module,
                             MultiHeadAttention, TransformerBlock,
                             cross_entropy)
 from fusedet.tensor import Tensor, UsageError
+from fusedet.verify import CASES, GRADCHECK_TOL, check_case
+
+
+def check_catalogue(name, seeds=20):
+    """Finite-difference check of one ``verify.CASES`` entry over seeds."""
+    build = dict(CASES)[name]
+    for seed in range(seeds):
+        err = check_case(build, seed)
+        assert err < GRADCHECK_TOL, f"{name} seed {seed}: {err}"
 
 
 def rope_rotate(x, positions, base):
@@ -109,6 +118,9 @@ class TestLayerNorm:
         assert np.allclose(out.data.mean(-1), 0.0, atol=1e-12)
         assert np.allclose(out.data.std(-1), 1.0, atol=1e-3)
 
+    def test_gradient(self):
+        check_catalogue("layer/layernorm")
+
 
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("rope", [None, 10000.0])
@@ -187,6 +199,9 @@ class TestTransformerBlock:
         again = blk(T.constant(x2), mask=mask, positions=np.arange(6)).data
         assert np.allclose(base[0, :4], again[0, :4])
         assert not np.allclose(base[0, 4:], again[0, 4:])
+
+    def test_gradient_through_block(self):
+        check_catalogue("layer/transformer-block")
 
 
 class TestCrossEntropy:
