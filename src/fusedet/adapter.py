@@ -181,8 +181,7 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, cfg: AdapterConfig,
 
 
 def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
-                     self_keys: bool, mask: np.ndarray | None,
-                     return_internals: bool):
+                     self_keys: bool) -> Tensor:
     """The adapter's one kernel: ``x + out_proj(attention)`` where the rows of
     ``x`` attend over the L prompts and, with ``self_keys``, over the T rows
     of ``x`` as a second key segment.  The attention core is ``T.attention``,
@@ -191,8 +190,7 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
 
     RoPE positions run 0..L-1 over the prompts and L..L+T-1 over ``x`` (as
     queries and as self keys).  Per row and head the prompt segment sums to
-    tanh(g) and the self segment to 1.  ``mask`` is an optional additive
-    ndarray broadcastable to [B, heads, T, L+S], S = T or 0 self keys.
+    tanh(g) and the self segment to 1; a ``T.attention_tap`` reads both.
     """
     cfg = state.cfg
     b, t, d = x.shape
@@ -210,29 +208,22 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
 
     q = state.wq(x)
     k, v = keys(state.wk), keys(state.wv)
-    core = T.attention(q, k, v, cfg.heads, mask=mask, rope_base=cfg.rope_base,
+    core = T.attention(q, k, v, cfg.heads, rope_base=cfg.rope_base,
                        pos_q=np.arange(l, l + t), pos_k=np.arange(l + s),
-                       gate=T.tanh(state.gate), gated_keys=l,
-                       return_internals=return_internals)
-    if not return_internals:
-        return T.add(x, state.out_proj(core))
-    out, scores, weights = core
-    return T.add(x, state.out_proj(out)), {
-        "scores": scores, "weights": weights, "prompt_len": l}
+                       gate=T.tanh(state.gate), gated_keys=l)
+    return T.add(x, state.out_proj(core))
 
 
-def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor, state: FusionState,
-                         mask: np.ndarray | None = None,
-                         return_internals: bool = False):
+def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor,
+                         state: FusionState) -> Tensor:
     """The injection step: decoder queries attend over [prompts | queries]."""
-    return _gated_attention(e_d_prev, a_p, state, True, mask, return_internals)
+    return _gated_attention(e_d_prev, a_p, state, True)
 
 
-def fuse_vision(e_v_d: Tensor, a_p: Tensor, state: FusionState,
-                return_internals: bool = False):
+def fuse_vision(e_v_d: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
     """The vision step (``fuses_vision``): detector vision features attend
     over the prompts alone, with the same zero-init guarantees."""
-    return _gated_attention(e_v_d, a_p, state, False, None, return_internals)
+    return _gated_attention(e_v_d, a_p, state, False)
 
 
 class FusionHook:

@@ -97,8 +97,9 @@ def attention_medians(mllm: MiniMllm, images: np.ndarray, text_ids: np.ndarray,
     with T.no_tape():
         x, layout = mllm.embed_sequence(
             T.constant(np.asarray(images, dtype=np.float64)), ids)
-        _, scores = mllm.forward_collect(x, layout, text_valid,
-                                         return_scores=True)
+        with T.attention_tap() as taps:
+            mllm.forward_collect(x, layout, text_valid)
+    scores = [s for s, _ in taps]
     admitted = np.isfinite(
         np.broadcast_to(mllm.sequence_mask(layout, text_valid), scores[0].shape))
     medians: dict[str, list[float]] = {name: [] for name, _ in MODALITIES}
@@ -304,7 +305,7 @@ def median_latency_ms(fn, repeats: int = 50, warmup: int = 5) -> float:
 
 
 def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
-                   b: int = 1, measure_latency: bool = False,
+                   measure_latency: bool = False,
                    repeats: int = 50, warmup: int = 5) -> list[dict]:
     """Cost rows for the fused pipeline on the canonical one-scene workload.
 
@@ -325,6 +326,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         raise UsageError(
             f"adapter widths (d={acfg.d}, d_lm={acfg.d_lm}) do not match "
             f"detector d={dcfg.d} / LM d={mcfg.d_lm}")
+    b = 1                                     # the workload is one scene
     rng = np.random.default_rng(0)
     mllm = MiniMllm(mcfg, rng)
     h, w = mcfg.grid
@@ -445,11 +447,3 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         writer.writerows(rows)
 
-
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise UsageError(f"{path} is empty")
-    return rows[0], rows[1:]

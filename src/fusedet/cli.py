@@ -32,7 +32,8 @@ from . import analysis, training as tr
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_file, save_file
 from .scenes import SPLITS
-from .tensor import NumericsError, UsageError
+from .tensor import (ConfigurationError, DegenerateInputError, DimensionError,
+                     NumericsError, UsageError)
 from .verify import GRADCHECK_TOL, max_error, run_gradcheck
 
 
@@ -204,7 +205,7 @@ def cmd_substitute_baseline(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:
-    results = run_gradcheck(cfg.seed)
+    results = run_gradcheck(cfg.run_seed)
     for name, err in results:
         print(f"{name:35s} {err:.3e}")
     worst = max_error(results)
@@ -338,7 +339,8 @@ def cli(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             save_file(cfg, out / "resolved-config.txt")
         return COMMANDS[args.command](cfg, out, args)
-    except (UsageError, NumericsError, OSError) as e:
+    except (ConfigurationError, DegenerateInputError, DimensionError,
+            NumericsError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

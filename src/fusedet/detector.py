@@ -24,7 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention
 from .scenes import VOCAB, SyntheticScene, box_iou, encode
-from .tensor import Tensor, UsageError
+from .tensor import ConfigurationError, Tensor, UsageError
 
 
 @dataclass
@@ -209,6 +209,11 @@ def pool_phrases(e_txt: Tensor, spans: list[list[tuple[int, int]]],
     b, w, _ = e_txt.shape
     weights = np.zeros((b, max_c, w))
     counts = np.array([len(sp) for sp in spans])
+    if np.any(counts > max_c):
+        i = int(np.argmax(counts))
+        raise ConfigurationError(
+            f"scene {i} has {counts[i]} candidates, more than max_c={max_c} "
+            f"(the detector's query count)")
     for i, sp in enumerate(spans):
         for c, (lo, hi) in enumerate(sp):
             weights[i, c, lo:hi] = 1.0 / (hi - lo)

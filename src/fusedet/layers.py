@@ -70,10 +70,9 @@ class Linear(Module):
     """y = x @ W + b with W of shape [d_in, d_out]."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, scale: float | None = None):
-        std = (1.0 / np.sqrt(d_in)) if scale is None else scale
-        self.weight = Tensor(rng.standard_normal((d_in, d_out)) * std,
-                             requires_grad=True)
+                 bias: bool = True):
+        self.weight = Tensor(rng.standard_normal((d_in, d_out))
+                             * (1.0 / np.sqrt(d_in)), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -98,46 +97,39 @@ class MLP(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
-        self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self._eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class MultiHeadAttention(Module):
     """Standard multi-head attention; optional RoPE on queries and keys.
     Projections are ``Linear`` layers around the fused ``T.attention`` core.
 
-    ``mask`` is an additive ndarray broadcastable to [B, h, Tq, Tk].  With
-    ``return_scores`` the pre-softmax scaled scores come back as a plain
-    ndarray (detached; meant for read-only diagnostics).
+    ``mask`` is an additive ndarray broadcastable to [B, h, Tq, Tk].
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
-                 rope_base: float | None = None, d_kv: int | None = None):
+                 rope_base: float | None = None):
         if d % heads:
             raise DimensionError(f"width {d} not divisible by {heads} heads")
         self.heads = heads
         self.d_head = d // heads
         self.rope_base = rope_base
-        d_kv = d if d_kv is None else d_kv
         self.wq = Linear(d, d, rng)
-        self.wk = Linear(d_kv, d, rng)
-        self.wv = Linear(d_kv, d, rng)
+        self.wk = Linear(d, d, rng)
+        self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
-                 pos_q=None, pos_k=None, return_scores: bool = False):
-        core = T.attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv), self.heads,
-                           mask=mask, rope_base=self.rope_base, pos_q=pos_q,
-                           pos_k=pos_k, return_internals=return_scores)
-        if return_scores:
-            out, scores, _ = core
-            return self.wo(out), scores
-        return self.wo(core)
+                 pos_q=None, pos_k=None) -> Tensor:
+        return self.wo(T.attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv),
+                                   self.heads, mask=mask,
+                                   rope_base=self.rope_base, pos_q=pos_q,
+                                   pos_k=pos_k))
 
 
 def linear_flops(rows: int, d_in: int, d_out: int) -> int:
@@ -159,7 +151,7 @@ def attention_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
 
 def mha_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
               rope: bool = False) -> int:
-    """Closed-form FLOPs of ``MultiHeadAttention`` (d_kv = d): q/k/v
+    """Closed-form FLOPs of ``MultiHeadAttention``: q/k/v
     projections, the attention core, output map."""
     return (2 * linear_flops(b * t_q, d, d) + 2 * linear_flops(b * t_k, d, d)
             + attention_flops(b, t_q, t_k, d, heads, rope))
@@ -175,19 +167,11 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(d)
         self.mlp = MLP(d, mlp_ratio * d, d, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None, positions=None,
-                 return_scores: bool = False):
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 positions=None) -> Tensor:
         h = self.ln1(x)
-        if return_scores:
-            a, scores = self.attn(h, h, mask=mask, pos_q=positions, pos_k=positions,
-                                  return_scores=True)
-        else:
-            a = self.attn(h, h, mask=mask, pos_q=positions, pos_k=positions)
-        x = T.add(x, a)
-        x = T.add(x, self.mlp(self.ln2(x)))
-        if return_scores:
-            return x, scores
-        return x
+        x = T.add(x, self.attn(h, h, mask=mask, pos_q=positions, pos_k=positions))
+        return T.add(x, self.mlp(self.ln2(x)))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

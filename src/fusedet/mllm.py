@@ -210,8 +210,7 @@ class MiniMllm(Module):
 
     def forward_collect(self, x: Tensor, layout: TokenLayout,
                         text_valid: np.ndarray | None = None,
-                        upto_layer: int | None = None,
-                        return_scores: bool = False):
+                        upto_layer: int | None = None) -> list[Tensor]:
         """Run the decoder, returning [h_0 .. h_n] (or up to ``upto_layer``)."""
         if x.shape[1] != len(layout.tags):
             raise DimensionError(
@@ -219,17 +218,10 @@ class MiniMllm(Module):
         mask = self.sequence_mask(layout, text_valid)
         positions = np.arange(len(layout.tags))
         hidden = [x]
-        scores: list[np.ndarray] = []
         depth = self.cfg.n if upto_layer is None else upto_layer
         for block in self.blocks[:depth]:
-            if return_scores:
-                x, s = block(x, mask=mask, positions=positions, return_scores=True)
-                scores.append(s)
-            else:
-                x = block(x, mask=mask, positions=positions)
+            x = block(x, mask=mask, positions=positions)
             hidden.append(x)
-        if return_scores:
-            return hidden, scores
         return hidden
 
     # -- training objective -------------------------------------------------

@@ -16,8 +16,13 @@ Design points:
   no backward closure has captured yet, never into an input's ``data`` or a
   view of it; the ufuncs and their operand order stay those of the
   out-of-place form, so values do not change.
-* FLOPs are counted into every active ``FlopsMeter`` scope, using the
-  conventions spelled out in ``FLOP_CONVENTIONS``.
+
+Three scopes act on every op inside their ``with`` block, and each nests:
+
+* ``no_tape()``       - no gradient tape is recorded;
+* ``FlopsMeter()``    - FLOPs are counted, by ``FLOP_CONVENTIONS``;
+* ``attention_tap()`` - each ``attention`` call's scaled scores and weights
+  are collected as detached copies.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ __all__ = [
     "rope_angles",
     "backward",
     "no_tape",
+    "attention_tap",
     "finite_diff_check",
     "additive_mask",
     "causal_mask",
@@ -278,6 +284,23 @@ def no_tape():
         yield
     finally:
         _NO_TAPE.pop()
+
+
+_TAPS: list[list] = []          # one record list per open ``attention_tap``
+
+
+@contextmanager
+def attention_tap():
+    """Every ``attention`` call inside the ``with`` block appends one
+    ``(scaled scores, weights)`` pair of detached [B, h, Tq, Tk] copies to
+    the yielded list, in call order; nested taps each record every call.
+    For read-only diagnostics: ``analysis.attention_medians`` and the
+    adapter's gate and prompt-segment mass."""
+    _TAPS.append([])
+    try:
+        yield _TAPS[-1]
+    finally:
+        _TAPS.pop()                 # LIFO: this tap, never an equal list
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
@@ -659,7 +682,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
               rope_base: float | None = None, pos_q=None, pos_k=None,
-              gate=None, gated_keys: int = 0, return_internals: bool = False):
+              gate=None, gated_keys: int = 0):
     """Multi-head attention core on projected inputs: one tape node.
 
     ``q`` is [B, Tq, d]; ``k`` and ``v`` are [B, Tk, d].  Each is split into
@@ -675,8 +698,8 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
 
     The forward repeats the unfused op sequence (split, rope, transpose,
     matmul, scale, softmax per segment, gate, concat, matmul, merge) on the
-    same arrays, so values and FLOPs equal it.  ``return_internals`` also
-    returns the scaled scores and the weights as detached ndarrays.
+    same arrays, so values and FLOPs equal it.  Each open ``attention_tap``
+    records the scaled scores and the weights.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape \
@@ -779,8 +802,10 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
             acc(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qt), rope_k, tk))
 
     out = _make(out_data, parents, bw, "attention")
-    if return_internals:
-        return out, scores.copy(), weights.copy()
+    if _TAPS:
+        record = (scores.copy(), weights.copy())
+        for tap in _TAPS:
+            tap.append(record)
     return out
 
 

@@ -25,14 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .adapter import ARCHS, AdapterConfig, FusionState
+from .adapter import (ARCHS, AdapterConfig, FusionState, fuse_vision,
+                      make_prompts, zero_init_cross_attn)
 from .config import ExperimentConfig
 from .detector import (DetectorConfig, GroundingDetector, SubstitutionHead,
                        detection_loss)
 from .layers import (MLP, LayerNorm, Linear, MultiHeadAttention,
                      TransformerBlock)
 from .mllm import MiniMllm, MllmConfig
-from .scenes import Query, SyntheticScene, encode
+from .scenes import Query, SyntheticScene, encode, generate_scenes
 from .tensor import Tensor, finite_diff_check
 from . import training as tr
 
@@ -273,6 +274,42 @@ def _fused_loss(arch):
     return build
 
 
+def _adapter_step(arch):
+    """One adapter step at width 8 from weights drawn away from zero-init:
+    Arch IV injects its prompts into three queries, Arch I gates its
+    text-fused prompts into three vision features."""
+    def build(rng):
+        state = FusionState(AdapterConfig(arch=arch, d=8, d_lm=8, heads=2), rng)
+        for p in state.parameters():
+            p.data = rng.standard_normal(p.shape) * 0.3
+        cfg = state.cfg
+        e_v_l = T.constant(rng.standard_normal((1, 4, 8)))
+        e_t = T.constant(rng.standard_normal((1, 6, 8))) \
+            if cfg.text_fusion else None
+        x = T.constant(rng.standard_normal((1, 3, 8)))
+        step = fuse_vision if cfg.fuses_vision else zero_init_cross_attn
+        own = ([state.proj_lm.weight, state.text_fusion.wo.weight]
+               if cfg.fuses_vision else
+               [state.wq.weight, state.conv_kernel, state.conv_bias])
+        return (lambda: _weighted_sum(step(
+            x, make_prompts(e_v_l, e_t, cfg, state), state))
+        ), [state.gate, state.out_proj.weight, *own]
+    return build
+
+
+def _detection_loss(rng):
+    """The detection loss on raw box and logit tensors for one generated
+    scene."""
+    scene = generate_scenes(int(rng.integers(1 << 16)), 1, "val-category")[0]
+    cfg = DetectorConfig()
+    c = len(scene.candidates)
+    boxes_raw = _param(rng, 1, cfg.queries, 4)
+    logits = _param(rng, 1, cfg.queries, c + 1)
+    return (lambda: detection_loss(T.sigmoid(boxes_raw), logits,
+                                   np.array([c]), [scene], cfg)
+            ), [boxes_raw, logits]
+
+
 def _substitution_loss(rng):
     mllm, det, scenes = _micro_grounding(rng)
     sub = SubstitutionHead(12, 12, mllm.cfg.grid, mllm.cfg.shuffle_r, rng)
@@ -346,6 +383,9 @@ CASES = [
     *((f"composed/fused-loss-arch-{arch}", _fused_loss(arch))
       for arch in ARCHS),
     ("composed/substitution-loss", _substitution_loss),
+    ("composed/adapter-injection", _adapter_step("IV")),
+    ("composed/adapter-vision", _adapter_step("I")),
+    ("composed/detection-loss", _detection_loss),
 ]
 
 

@@ -10,6 +10,9 @@ from fusedet.adapter import (ARCHS, AdapterConfig, FusionState, bind,
                              adapter_param_count, adapter_param_flops,
                              fuse_vision, make_prompts, zero_init_cross_attn)
 from fusedet.tensor import ConfigurationError, DimensionError, FlopsMeter
+from fusedet.verify import CASES, GRADCHECK_TOL, check_case
+
+BUILDS = dict(CASES)
 
 
 def make_state(arch="IV", seed=0, **kw):
@@ -92,30 +95,34 @@ class TestZeroInitIdentity:
         assert not np.allclose(out.data, e_d_prev.data)
 
 
+def tapped(run):
+    """(scaled scores, weights) of the one attention call ``run()`` makes."""
+    with T.attention_tap() as taps:
+        run()
+    (scores, weights), = taps
+    return scores, weights
+
+
 class TestGateAlgebra:
-    def build_internals(self, gate_values, mask=None, seed=3):
+    def build_internals(self, gate_values, seed=3):
         state = make_state("IV")
         randomize(state, seed)
         state.gate.data = np.asarray(gate_values, dtype=float)
         rng = np.random.default_rng(seed + 1)
         e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng, b=2, t=3)
         a_p = make_prompts(e_v_l, None, state.cfg, state)
-        _, info = zero_init_cross_attn(e_d_prev, a_p, state, mask=mask,
-                                       return_internals=True)
-        return state, info
+        return state, *tapped(lambda: zero_init_cross_attn(e_d_prev, a_p, state))
 
     def test_weights_match_bruteforce(self):
         gate = [0.7, -0.4, 0.0, 2.0]
-        state, info = self.build_internals(gate)
-        want = segment_softmax_oracle(info["scores"], np.array(gate),
-                                      info["prompt_len"])
-        got_weights = info["weights"]
-        assert np.allclose(got_weights, want, atol=1e-12)
+        state, scores, weights = self.build_internals(gate)
+        want = segment_softmax_oracle(scores, np.array(gate),
+                                      state.cfg.prompt_len)
+        assert np.allclose(weights, want, atol=1e-12)
 
     def test_segment_masses(self):
-        state, info = self.build_internals([0.3, 1.2, -0.8, 0.5])
-        l = info["prompt_len"]
-        w = info["weights"]
+        state, _, w = self.build_internals([0.3, 1.2, -0.8, 0.5])
+        l = state.cfg.prompt_len
         prompt_mass = w[..., :l].sum(-1)       # [B, h, T]
         self_mass = w[..., l:].sum(-1)
         g = np.tanh(state.gate.data)
@@ -129,52 +136,47 @@ class TestGateAlgebra:
         rng = np.random.default_rng(seed + 1)
         e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng, b=2, t=3)
         a_p = make_prompts(e_v_l, e_t, state.cfg, state)
-        _, info = fuse_vision(e_v_d, a_p, state, return_internals=True)
-        return state, info
+        return state, *tapped(lambda: fuse_vision(e_v_d, a_p, state))
 
     def test_vision_path_weights_match_bruteforce(self):
         """Arch I runs the same kernel with no self segment: its weights are
         the prompt segment alone."""
         gate = [0.7, -0.4, 0.0, 2.0]
-        state, info = self.vision_internals(gate)
-        l = info["prompt_len"]
-        assert info["weights"].shape == (2, 4, 3, l)
-        want = segment_softmax_oracle(info["scores"], np.array(gate), l)
-        assert np.allclose(info["weights"], want, atol=1e-12)
+        state, scores, weights = self.vision_internals(gate)
+        l = state.cfg.prompt_len
+        assert weights.shape == (2, 4, 3, l)
+        want = segment_softmax_oracle(scores, np.array(gate), l)
+        assert np.allclose(weights, want, atol=1e-12)
 
     def test_vision_path_mass_is_the_gate(self):
-        state, info = self.vision_internals([0.3, 1.2, -0.8, 0.5])
+        state, _, weights = self.vision_internals([0.3, 1.2, -0.8, 0.5])
         g = np.tanh(state.gate.data)
-        assert np.allclose(info["weights"].sum(-1), g[None, :, None],
-                           atol=1e-12)
+        assert np.allclose(weights.sum(-1), g[None, :, None], atol=1e-12)
 
     def test_zero_gate_heads_pass_nothing(self):
-        state, info = self.build_internals([0.0, 0.0, 1.0, 1.0])
-        l = info["prompt_len"]
-        assert np.all(info["weights"][:, :2, :, :l] == 0.0)
+        state, _, weights = self.build_internals([0.0, 0.0, 1.0, 1.0])
+        l = state.cfg.prompt_len
+        assert np.all(weights[:, :2, :, :l] == 0.0)
 
     def test_masked_prompt_columns_renormalize(self):
         """Masking with -inf zeroes the blocked column and renormalizes the
-        surviving prompt columns to the same tanh(g) mass."""
-        cfg = AdapterConfig(arch="IV", grid=(4, 4), conv_k=3, conv_stride=1,
-                            conv_pad=1)        # prompt length 16
-        state = FusionState(cfg, np.random.default_rng(4))
-        randomize(state)
-        state.gate.data = np.array([0.9, 0.2, -0.3, 1.5])
+        surviving prompt columns to the same tanh(g) mass: the gated
+        attention core the adapter runs, on 16 prompt and 3 self keys."""
         rng = np.random.default_rng(5)
-        e_v_l = T.constant(rng.standard_normal((1, 16, cfg.d_lm)))
-        e_d_prev = T.constant(rng.standard_normal((1, 3, cfg.d)))
-        a_p = make_prompts(e_v_l, None, cfg, state)
-        l, t = 16, 3
+        l, t, d = 16, 3, 64
+        q = T.constant(rng.standard_normal((1, t, d)))
+        k, v = (T.constant(rng.standard_normal((1, l + t, d))) for _ in "kv")
+        gate = np.array([0.9, 0.2, -0.3, 1.5])
         mask = np.zeros((1, 1, t, l + t))
         mask[..., 2] = -np.inf                 # block prompt column 2
-        _, info = zero_init_cross_attn(e_d_prev, a_p, state, mask=mask,
-                                       return_internals=True)
-        w = info["weights"]
+        scores, w = tapped(lambda: T.attention(
+            q, k, v, 4, mask=mask, rope_base=10000.0,
+            pos_q=np.arange(l, l + t), pos_k=np.arange(l + t),
+            gate=T.tanh(T.constant(gate)), gated_keys=l))
         assert np.all(w[..., 2] == 0.0)
         assert np.allclose(w[..., :l].sum(-1),
-                           np.tanh(state.gate.data)[None, :, None], atol=1e-12)
-        want = segment_softmax_oracle(info["scores"], state.gate.data, l, mask)
+                           np.tanh(gate)[None, :, None], atol=1e-12)
+        want = segment_softmax_oracle(scores, gate, l, mask)
         assert np.allclose(w, want, atol=1e-12)
 
 
@@ -312,34 +314,11 @@ class TestGradientEscape:
             assert p.grad is not None and np.any(p.grad != 0.0), name
 
     def test_finite_difference_through_adapter(self):
-        state = make_state("IV", seed=23, d=8, d_lm=8, heads=2)
-        randomize(state, 24)
-        rng = np.random.default_rng(25)
-        e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng, b=1, t=3)
-
-        def f():
-            a_p = make_prompts(e_v_l, None, state.cfg, state)
-            out = zero_init_cross_attn(e_d_prev, a_p, state)
-            return T.tsum(T.mul(out, out))
-
-        params = [state.gate, state.wq.weight, state.conv_kernel,
-                  state.out_proj.weight, state.conv_bias]
-        assert T.finite_diff_check(f, params) < 1e-4
+        assert check_case(BUILDS["composed/adapter-injection"], 0) \
+            < GRADCHECK_TOL
 
     def test_finite_difference_vision_path(self):
-        state = make_state("I", seed=26, d=8, d_lm=8, heads=2)
-        randomize(state, 27)
-        rng = np.random.default_rng(28)
-        e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng, b=1, t=3)
-
-        def f():
-            a_p = make_prompts(e_v_l, e_t, state.cfg, state)
-            out = fuse_vision(e_v_d, a_p, state)
-            return T.tsum(T.mul(out, out))
-
-        params = [state.gate, state.proj_lm.weight,
-                  state.text_fusion.wo.weight, state.out_proj.weight]
-        assert T.finite_diff_check(f, params) < 1e-4
+        assert check_case(BUILDS["composed/adapter-vision"], 0) < GRADCHECK_TOL
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
 """Diagnostics: attention medians vs a sort oracle, the adapter-depth sweep,
 and the two-route (metered vs closed-form) cost accounting."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -11,14 +12,21 @@ import fusedet.tensor as T
 from fusedet.adapter import AdapterConfig, adapter_param_flops
 from fusedet.analysis import (AblationResult, AttentionProfile,
                               attention_medians, compute_report, layer_sweep,
-                              median_latency_ms, rank_layers, read_csv,
-                              sweep_means, write_ablation_csv,
-                              write_attention_csv, write_compute_csv)
+                              median_latency_ms, rank_layers, sweep_means,
+                              write_ablation_csv, write_attention_csv,
+                              write_compute_csv)
 from fusedet.config import ExperimentConfig
 from fusedet.detector import DetectorConfig
 from fusedet.mllm import MiniMllm, MllmConfig, TAG_SYSTEM, TAG_TEXT, TAG_VISION
 from fusedet import training as tr
 from fusedet.tensor import UsageError
+
+
+def read_csv(path):
+    """(header, rows) of a CSV the analysis writers produced."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
 
 
 def small_mllm(n=2, seed=5):
@@ -45,7 +53,9 @@ def oracle_medians(mllm, images, ids, valid):
     pairs and a sort-based median."""
     x, layout = mllm.embed_sequence(T.constant(np.asarray(images, float)),
                                     np.asarray(ids, dtype=np.intp))
-    _, scores = mllm.forward_collect(x, layout, valid, return_scores=True)
+    with T.attention_tap() as taps:
+        mllm.forward_collect(x, layout, valid)
+    scores = [s for s, _ in taps]
     t0, t1 = layout.text_span
     n = len(layout.tags)
     out = {"system": [], "vision": [], "text": []}

@@ -1,14 +1,18 @@
-"""The traced benchmark's view of the program: every function and method
-``perfbench/spans.py`` wraps still exists, and a traced forward of each
-adapter preset records the per-arch adapter spans the benchmark reports."""
+"""The benchmark's view of the program: every call ``perfbench/`` makes into
+``fusedet`` still binds with the same positional and keyword shape, every
+function and method ``perfbench/spans.py`` wraps still exists, and a traced
+forward of each adapter preset records the per-arch adapter spans the
+benchmark reports."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
+from fusedet import adapter, analysis
 from fusedet.adapter import ARCHS
 from fusedet.config import ExperimentConfig
 from fusedet import training as tr
@@ -23,6 +27,49 @@ def spans():
     sys.modules[spec.name] = module          # dataclasses look the module up
     spec.loader.exec_module(module)
     return module
+
+
+# (callable, positional argument count, keyword names) for each call shape
+# in perfbench/workloads.py, perfbench/projection.py and perfbench/run.py
+CALLS = [
+    (tr.build_models, 1, ()),
+    (tr.load_split, 2, ()),
+    (tr.snapshot, 1, ()),
+    (tr.restore, 2, ()),
+    (tr.generate_scenes, 3, ()),
+    (tr.pretrain_detector, 4, ()),
+    (tr.train_stage1, 3, ()),
+    (tr.train_stage2, 3, ()),
+    (tr.build_adapter, 1, ()),
+    (tr.build_adapter, 1, ("arch",)),
+    (tr.Stage3Cache, 4, ("full_decode", "chunk")),
+    (tr.train_stage3, 5, ()),
+    (tr.train_stage3, 5, ("cached", "cache")),
+    (tr.stage3_loss_cached, 6, ()),
+    (tr.stage3_loss_naive, 5, ()),
+    (tr.build_substitution, 2, ()),
+    (tr.train_substitution, 5, ()),
+    (tr.evaluate, 4, ()),
+    (tr.evaluate, 4, ("state",)),
+    (tr.evaluate, 4, ("sub",)),
+    (tr.grounded_outputs, 4, ("state",)),
+    (analysis.compute_report, 3, ("measure_latency",)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,n_args,keywords", CALLS,
+    ids=[f"{fn.__name__}-{n}-{'-'.join(kw) or 'positional'}"
+         for fn, n, kw in CALLS])
+def test_benchmark_calls_bind(fn, n_args, keywords):
+    inspect.signature(fn).bind(*[None] * n_args,
+                               **{k: None for k in keywords})
+
+
+def test_fuse_vision_span_finds_the_state():
+    """``spans._arch_of_fuse`` reads a positional ``state`` as the third
+    argument of ``fuse_vision``."""
+    assert list(inspect.signature(adapter.fuse_vision).parameters)[2] == "state"
 
 
 def test_every_target_resolves(spans):

@@ -95,3 +95,33 @@ def test_staged_run_equals_one_process(tmp_path, monkeypatch):
         cfg, mllm, det, tr.snapshot(mllm.projector),
         tr.load_split(cfg, "train"), {})
     assert tr.module_digest(staged) == tr.module_digest(state)
+
+
+def test_gradcheck_seed_reaches_the_catalogue(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seeds = []
+    monkeypatch.setattr(cli, "run_gradcheck",
+                        lambda seed: seeds.append(seed) or [("stub", 0.0)])
+    assert cli.cli(["gradcheck", "--seed", "7"]) == 0
+    assert seeds == [7]
+
+
+def test_configuration_error_is_a_named_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("arch = V\n")
+    assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'V'" in err
+
+
+def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
+    """Scenes carry up to four candidates; three detector queries cannot
+    pool them, and the error names both counts."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "n_pretrain = 16\npretrain_batch = 16\nlm_layers = 1\n"
+        "det_depth = 1\ndet_queries = 3\n")
+    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: scene \d+ has 4 candidates, more than "
+                        r"max_c=3 \(the detector's query count\)\n", err), err

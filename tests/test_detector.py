@@ -14,7 +14,8 @@ from fusedet.detector import (DetectorConfig, GroundingDetector,
                               substitution_index)
 from fusedet.scenes import (PACK_WIDTH, PAD, SyntheticScene, encode,
                             generate_scenes)
-from fusedet.tensor import Tensor, UsageError
+from fusedet.tensor import UsageError
+from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 
 
 def make_detector(seed=0, **kw):
@@ -292,20 +293,8 @@ class TestDetectionLoss:
         assert float(b.data) == pytest.approx(2 * float(a.data), rel=1e-9)
 
     def test_gradient(self):
-        _, cfg = make_detector()
-        scene = self.scene()
-        rng = np.random.default_rng(8)
-        c = len(scene.candidates)
-        boxes_raw = Tensor(rng.standard_normal((1, cfg.queries, 4)),
-                           requires_grad=True)
-        logits = Tensor(rng.standard_normal((1, cfg.queries, c + 1)),
-                        requires_grad=True)
-        counts = np.array([c])
-
-        def f():
-            return detection_loss(T.sigmoid(boxes_raw), logits, counts,
-                                  [scene], cfg)
-        assert T.finite_diff_check(f, [boxes_raw, logits]) < 1e-4
+        build = dict(CASES)["composed/detection-loss"]
+        assert check_case(build, 0) < GRADCHECK_TOL
 
 
 # -- evaluation --------------------------------------------------------------

@@ -3,9 +3,9 @@
 The cases are ``fusedet.verify.CASES``, the catalogue ``fusedet gradcheck``
 runs: each ``op/`` and ``layer/`` case over 20 seeds, each ``composed/``
 case at one.  Most ``op/`` cases run under the test names they had before
-the catalogue held them, ``layer/layernorm`` and ``layer/transformer-block``
-run in ``test_layers.py``, and ``test_catalogue_case`` runs every other
-case.  The tests at the end check the oracle itself.
+the catalogue held them, ``ELSEWHERE`` names the cases whose tests live
+beside their modules' other tests, and ``test_catalogue_case`` runs every
+other case.  The tests at the end check the oracle itself.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ SINGLE = ["op/log", "op/div", "op/conv2d", "op/rope", "op/pixel_unshuffle",
           "op/concat", "op/embedding", "op/softmax-masked",
           "op/softmax-matmul", "op/layer_norm", "op/attention-masked",
           "op/attention-rope-offsets", "op/cross-entropy-masked"]
-IN_TEST_LAYERS = ["layer/layernorm", "layer/transformer-block"]
+# run by test_layers.py, test_adapter.py and test_detector.py
+ELSEWHERE = ["layer/layernorm", "layer/transformer-block",
+             "composed/adapter-injection", "composed/adapter-vision",
+             "composed/detection-loss"]
 NAMED = {*UNARY.values(), *BINARY.values(), *LINEAR.values(),
-         *GATED.values(), *SINGLE, *IN_TEST_LAYERS}
+         *GATED.values(), *SINGLE, *ELSEWHERE}
 OTHERS = [name for name, _ in CASES if name not in NAMED]
 
 

@@ -133,9 +133,9 @@ class TestMultiHeadAttention:
 
     def test_cross_attention_widths(self):
         rng = np.random.default_rng(9)
-        m = MultiHeadAttention(8, 2, rng, d_kv=6)
+        m = MultiHeadAttention(8, 2, rng)
         xq = rng.standard_normal((1, 3, 8))
-        xkv = rng.standard_normal((1, 7, 6))
+        xkv = rng.standard_normal((1, 7, 8))
         got = m(T.constant(xq), T.constant(xkv))
         assert got.shape == (1, 3, 8)
         assert np.allclose(got.data, mha_oracle(xq, xkv, m), atol=1e-10)
@@ -158,17 +158,21 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(11)
         m = MultiHeadAttention(8, 2, rng, rope_base=10000.0)
         x = rng.standard_normal((1, 6, 8))
-        _, s0 = m(T.constant(x), T.constant(x), pos_q=np.arange(6),
-                  pos_k=np.arange(6), return_scores=True)
-        _, s1 = m(T.constant(x), T.constant(x), pos_q=np.arange(6) + 13,
-                  pos_k=np.arange(6) + 13, return_scores=True)
+        with T.attention_tap() as taps:
+            m(T.constant(x), T.constant(x), pos_q=np.arange(6),
+              pos_k=np.arange(6))
+            m(T.constant(x), T.constant(x), pos_q=np.arange(6) + 13,
+              pos_k=np.arange(6) + 13)
+        (s0, _), (s1, _) = taps
         assert np.allclose(s0, s1, atol=1e-10)
 
     def test_scores_shape_and_detachment(self):
         rng = np.random.default_rng(12)
         m = MultiHeadAttention(8, 4, rng)
         x = rng.standard_normal((2, 5, 8))
-        out, scores = m(T.constant(x), T.constant(x), return_scores=True)
+        with T.attention_tap() as taps:
+            m(T.constant(x), T.constant(x))
+        (scores, _), = taps
         assert scores.shape == (2, 4, 5, 5)
         assert isinstance(scores, np.ndarray)
 

@@ -437,12 +437,52 @@ class TestFusedOps:
 
     def test_attention_internals_are_detached_copies(self):
         q, k, v = fused_attention_inputs(np.random.default_rng(7))
-        out, scores, weights = T.attention(q, k, v, 2, return_internals=True)
+        with T.attention_tap() as taps:
+            out = T.attention(q, k, v, 2)
+        (scores, weights), = taps
         assert scores.shape == weights.shape == (2, 2, 3, 5)
         assert scores.base is None and weights.base is None
         assert np.allclose(weights.sum(-1), 1.0)
         again = T.attention(q, k, v, 2)
         assert out.data.tobytes() == again.data.tobytes()
+
+    def test_attention_tap_records_only_while_open(self):
+        q, k, v = fused_attention_inputs(np.random.default_rng(8))
+        T.attention(q, k, v, 2)
+        with T.attention_tap() as taps:
+            pass
+        T.attention(q, k, v, 2)
+        assert taps == []
+        with T.attention_tap() as taps:
+            T.attention(q, k, v, 2)
+        assert len(taps) == 1
+
+    def test_nested_taps_both_record_and_close_inner_first(self):
+        """Two empty taps are equal lists; closing the inner one must still
+        leave the outer one open."""
+        rng = np.random.default_rng(9)
+        q, k, v = fused_attention_inputs(rng)
+        q4, k4, v4 = fused_attention_inputs(rng, tk=4)
+        with T.attention_tap() as outer:
+            with T.attention_tap() as inner:
+                T.attention(q, k, v, 2)
+            T.attention(q4, k4, v4, 2)
+        assert len(outer) == 2 and len(inner) == 1
+        assert outer[0][0].tobytes() == inner[0][0].tobytes()
+        assert outer[1][0].shape == (2, 2, 3, 4)
+
+    @pytest.mark.parametrize("gated_keys", [0, 2])
+    def test_tap_leaves_outputs_bitwise_equal(self, gated_keys):
+        rng = np.random.default_rng(10)
+        q, k, v = fused_attention_inputs(rng)
+        kw = {}
+        if gated_keys:
+            kw = dict(gate=T.constant(rng.standard_normal(2)),
+                      gated_keys=gated_keys)
+        plain = T.attention(q, k, v, 2, rope_base=100.0, **kw)
+        with T.attention_tap():
+            tapped = T.attention(q, k, v, 2, rope_base=100.0, **kw)
+        assert plain.data.tobytes() == tapped.data.tobytes()
 
     def test_masked_cross_entropy_matches_log_softmax(self):
         rng = np.random.default_rng(8)

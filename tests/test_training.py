@@ -312,6 +312,31 @@ class TestCachedEquivalence:
                             b["train"], cache=cache)
 
 
+class TestAttentionTap:
+    def test_tap_reads_the_gate_of_an_opened_adapter(self, bench):
+        """A tap around one cached stage-3 loss holds the adapter's record
+        among the LM's and the decoder's: the one with L + Q keys, whose
+        prompt segment carries tanh(gate) per head."""
+        b = bench
+        cfg = b["cfg"]
+        tr.restore(b["mllm"].projector, b["projector"])
+        state = tr.build_adapter(cfg, arch="IV")
+        rng = np.random.default_rng(6)
+        state.gate.data = rng.uniform(-1.5, 1.5, state.gate.shape)
+        state.out_proj.weight.data = rng.standard_normal(
+            state.out_proj.weight.shape) * 0.1
+        idx = np.array([2, 9, 17])
+        with T.attention_tap() as taps:
+            tr.stage3_loss_cached(cfg, b["mllm"], b["det"], state,
+                                  stage3_cache(b), idx)
+        l, q = state.cfg.prompt_len, cfg.det_queries
+        (w,) = [w for _, w in taps if w.shape[-1] == l + q]
+        assert len(taps) > 1
+        assert w.shape == (len(idx), state.cfg.heads, q, l + q)
+        assert np.allclose(w[..., :l].sum(-1),
+                           np.tanh(state.gate.data)[None, :, None], atol=1e-12)
+
+
 def non_leaf_tape_nodes(loss) -> int:
     """Interior nodes ``backward`` will visit from ``loss``."""
     seen, stack, interior = set(), [loss], 0
