@@ -227,29 +227,28 @@ def fuse_vision(e_v_d: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
 
 
 class FusionHook:
-    """Binds computed prompts to a detector pass.  ``inject`` transforms query
-    embeddings right before decoder layer ``l_d`` (None for a vision-fusing
-    adapter); ``vision`` rewrites vision features before decoding."""
+    """The one way an adapter enters a detector pass: prompts computed from
+    one batch of LM states, applied by ``GroundingDetector.decode`` as
+    ``q, e_vis = hook(q, e_vis)`` right before decoder layer ``l_d`` (always
+    ``state.cfg.l_d``).  With ``fuses_vision`` the call gates the prompts
+    into the vision features (Arch I, ``l_d`` = 1); otherwise ``inject``
+    transforms the decoder queries."""
 
-    def __init__(self, state: FusionState, a_p: Tensor):
+    def __init__(self, state: FusionState, e_v_l: Tensor,
+                 e_t: Tensor | None = None,
+                 e_t_valid: np.ndarray | None = None):
         self.state = state
-        self.a_p = a_p
-        self.l_d = None if state.cfg.fuses_vision else state.cfg.l_d
+        self.a_p = make_prompts(e_v_l, e_t, cfg=state.cfg, state=state,
+                                e_t_valid=e_t_valid)
+        self.l_d = state.cfg.l_d
+
+    def __call__(self, q: Tensor, e_vis: Tensor) -> tuple[Tensor, Tensor]:
+        if self.state.cfg.fuses_vision:
+            return q, fuse_vision(e_vis, self.a_p, self.state)
+        return self.inject(q), e_vis
 
     def inject(self, q: Tensor) -> Tensor:
         return zero_init_cross_attn(q, self.a_p, self.state)
-
-    def vision(self, e_v_d: Tensor) -> Tensor:
-        if not self.state.cfg.fuses_vision:
-            return e_v_d
-        return fuse_vision(e_v_d, self.a_p, self.state)
-
-
-def bind(state: FusionState, e_v_l: Tensor, e_t: Tensor | None = None,
-         e_t_valid: np.ndarray | None = None) -> FusionHook:
-    """Convenience: prompts + hook for one batch of LM states."""
-    return FusionHook(state, make_prompts(e_v_l, e_t, cfg=state.cfg,
-                                          state=state, e_t_valid=e_t_valid))
 
 
 # ---------------------------------------------------------------------------

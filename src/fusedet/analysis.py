@@ -28,8 +28,8 @@ import numpy as np
 
 from . import tensor as T
 from . import training as tr
-from .adapter import (AdapterConfig, FusionState, adapter_param_count,
-                      adapter_param_flops, bind, fuse_vision)
+from .adapter import (AdapterConfig, FusionHook, FusionState,
+                      adapter_param_count, adapter_param_flops)
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
 from .layers import linear_flops, mha_flops
@@ -163,10 +163,8 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
         raise UsageError(
             f"l_lm values {bad} outside the decoder depth range 0..{mllm.cfg.n}")
     if cache is None:
-        acfg = cfg.adapter_config()
-        cache = tr.Stage3Cache(mllm, det, train_scenes, acfg.l_d,
-                               full_decode=acfg.fuses_vision,
-                               chunk=cfg.eval_chunk)
+        cache = tr.Stage3Cache(mllm, det, train_scenes,
+                               cfg.adapter_config().l_d, chunk=cfg.eval_chunk)
     results = []
     for seed in seeds:
         for l_lm in l_lm_values:
@@ -231,54 +229,51 @@ def _mlp_flops(rows: int, d_in: int, d_hidden: int, d_out: int) -> int:
             + linear_flops(rows, d_hidden, d_out))
 
 
-def _lm_block_flops(b: int, n_seq: int, d: int, heads: int, mlp_ratio: int) -> int:
-    rows = b * n_seq
-    return (_layernorm_flops(rows, d)
-            + mha_flops(b, n_seq, n_seq, d, heads, rope=True) + rows * d
-            + _layernorm_flops(rows, d)
-            + _mlp_flops(rows, d, mlp_ratio * d, d) + rows * d)
+def _lm_block_flops(n_seq: int, d: int, heads: int, mlp_ratio: int) -> int:
+    return (_layernorm_flops(n_seq, d)
+            + mha_flops(1, n_seq, n_seq, d, heads, rope=True) + n_seq * d
+            + _layernorm_flops(n_seq, d)
+            + _mlp_flops(n_seq, d, mlp_ratio * d, d) + n_seq * d)
 
 
-def patch_encoder_flops(mcfg: MllmConfig, b: int = 1) -> int:
-    """Shared frozen patch embedding of one image batch."""
+def patch_encoder_flops(mcfg: MllmConfig) -> int:
+    """Shared frozen patch embedding of one image."""
     h, w = mcfg.grid
     p = h * w
-    return 2 * b * p * mcfg.d_patch * mcfg.d_patch + b * p * mcfg.d_patch
+    return 2 * p * mcfg.d_patch * mcfg.d_patch + p * mcfg.d_patch
 
 
 def detector_forward_flops(dcfg: DetectorConfig, n_patches: int, d_patch: int,
-                           text_width: int, n_cand: int, b: int = 1) -> int:
-    """Detector inference on encoded patches: vision/text encoders, phrase
-    pooling, the decoder stack, and both heads."""
+                           text_width: int, n_cand: int) -> int:
+    """Detector inference on one scene's encoded patches: vision/text
+    encoders, phrase pooling, the decoder stack, and both heads."""
     d, h, q, w = dcfg.d, dcfg.heads, dcfg.queries, text_width
-    f = linear_flops(b * n_patches, d_patch, d) + b * n_patches * d
-    f += (mha_flops(b, w, w, d, h, rope=True) + b * w * d
-          + _layernorm_flops(b * w, d))                       # text encoder
-    f += 2 * b * n_cand * w * d                               # phrase pooling
-    per_layer = (_layernorm_flops(b * q, d) + mha_flops(b, q, q, d, h)
-                 + b * q * d
-                 + _layernorm_flops(b * q, d) + mha_flops(b, q, n_patches, d, h)
-                 + b * q * d
-                 + _layernorm_flops(b * q, d) + mha_flops(b, q, w, d, h)
-                 + b * q * d
-                 + _layernorm_flops(b * q, d)
-                 + _mlp_flops(b * q, d, dcfg.mlp_ratio * d, d) + b * q * d)
+    f = linear_flops(n_patches, d_patch, d) + n_patches * d
+    f += (mha_flops(1, w, w, d, h, rope=True) + w * d
+          + _layernorm_flops(w, d))                       # text encoder
+    f += 2 * n_cand * w * d                               # phrase pooling
+    per_layer = (_layernorm_flops(q, d) + mha_flops(1, q, q, d, h) + q * d
+                 + _layernorm_flops(q, d) + mha_flops(1, q, n_patches, d, h)
+                 + q * d
+                 + _layernorm_flops(q, d) + mha_flops(1, q, w, d, h) + q * d
+                 + _layernorm_flops(q, d)
+                 + _mlp_flops(q, d, dcfg.mlp_ratio * d, d) + q * d)
     f += dcfg.depth * per_layer
-    f += _layernorm_flops(b * q, d)                           # output norm
-    f += _mlp_flops(b * q, d, d, 4) + b * q * 4               # box head
-    f += linear_flops(b * q, d, d)                            # class projection
-    f += 2 * b * q * d * n_cand + b * q * n_cand              # candidate logits
-    f += 2 * b * q * d + b * q                                # background column
+    f += _layernorm_flops(q, d)                           # output norm
+    f += _mlp_flops(q, d, d, 4) + q * 4                   # box head
+    f += linear_flops(q, d, d)                            # class projection
+    f += 2 * q * d * n_cand + q * n_cand                  # candidate logits
+    f += 2 * q * d + q                                    # background column
     return f
 
 
-def prompt_path_flops(mcfg: MllmConfig, l_lm: int, lm_text: int = 0,
-                      b: int = 1) -> int:
-    """LM-side cost of producing adapter prompts, on top of the shared patch
-    encoding: the vision projector plus ``l_lm`` decoder layers."""
-    f = _mlp_flops(b * mcfg.l_v, mcfg.proj_in, mcfg.proj_hidden, mcfg.d_lm)
+def prompt_path_flops(mcfg: MllmConfig, l_lm: int, lm_text: int = 0) -> int:
+    """LM-side cost of producing one scene's adapter prompts, on top of the
+    shared patch encoding: the vision projector plus ``l_lm`` decoder
+    layers."""
+    f = _mlp_flops(mcfg.l_v, mcfg.proj_in, mcfg.proj_hidden, mcfg.d_lm)
     n_seq = mcfg.sys_len + mcfg.l_v + lm_text
-    return f + l_lm * _lm_block_flops(b, n_seq, mcfg.d_lm, mcfg.heads,
+    return f + l_lm * _lm_block_flops(n_seq, mcfg.d_lm, mcfg.heads,
                                       mcfg.mlp_ratio)
 
 
@@ -363,11 +358,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
 
         def adapter_forward():
-            hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
-            if acfg.fuses_vision:
-                fuse_vision(e_vis, hook.a_p, state)
-            else:
-                hook.inject(q_probe)
+            FusionHook(state, e_v_l, e_t, e_t_valid=lm_valid)(q_probe, e_vis)
 
         with FlopsMeter() as m_adapter:
             adapter_forward()
@@ -376,7 +367,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
             patches = mllm.encode_image(images)
             e_v_l, e_t = lm_prompts(patches)
             e_vis = det.encode_vision(patches)
-            hook = bind(state, e_v_l, e_t, e_t_valid=lm_valid)
+            hook = FusionHook(state, e_v_l, e_t, e_t_valid=lm_valid)
             return detector_core(e_vis, hook=hook)
 
         with FlopsMeter() as m_total:
@@ -393,11 +384,11 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
             lat["total"] = median_latency_ms(fused_forward, repeats, warmup)
 
     p_grid = h * w
-    a_patch = patch_encoder_flops(mcfg, b)
+    a_patch = patch_encoder_flops(mcfg)
     a_core = detector_forward_flops(dcfg, p_grid, mcfg.d_patch,
-                                    REPORT_TEXT_WIDTH, dcfg.queries, b)
+                                    REPORT_TEXT_WIDTH, dcfg.queries)
     a_lm = prompt_path_flops(mcfg, acfg.l_lm,
-                             REPORT_LM_TEXT if acfg.text_fusion else 0, b)
+                             REPORT_LM_TEXT if acfg.text_fusion else 0)
     _, a_adapter = adapter_param_flops(
         acfg, b=b, t_queries=p_grid if acfg.fuses_vision else dcfg.queries,
         text_len=REPORT_LM_TEXT)

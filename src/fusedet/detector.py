@@ -7,10 +7,10 @@ decoder layers (self-attention, vision cross-attention, text cross-attention,
 MLP; all pre-LN) refines Q learned queries, read out by a sigmoid box head
 and a phrase-alignment head with a learned background embedding.
 
-An optional fusion hook (see the adapter module) may rewrite the vision
-features before decoding and/or transform the query embeddings right before
-one decoder layer; the detector itself knows nothing about how the hook's
-content is produced.
+An optional fusion hook (see the adapter module) is called right before one
+decoder layer with the queries and the vision features and returns both, the
+one it acts on rewritten; the detector itself knows nothing about how the
+hook's content is produced.
 """
 
 from __future__ import annotations
@@ -114,8 +114,10 @@ class GroundingDetector(Module):
         ``start_state`` resumes from a cached mid-stack state (the default
         starts from the learned query embeddings).  With ``upto_layer`` the
         run stops after that layer and returns its raw state, the one layer
-        ``upto_layer + 1`` consumes.  A hook's ``inject`` fires right before
-        its target layer.
+        ``upto_layer + 1`` consumes.  A hook runs as
+        ``q, e_vis = hook(q, e_vis)`` right before its layer ``hook.l_d``,
+        which must not precede ``start_layer``: a resumed decode cannot apply
+        it.
         """
         b = e_vis.shape[0]
         if start_state is None:
@@ -126,7 +128,7 @@ class GroundingDetector(Module):
                 axis=0)
         else:
             q = start_state
-        if hook is not None and hook.l_d is not None and hook.l_d < start_layer:
+        if hook is not None and hook.l_d < start_layer:
             raise UsageError(
                 f"hook targets layer {hook.l_d} before start layer {start_layer}")
         stop = self.cfg.depth if upto_layer is None else upto_layer
@@ -137,7 +139,7 @@ class GroundingDetector(Module):
         for i, layer in enumerate(self.layers[start_layer - 1:stop],
                                   start=start_layer):
             if hook is not None and hook.l_d == i:
-                q = hook.inject(q)
+                q, e_vis = hook(q, e_vis)
             q = layer(q, e_vis, e_txt, txt_mask)
         return q if upto_layer is not None else self.ln_out(q)
 

@@ -142,11 +142,6 @@ class FlopsMeter:
     def __init__(self) -> None:
         self.accumulated = 0
 
-    def add(self, flops: int) -> None:
-        if flops < 0:
-            raise UsageError("FLOP counts are non-negative")
-        self.accumulated += int(flops)
-
     def __enter__(self) -> "FlopsMeter":
         _METER_STACK.append(self)
         return self
@@ -201,9 +196,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _bad_item(self)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

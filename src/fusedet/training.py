@@ -35,14 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .adapter import FusionState, bind
+from .adapter import FusionHook, FusionState
 from .config import ExperimentConfig
 from .detector import (GroundingDetector, SubstitutionHead, detection_loss,
                        eval_grounding, pack_candidates, pool_phrases)
 from .mllm import MiniMllm
-from .scenes import (PACK_WIDTH, SyntheticScene, generate_scenes,
-                     pad_token_rows)
-from .tensor import NumericsError, Tensor, UsageError
+from .scenes import (CANVAS, PACK_WIDTH, WORDS, SyntheticScene,
+                     generate_scenes, pad_token_rows)
+from .tensor import ConfigurationError, NumericsError, Tensor, UsageError
 
 # rng stream tags, so each stage draws an independent deterministic stream
 STAGE_TAGS = {"pretrain": 11, "stage1": 12, "stage2": 13, "stage3": 14,
@@ -262,22 +262,24 @@ class Stage3Cache:
                                ``_candidate_text`` of the scenes, padded
                                positions included
     pre_state  [N, Q, d]|None  decoder state entering layer l_d with no
-                               adapter attached (None when every decoder layer
-                               must re-run per step: l_d == 1 or full_decode)
+                               adapter attached (None when l_d == 1 or with
+                               ``full_decode``: the cached loss then re-runs
+                               every decoder layer per step)
 
     ``regroup`` comes from the one ``cache_vision`` call; like it, every array
     is allocated once and filled chunk by chunk in place, with no tape
-    recorded (nothing here is differentiated).
+    recorded (nothing here is differentiated).  A cached loss with a
+    pre-state resumes at layer ``l_d``, so it needs a hook whose ``l_d`` is
+    not earlier; ``decode`` rejects one that is.
     """
 
     def __init__(self, mllm: MiniMllm, det: GroundingDetector,
                  scenes: list[SyntheticScene], l_d: int,
-                 full_decode: bool, chunk: int = 64):
+                 full_decode: bool = False, chunk: int = 64):
         n = len(scenes)
         d, nq = det.cfg.d, det.cfg.queries
         self.scenes = scenes
         self.l_d = l_d
-        self.full_decode = full_decode
         need_state = not full_decode and l_d > 1
         with T.no_tape():
             patches, self.regroup = cache_vision(mllm, scenes, chunk)
@@ -323,11 +325,9 @@ def _candidate_text(det: GroundingDetector, scenes: list[SyntheticScene]):
 def _detector_outputs(det: GroundingDetector, e_vis: Tensor, text, hook=None,
                       start_state: Tensor | None = None, start_layer: int = 1):
     """The one detector pass: (boxes, logits, counts) for vision features and
-    a ``_candidate_text`` tuple.  A hook's vision step runs only when the
-    decode starts at layer 1; a resumed decode starts from ``start_state``."""
+    a ``_candidate_text`` tuple.  ``decode`` applies the hook, if any; a
+    resumed decode starts from ``start_state``."""
     e_txt, valid, pooled, counts = text
-    if hook is not None and start_layer == 1:
-        e_vis = hook.vision(e_vis)
     q = det.decode(e_vis, e_txt, valid, hook=hook, start_state=start_state,
                    start_layer=start_layer)
     return det.boxes(q), det.phrase_logits(q, pooled), counts
@@ -369,7 +369,7 @@ def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
         e_vis = det.encode_vision(patches)
         if state is not None:
             vis = mllm.align_vision(patches)
-            hook = bind(state, *_lm_states(mllm, vis, state.cfg, scenes))
+            hook = FusionHook(state, *_lm_states(mllm, vis, state.cfg, scenes))
     return _detector_outputs(det, e_vis, _candidate_text(det, scenes), hook)
 
 
@@ -388,7 +388,7 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
     the cache's ``l_d`` when it holds a pre-state."""
     scenes = [cache.scenes[i] for i in idx]
     vis = mllm.projector(T.constant(cache.regroup[idx]))
-    hook = bind(state, *_lm_states(mllm, vis, state.cfg, scenes))
+    hook = FusionHook(state, *_lm_states(mllm, vis, state.cfg, scenes))
     e_txt, valid, pooled, counts = cache.text
     text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]),
             counts[idx])
@@ -465,14 +465,12 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
     ]
     configure_trainable(groups, mllm, det, state)
     if cached:
-        full = acfg.fuses_vision
         if cache is None:
             cache = Stage3Cache(mllm, det, scenes, acfg.l_d,
-                                full_decode=full, chunk=cfg.eval_chunk)
-        elif cache.l_d != acfg.l_d or cache.full_decode != full:
-            raise UsageError(
-                f"cache built for l_d={cache.l_d} full_decode={cache.full_decode},"
-                f" run needs l_d={acfg.l_d} full_decode={full}")
+                                chunk=cfg.eval_chunk)
+        elif cache.l_d != acfg.l_d:
+            raise UsageError(f"cache built for l_d={cache.l_d}, "
+                             f"run needs l_d={acfg.l_d}")
         loss_fn = lambda idx: stage3_loss_cached(cfg, mllm, det, state, cache, idx)
     else:
         loss_fn = lambda idx: stage3_loss_naive(
@@ -537,6 +535,13 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
 
 
 def load_split(cfg: ExperimentConfig, split: str) -> list[SyntheticScene]:
+    """The split's scenes; the config must fit them (canvas, vocabulary)."""
+    if cfg.canvas != CANVAS:
+        raise ConfigurationError(
+            f"canvas {cfg.canvas} != the scenes' canvas {CANVAS}")
+    if cfg.vocab < len(WORDS):
+        raise ConfigurationError(
+            f"vocab {cfg.vocab} < the scenes' {len(WORDS)} words")
     counts = {"pretrain": cfg.n_pretrain, "train": cfg.n_train,
               "val-category": cfg.n_val, "val-spatial": cfg.n_val}
     return generate_scenes(cfg.data_seed, counts[split], split)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fusedet import tensor as T
-from fusedet.adapter import (ARCHS, AdapterConfig, FusionState, bind,
+from fusedet.adapter import (ARCHS, AdapterConfig, FusionHook, FusionState,
                              adapter_param_count, adapter_param_flops,
                              fuse_vision, make_prompts, zero_init_cross_attn)
 from fusedet.tensor import ConfigurationError, DimensionError, FlopsMeter
@@ -247,7 +247,7 @@ class TestHookLocality:
         rng = np.random.default_rng(seed + 2)
         l_v = state.cfg.grid[0] * state.cfg.grid[1]
         e_v_l = T.constant(rng.standard_normal((2, l_v, state.cfg.d_lm)))
-        return bind(state, e_v_l)
+        return FusionHook(state, e_v_l)
 
     def test_late_injection_leaves_early_layers_untouched(self):
         base = self.decoder_like_stack(None)
@@ -269,14 +269,19 @@ class TestHookLocality:
         e_v_l = T.constant(rng.standard_normal((1, l_v, state.cfg.d_lm)))
         e_t = T.constant(rng.standard_normal((1, 5, state.cfg.d_lm)))
         e_v_d = T.constant(rng.standard_normal((1, 7, state.cfg.d)))
-        hook = bind(state, e_v_l, e_t)
-        assert hook.l_d is None
-        assert hook.vision(e_v_d).shape == e_v_d.shape
+        q = T.constant(rng.standard_normal((1, 4, state.cfg.d)))
+        hook = FusionHook(state, e_v_l, e_t)
+        assert hook.l_d == 1
+        q_out, e_out = hook(q, e_v_d)
+        assert q_out is q
+        assert e_out.shape == e_v_d.shape
 
     def test_non_vision_hooks_pass_vision_through(self):
         hook = self.hook_for("IV", l_d=6)
-        e = T.constant(np.random.default_rng(18).standard_normal((2, 7, 64)))
-        assert hook.vision(e) is e
+        rng = np.random.default_rng(18)
+        e = T.constant(rng.standard_normal((2, 7, 64)))
+        q = T.constant(rng.standard_normal((2, 4, 64)))
+        assert hook(q, e)[1] is e
 
 
 class TestGradientEscape:
@@ -347,7 +352,7 @@ class TestConfigValidation:
         state = make_state("III", seed=39)
         rng = np.random.default_rng(40)
         e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
-        assert bind(state, e_v_l, e_t).l_d == 1
+        assert FusionHook(state, e_v_l, e_t).l_d == 1
         with pytest.raises(ConfigurationError, match="III.*l_d=6"):
             AdapterConfig(arch="III", l_d=6)
 

@@ -97,3 +97,6 @@ def test_traced_forward_records_adapter_spans(spans):
     assert tracer.get("training.grounded_outputs").calls == len(ARCHS)
     for name in spans.METERED["adapter.inject"]:
         assert tracer.get(name).flops > 0, name
+    # Arch I's step is its vision fusion alone, never an injection
+    assert tracer.get("adapter.I.fuse_vision").calls == 1
+    assert tracer.get("adapter.I.inject").calls == 0

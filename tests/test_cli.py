@@ -125,3 +125,27 @@ def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: scene \d+ has 4 candidates, more than "
                         r"max_c=3 \(the detector's query count\)\n", err), err
+
+
+def test_canvas_the_scenes_do_not_have_is_a_named_error(tmp_path, monkeypatch,
+                                                         capsys):
+    """The scenes are drawn on a fixed canvas; a config with another one
+    fails where it first meets them, while ``flops-report``, which never
+    loads scenes, still runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "canvas = 16\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
+    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: canvas 16 != the scenes' canvas 32\n", err), err
+    assert cli.cli(["flops-report", "--config", "tiny.cfg"]) == 0
+
+
+def test_vocabulary_smaller_than_the_scenes_is_a_named_error(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "vocab = 20\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
+    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: vocab 20 < the scenes' 30 words\n", err), err

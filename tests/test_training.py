@@ -288,6 +288,18 @@ class TestCachedEquivalence:
             assert got[idx].shape == ref.shape
             assert got[idx].tobytes() == ref.tobytes()
 
+    def test_resumed_cache_rejects_a_vision_hook(self, bench):
+        """A cache with a pre-state resumes at its own layer; Arch I acts
+        before layer 1, so the cached loss refuses it rather than return the
+        loss without the adapter."""
+        b = bench
+        state = tr.build_adapter(b["cfg"], arch="I")
+        state.gate.data[:] = 1.0
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        with pytest.raises(UsageError, match="layer 1 before start layer 3"):
+            tr.stage3_loss_cached(b["cfg"], b["mllm"], b["det"], state, cache,
+                                  np.array([0, 1]))
+
     def test_full_run_identical(self, bench):
         b = bench
         outcomes = []
@@ -307,7 +319,7 @@ class TestCachedEquivalence:
             tr.train_stage3(b["cfg"], b["mllm"], b["det"], shallow,
                             b["train"], cache=cache)
         vision = tr.build_adapter(b["cfg"], arch="I")
-        with pytest.raises(UsageError, match="full_decode"):
+        with pytest.raises(UsageError, match="cache built for"):
             tr.train_stage3(b["cfg"], b["mllm"], b["det"], vision,
                             b["train"], cache=cache)
 
