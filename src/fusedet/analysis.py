@@ -95,10 +95,11 @@ def attention_medians(mllm: MiniMllm, images: np.ndarray, text_ids: np.ndarray,
         raise UsageError(
             f"attention_medians needs a [B, T>=1] text batch, got {ids.shape}")
     with T.no_tape():
-        x, layout = mllm.embed_sequence(
-            T.constant(np.asarray(images, dtype=np.float64)), ids)
+        vis = mllm.align_vision(mllm.encode_image(
+            T.constant(np.asarray(images, dtype=np.float64))))
+        x, layout = mllm.embed_from_aligned(vis, ids)
         with T.attention_tap() as taps:
-            mllm.forward_collect(x, layout, text_valid)
+            mllm.forward(x, layout, text_valid)
     scores = [s for s, _ in taps]
     admitted = np.isfinite(
         np.broadcast_to(mllm.sequence_mask(layout, text_valid), scores[0].shape))

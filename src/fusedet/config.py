@@ -14,7 +14,7 @@ from pathlib import Path
 from .adapter import FIRST_LAYER_ARCHS, AdapterConfig
 from .detector import DetectorConfig
 from .mllm import MllmConfig
-from .tensor import UsageError
+from .tensor import ConfigurationError, UsageError
 
 
 @dataclass
@@ -86,6 +86,13 @@ class ExperimentConfig:
     # evaluation
     iou_thresh: float = 0.5
     eval_chunk: int = 64
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (f.name == "eval_chunk" or f.name.endswith("_batch")) and value < 1:
+                raise ConfigurationError(
+                    f"{f.name} must be at least 1, got {value}")
 
     def mllm_config(self) -> MllmConfig:
         return MllmConfig(

@@ -122,10 +122,6 @@ class Projector(Module):
         return T.slice_axis(x, -1, 0, self._target)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.mlp.fc1.weight.shape[0] != self._target:
-            raise ConfigurationError(
-                f"projector expects width {self.mlp.fc1.weight.shape[0]}, "
-                f"configured for {self._target}")
         return self.mlp(self.repeat_truncate(x))
 
 
@@ -154,8 +150,8 @@ class MiniMllm(Module):
     def regroup_patches(self, tokens: Tensor) -> Tensor:
         """Patch tokens [B, h*w, d_patch] -> [B, L_v, d_patch*r^2] groups.
 
-        Pure index shuffling (no arithmetic), so the result of the frozen
-        vision encoder can be cached at this boundary.
+        Pure index shuffling (no arithmetic); ``align_vision`` runs it on
+        every call, so caches hold the patch tokens, not these groups.
         """
         b, g, c = tokens.shape
         h, w = self.cfg.grid
@@ -173,11 +169,6 @@ class MiniMllm(Module):
         return self.projector(self.regroup_patches(tokens))
 
     # -- sequence assembly --------------------------------------------------
-
-    def embed_sequence(self, images: Tensor, text_ids: np.ndarray
-                       ) -> tuple[Tensor, TokenLayout]:
-        vis = self.align_vision(self.encode_image(images))
-        return self.embed_from_aligned(vis, text_ids)
 
     def embed_from_aligned(self, vis: Tensor, text_ids: np.ndarray
                            ) -> tuple[Tensor, TokenLayout]:
@@ -208,40 +199,34 @@ class MiniMllm(Module):
             mask = mask + T.additive_mask(key_ok)[:, None, None, :]
         return mask
 
-    def forward_collect(self, x: Tensor, layout: TokenLayout,
-                        text_valid: np.ndarray | None = None,
-                        upto_layer: int | None = None) -> list[Tensor]:
-        """Run the decoder, returning [h_0 .. h_n] (or up to ``upto_layer``)."""
+    def forward(self, x: Tensor, layout: TokenLayout,
+                text_valid: np.ndarray | None = None,
+                upto_layer: int | None = None) -> Tensor:
+        """Run decoder layers 1 .. ``upto_layer`` (default all n) and return
+        the state after the last one; ``upto_layer=0`` returns ``x``."""
         if x.shape[1] != len(layout.tags):
             raise DimensionError(
                 f"sequence length {x.shape[1]} != layout length {len(layout.tags)}")
         mask = self.sequence_mask(layout, text_valid)
         positions = np.arange(len(layout.tags))
-        hidden = [x]
         depth = self.cfg.n if upto_layer is None else upto_layer
         for block in self.blocks[:depth]:
             x = block(x, mask=mask, positions=positions)
-            hidden.append(x)
-        return hidden
+        return x
 
     # -- training objective -------------------------------------------------
 
-    def lm_loss(self, images: Tensor, text_ids: np.ndarray,
-                text_valid: np.ndarray | None = None) -> Tensor:
-        """Mean next-token cross-entropy over (valid) text positions."""
-        vis = self.align_vision(self.encode_image(images))
-        return self.lm_loss_from_aligned(vis, text_ids, text_valid)
-
     def lm_loss_from_aligned(self, vis: Tensor, text_ids: np.ndarray,
                              text_valid: np.ndarray | None = None) -> Tensor:
+        """Mean next-token cross-entropy over (valid) text positions."""
         if text_ids.size == 0 or text_ids.shape[1] == 0:
-            raise ConfigurationError("lm_loss needs a non-empty text span")
+            raise ConfigurationError(
+                "lm_loss_from_aligned needs a non-empty text span")
         b, t = text_ids.shape
         if text_valid is None:
             text_valid = np.ones((b, t), dtype=bool)
         x, layout = self.embed_from_aligned(vis, text_ids)
-        hidden = self.forward_collect(x, layout, text_valid)
-        logits = self.lm_head(self.ln_f(hidden[-1]))
+        logits = self.lm_head(self.ln_f(self.forward(x, layout, text_valid)))
         t0, _ = layout.text_span
         # position t0 + j is predicted from the state at t0 + j - 1
         pred = T.slice_axis(logits, 1, t0 - 1, t0 + t - 1)
@@ -255,15 +240,14 @@ class MiniMllm(Module):
                             text_valid: np.ndarray | None = None):
         """Vision-span (and text-span) states from layer ``l_lm``, running the
         shortest sufficient forward from aligned vision tokens, so the frozen
-        encoder/regroup prefix can come from a cache.  Text defaults to none
+        encoder prefix can come from a cache.  Text defaults to none
         (Arch IV)."""
         if not 0 <= l_lm <= self.cfg.n:
             raise ConfigurationError(f"l_lm {l_lm} outside [0, {self.cfg.n}]")
         ids = np.zeros((vis.shape[0], 0), dtype=np.intp) \
             if text_ids is None else text_ids
         x, layout = self.embed_from_aligned(vis, ids)
-        hidden = self.forward_collect(x, layout, text_valid, upto_layer=l_lm)
-        h = hidden[l_lm]
+        h = self.forward(x, layout, text_valid, upto_layer=l_lm)
         v0, v1 = layout.vision_span
         e_v = T.slice_axis(h, 1, v0, v1)
         if ids.shape[1] == 0:

@@ -233,44 +233,42 @@ def _chunks(n: int, size: int):
 
 
 def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int = 64
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(patch tokens [N,P,d_patch], regrouped pre-projector groups
-    [N,L_v,c_in]) for the frozen vision encoder.  Both arrays are allocated
-    once and filled chunk by chunk, stacking one chunk's images at a time,
-    with no tape recorded."""
+                 ) -> np.ndarray:
+    """Patch tokens [N, P, d_patch] of the frozen vision encoder: the one
+    cut of the vision prefix.  The detector reads them through
+    ``encode_vision``, the LM through ``align_vision``.  The array is
+    allocated once and filled chunk by chunk, stacking one chunk's images at
+    a time, with no tape recorded."""
     mcfg, n = mllm.cfg, len(scenes)
     h, w = mcfg.grid
     patches = np.empty((n, h * w, mcfg.d_patch))
-    regroup = np.empty((n, mcfg.l_v, mcfg.d_patch * mcfg.shuffle_r ** 2))
     with T.no_tape():
         for lo, hi in _chunks(n, chunk):
-            p = mllm.encode_image(T.constant(
-                np.stack([s.image for s in scenes[lo:hi]])))
-            patches[lo:hi] = p.data
-            regroup[lo:hi] = mllm.regroup_patches(p).data
-    return patches, regroup
+            patches[lo:hi] = mllm.encode_image(T.constant(
+                np.stack([s.image for s in scenes[lo:hi]]))).data
+    return patches
 
 
 class Stage3Cache:
     """Per-scene activations of everything frozen during stage 3, stored as
     the arrays of the detector pass that consumes them.
 
-    regroup    [N, L_v, c_in]  vision groups, stopping right before the first
-                               trainable map (the projector MLP)
+    patches    [N, P, d_patch] ``cache_vision`` patch tokens; the LM reads
+                               them through ``align_vision``, whose
+                               projector is trained in stage 3
     evd        [N, P, d]       detector vision features
     text       (e_txt [N, W, d], valid [N, W], pooled [N, Q, d], counts [N]):
                                ``_candidate_text`` of the scenes, padded
                                positions included
-    pre_state  [N, Q, d]|None  decoder state entering layer l_d with no
-                               adapter attached (None when l_d == 1 or with
-                               ``full_decode``: the cached loss then re-runs
-                               every decoder layer per step)
+    pre_state  [N, Q, d]       decoder state entering layer l_d with no
+                               adapter attached; at l_d = 1 the broadcast
+                               query embeddings
 
-    ``regroup`` comes from the one ``cache_vision`` call; like it, every array
-    is allocated once and filled chunk by chunk in place, with no tape
-    recorded (nothing here is differentiated).  A cached loss with a
-    pre-state resumes at layer ``l_d``, so it needs a hook whose ``l_d`` is
-    not earlier; ``decode`` rejects one that is.
+    Every array is allocated once and filled chunk by chunk in place, with no
+    tape recorded (nothing here is differentiated).  The cached loss always
+    resumes at layer ``l_d``, so it needs a hook whose ``l_d`` is not
+    earlier; ``decode`` rejects one that is.  ``full_decode`` selects
+    nothing: it is kept so existing callers still construct the cache.
     """
 
     def __init__(self, mllm: MiniMllm, det: GroundingDetector,
@@ -280,25 +278,23 @@ class Stage3Cache:
         d, nq = det.cfg.d, det.cfg.queries
         self.scenes = scenes
         self.l_d = l_d
-        need_state = not full_decode and l_d > 1
+        self.patches = cache_vision(mllm, scenes, chunk)
+        self.evd = np.empty((n, self.patches.shape[1], d))
+        self.text = (np.empty((n, PACK_WIDTH, d)),
+                     np.empty((n, PACK_WIDTH), dtype=bool),
+                     np.empty((n, nq, d)), np.empty(n, dtype=np.intp))
+        self.pre_state = np.empty((n, nq, d))
         with T.no_tape():
-            patches, self.regroup = cache_vision(mllm, scenes, chunk)
-            self.evd = np.empty((n, patches.shape[1], d))
-            self.text = (np.empty((n, PACK_WIDTH, d)),
-                         np.empty((n, PACK_WIDTH), dtype=bool),
-                         np.empty((n, nq, d)), np.empty(n, dtype=np.intp))
-            self.pre_state = np.empty((n, nq, d)) if need_state else None
             for lo, hi in _chunks(n, chunk):
-                e_vis = det.encode_vision(T.constant(patches[lo:hi]))
+                e_vis = det.encode_vision(T.constant(self.patches[lo:hi]))
                 e_txt, valid, pooled, counts = _candidate_text(det,
                                                                scenes[lo:hi])
                 self.evd[lo:hi] = e_vis.data
                 for dst, src in zip(self.text, (e_txt.data, valid,
                                                 pooled.data, counts)):
                     dst[lo:hi] = src
-                if need_state:
-                    self.pre_state[lo:hi] = det.decode(
-                        e_vis, e_txt, valid, upto_layer=l_d - 1).data
+                self.pre_state[lo:hi] = det.decode(
+                    e_vis, e_txt, valid, upto_layer=l_d - 1).data
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +302,9 @@ class Stage3Cache:
 # ---------------------------------------------------------------------------
 
 
-def _caption_loss(mllm: MiniMllm, regroup: np.ndarray, ids: np.ndarray,
+def _caption_loss(mllm: MiniMllm, patches: np.ndarray, ids: np.ndarray,
                   valid: np.ndarray, idx: np.ndarray) -> Tensor:
-    vis = mllm.projector(T.constant(regroup[idx]))
+    vis = mllm.align_vision(T.constant(patches[idx]))
     return mllm.lm_loss_from_aligned(vis, ids[idx], valid[idx])
 
 
@@ -384,19 +380,17 @@ def stage3_loss_naive(cfg: ExperimentConfig, mllm: MiniMllm,
 def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
                        det: GroundingDetector, state: FusionState,
                        cache: Stage3Cache, idx: np.ndarray) -> Tensor:
-    """The stage-3 loss on cached frozen activations; the decode resumes at
-    the cache's ``l_d`` when it holds a pre-state."""
+    """The stage-3 loss on cached frozen activations; the decode resumes from
+    the cached state entering layer ``cache.l_d``."""
     scenes = [cache.scenes[i] for i in idx]
-    vis = mllm.projector(T.constant(cache.regroup[idx]))
+    vis = mllm.align_vision(T.constant(cache.patches[idx]))
     hook = FusionHook(state, *_lm_states(mllm, vis, state.cfg, scenes))
     e_txt, valid, pooled, counts = cache.text
     text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]),
             counts[idx])
-    resume = cache.pre_state is not None
     outputs = _detector_outputs(
         det, T.constant(cache.evd[idx]), text, hook,
-        start_state=T.constant(cache.pre_state[idx]) if resume else None,
-        start_layer=cache.l_d if resume else 1)
+        start_state=T.constant(cache.pre_state[idx]), start_layer=cache.l_d)
     return detection_loss(*outputs, scenes, det.cfg)
 
 
@@ -408,7 +402,7 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
 def pretrain_detector(cfg: ExperimentConfig, mllm: MiniMllm,
                       det: GroundingDetector,
                       scenes: list[SyntheticScene]) -> dict:
-    patches, _ = cache_vision(mllm, scenes, cfg.eval_chunk)
+    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
     groups = [ParamGroup("detector", det.named_parameters(), cfg.pretrain_lr)]
     configure_trainable(groups, mllm, det)
 
@@ -426,7 +420,7 @@ def pretrain_detector(cfg: ExperimentConfig, mllm: MiniMllm,
 
 def train_stage1(cfg: ExperimentConfig, mllm: MiniMllm,
                  scenes: list[SyntheticScene]) -> dict:
-    _, regroup = cache_vision(mllm, scenes, cfg.eval_chunk)
+    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
     ids, valid = pad_token_rows([s.caption for s in scenes])
     named = {k: v for k, v in mllm.named_parameters().items()
              if not k.startswith("vision.")}
@@ -434,21 +428,21 @@ def train_stage1(cfg: ExperimentConfig, mllm: MiniMllm,
     configure_trainable(groups, mllm)
     losses = _run_loop(
         "stage1", cfg.s1_steps, cfg.s1_batch, len(scenes), groups,
-        lambda idx: _caption_loss(mllm, regroup, ids, valid, idx), cfg.seed,
+        lambda idx: _caption_loss(mllm, patches, ids, valid, idx), cfg.seed,
         cfg.grad_clip)
     return _report(cfg, "stage1", groups, losses)
 
 
 def train_stage2(cfg: ExperimentConfig, mllm: MiniMllm,
                  scenes: list[SyntheticScene]) -> dict:
-    _, regroup = cache_vision(mllm, scenes, cfg.eval_chunk)
+    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
     ids, valid = pad_token_rows([s.caption for s in scenes])
     groups = [ParamGroup("projector", mllm.projector.named_parameters(),
                          cfg.s2_lr)]
     configure_trainable(groups, mllm)
     losses = _run_loop(
         "stage2", cfg.s2_steps, cfg.s2_batch, len(scenes), groups,
-        lambda idx: _caption_loss(mllm, regroup, ids, valid, idx), cfg.seed,
+        lambda idx: _caption_loss(mllm, patches, ids, valid, idx), cfg.seed,
         cfg.grad_clip)
     return _report(cfg, "stage2", groups, losses)
 
@@ -484,7 +478,7 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
 def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
                        det: GroundingDetector, sub: SubstitutionHead,
                        scenes: list[SyntheticScene]) -> dict:
-    _, regroup = cache_vision(mllm, scenes, cfg.eval_chunk)
+    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
     groups = [
         ParamGroup("substitution", sub.named_parameters(), cfg.sub_lr),
         ParamGroup("projector", mllm.projector.named_parameters(),
@@ -494,7 +488,7 @@ def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
 
     def loss_fn(idx):
         batch = [scenes[i] for i in idx]
-        vis = mllm.projector(T.constant(regroup[idx]))
+        vis = mllm.align_vision(T.constant(patches[idx]))
         e_vis = _substituted_vision(cfg, mllm, det, sub, vis)
         return detection_loss(
             *_detector_outputs(det, e_vis, _candidate_text(det, batch)),

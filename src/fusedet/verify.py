@@ -239,7 +239,8 @@ def _caption_loss(rng):
     valid = np.ones(ids.shape, dtype=bool)
     valid[1, 4] = False
     images = T.constant(rng.standard_normal((2, 3, _CANVAS, _CANVAS)) * 0.4)
-    return (lambda: mllm.lm_loss(images, ids, valid)), [
+    return (lambda: mllm.lm_loss_from_aligned(
+        mllm.align_vision(mllm.encode_image(images)), ids, valid)), [
         mllm.projector.mlp.fc1.bias, mllm.projector.mlp.fc2.bias,
         mllm.blocks[0].attn.wq.bias, mllm.blocks[1].mlp.fc2.bias,
         mllm.ln_f.beta, mllm.sys_embed]

@@ -51,10 +51,11 @@ def small_batch(rng, b=2, t=5, canvas=16, vocab=64):
 def oracle_medians(mllm, images, ids, valid):
     """Independent aggregation: explicit loops over admissible (query, key)
     pairs and a sort-based median."""
-    x, layout = mllm.embed_sequence(T.constant(np.asarray(images, float)),
-                                    np.asarray(ids, dtype=np.intp))
+    vis = mllm.align_vision(mllm.encode_image(
+        T.constant(np.asarray(images, float))))
+    x, layout = mllm.embed_from_aligned(vis, np.asarray(ids, dtype=np.intp))
     with T.attention_tap() as taps:
-        mllm.forward_collect(x, layout, valid)
+        mllm.forward(x, layout, valid)
     scores = [s for s, _ in taps]
     t0, t1 = layout.text_span
     n = len(layout.tags)
@@ -172,8 +173,7 @@ def sweep_bench():
     train = tr.load_split(cfg, "train")
     vals = {"val-category": tr.load_split(cfg, "val-category"),
             "val-spatial": tr.load_split(cfg, "val-spatial")}
-    cache = tr.Stage3Cache(mllm, det, train, cfg.l_d, full_decode=False,
-                           chunk=cfg.eval_chunk)
+    cache = tr.Stage3Cache(mllm, det, train, cfg.l_d, chunk=cfg.eval_chunk)
     return cfg, mllm, det, snap, train, vals, cache
 
 

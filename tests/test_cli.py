@@ -149,3 +149,23 @@ def test_vocabulary_smaller_than_the_scenes_is_a_named_error(
     assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: vocab 20 < the scenes' 30 words\n", err), err
+
+
+def test_zero_eval_chunk_is_a_named_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "eval_chunk = 0\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
+    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: eval_chunk must be at least 1, got 0\n",
+                        err), err
+
+
+def test_zero_batch_is_a_named_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "pretrain_batch = 0\nn_pretrain = 4\npretrain_steps = 1\n")
+    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: pretrain_batch must be at least 1, got 0\n",
+                        err), err

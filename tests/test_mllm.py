@@ -19,6 +19,10 @@ def rand_images(rng, b=2, canvas=32):
     return rng.uniform(0.0, 1.0, (b, 3, canvas, canvas))
 
 
+def aligned(mllm, img):
+    return mllm.align_vision(mllm.encode_image(T.constant(img)))
+
+
 class TestConfigArithmetic:
     def test_default_derived_sizes(self):
         cfg = MllmConfig()
@@ -130,7 +134,7 @@ class TestSequenceAssembly:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(9), b=1)
         ids = np.array([[5, 6, 7]])
-        x, layout = mllm.embed_sequence(T.constant(img), ids)
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
         assert x.shape == (1, 2 + 4 + 3, 64)
         assert layout.vision_span == (2, 6) and layout.text_span == (6, 9)
         assert layout.tags.tolist() == [TAG_SYSTEM] * 2 + [TAG_VISION] * 4 + \
@@ -139,8 +143,8 @@ class TestSequenceAssembly:
     def test_text_free_sequence(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(10), b=1)
-        x, layout = mllm.embed_sequence(T.constant(img),
-                                        np.zeros((1, 0), dtype=np.intp))
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img),
+                                            np.zeros((1, 0), dtype=np.intp))
         assert x.shape == (1, 6, 64)
         assert layout.text_span == (6, 6)
 
@@ -148,22 +152,27 @@ class TestSequenceAssembly:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(11), b=1)
         ids = np.array([[4, 9]])
-        x, layout = mllm.embed_sequence(T.constant(img), ids)
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
         t0, _ = layout.text_span
         assert np.array_equal(x.data[0, t0], mllm.tok_embed.data[4])
         assert np.array_equal(x.data[0, 0], mllm.sys_embed.data[0])
 
-    def test_forward_collect_returns_all_states(self):
+    def test_forward_stops_after_upto_layer(self):
+        """``upto_layer=k`` returns the state after blocks 1..k, run here by
+        hand; k = 0 returns the input itself, and the default is k = n."""
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(12), b=1)
-        x, layout = mllm.embed_sequence(T.constant(img), np.array([[5, 6]]))
-        hidden = mllm.forward_collect(x, layout)
-        assert len(hidden) == mllm.cfg.n + 1
-        assert hidden[0] is x
-        short = mllm.forward_collect(x, layout, upto_layer=2)
-        assert len(short) == 3
-        for a, b in zip(short, hidden[:3]):
-            assert np.array_equal(a.data, b.data)
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img),
+                                            np.array([[5, 6]]))
+        assert mllm.forward(x, layout, upto_layer=0) is x
+        mask = mllm.sequence_mask(layout, None)
+        positions = np.arange(len(layout.tags))
+        want = x
+        for k, block in enumerate(mllm.blocks, start=1):
+            want = block(want, mask=mask, positions=positions)
+            got = mllm.forward(x, layout, upto_layer=k)
+            assert np.array_equal(got.data, want.data)
+        assert np.array_equal(mllm.forward(x, layout).data, want.data)
 
 
 class TestCausalStructure:
@@ -173,11 +182,11 @@ class TestCausalStructure:
         img = rand_images(np.random.default_rng(15), b=1)
         short_ids = np.array([[5, 6]])
         long_ids = np.array([[5, 6, 7, 8]])
-        xs, ls = mllm.embed_sequence(T.constant(img), short_ids)
-        xl, ll = mllm.embed_sequence(T.constant(img), long_ids)
-        hs = mllm.forward_collect(xs, ls)
-        hl = mllm.forward_collect(xl, ll)
-        for a, b in zip(hs, hl):
+        xs, ls = mllm.embed_from_aligned(aligned(mllm, img), short_ids)
+        xl, ll = mllm.embed_from_aligned(aligned(mllm, img), long_ids)
+        for k in range(mllm.cfg.n + 1):
+            a = mllm.forward(xs, ls, upto_layer=k)
+            b = mllm.forward(xl, ll, upto_layer=k)
             assert np.array_equal(a.data, b.data[:, : a.shape[1]])
 
     def test_padded_text_keys_are_inert(self):
@@ -185,11 +194,11 @@ class TestCausalStructure:
         img = rand_images(np.random.default_rng(16), b=1)
         ids = np.array([[5, 6, 7]])
         valid = np.array([[True, True, False]])
-        x, layout = mllm.embed_sequence(T.constant(img), ids)
-        base = mllm.forward_collect(x, layout, text_valid=valid)[-1]
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        base = mllm.forward(x, layout, text_valid=valid)
         ids2 = np.array([[5, 6, 60]])  # rewrite the padded slot
-        x2, layout2 = mllm.embed_sequence(T.constant(img), ids2)
-        again = mllm.forward_collect(x2, layout2, text_valid=valid)[-1]
+        x2, layout2 = mllm.embed_from_aligned(aligned(mllm, img), ids2)
+        again = mllm.forward(x2, layout2, text_valid=valid)
         assert np.allclose(base.data[:, :8], again.data[:, :8])
 
 
@@ -199,7 +208,7 @@ class TestLmLoss:
         mllm.lm_head.zero_()
         img = rand_images(np.random.default_rng(17), b=2)
         ids = np.array([[5, 6, 7], [8, 9, 10]])
-        loss = mllm.lm_loss(T.constant(img), ids)
+        loss = mllm.lm_loss_from_aligned(aligned(mllm, img), ids)
         assert float(loss.data) == pytest.approx(np.log(64), abs=1e-12)
 
     def test_padding_excluded_from_mean(self):
@@ -207,15 +216,18 @@ class TestLmLoss:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(18), b=1)
         valid = np.array([[True, True, False]])
-        a = mllm.lm_loss(T.constant(img), np.array([[5, 6, 7]]), valid)
-        b = mllm.lm_loss(T.constant(img), np.array([[5, 6, 63]]), valid)
+        a = mllm.lm_loss_from_aligned(aligned(mllm, img),
+                                      np.array([[5, 6, 7]]), valid)
+        b = mllm.lm_loss_from_aligned(aligned(mllm, img),
+                                      np.array([[5, 6, 63]]), valid)
         assert float(a.data) == pytest.approx(float(b.data), abs=1e-12)
 
     def test_empty_text_rejected(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(19), b=1)
         with pytest.raises(ConfigurationError):
-            mllm.lm_loss(T.constant(img), np.zeros((1, 0), dtype=np.intp))
+            mllm.lm_loss_from_aligned(aligned(mllm, img),
+                                      np.zeros((1, 0), dtype=np.intp))
 
     def test_teacher_forcing_alignment(self):
         """Masking all-but-one target isolates the prediction made from the
@@ -224,21 +236,17 @@ class TestLmLoss:
         img = rand_images(np.random.default_rng(20), b=1)
         ids = np.array([[5, 6, 7, 8]])
         only_last = np.array([[False, False, False, True]])
-        x, layout = mllm.embed_sequence(T.constant(img), ids)
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
         # the valid mask doubles as the attention key mask, so the reference
         # forward must use it too
-        h = mllm.forward_collect(x, layout, text_valid=only_last)[-1]
+        h = mllm.forward(x, layout, text_valid=only_last)
         logits = mllm.lm_head(mllm.ln_f(h))
         t0 = layout.text_span[0]
         z = logits.data[0, t0 + 2]                 # state holding tokens ..7
         lse = np.log(np.exp(z - z.max()).sum()) + z.max()
         want = lse - z[8]
-        got = mllm.lm_loss(T.constant(img), ids, only_last)
+        got = mllm.lm_loss_from_aligned(aligned(mllm, img), ids, only_last)
         assert float(got.data) == pytest.approx(want, abs=1e-10)
-
-
-def aligned(mllm, img):
-    return mllm.align_vision(mllm.encode_image(T.constant(img)))
 
 
 class TestAdapterTaps:
@@ -246,8 +254,8 @@ class TestAdapterTaps:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(21), b=1)
         e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 0)
-        x, layout = mllm.embed_sequence(T.constant(img),
-                                        np.zeros((1, 0), dtype=np.intp))
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img),
+                                            np.zeros((1, 0), dtype=np.intp))
         assert e_t is None
         assert np.array_equal(e_v.data, x.data[:, 2:6])
 
@@ -256,8 +264,8 @@ class TestAdapterTaps:
         img = rand_images(np.random.default_rng(22), b=1)
         ids = np.array([[5, 6]])
         e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 3, ids)
-        x, layout = mllm.embed_sequence(T.constant(img), ids)
-        h3 = mllm.forward_collect(x, layout)[3]
+        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        h3 = mllm.forward(x, layout, upto_layer=3)
         assert np.array_equal(e_v.data, h3.data[:, 2:6])
         assert np.array_equal(e_t.data, h3.data[:, 6:8])
 

@@ -583,22 +583,22 @@ class TestTapeMechanics:
 
     def test_accumulation_across_backwards(self):
         b = Tensor([1.0], requires_grad=True)
-        T.tsum(b * 2.0).backward()
-        T.tsum(b * 3.0).backward()
+        T.tsum(T.mul(b, 2.0)).backward()
+        T.tsum(T.mul(b, 3.0)).backward()
         np.testing.assert_array_equal(b.grad, [5.0])
         b.zero_grad()
         assert b.grad is None
 
     def test_reused_node_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
-        y = x * x
-        T.tsum(y + y).backward()
+        y = T.mul(x, x)
+        T.tsum(T.add(y, y)).backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
     def test_non_scalar_backward_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(UsageError):
-            T.backward(x * 2.0)
+            T.backward(T.mul(x, 2.0))
 
     def test_frozen_graph_builds_no_tape(self):
         a = T.constant(np.ones((3, 3)))
@@ -693,13 +693,13 @@ class TestBroadcastGrads:
     def test_add_broadcast(self):
         b = Tensor(np.zeros(4), requires_grad=True)
         x = T.constant(np.ones((3, 4)))
-        T.tsum(x + b).backward()
+        T.tsum(T.add(x, b)).backward()
         np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
     def test_mul_keepdim_broadcast(self):
         s = Tensor(np.ones((3, 1)), requires_grad=True)
         x = T.constant(np.arange(12.0).reshape(3, 4))
-        T.tsum(s * x).backward()
+        T.tsum(T.mul(s, x)).backward()
         np.testing.assert_array_equal(s.grad, x.data.sum(axis=1, keepdims=True))
 
 

@@ -46,8 +46,7 @@ def bench():
 
 def stage3_cache(b):
     return tr.Stage3Cache(b["mllm"], b["det"], b["train"],
-                          b["cfg"].l_d, full_decode=False,
-                          chunk=b["cfg"].eval_chunk)
+                          b["cfg"].l_d, chunk=b["cfg"].eval_chunk)
 
 
 class TestSchedule:
@@ -264,8 +263,7 @@ class TestCachedEquivalence:
         state = tr.build_adapter(cfg, arch=arch, l_d=l_d)
         for p in state.parameters():                  # leave the zero point
             p.data = p.data + 0.01
-        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d,
-                               full_decode=(arch == "I"), chunk=8)
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
         idx = np.array([3, 11, 7, 3])
         naive = tr.stage3_loss_naive(cfg, b["mllm"], b["det"], state,
                                      [b["train"][i] for i in idx])
@@ -277,8 +275,7 @@ class TestCachedEquivalence:
         """``Stage3Cache.text`` holds ``_candidate_text``'s own arrays,
         padded positions included, for scenes from different chunks."""
         b = bench
-        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3,
-                               full_decode=False, chunk=8)
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
         idx = np.array([0, 5, 13, 23, 9])
         want = tr._candidate_text(b["det"], [b["train"][i] for i in idx])
         assert len(cache.text) == len(want) == 4
@@ -288,8 +285,35 @@ class TestCachedEquivalence:
             assert got[idx].shape == ref.shape
             assert got[idx].tobytes() == ref.tobytes()
 
+    def test_cache_vision_is_the_patch_tokens(self, bench):
+        """``cache_vision`` returns one array, ``encode_image`` of the stacked
+        images bit for bit, across chunk boundaries."""
+        b = bench
+        scenes = b["train"][:11]
+        got = tr.cache_vision(b["mllm"], scenes, chunk=4)
+        want = b["mllm"].encode_image(
+            T.constant(np.stack([s.image for s in scenes]))).data
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_first_layer_cache_holds_the_query_embeddings(self, bench):
+        """At l_d = 1 the pre-state is the broadcast query embeddings, so a
+        cached loss always resumes; ``full_decode`` changes no array."""
+        b = bench
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 1, chunk=8)
+        q = b["det"].query_embed.data
+        want = np.broadcast_to(q, (len(b["train"]),) + q.shape)
+        assert cache.pre_state.shape == want.shape
+        assert cache.pre_state.tobytes() == np.ascontiguousarray(want).tobytes()
+        full = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 1,
+                              full_decode=True, chunk=8)
+        for got, ref in zip((full.patches, full.evd, full.pre_state, *full.text),
+                            (cache.patches, cache.evd, cache.pre_state,
+                             *cache.text)):
+            assert got.tobytes() == ref.tobytes()
+
     def test_resumed_cache_rejects_a_vision_hook(self, bench):
-        """A cache with a pre-state resumes at its own layer; Arch I acts
+        """A cache resumes at its own layer; Arch I acts
         before layer 1, so the cached loss refuses it rather than return the
         loss without the adapter."""
         b = bench
@@ -312,7 +336,7 @@ class TestCachedEquivalence:
 
     def test_cache_guards_its_configuration(self, bench):
         b = bench
-        cache = stage3_cache(b)                        # l_d=6, not full decode
+        cache = stage3_cache(b)                        # l_d=6
         tr.restore(b["mllm"].projector, b["projector"])
         shallow = tr.build_adapter(b["cfg"], l_d=1)
         with pytest.raises(UsageError, match="cache built for"):
