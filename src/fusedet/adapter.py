@@ -256,10 +256,6 @@ class FusionHook:
 # ---------------------------------------------------------------------------
 
 
-def adapter_param_count(state: FusionState) -> int:
-    return sum(p.size for p in state.parameters())
-
-
 def adapter_param_flops(cfg: AdapterConfig, b: int = 1, t_queries: int = 4,
                         text_len: int = 8) -> tuple[int, int]:
     """(trainable parameter count, FLOPs for one adapter forward).

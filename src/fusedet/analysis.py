@@ -1,11 +1,14 @@
 """Diagnostic instruments around the fusion experiment.
 
-Three tools, each with a CSV emitter:
+Three tools, each returning plain rows (one dict per line of its table)
+that its CSV emitter writes as they are:
 
 * ``attention_medians``  - per-layer medians of the LM decoder's pre-softmax
   scaled attention scores, split by key modality (system / vision / text);
 * ``layer_sweep``        - trains one fresh adapter per (LM tap depth, seed)
-  pair on shared frozen backbones and records grounding metrics;
+  pair on shared frozen backbones and records grounding metrics, one flat
+  ``l_lm, seed, <split>/<metric>`` row per point; ``rank_layers`` orders the
+  depths by the mean of one column;
 * ``compute_report``     - a four-column cost table (framework, params,
   GFLOPs, latency) with a baseline detector row, additive delta rows for the
   adapter and the LM prompt path, and a fused total.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +32,11 @@ import numpy as np
 from . import tensor as T
 from . import training as tr
 from .adapter import (AdapterConfig, FusionHook, FusionState,
-                      adapter_param_count, adapter_param_flops)
+                      adapter_param_flops)
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
 from .layers import linear_flops, mha_flops
-from .mllm import TAG_SYSTEM, TAG_TEXT, TAG_VISION, MiniMllm, MllmConfig
+from .mllm import MiniMllm, MllmConfig
 from .scenes import PACK_WIDTH
 from .tensor import FlopsMeter, UsageError
 
@@ -43,7 +46,7 @@ from .tensor import FlopsMeter, UsageError
 REPORT_TEXT_WIDTH = PACK_WIDTH
 REPORT_LM_TEXT = 8
 
-MODALITIES = (("system", TAG_SYSTEM), ("vision", TAG_VISION), ("text", TAG_TEXT))
+MODALITIES = ("system", "vision", "text")
 
 
 # ---------------------------------------------------------------------------
@@ -51,44 +54,17 @@ MODALITIES = (("system", TAG_SYSTEM), ("vision", TAG_VISION), ("text", TAG_TEXT)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AttentionProfile:
-    """Per-layer medians of pre-softmax scaled scores, one value per key
-    modality; layer l is the attention inside decoder layer l (1-based)."""
-
-    medians: dict[str, list[float]]
-
-    def __post_init__(self):
-        if set(self.medians) != {name for name, _ in MODALITIES}:
-            raise UsageError(
-                f"profile needs exactly the modalities "
-                f"{sorted(n for n, _ in MODALITIES)}, got {sorted(self.medians)}")
-        depths = {len(v) for v in self.medians.values()}
-        if len(depths) != 1:
-            raise UsageError(f"modalities disagree on layer count: {depths}")
-        for name, vals in self.medians.items():
-            if not np.all(np.isfinite(vals)):
-                raise UsageError(f"non-finite median in {name!r}: {vals}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.medians["vision"])
-
-    def layer_rows(self) -> list[dict]:
-        return [{"layer": l, "modality": name, "median": self.medians[name][l - 1]}
-                for l in range(1, self.depth + 1)
-                for name, _ in MODALITIES]
-
-
 def attention_medians(mllm: MiniMllm, images: np.ndarray, text_ids: np.ndarray,
-                      text_valid: np.ndarray | None = None) -> AttentionProfile:
+                      text_valid: np.ndarray | None = None) -> list[dict]:
     """Run the LM on a captioning batch and aggregate raw attention scores.
 
     Per layer and key modality: the median of Q.K/sqrt(d_head) over every
     (query, key) pair the causal/padding mask admits, taken per head and
     batch element, then averaged.  Scores are pre-softmax, so gating by the
     later normalization never hides scale differences between modalities.
-    The LM runs with no tape recorded.
+    Returns one ``{"layer", "modality", "median"}`` row per decoder layer
+    (1-based) and modality, layer-major in ``MODALITIES`` order.  The LM
+    runs with no tape recorded.
     """
     ids = np.asarray(text_ids, dtype=np.intp)
     if ids.ndim != 2 or ids.shape[1] == 0:
@@ -97,33 +73,36 @@ def attention_medians(mllm: MiniMllm, images: np.ndarray, text_ids: np.ndarray,
     with T.no_tape():
         vis = mllm.align_vision(mllm.encode_image(
             T.constant(np.asarray(images, dtype=np.float64))))
-        x, layout = mllm.embed_from_aligned(vis, ids)
+        x = mllm.embed_from_aligned(vis, ids)
         with T.attention_tap() as taps:
-            mllm.forward(x, layout, text_valid)
-    scores = [s for s, _ in taps]
+            mllm.forward(x, text_valid)
+    n = x.shape[1]
+    v0 = mllm.cfg.sys_len
+    t0 = v0 + vis.shape[1]
+    spans = dict(zip(MODALITIES, ((0, v0), (v0, t0), (t0, n))))
     admitted = np.isfinite(
-        np.broadcast_to(mllm.sequence_mask(layout, text_valid), scores[0].shape))
-    medians: dict[str, list[float]] = {name: [] for name, _ in MODALITIES}
-    for s in scores:
+        np.broadcast_to(mllm.sequence_mask(n, text_valid), taps[0][0].shape))
+    rows = []
+    for layer, (s, _) in enumerate(taps, start=1):
         b, h = s.shape[:2]
-        for name, tag in MODALITIES:
-            sel = admitted & (layout.tags == tag)[None, None, None, :]
+        for name in MODALITIES:
+            lo, hi = spans[name]
             per = np.empty((b, h))
             for i in range(b):
                 for j in range(h):
-                    vals = s[i, j][sel[i, j]]
+                    vals = s[i, j, :, lo:hi][admitted[i, j, :, lo:hi]]
                     if vals.size == 0:
                         raise UsageError(
                             f"batch row {i} admits no {name!r} keys")
                     per[i, j] = np.median(vals)
-            medians[name].append(float(per.mean()))
-    return AttentionProfile(medians)
+            rows.append({"layer": layer, "modality": name,
+                         "median": float(per.mean())})
+    return rows
 
 
-def write_attention_csv(profile: AttentionProfile, path: str | Path) -> None:
+def write_attention_csv(rows: list[dict], path: str | Path) -> None:
     _write_csv(path, ["layer", "modality", "median"],
-               [[r["layer"], r["modality"], repr(r["median"])]
-                for r in profile.layer_rows()])
+               [[r["layer"], r["modality"], repr(r["median"])] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +110,19 @@ def write_attention_csv(profile: AttentionProfile, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AblationResult:
-    """One sweep point: the LM tap depth tried, the adapter seed, and the
-    grounding metrics per evaluation split."""
-
-    l_lm: int
-    seed: int
-    metrics: dict[str, dict]
-
-    def __post_init__(self):
-        if self.l_lm < 0:
-            raise UsageError(f"l_lm must be >= 0, got {self.l_lm}")
-
-
 def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
                 projector_snap: dict[str, np.ndarray],
                 train_scenes, val_splits: dict,
                 l_lm_values, seeds, cache: tr.Stage3Cache | None = None,
-                progress=None) -> list[AblationResult]:
+                progress=None) -> list[dict]:
     """Train one fresh adapter per (l_lm, seed) on the shared backbones.
 
-    Depth 0 taps the embedded sequence before any decoder layer (the
-    vision-projector-only arm).  All points share one frozen-activation
-    cache; each point restores the stage-2 projector, so results per point
-    are independent of sweep order and bit-reproducible.
+    Returns one flat row per point: ``l_lm``, ``seed`` and a
+    ``"<split>/<metric>"`` column for every grounding metric but
+    ``per_scene``.  Depth 0 taps the embedded sequence before any decoder
+    layer (the vision-projector-only arm).  All points share one
+    frozen-activation cache; each point restores the stage-2 projector, so
+    results per point are independent of sweep order and bit-reproducible.
     """
     if projector_snap is None:
         raise UsageError("layer_sweep needs the stage-2 projector snapshot")
@@ -166,54 +133,41 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     if cache is None:
         cache = tr.Stage3Cache(mllm, det, train_scenes,
                                cfg.adapter_config().l_d, chunk=cfg.eval_chunk)
-    results = []
+    rows = []
     for seed in seeds:
         for l_lm in l_lm_values:
             point_cfg = replace(cfg, run_seed=seed)
             _, report = tr.run_stage3_experiment(
                 point_cfg, mllm, det, projector_snap, train_scenes, val_splits,
                 cache=cache, l_lm=l_lm)
-            metrics = {split: {k: v for k, v in m.items() if k != "per_scene"}
-                       for split, m in report["metrics"].items()}
-            results.append(AblationResult(l_lm=l_lm, seed=seed, metrics=metrics))
+            row = {"l_lm": l_lm, "seed": seed}
+            for split, m in report["metrics"].items():
+                row.update((f"{split}/{k}", v) for k, v in m.items()
+                           if k != "per_scene")
+            rows.append(row)
             if progress is not None:
-                progress(results[-1])
-    return results
+                progress(row)
+    return rows
 
 
-def sweep_means(results: list[AblationResult], split: str, key: str
-                ) -> dict[int, float]:
-    """Mean of one metric per l_lm across seeds."""
+def rank_layers(rows: list[dict], column: str = "val-spatial/acc"
+                ) -> list[tuple[int, float]]:
+    """Tap depths ordered best-first by the mean of one column across
+    seeds."""
     buckets: dict[int, list[float]] = {}
-    for r in results:
-        if split not in r.metrics or key not in r.metrics[split]:
-            raise UsageError(f"sweep point has no metric {split}/{key}")
-        buckets.setdefault(r.l_lm, []).append(float(r.metrics[split][key]))
-    return {l: float(np.mean(v)) for l, v in sorted(buckets.items())}
+    for r in rows:
+        if column not in r:
+            raise UsageError(f"sweep point has no column {column!r}")
+        buckets.setdefault(r["l_lm"], []).append(float(r[column]))
+    means = [(l, float(np.mean(v))) for l, v in buckets.items()]
+    return sorted(means, key=lambda kv: (-kv[1], kv[0]))
 
 
-def rank_layers(results: list[AblationResult], split: str = "val-spatial",
-                key: str = "acc") -> list[tuple[int, float]]:
-    """Tap depths ordered best-first by the mean of one metric."""
-    means = sweep_means(results, split, key)
-    return sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def write_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
-    cols: list[str] = []
-    for r in results:
-        for split in sorted(r.metrics):
-            for k, v in sorted(r.metrics[split].items()):
-                if isinstance(v, (int, float)) and f"{split}/{k}" not in cols:
-                    cols.append(f"{split}/{k}")
-    cols.sort()
-    rows = []
-    for r in results:
-        flat = {f"{split}/{k}": v for split, m in r.metrics.items()
-                for k, v in m.items() if isinstance(v, (int, float))}
-        rows.append([r.l_lm, r.seed] + [repr(flat[c]) if c in flat else ""
-                                        for c in cols])
-    _write_csv(path, ["l_lm", "seed"] + cols, rows)
+def write_ablation_csv(rows: list[dict], path: str | Path) -> None:
+    cols = sorted({c for r in rows for c in r} - {"l_lm", "seed"})
+    _write_csv(path, ["l_lm", "seed"] + cols,
+               [[r["l_lm"], r["seed"]]
+                + [repr(r[c]) if c in r else "" for c in cols] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +264,12 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     Each row carries parameter counts, analytic FLOPs from the configs, and
     independently metered FLOPs from a real forward; the total row's metered
     count comes from one full fused pass, so the additivity of the deltas is
-    itself a measured fact rather than an identity of the formulas.  Latency
-    (median of warm repetitions, single scene) is optional because wall-clock
-    is the one column that cannot be reproduced from the config alone.  The
-    metered and timed passes record no tape, so latency is the forward alone.
+    itself a measured fact rather than an identity of the formulas.  Each
+    row's forward is one callable, metered once and, with
+    ``measure_latency``, timed as it is (median of warm repetitions, single
+    scene); latency is optional because wall-clock is the one column that
+    cannot be reproduced from the config alone.  No pass records a tape, so
+    latency is the forward alone.
     """
     if acfg.grid != mcfg.aligned_grid:
         raise UsageError(
@@ -335,6 +291,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     spans = [_even_spans(REPORT_TEXT_WIDTH, dcfg.queries)] * b
     lm_ids = rng.integers(1, mcfg.vocab, (b, REPORT_LM_TEXT))
     lm_valid = np.ones((b, REPORT_LM_TEXT), dtype=bool)
+    q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
 
     def lm_prompts(patches):
         vis = mllm.align_vision(patches)
@@ -342,80 +299,58 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
             return mllm.hidden_from_aligned(vis, acfg.l_lm, lm_ids, lm_valid)
         return mllm.hidden_from_aligned(vis, acfg.l_lm)
 
-    def detector_core(e_vis, hook=None):
+    def detector(patches, hook=None):
         e_txt = det.encode_text(det_ids, det_valid)
-        pooled, counts = pool_phrases(e_txt, spans, dcfg.queries)
-        return tr._detector_outputs(det, e_vis,
-                                    (e_txt, det_valid, pooled, counts), hook)
+        text = (e_txt, det_valid, pool_phrases(e_txt, spans, dcfg.queries))
+        return tr._detector_outputs(det, det.encode_vision(patches), text, hook)
 
-    with T.no_tape():
-        with FlopsMeter() as m_patch:
-            patches = mllm.encode_image(images)
-        with FlopsMeter() as m_core:
-            detector_core(det.encode_vision(patches))
-        with FlopsMeter() as m_lm:
-            e_v_l, e_t = lm_prompts(patches)
-        e_vis = det.encode_vision(patches)
-        q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
-
-        def adapter_forward():
-            FusionHook(state, e_v_l, e_t, e_t_valid=lm_valid)(q_probe, e_vis)
-
-        with FlopsMeter() as m_adapter:
-            adapter_forward()
-
-        def fused_forward():
-            patches = mllm.encode_image(images)
-            e_v_l, e_t = lm_prompts(patches)
-            e_vis = det.encode_vision(patches)
-            hook = FusionHook(state, e_v_l, e_t, e_t_valid=lm_valid)
-            return detector_core(e_vis, hook=hook)
-
-        with FlopsMeter() as m_total:
-            fused_forward()
-
-        lat = {"detector": None, "+adapter": None, "+lm-prompts": None, "total": None}
-        if measure_latency:
-            lat["detector"] = median_latency_ms(
-                lambda: detector_core(det.encode_vision(mllm.encode_image(images))),
-                repeats, warmup)
-            lat["+adapter"] = median_latency_ms(adapter_forward, repeats, warmup)
-            lat["+lm-prompts"] = median_latency_ms(
-                lambda: lm_prompts(patches), repeats, warmup)
-            lat["total"] = median_latency_ms(fused_forward, repeats, warmup)
+    def fused():
+        patches = mllm.encode_image(images)
+        e_v_l, e_t = lm_prompts(patches)
+        return detector(patches, FusionHook(state, e_v_l, e_t,
+                                            e_t_valid=lm_valid))
 
     p_grid = h * w
-    a_patch = patch_encoder_flops(mcfg)
-    a_core = detector_forward_flops(dcfg, p_grid, mcfg.d_patch,
-                                    REPORT_TEXT_WIDTH, dcfg.queries)
-    a_lm = prompt_path_flops(mcfg, acfg.l_lm,
-                             REPORT_LM_TEXT if acfg.text_fusion else 0)
     _, a_adapter = adapter_param_flops(
         acfg, b=b, t_queries=p_grid if acfg.fuses_vision else dcfg.queries,
         text_len=REPORT_LM_TEXT)
-
-    p_det = mllm.vision.param_count() + det.param_count()
-    p_adapter = adapter_param_count(state)
-    p_lm = (mllm.projector.param_count() + mllm.sys_embed.size
+    # row -> (params, analytic FLOPs); the total is the sum of the deltas
+    costs = {
+        "detector": (mllm.vision.param_count() + det.param_count(),
+                     patch_encoder_flops(mcfg) + detector_forward_flops(
+                         dcfg, p_grid, mcfg.d_patch, REPORT_TEXT_WIDTH,
+                         dcfg.queries)),
+        "+adapter": (state.param_count(), a_adapter),
+        "+lm-prompts": (
+            mllm.projector.param_count() + mllm.sys_embed.size
             + sum(blk.param_count() for blk in mllm.blocks[:acfg.l_lm])
-            + (mllm.tok_embed.size if acfg.text_fusion else 0))
+            + (mllm.tok_embed.size if acfg.text_fusion else 0),
+            prompt_path_flops(mcfg, acfg.l_lm,
+                              REPORT_LM_TEXT if acfg.text_fusion else 0)),
+    }
+    costs["total"] = tuple(map(sum, zip(*costs.values())))
 
-    rows = [
-        {"framework": "detector", "params": p_det,
-         "flops_analytic": a_patch + a_core,
-         "flops_metered": m_patch.accumulated + m_core.accumulated,
-         "latency_ms": lat["detector"]},
-        {"framework": "+adapter", "params": p_adapter,
-         "flops_analytic": a_adapter, "flops_metered": m_adapter.accumulated,
-         "latency_ms": lat["+adapter"]},
-        {"framework": "+lm-prompts", "params": p_lm,
-         "flops_analytic": a_lm, "flops_metered": m_lm.accumulated,
-         "latency_ms": lat["+lm-prompts"]},
-        {"framework": "total", "params": p_det + p_adapter + p_lm,
-         "flops_analytic": a_patch + a_core + a_adapter + a_lm,
-         "flops_metered": m_total.accumulated,
-         "latency_ms": lat["total"]},
-    ]
+    rows = []
+    with T.no_tape():
+        patches = mllm.encode_image(images)
+        e_v_l, e_t = lm_prompts(patches)
+        e_vis = det.encode_vision(patches)
+        calls = {
+            "detector": lambda: detector(mllm.encode_image(images)),
+            "+adapter": lambda: FusionHook(state, e_v_l, e_t,
+                                           e_t_valid=lm_valid)(q_probe, e_vis),
+            "+lm-prompts": lambda: lm_prompts(patches),
+            "total": fused,
+        }
+        for name, fn in calls.items():
+            with FlopsMeter() as meter:
+                fn()
+            params, flops = costs[name]
+            rows.append({
+                "framework": name, "params": params, "flops_analytic": flops,
+                "flops_metered": meter.accumulated,
+                "latency_ms": (median_latency_ms(fn, repeats, warmup)
+                               if measure_latency else None)})
     return rows
 
 

@@ -46,11 +46,15 @@ def load_tensor(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise UsageError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise UsageError(f"{path}: {len(raw)} bytes, shorter than the header")
     version, rank = struct.unpack_from("<II", raw, 4)
     if version != VERSION:
         raise UsageError(f"{path}: unsupported version {version}")
-    extents = struct.unpack_from(f"<{rank}Q", raw, 12)
     offset = 12 + 8 * rank
+    if len(raw) < offset:
+        raise UsageError(f"{path}: {len(raw)} bytes, shorter than the header")
+    extents = struct.unpack_from(f"<{rank}Q", raw, 12)
     count = int(np.prod(extents, dtype=np.int64)) if rank else 1
     if len(raw) != offset + 8 * count:
         raise UsageError(f"{path}: payload size does not match header extents")

@@ -139,37 +139,47 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def _sweep_point_line(point: analysis.AblationResult) -> str:
-    accs = " ".join(f"{split} acc {m['acc']:.3f}"
-                    for split, m in point.metrics.items())
-    return f"l_lm={point.l_lm} seed={point.seed} {accs}"
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise UsageError(
+            f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
+def _sweep_point_line(row: dict) -> str:
+    accs = " ".join(f"{col.removesuffix('/acc')} acc {v:.3f}"
+                    for col, v in row.items() if col.endswith("/acc"))
+    return f"l_lm={row['l_lm']} seed={row['seed']} {accs}"
 
 
 def cmd_ablate_layers(cfg: ExperimentConfig, out: Path, args) -> int:
+    layers = _int_list("--layers", args.layers)
+    seeds = _int_list("--seeds", args.seeds)
     mllm, det = _backbones(cfg, out)
-    layers = [int(v) for v in args.layers.split(",") if v != ""]
-    seeds = [int(v) for v in args.seeds.split(",") if v != ""]
-    results = analysis.layer_sweep(
+    rows = analysis.layer_sweep(
         cfg, mllm, det, tr.snapshot(mllm.projector),
         tr.load_split(cfg, "train"), _val_splits(cfg), layers, seeds,
-        progress=lambda point: print(_sweep_point_line(point), flush=True))
-    analysis.write_ablation_csv(results, out / "ablation.csv")
-    for l_lm, mean in analysis.rank_layers(results):
+        progress=lambda row: print(_sweep_point_line(row), flush=True))
+    analysis.write_ablation_csv(rows, out / "ablation.csv")
+    for l_lm, mean in analysis.rank_layers(rows):
         print(f"l_lm={l_lm}: mean val-spatial acc {mean:.3f}")
     print(f"wrote {out / 'ablation.csv'}")
     return 0
 
 
 def cmd_analyze_attention(cfg: ExperimentConfig, out: Path, args) -> int:
+    if args.batch < 1:
+        raise UsageError(f"--batch must be at least 1, got {args.batch}")
     mllm, _ = tr.build_models(cfg)
     _load_into(mllm, out, "mllm-stage2")
     scenes = tr.load_split(cfg, "val-category")[:args.batch]
     from .scenes import pad_token_rows
     ids, valid = pad_token_rows([s.caption for s in scenes])
     images = np.stack([s.image for s in scenes])
-    profile = analysis.attention_medians(mllm, images, ids, valid)
-    analysis.write_attention_csv(profile, out / "attention_profile.csv")
-    for r in profile.layer_rows():
+    rows = analysis.attention_medians(mllm, images, ids, valid)
+    analysis.write_attention_csv(rows, out / "attention_profile.csv")
+    for r in rows:
         print(f"layer {r['layer']} {r['modality']}: median {r['median']:+.4f}")
     print(f"wrote {out / 'attention_profile.csv'}")
     return 0

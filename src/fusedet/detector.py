@@ -205,21 +205,19 @@ def pack_candidates(scene_candidates: list[list[np.ndarray]],
 
 
 def pool_phrases(e_txt: Tensor, spans: list[list[tuple[int, int]]],
-                 max_c: int) -> tuple[Tensor, np.ndarray]:
+                 max_c: int) -> Tensor:
     """Per-candidate masked means of text features, padded to ``max_c``
-    candidates.  Returns ([B, max_c, d], candidate-count array)."""
+    candidates: [B, max_c, d]."""
     b, w, _ = e_txt.shape
     weights = np.zeros((b, max_c, w))
-    counts = np.array([len(sp) for sp in spans])
-    if np.any(counts > max_c):
-        i = int(np.argmax(counts))
-        raise ConfigurationError(
-            f"scene {i} has {counts[i]} candidates, more than max_c={max_c} "
-            f"(the detector's query count)")
     for i, sp in enumerate(spans):
+        if len(sp) > max_c:
+            raise ConfigurationError(
+                f"scene {i} has {len(sp)} candidates, more than max_c={max_c} "
+                f"(the detector's query count)")
         for c, (lo, hi) in enumerate(sp):
             weights[i, c, lo:hi] = 1.0 / (hi - lo)
-    return T.matmul(T.constant(weights), e_txt), counts
+    return T.matmul(T.constant(weights), e_txt)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +269,8 @@ def _candidate_probs(logits: np.ndarray, n_cand: int
     return keep, shifted / shifted.sum(-1, keepdims=True)
 
 
-def detection_loss(boxes: Tensor, logits: Tensor, counts: np.ndarray,
-                   scenes: list[SyntheticScene], cfg: DetectorConfig) -> Tensor:
+def detection_loss(boxes: Tensor, logits: Tensor, scenes: list[SyntheticScene],
+                   cfg: DetectorConfig) -> Tensor:
     """Hungarian-matched loss, summed per scene and averaged over the batch.
 
     Per scene: box_weight * L1 on matched boxes, phrase_weight * CE on matched
@@ -293,7 +291,7 @@ def detection_loss(boxes: Tensor, logits: Tensor, counts: np.ndarray,
     row_w = np.full((b, nq), cfg.background_weight)
     col_ok = np.zeros((b, 1, n_col), dtype=bool)
     for i, scene in enumerate(scenes):
-        keep, probs = _candidate_probs(logits.data[i], counts[i])
+        keep, probs = _candidate_probs(logits.data[i], len(scene.candidates))
         col_ok[i, 0, keep] = True
         g = len(scene.gt_boxes)
         cost = np.zeros((nq, g))

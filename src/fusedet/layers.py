@@ -53,11 +53,17 @@ class Module:
     def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.named_parameters(prefix).items()}
 
-    def load_state_arrays(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        params = self.named_parameters(prefix)
+    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Copy in one array per parameter; the names must match exactly."""
+        params = self.named_parameters()
         missing = set(params) - set(state)
         if missing:
             raise T.UsageError(f"checkpoint missing parameters: {sorted(missing)[:4]}...")
+        unexpected = set(state) - set(params)
+        if unexpected:
+            raise T.UsageError(
+                f"checkpoint has parameters the model lacks: "
+                f"{sorted(unexpected)[:4]}...")
         for name, p in params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != p.data.shape:

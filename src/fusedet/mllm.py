@@ -3,7 +3,9 @@ trainable projector, and a small causal decoder with per-layer hidden taps.
 
 The sequence is always [system prefix | vision tokens | text tokens] under a
 causal mask, so vision-position states never depend on the text that follows
-them.  Hidden state 0 is the embedded sequence before any decoder layer (the
+them.  The spans are plain offsets: ``sys_len`` system positions, then one
+position per aligned vision token, then the text to the end of the sequence.
+Hidden state 0 is the embedded sequence before any decoder layer (the
 "vision encoder only" arm); state l is the output of decoder layer l.
 """
 
@@ -17,8 +19,6 @@ from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, TransformerBlock, cross_entropy
 from .scenes import PAD, VOCAB
 from .tensor import ConfigurationError, DimensionError, Tensor
-
-TAG_SYSTEM, TAG_VISION, TAG_TEXT = 0, 1, 2
 
 
 @dataclass
@@ -66,26 +66,6 @@ class MllmConfig:
     def l_v(self) -> int:
         h, w = self.aligned_grid
         return h * w
-
-
-@dataclass
-class TokenLayout:
-    tags: np.ndarray                 # int per position
-    vision_span: tuple[int, int]
-    text_span: tuple[int, int]
-    grid: tuple[int, int]            # vision grid feeding the vision span
-
-    def __post_init__(self):
-        n = len(self.tags)
-        v0, v1 = self.vision_span
-        t0, t1 = self.text_span
-        if not (0 <= v0 <= v1 <= n and 0 <= t0 <= t1 <= n):
-            raise ConfigurationError(f"spans outside sequence of length {n}")
-        if max(v0, t0) < min(v1, t1):
-            raise ConfigurationError("vision and text spans overlap")
-        if v1 - v0 != self.grid[0] * self.grid[1]:
-            raise ConfigurationError(
-                f"vision span length {v1 - v0} != grid area {self.grid}")
 
 
 class VisionEncoder(Module):
@@ -170,45 +150,37 @@ class MiniMllm(Module):
 
     # -- sequence assembly --------------------------------------------------
 
-    def embed_from_aligned(self, vis: Tensor, text_ids: np.ndarray
-                           ) -> tuple[Tensor, TokenLayout]:
+    def embed_from_aligned(self, vis: Tensor, text_ids: np.ndarray) -> Tensor:
         """Assemble [system | vision | text] given aligned vision tokens."""
         b = vis.shape[0]
-        l_v = vis.shape[1]
         s = self.cfg.sys_len
-        t = text_ids.shape[1] if text_ids.size else 0
         parts = [T.concat([T.reshape(self.sys_embed, 1, s, self.cfg.d_lm)] * b,
                           axis=0), vis]
-        if t:
+        if text_ids.size:
             parts.append(T.embedding(self.tok_embed, text_ids))
-        x = T.concat(parts, axis=1)
-        tags = np.array([TAG_SYSTEM] * s + [TAG_VISION] * l_v + [TAG_TEXT] * t)
-        layout = TokenLayout(tags, (s, s + l_v), (s + l_v, s + l_v + t),
-                             self.cfg.aligned_grid)
-        return x, layout
+        return T.concat(parts, axis=1)
 
-    def sequence_mask(self, layout: TokenLayout,
-                      text_valid: np.ndarray | None) -> np.ndarray:
-        n = len(layout.tags)
+    def sequence_mask(self, n: int, text_valid: np.ndarray | None) -> np.ndarray:
+        """Causal mask over ``n`` positions; with ``text_valid`` the last
+        ``text_valid.shape[1]`` positions are text and its padding is
+        masked out as keys."""
         mask = T.causal_mask(n)[None, None]
         if text_valid is not None and text_valid.size:
-            t0, t1 = layout.text_span
-            b = text_valid.shape[0]
+            b, t = text_valid.shape
             key_ok = np.ones((b, n), dtype=bool)
-            key_ok[:, t0:t1] = text_valid
+            key_ok[:, n - t:] = text_valid
             mask = mask + T.additive_mask(key_ok)[:, None, None, :]
         return mask
 
-    def forward(self, x: Tensor, layout: TokenLayout,
-                text_valid: np.ndarray | None = None,
+    def forward(self, x: Tensor, text_valid: np.ndarray | None = None,
                 upto_layer: int | None = None) -> Tensor:
-        """Run decoder layers 1 .. ``upto_layer`` (default all n) and return
-        the state after the last one; ``upto_layer=0`` returns ``x``."""
-        if x.shape[1] != len(layout.tags):
-            raise DimensionError(
-                f"sequence length {x.shape[1]} != layout length {len(layout.tags)}")
-        mask = self.sequence_mask(layout, text_valid)
-        positions = np.arange(len(layout.tags))
+        """Run decoder layers 1 .. ``upto_layer`` (default all n) over an
+        ``embed_from_aligned`` sequence and return the state after the last
+        one; ``upto_layer=0`` returns ``x``.  ``text_valid`` marks the valid
+        positions of the trailing text span."""
+        n = x.shape[1]
+        mask = self.sequence_mask(n, text_valid)
+        positions = np.arange(n)
         depth = self.cfg.n if upto_layer is None else upto_layer
         for block in self.blocks[:depth]:
             x = block(x, mask=mask, positions=positions)
@@ -225,9 +197,9 @@ class MiniMllm(Module):
         b, t = text_ids.shape
         if text_valid is None:
             text_valid = np.ones((b, t), dtype=bool)
-        x, layout = self.embed_from_aligned(vis, text_ids)
-        logits = self.lm_head(self.ln_f(self.forward(x, layout, text_valid)))
-        t0, _ = layout.text_span
+        x = self.embed_from_aligned(vis, text_ids)
+        logits = self.lm_head(self.ln_f(self.forward(x, text_valid)))
+        t0 = self.cfg.sys_len + vis.shape[1]
         # position t0 + j is predicted from the state at t0 + j - 1
         pred = T.slice_axis(logits, 1, t0 - 1, t0 + t - 1)
         flat = T.reshape(pred, b * t, self.cfg.vocab)
@@ -246,11 +218,11 @@ class MiniMllm(Module):
             raise ConfigurationError(f"l_lm {l_lm} outside [0, {self.cfg.n}]")
         ids = np.zeros((vis.shape[0], 0), dtype=np.intp) \
             if text_ids is None else text_ids
-        x, layout = self.embed_from_aligned(vis, ids)
-        h = self.forward(x, layout, text_valid, upto_layer=l_lm)
-        v0, v1 = layout.vision_span
+        h = self.forward(self.embed_from_aligned(vis, ids), text_valid,
+                         upto_layer=l_lm)
+        v0 = self.cfg.sys_len
+        v1 = v0 + vis.shape[1]
         e_v = T.slice_axis(h, 1, v0, v1)
         if ids.shape[1] == 0:
             return e_v, None
-        t0, t1 = layout.text_span
-        return e_v, T.slice_axis(h, 1, t0, t1)
+        return e_v, T.slice_axis(h, 1, v1, h.shape[1])

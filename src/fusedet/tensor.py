@@ -46,14 +46,11 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "power",
     "matmul",
     "linear",
     "layer_norm",
     "attention",
-    "exp",
-    "log",
     "tanh",
     "sigmoid",
     "gelu",
@@ -338,19 +335,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), bw, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = a.data / b.data
-    _count_flops(out_data.size)
-
-    def bw(g, acc):
-        acc(a, _unbroadcast(g / b.data, a.shape))
-        acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), bw, "div")
-
-
 def power(a, p: float) -> Tensor:
     """Element-wise ``a ** p`` for a fixed float exponent."""
     a = as_tensor(a)
@@ -361,29 +345,6 @@ def power(a, p: float) -> Tensor:
         acc(a, g * p * a.data ** (p - 1.0))
 
     return _make(out_data, (a,), bw, f"power({p})")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    _count_flops(out_data.size)
-
-    def bw(g, acc):
-        acc(a, g * out_data)
-
-    return _make(out_data, (a,), bw, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-    _count_flops(out_data.size)
-
-    def bw(g, acc):
-        acc(a, g / a.data)
-
-    return _make(out_data, (a,), bw, "log")
 
 
 def tanh(a) -> Tensor:

@@ -257,7 +257,7 @@ class Stage3Cache:
                                them through ``align_vision``, whose
                                projector is trained in stage 3
     evd        [N, P, d]       detector vision features
-    text       (e_txt [N, W, d], valid [N, W], pooled [N, Q, d], counts [N]):
+    text       (e_txt [N, W, d], valid [N, W], pooled [N, Q, d]):
                                ``_candidate_text`` of the scenes, padded
                                positions included
     pre_state  [N, Q, d]       decoder state entering layer l_d with no
@@ -282,16 +282,15 @@ class Stage3Cache:
         self.evd = np.empty((n, self.patches.shape[1], d))
         self.text = (np.empty((n, PACK_WIDTH, d)),
                      np.empty((n, PACK_WIDTH), dtype=bool),
-                     np.empty((n, nq, d)), np.empty(n, dtype=np.intp))
+                     np.empty((n, nq, d)))
         self.pre_state = np.empty((n, nq, d))
         with T.no_tape():
             for lo, hi in _chunks(n, chunk):
                 e_vis = det.encode_vision(T.constant(self.patches[lo:hi]))
-                e_txt, valid, pooled, counts = _candidate_text(det,
-                                                               scenes[lo:hi])
+                e_txt, valid, pooled = _candidate_text(det, scenes[lo:hi])
                 self.evd[lo:hi] = e_vis.data
                 for dst, src in zip(self.text, (e_txt.data, valid,
-                                                pooled.data, counts)):
+                                                pooled.data)):
                     dst[lo:hi] = src
                 self.pre_state[lo:hi] = det.decode(
                     e_vis, e_txt, valid, upto_layer=l_d - 1).data
@@ -309,24 +308,23 @@ def _caption_loss(mllm: MiniMllm, patches: np.ndarray, ids: np.ndarray,
 
 
 def _candidate_text(det: GroundingDetector, scenes: list[SyntheticScene]):
-    """(e_txt [B,W,d], valid [B,W], pooled [B,Q,d], counts [B]) for the
-    scenes' candidate phrases, packed at ``PACK_WIDTH``."""
+    """(e_txt [B,W,d], valid [B,W], pooled [B,Q,d]) for the scenes'
+    candidate phrases, packed at ``PACK_WIDTH``."""
     ids, valid, spans = pack_candidates(
         [s.candidates for s in scenes], width=PACK_WIDTH)
     e_txt = det.encode_text(ids, valid)
-    pooled, counts = pool_phrases(e_txt, spans, det.cfg.queries)
-    return e_txt, valid, pooled, counts
+    return e_txt, valid, pool_phrases(e_txt, spans, det.cfg.queries)
 
 
 def _detector_outputs(det: GroundingDetector, e_vis: Tensor, text, hook=None,
                       start_state: Tensor | None = None, start_layer: int = 1):
-    """The one detector pass: (boxes, logits, counts) for vision features and
-    a ``_candidate_text`` tuple.  ``decode`` applies the hook, if any; a
+    """The one detector pass: (boxes, logits) for vision features and a
+    ``_candidate_text`` tuple.  ``decode`` applies the hook, if any; a
     resumed decode starts from ``start_state``."""
-    e_txt, valid, pooled, counts = text
+    e_txt, valid, pooled = text
     q = det.decode(e_vis, e_txt, valid, hook=hook, start_state=start_state,
                    start_layer=start_layer)
-    return det.boxes(q), det.phrase_logits(q, pooled), counts
+    return det.boxes(q), det.phrase_logits(q, pooled)
 
 
 def _lm_states(mllm: MiniMllm, vis: Tensor, acfg, scenes):
@@ -352,7 +350,7 @@ def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
                   det: GroundingDetector, scenes: list[SyntheticScene],
                   state: FusionState | None = None,
                   sub: SubstitutionHead | None = None):
-    """The uncached detector pass from images: (boxes, logits, counts) for the
+    """The uncached detector pass from images: (boxes, logits) for the
     plain detector, with a fusion adapter, or with the substitution head."""
     if state is not None and sub is not None:
         raise UsageError("pass a fusion state or a substitution head, not both")
@@ -385,9 +383,8 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
     scenes = [cache.scenes[i] for i in idx]
     vis = mllm.align_vision(T.constant(cache.patches[idx]))
     hook = FusionHook(state, *_lm_states(mllm, vis, state.cfg, scenes))
-    e_txt, valid, pooled, counts = cache.text
-    text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]),
-            counts[idx])
+    e_txt, valid, pooled = cache.text
+    text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]))
     outputs = _detector_outputs(
         det, T.constant(cache.evd[idx]), text, hook,
         start_state=T.constant(cache.pre_state[idx]), start_layer=cache.l_d)
@@ -513,7 +510,7 @@ def grounded_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
     logit columns are the candidates padded to Q, then background.  Runs
     ``fused_outputs`` with no tape recorded, whatever is trainable."""
     with T.no_tape():
-        boxes, logits, _ = fused_outputs(cfg, mllm, det, scenes, state, sub)
+        boxes, logits = fused_outputs(cfg, mllm, det, scenes, state, sub)
     return boxes.data, logits.data
 
 

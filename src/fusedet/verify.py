@@ -56,11 +56,6 @@ def _positive(rng):
     return Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
 
 
-def _nonzero(rng):
-    return Tensor(rng.uniform(0.5, 2.0, (3, 4))
-                  * rng.choice([-1.0, 1.0], (3, 4)), requires_grad=True)
-
-
 def _on(op, *draws):
     """``op`` on fresh tensors, scalarized by a fixed weighted sum.  Each
     draw is a shape (standard normal) or a ``draw(rng)``."""
@@ -293,7 +288,7 @@ def _adapter_step(arch):
                if cfg.fuses_vision else
                [state.wq.weight, state.conv_kernel, state.conv_bias])
         return (lambda: _weighted_sum(step(
-            x, make_prompts(e_v_l, e_t, cfg, state), state))
+            x, make_prompts(e_v_l, e_t, cfg=cfg, state=state), state))
         ), [state.gate, state.out_proj.weight, *own]
     return build
 
@@ -306,8 +301,7 @@ def _detection_loss(rng):
     c = len(scene.candidates)
     boxes_raw = _param(rng, 1, cfg.queries, 4)
     logits = _param(rng, 1, cfg.queries, c + 1)
-    return (lambda: detection_loss(T.sigmoid(boxes_raw), logits,
-                                   np.array([c]), [scene], cfg)
+    return (lambda: detection_loss(T.sigmoid(boxes_raw), logits, [scene], cfg)
             ), [boxes_raw, logits]
 
 
@@ -324,8 +318,6 @@ def _substitution_loss(rng):
 # ---------------------------------------------------------------------------
 
 CASES = [
-    ("op/exp", _on(T.exp, lambda rng: _param(rng, 3, 4, scale=0.5))),
-    ("op/log", _on(T.log, _positive)),
     ("op/tanh", _on(T.tanh, (3, 4))),
     ("op/sigmoid", _on(T.sigmoid, (3, 4))),
     ("op/gelu", _on(T.gelu, (3, 4))),
@@ -346,7 +338,6 @@ CASES = [
     ("op/sub", _on(T.sub, (3, 4), (3, 4))),
     ("op/mul", _on(T.mul, (3, 4), (3, 4))),
     ("op/mul-broadcast", _on(T.mul, (3, 4), (3, 1))),
-    ("op/div", _on(T.div, (3, 4), _nonzero)),
     ("op/matmul", _on(T.matmul, (3, 4), (4, 2))),
     ("op/matmul-batched", _on(T.matmul, (2, 3, 4), (4, 2))),
     ("op/matmul-batched-both", _on(T.matmul, (2, 3, 4), (2, 4, 2))),

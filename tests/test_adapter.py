@@ -7,7 +7,7 @@ import pytest
 
 from fusedet import tensor as T
 from fusedet.adapter import (ARCHS, AdapterConfig, FusionHook, FusionState,
-                             adapter_param_count, adapter_param_flops,
+                             adapter_param_flops,
                              fuse_vision, make_prompts, zero_init_cross_attn)
 from fusedet.tensor import ConfigurationError, DimensionError, FlopsMeter
 from fusedet.verify import CASES, GRADCHECK_TOL, check_case
@@ -393,7 +393,7 @@ class TestAccounting:
     def test_param_count_matches_analytic(self, arch):
         state = make_state(arch)
         params, _ = adapter_param_flops(state.cfg)
-        assert adapter_param_count(state) == params
+        assert state.param_count() == params
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("b,t,text", [(1, 4, 8), (3, 5, 11)])

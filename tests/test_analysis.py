@@ -10,14 +10,13 @@ import pytest
 
 import fusedet.tensor as T
 from fusedet.adapter import AdapterConfig, adapter_param_flops
-from fusedet.analysis import (AblationResult, AttentionProfile,
-                              attention_medians, compute_report, layer_sweep,
-                              median_latency_ms, rank_layers, sweep_means,
+from fusedet.analysis import (MODALITIES, attention_medians, compute_report,
+                              layer_sweep, median_latency_ms, rank_layers,
                               write_ablation_csv, write_attention_csv,
                               write_compute_csv)
 from fusedet.config import ExperimentConfig
 from fusedet.detector import DetectorConfig
-from fusedet.mllm import MiniMllm, MllmConfig, TAG_SYSTEM, TAG_TEXT, TAG_VISION
+from fusedet.mllm import MiniMllm, MllmConfig
 from fusedet import training as tr
 from fusedet.tensor import UsageError
 
@@ -48,31 +47,40 @@ def small_batch(rng, b=2, t=5, canvas=16, vocab=64):
 # ---------------------------------------------------------------------------
 
 
+def by_modality(rows):
+    """{modality: [median per layer]} of ``attention_medians`` rows."""
+    out = {name: [] for name in MODALITIES}
+    for r in rows:
+        out[r["modality"]].append(r["median"])
+    return out
+
+
 def oracle_medians(mllm, images, ids, valid):
     """Independent aggregation: explicit loops over admissible (query, key)
     pairs and a sort-based median."""
     vis = mllm.align_vision(mllm.encode_image(
         T.constant(np.asarray(images, float))))
-    x, layout = mllm.embed_from_aligned(vis, np.asarray(ids, dtype=np.intp))
+    x = mllm.embed_from_aligned(vis, np.asarray(ids, dtype=np.intp))
     with T.attention_tap() as taps:
-        mllm.forward(x, layout, valid)
+        mllm.forward(x, valid)
     scores = [s for s, _ in taps]
-    t0, t1 = layout.text_span
-    n = len(layout.tags)
+    n = x.shape[1]
+    v0 = mllm.cfg.sys_len
+    t0 = v0 + mllm.cfg.l_v
+    modality = ["system"] * v0 + ["vision"] * (t0 - v0) + ["text"] * (n - t0)
     out = {"system": [], "vision": [], "text": []}
-    tag_of = {"system": TAG_SYSTEM, "vision": TAG_VISION, "text": TAG_TEXT}
     for s in scores:
         b, h = s.shape[:2]
-        for name, tag in tag_of.items():
+        for name in out:
             per = np.empty((b, h))
             for i in range(b):
                 for j in range(h):
                     vals = []
                     for q in range(n):
                         for k in range(n):
-                            if k > q or layout.tags[k] != tag:
+                            if k > q or modality[k] != name:
                                 continue
-                            if t0 <= k < t1 and not valid[i, k - t0]:
+                            if k >= t0 and not valid[i, k - t0]:
                                 continue
                             vals.append(s[i, j, q, k])
                     srt = sorted(vals)
@@ -87,17 +95,15 @@ class TestAttentionMedians:
     def test_profile_depth_matches_model(self):
         mllm = small_mllm(n=3)
         images, ids, valid = small_batch(np.random.default_rng(0))
-        prof = attention_medians(mllm, images, ids, valid)
-        assert prof.depth == 3
-        assert len(prof.layer_rows()) == 9
+        rows = attention_medians(mllm, images, ids, valid)
+        assert [(r["layer"], r["modality"]) for r in rows] == [
+            (layer, name) for layer in (1, 2, 3) for name in MODALITIES]
 
     def test_matches_sort_oracle(self):
         mllm = small_mllm(n=2)
         images, ids, valid = small_batch(np.random.default_rng(1))
-        prof = attention_medians(mllm, images, ids, valid)
-        want = oracle_medians(mllm, images, ids, valid)
-        for name in ("system", "vision", "text"):
-            assert prof.medians[name] == want[name]
+        got = by_modality(attention_medians(mllm, images, ids, valid))
+        assert got == oracle_medians(mllm, images, ids, valid)
 
     def test_zero_key_projection_gives_zero_medians(self):
         # zero K rows make every dot product exactly zero (RoPE rotates the
@@ -106,16 +112,15 @@ class TestAttentionMedians:
         blk = mllm.blocks[0]
         blk.attn.wk.zero_()
         images, ids, valid = small_batch(np.random.default_rng(2))
-        prof = attention_medians(mllm, images, ids, valid)
-        for vals in prof.medians.values():
-            assert vals == [0.0]
+        rows = attention_medians(mllm, images, ids, valid)
+        assert [r["median"] for r in rows] == [0.0] * len(MODALITIES)
 
     def test_deterministic(self):
         mllm = small_mllm()
         images, ids, valid = small_batch(np.random.default_rng(3))
         a = attention_medians(mllm, images, ids, valid)
         b = attention_medians(mllm, images, ids, valid)
-        assert json.dumps(a.medians) == json.dumps(b.medians)
+        assert json.dumps(a) == json.dumps(b)
 
     def test_requires_text_tokens(self):
         mllm = small_mllm()
@@ -130,16 +135,6 @@ class TestAttentionMedians:
         with pytest.raises(UsageError, match="admits no"):
             attention_medians(mllm, images, ids, valid)
 
-    def test_profile_invariants(self):
-        with pytest.raises(UsageError, match="modalities"):
-            AttentionProfile({"vision": [0.1]})
-        with pytest.raises(UsageError, match="layer count"):
-            AttentionProfile({"system": [0.1], "vision": [0.1, 0.2],
-                              "text": [0.1]})
-        with pytest.raises(UsageError, match="non-finite"):
-            AttentionProfile({"system": [0.1], "vision": [np.nan],
-                              "text": [0.1]})
-
     def test_csv_round_trip(self, tmp_path):
         mllm = small_mllm(n=2)
         images, ids, valid = small_batch(np.random.default_rng(6))
@@ -149,7 +144,7 @@ class TestAttentionMedians:
         header, rows = read_csv(path)
         assert header == ["layer", "modality", "median"]
         assert len(rows) == 6
-        assert float(rows[1][2]) == prof.medians[rows[1][1]][0]
+        assert float(rows[1][2]) == by_modality(prof)[rows[1][1]][0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +178,12 @@ class TestLayerSweep:
         res = layer_sweep(cfg, mllm, det, snap, train, vals,
                           l_lm_values=[0, 1, 4], seeds=[0, 1], cache=cache)
         assert len(res) == 6
-        assert sorted({(r.l_lm, r.seed) for r in res}) == [
+        assert sorted({(r["l_lm"], r["seed"]) for r in res}) == [
             (0, 0), (0, 1), (1, 0), (1, 1), (4, 0), (4, 1)]
         for r in res:
-            assert set(r.metrics) == {"val-category", "val-spatial"}
-            assert "per_scene" not in r.metrics["val-category"]
+            assert {c.split("/")[0] for c in r if "/" in c} == {
+                "val-category", "val-spatial"}
+            assert "val-category/per_scene" not in r
 
     def test_depth_zero_taps_pre_decoder_state(self, sweep_bench):
         cfg, mllm, det, snap, train, vals, cache = sweep_bench
@@ -202,6 +198,12 @@ class TestLayerSweep:
             layer_sweep(cfg, mllm, det, snap, train, vals,
                         l_lm_values=[0, 9], seeds=[0], cache=cache)
 
+    def test_negative_depth_rejected(self, sweep_bench):
+        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        with pytest.raises(UsageError, match=r"\[-1\] outside"):
+            layer_sweep(cfg, mllm, det, snap, train, vals,
+                        l_lm_values=[-1, 1], seeds=[0], cache=cache)
+
     def test_missing_snapshot_rejected(self, sweep_bench):
         cfg, mllm, det, snap, train, vals, cache = sweep_bench
         with pytest.raises(UsageError, match="projector snapshot"):
@@ -213,24 +215,20 @@ class TestLayerSweep:
         runs = [layer_sweep(cfg, mllm, det, snap, train, vals,
                             l_lm_values=[2], seeds=[3], cache=cache)[0]
                 for _ in range(2)]
-        assert json.dumps(runs[0].metrics, sort_keys=True) == \
-            json.dumps(runs[1].metrics, sort_keys=True)
+        assert json.dumps(runs[0]) == json.dumps(runs[1])
 
     def test_means_and_ranking(self, sweep_bench):
         cfg, mllm, det, snap, train, vals, cache = sweep_bench
         res = layer_sweep(cfg, mllm, det, snap, train, vals,
                           l_lm_values=[0, 2], seeds=[0, 1], cache=cache)
-        means = sweep_means(res, "val-spatial", "acc")
-        assert set(means) == {0, 2}
-        for l_lm in means:
-            vals_l = [r.metrics["val-spatial"]["acc"] for r in res
-                      if r.l_lm == l_lm]
-            assert means[l_lm] == pytest.approx(np.mean(vals_l))
-        ranked = rank_layers(res, "val-spatial", "acc")
+        ranked = rank_layers(res, "val-spatial/acc")
         assert [l for l, _ in sorted(ranked)] == [0, 2]
+        for l_lm, mean in ranked:
+            vals_l = [r["val-spatial/acc"] for r in res if r["l_lm"] == l_lm]
+            assert mean == pytest.approx(np.mean(vals_l))
         assert ranked[0][1] >= ranked[1][1]
-        with pytest.raises(UsageError, match="no metric"):
-            sweep_means(res, "val-spatial", "not-a-metric")
+        with pytest.raises(UsageError, match="no column"):
+            rank_layers(res, "val-spatial/not-a-metric")
 
     def test_ablation_csv(self, sweep_bench, tmp_path):
         cfg, mllm, det, snap, train, vals, cache = sweep_bench
@@ -243,7 +241,7 @@ class TestLayerSweep:
         assert "val-spatial/acc" in header
         assert len(rows) == 2
         col = header.index("val-spatial/acc")
-        assert float(rows[0][col]) == res[0].metrics["val-spatial"]["acc"]
+        assert float(rows[0][col]) == res[0]["val-spatial/acc"]
 
     def test_first_layer_preset_sweeps(self, sweep_bench):
         """An Arch III sweep builds its cache for the preset's layer 1 and
@@ -259,13 +257,11 @@ class TestLayerSweep:
             replace(cfg, arch="II", run_seed=0), mllm, det, snap, train, vals,
             l_lm=1, l_d=1)
         assert direct["l_d"] == 1
+        want = {"l_lm": 1, "seed": 0}
         for split, m in direct["metrics"].items():
-            del m["per_scene"]
-            assert res[0].metrics[split] == m
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(UsageError, match=">= 0"):
-            AblationResult(l_lm=-1, seed=0, metrics={})
+            want.update((f"{split}/{k}", v) for k, v in m.items()
+                        if k != "per_scene")
+        assert res[0] == want
 
 
 # ---------------------------------------------------------------------------

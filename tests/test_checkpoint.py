@@ -71,6 +71,16 @@ def test_truncated_payload_rejected(tmp_path):
         ck.load_tensor(p)
 
 
+def test_truncated_header_rejected(tmp_path):
+    """A file cut inside its header, before or among the extents, is a
+    named error, not a ``struct`` one."""
+    p = tmp_path / "h.ledt"
+    for raw in (b"LEDT\x02\x00", b"LEDT" + struct.pack("<IIQ", 2, 2, 4)):
+        p.write_bytes(raw)
+        with pytest.raises(UsageError, match="shorter than the header"):
+            ck.load_tensor(p)
+
+
 def test_checkpoint_directory_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     named = {

@@ -3,6 +3,8 @@ long-running ones print."""
 
 import re
 
+import pytest
+
 from fusedet import analysis, cli
 from fusedet import training as tr
 from fusedet.checkpoint import load_checkpoint
@@ -36,14 +38,16 @@ def test_ablate_layers_prints_one_line_per_point(tmp_path, monkeypatch, capsys):
                         lambda cfg, out: tr.build_models(cfg))
 
     def sweep(cfg, mllm, det, snap, train, vals, layers, seeds, progress):
-        results = []
+        rows = []
         for seed in seeds:
             for l_lm in layers:
-                metrics = {split: {"acc": 0.25 * l_lm + 0.125 * seed,
-                                   "mean_iou": 0.5} for split in vals}
-                results.append(analysis.AblationResult(l_lm, seed, metrics))
-                progress(results[-1])
-        return results
+                row = {"l_lm": l_lm, "seed": seed}
+                for split in vals:
+                    row[f"{split}/acc"] = 0.25 * l_lm + 0.125 * seed
+                    row[f"{split}/mean_iou"] = 0.5
+                rows.append(row)
+                progress(row)
+        return rows
 
     monkeypatch.setattr(analysis, "layer_sweep", sweep)
     assert cli.cli(["ablate-layers", "--config", "tiny.cfg", "--layers", "0,2",
@@ -66,13 +70,39 @@ def test_analyze_attention_prints_one_line_per_row(tmp_path, monkeypatch,
     assert cli.cli(["analyze-attention", "--config", "tiny.cfg",
                     "--batch", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    rows = [(layer, name) for layer in (1, 2)
-            for name, _ in analysis.MODALITIES]
+    rows = [(layer, name) for layer in (1, 2) for name in analysis.MODALITIES]
     assert len(lines) == len(rows) + 1
     for line, (layer, name) in zip(lines, rows):
         assert re.fullmatch(rf"layer {layer} {name}: median [+-]\d+\.\d{{4}}",
                             line), line
     assert (tmp_path / "runs" / "attention_profile.csv").is_file()
+
+
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_non_positive_attention_batch_is_a_named_error(tmp_path, monkeypatch,
+                                                       capsys, batch):
+    """``--batch`` below 1 is refused before any scene is sliced: 0 used to
+    fail inside the padding code, -1 to profile all scenes but one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text("n_val = 2\nlm_layers = 1\n")
+    monkeypatch.setattr(cli, "_load_into", lambda module, out, name: None)
+    assert cli.cli(["analyze-attention", "--config", "tiny.cfg",
+                    "--batch", batch]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --batch must be at least 1, got {batch}\n", err
+
+
+@pytest.mark.parametrize("flag", ["--layers", "--seeds"])
+def test_non_integer_sweep_list_is_a_named_error(tmp_path, monkeypatch,
+                                                 capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text("n_train = 4\nn_val = 4\n")
+    monkeypatch.setattr(cli, "_backbones",
+                        lambda cfg, out: tr.build_models(cfg))
+    assert cli.cli(["ablate-layers", "--config", "tiny.cfg", flag, "0,a"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {flag} takes comma-separated integers, "
+                   f"got '0,a'\n"), err
 
 
 def test_staged_run_equals_one_process(tmp_path, monkeypatch):

@@ -106,8 +106,7 @@ class TestPoolPhrases:
                   encode(["the", "blue", "square"])]]
         ids, valid, spans = pack_candidates(cands)
         e = det.encode_text(ids, valid)
-        pooled, counts = pool_phrases(e, spans, 2)
-        assert counts.tolist() == [2]
+        pooled = pool_phrases(e, spans, 2)
         assert np.allclose(pooled.data[0, 0], e.data[0, 0:3].mean(0))
         assert np.allclose(pooled.data[0, 1], e.data[0, 4:7].mean(0))
 
@@ -115,7 +114,7 @@ class TestPoolPhrases:
         det, cfg = make_detector()
         cands = [[encode(["the", "red", "circle"])]]
         ids, valid, spans = pack_candidates(cands)
-        pooled, counts = pool_phrases(det.encode_text(ids, valid), spans, 3)
+        pooled = pool_phrases(det.encode_text(ids, valid), spans, 3)
         assert pooled.shape == (1, 3, cfg.d)
         assert np.all(pooled.data[0, 1:] == 0.0)
 
@@ -232,8 +231,7 @@ class TestDetectionLoss:
         _, cfg = make_detector()
         scene = self.scene()
         boxes, logits = perfect_outputs(scene, cfg)
-        loss = detection_loss(boxes, logits, np.array([len(scene.candidates)]),
-                              [scene], cfg)
+        loss = detection_loss(boxes, logits, [scene], cfg)
         assert float(loss.data) < 1e-10
 
     def test_query_slot_permutation_invariance(self):
@@ -243,13 +241,11 @@ class TestDetectionLoss:
         rng = np.random.default_rng(6)
         boxes = rng.uniform(0.2, 0.8, (1, cfg.queries, 4))
         logits = rng.standard_normal((1, cfg.queries, len(scene.candidates) + 1))
-        counts = np.array([len(scene.candidates)])
-        base = detection_loss(T.constant(boxes), T.constant(logits), counts,
-                              [scene], cfg)
+        base = detection_loss(T.constant(boxes), T.constant(logits), [scene],
+                              cfg)
         perm = np.array([2, 0, 3, 1])
         again = detection_loss(T.constant(boxes[:, perm]),
-                               T.constant(logits[:, perm]), counts,
-                               [scene], cfg)
+                               T.constant(logits[:, perm]), [scene], cfg)
         assert float(base.data) == pytest.approx(float(again.data), rel=1e-12)
 
     def test_box_error_raises_loss(self):
@@ -258,10 +254,8 @@ class TestDetectionLoss:
         boxes, logits = perfect_outputs(scene, cfg)
         worse = boxes.data.copy()
         worse[0, 0, :2] += 0.2
-        a = detection_loss(boxes, logits, np.array([len(scene.candidates)]),
-                           [scene], cfg)
-        b = detection_loss(T.constant(worse), logits,
-                           np.array([len(scene.candidates)]), [scene], cfg)
+        a = detection_loss(boxes, logits, [scene], cfg)
+        b = detection_loss(T.constant(worse), logits, [scene], cfg)
         assert float(b.data) > float(a.data) + 0.5
 
     def test_padded_columns_do_not_matter(self):
@@ -271,12 +265,11 @@ class TestDetectionLoss:
         c = len(scene.candidates)
         boxes = rng.uniform(0.2, 0.8, (1, cfg.queries, 4))
         logits = rng.standard_normal((1, cfg.queries, c + 3))
-        counts = np.array([c])
-        base = detection_loss(T.constant(boxes), T.constant(logits), counts,
-                              [scene], cfg)
+        base = detection_loss(T.constant(boxes), T.constant(logits), [scene],
+                              cfg)
         polluted = logits.copy()
         polluted[:, :, c:-1] = 1e3          # garbage in the padding columns
-        again = detection_loss(T.constant(boxes), T.constant(polluted), counts,
+        again = detection_loss(T.constant(boxes), T.constant(polluted),
                                [scene], cfg)
         assert float(base.data) == pytest.approx(float(again.data), rel=1e-12)
 
@@ -286,10 +279,9 @@ class TestDetectionLoss:
         boxes, logits = perfect_outputs(scene, cfg_a)
         worse = boxes.data.copy()
         worse[0, 0, 0] += 0.1
-        counts = np.array([len(scene.candidates)])
         _, cfg_b = make_detector(box_weight=10.0)
-        a = detection_loss(T.constant(worse), logits, counts, [scene], cfg_a)
-        b = detection_loss(T.constant(worse), logits, counts, [scene], cfg_b)
+        a = detection_loss(T.constant(worse), logits, [scene], cfg_a)
+        b = detection_loss(T.constant(worse), logits, [scene], cfg_b)
         assert float(b.data) == pytest.approx(2 * float(a.data), rel=1e-9)
 
     def test_gradient(self):

@@ -26,7 +26,7 @@ def check(name):
         assert err < GRADCHECK_TOL, f"{name} seed {seed}: {err}"
 
 
-UNARY = {"exp": "op/exp", "tanh": "op/tanh", "sigmoid": "op/sigmoid",
+UNARY = {"tanh": "op/tanh", "sigmoid": "op/sigmoid",
          "gelu": "op/gelu", "softmax": "op/softmax",
          "log_softmax": "op/log_softmax", "reshape": "op/reshape",
          "transpose": "op/transpose", "slice": "op/slice",
@@ -40,7 +40,7 @@ LINEAR = {"2d-bias": "op/linear-2d-bias", "2d": "op/linear-2d",
           "3d-bias": "op/linear-3d-bias", "3d": "op/linear-3d"}
 GATED = {"two-segments": "op/attention-gated-segments",
          "gated-only": "op/attention-gated-only"}
-SINGLE = ["op/log", "op/div", "op/conv2d", "op/rope", "op/pixel_unshuffle",
+SINGLE = ["op/conv2d", "op/rope", "op/pixel_unshuffle",
           "op/concat", "op/embedding", "op/softmax-masked",
           "op/softmax-matmul", "op/layer_norm", "op/attention-masked",
           "op/attention-rope-offsets", "op/cross-entropy-masked"]
@@ -76,14 +76,6 @@ def test_linear_grads(kind):
 @pytest.mark.parametrize("kind", GATED)
 def test_attention_gated_segment_grads(kind):
     check(GATED[kind])
-
-
-def test_log_positive_domain():
-    check("op/log")
-
-
-def test_div_away_from_zero():
-    check("op/div")
 
 
 def test_conv2d_grads():

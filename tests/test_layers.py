@@ -6,10 +6,12 @@ import pytest
 from scipy.special import erf
 
 from fusedet import tensor as T
+from fusedet.config import ExperimentConfig
 from fusedet.layers import (LayerNorm, Linear, MLP, Module,
                             MultiHeadAttention, TransformerBlock,
                             cross_entropy)
 from fusedet.tensor import Tensor, UsageError
+from fusedet.training import build_adapter
 from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 
 
@@ -287,3 +289,16 @@ class TestModuleMechanics:
         del state["gain"]
         with pytest.raises(UsageError):
             m.load_state_arrays(state)
+
+    def test_load_rejects_unexpected_key(self):
+        """Names the module lacks are refused, not dropped: an Arch II
+        adapter's ``text_fusion.*`` arrays do not fit an Arch IV one."""
+        m = self.build()
+        state = m.state_arrays()
+        state["extra"] = np.ones(2)
+        with pytest.raises(UsageError, match="extra"):
+            m.load_state_arrays(state)
+        cfg = ExperimentConfig()
+        arch_ii = build_adapter(cfg, arch="II").state_arrays()
+        with pytest.raises(UsageError, match="text_fusion"):
+            build_adapter(cfg, arch="IV").load_state_arrays(arch_ii)

@@ -1,12 +1,11 @@
 """Toy multimodal LM: frozen patch encoding, channel alignment, sequence
-layout, causal structure, and the captioning objective."""
+assembly, causal structure, and the captioning objective."""
 
 import numpy as np
 import pytest
 
 from fusedet import tensor as T
-from fusedet.mllm import (MiniMllm, MllmConfig, Projector, TokenLayout,
-                          VisionEncoder, TAG_SYSTEM, TAG_TEXT, TAG_VISION)
+from fusedet.mllm import MiniMllm, MllmConfig, Projector, VisionEncoder
 from fusedet.tensor import ConfigurationError, Tensor
 
 
@@ -38,10 +37,6 @@ class TestConfigArithmetic:
             MllmConfig(shuffle_r=3)
         with pytest.raises(ConfigurationError):
             MllmConfig(heads=5)
-
-    def test_layout_validation(self):
-        with pytest.raises(ValueError):
-            TokenLayout(np.array([TAG_SYSTEM, TAG_TEXT]), (0, 1), (0, 1), (1, 1))
 
 
 class TestVisionEncoder:
@@ -131,30 +126,31 @@ class TestAlignment:
 
 class TestSequenceAssembly:
     def test_layout_tags_and_spans(self):
+        """[system | vision | text] at fixed offsets: ``sys_len`` system
+        rows, one row per aligned vision token, then the text."""
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(9), b=1)
         ids = np.array([[5, 6, 7]])
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        vis = aligned(mllm, img)
+        x = mllm.embed_from_aligned(vis, ids)
         assert x.shape == (1, 2 + 4 + 3, 64)
-        assert layout.vision_span == (2, 6) and layout.text_span == (6, 9)
-        assert layout.tags.tolist() == [TAG_SYSTEM] * 2 + [TAG_VISION] * 4 + \
-            [TAG_TEXT] * 3
+        assert np.array_equal(x.data[0, :2], mllm.sys_embed.data)
+        assert np.array_equal(x.data[:, 2:6], vis.data)
+        assert np.array_equal(x.data[0, 6:], mllm.tok_embed.data[[5, 6, 7]])
 
     def test_text_free_sequence(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(10), b=1)
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img),
-                                            np.zeros((1, 0), dtype=np.intp))
+        x = mllm.embed_from_aligned(aligned(mllm, img),
+                                    np.zeros((1, 0), dtype=np.intp))
         assert x.shape == (1, 6, 64)
-        assert layout.text_span == (6, 6)
 
     def test_embedding_rows_match_table(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(11), b=1)
         ids = np.array([[4, 9]])
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
-        t0, _ = layout.text_span
-        assert np.array_equal(x.data[0, t0], mllm.tok_embed.data[4])
+        x = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        assert np.array_equal(x.data[0, 6], mllm.tok_embed.data[4])
         assert np.array_equal(x.data[0, 0], mllm.sys_embed.data[0])
 
     def test_forward_stops_after_upto_layer(self):
@@ -162,17 +158,16 @@ class TestSequenceAssembly:
         hand; k = 0 returns the input itself, and the default is k = n."""
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(12), b=1)
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img),
-                                            np.array([[5, 6]]))
-        assert mllm.forward(x, layout, upto_layer=0) is x
-        mask = mllm.sequence_mask(layout, None)
-        positions = np.arange(len(layout.tags))
+        x = mllm.embed_from_aligned(aligned(mllm, img), np.array([[5, 6]]))
+        assert mllm.forward(x, upto_layer=0) is x
+        mask = mllm.sequence_mask(x.shape[1], None)
+        positions = np.arange(x.shape[1])
         want = x
         for k, block in enumerate(mllm.blocks, start=1):
             want = block(want, mask=mask, positions=positions)
-            got = mllm.forward(x, layout, upto_layer=k)
+            got = mllm.forward(x, upto_layer=k)
             assert np.array_equal(got.data, want.data)
-        assert np.array_equal(mllm.forward(x, layout).data, want.data)
+        assert np.array_equal(mllm.forward(x).data, want.data)
 
 
 class TestCausalStructure:
@@ -182,11 +177,11 @@ class TestCausalStructure:
         img = rand_images(np.random.default_rng(15), b=1)
         short_ids = np.array([[5, 6]])
         long_ids = np.array([[5, 6, 7, 8]])
-        xs, ls = mllm.embed_from_aligned(aligned(mllm, img), short_ids)
-        xl, ll = mllm.embed_from_aligned(aligned(mllm, img), long_ids)
+        xs = mllm.embed_from_aligned(aligned(mllm, img), short_ids)
+        xl = mllm.embed_from_aligned(aligned(mllm, img), long_ids)
         for k in range(mllm.cfg.n + 1):
-            a = mllm.forward(xs, ls, upto_layer=k)
-            b = mllm.forward(xl, ll, upto_layer=k)
+            a = mllm.forward(xs, upto_layer=k)
+            b = mllm.forward(xl, upto_layer=k)
             assert np.array_equal(a.data, b.data[:, : a.shape[1]])
 
     def test_padded_text_keys_are_inert(self):
@@ -194,11 +189,11 @@ class TestCausalStructure:
         img = rand_images(np.random.default_rng(16), b=1)
         ids = np.array([[5, 6, 7]])
         valid = np.array([[True, True, False]])
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
-        base = mllm.forward(x, layout, text_valid=valid)
+        x = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        base = mllm.forward(x, text_valid=valid)
         ids2 = np.array([[5, 6, 60]])  # rewrite the padded slot
-        x2, layout2 = mllm.embed_from_aligned(aligned(mllm, img), ids2)
-        again = mllm.forward(x2, layout2, text_valid=valid)
+        x2 = mllm.embed_from_aligned(aligned(mllm, img), ids2)
+        again = mllm.forward(x2, text_valid=valid)
         assert np.allclose(base.data[:, :8], again.data[:, :8])
 
 
@@ -236,12 +231,12 @@ class TestLmLoss:
         img = rand_images(np.random.default_rng(20), b=1)
         ids = np.array([[5, 6, 7, 8]])
         only_last = np.array([[False, False, False, True]])
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        x = mllm.embed_from_aligned(aligned(mllm, img), ids)
         # the valid mask doubles as the attention key mask, so the reference
         # forward must use it too
-        h = mllm.forward(x, layout, text_valid=only_last)
+        h = mllm.forward(x, text_valid=only_last)
         logits = mllm.lm_head(mllm.ln_f(h))
-        t0 = layout.text_span[0]
+        t0 = 2 + 4                                 # sys_len + aligned tokens
         z = logits.data[0, t0 + 2]                 # state holding tokens ..7
         lse = np.log(np.exp(z - z.max()).sum()) + z.max()
         want = lse - z[8]
@@ -254,8 +249,8 @@ class TestAdapterTaps:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(21), b=1)
         e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 0)
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img),
-                                            np.zeros((1, 0), dtype=np.intp))
+        x = mllm.embed_from_aligned(aligned(mllm, img),
+                                    np.zeros((1, 0), dtype=np.intp))
         assert e_t is None
         assert np.array_equal(e_v.data, x.data[:, 2:6])
 
@@ -264,8 +259,8 @@ class TestAdapterTaps:
         img = rand_images(np.random.default_rng(22), b=1)
         ids = np.array([[5, 6]])
         e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 3, ids)
-        x, layout = mllm.embed_from_aligned(aligned(mllm, img), ids)
-        h3 = mllm.forward(x, layout, upto_layer=3)
+        x = mllm.embed_from_aligned(aligned(mllm, img), ids)
+        h3 = mllm.forward(x, upto_layer=3)
         assert np.array_equal(e_v.data, h3.data[:, 2:6])
         assert np.array_equal(e_t.data, h3.data[:, 6:8])
 

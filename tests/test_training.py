@@ -278,7 +278,7 @@ class TestCachedEquivalence:
         cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
         idx = np.array([0, 5, 13, 23, 9])
         want = tr._candidate_text(b["det"], [b["train"][i] for i in idx])
-        assert len(cache.text) == len(want) == 4
+        assert len(cache.text) == len(want) == 3
         for got, ref in zip(cache.text, want):
             ref = ref.data if isinstance(ref, Tensor) else ref
             assert got[idx].dtype == ref.dtype
@@ -519,6 +519,6 @@ class TestForwardOnlyPasses:
 
     def test_fused_outputs_still_tapes(self, made, trainable):
         cfg, mllm, det, state, scenes = trainable
-        boxes, logits, _ = tr.fused_outputs(cfg, mllm, det, scenes, state)
+        boxes, logits = tr.fused_outputs(cfg, mllm, det, scenes, state)
         assert boxes.requires_grad and logits.requires_grad
         assert any(n.requires_grad for n in made)
