@@ -294,10 +294,8 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
 
     def lm_prompts(patches):
-        vis = mllm.align_vision(patches)
-        if acfg.text_fusion:
-            return mllm.hidden_from_aligned(vis, acfg.l_lm, lm_ids, lm_valid)
-        return mllm.hidden_from_aligned(vis, acfg.l_lm)
+        return tr._lm_states(mllm, mllm.align_vision(patches), acfg, lm_ids,
+                             lm_valid)
 
     def detector(patches, hook=None):
         e_txt = det.encode_text(det_ids, det_valid)
@@ -306,9 +304,7 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
 
     def fused():
         patches = mllm.encode_image(images)
-        e_v_l, e_t = lm_prompts(patches)
-        return detector(patches, FusionHook(state, e_v_l, e_t,
-                                            e_t_valid=lm_valid))
+        return detector(patches, FusionHook(state, *lm_prompts(patches)))
 
     p_grid = h * w
     _, a_adapter = adapter_param_flops(
@@ -333,12 +329,11 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     rows = []
     with T.no_tape():
         patches = mllm.encode_image(images)
-        e_v_l, e_t = lm_prompts(patches)
+        prompts = lm_prompts(patches)
         e_vis = det.encode_vision(patches)
         calls = {
             "detector": lambda: detector(mllm.encode_image(images)),
-            "+adapter": lambda: FusionHook(state, e_v_l, e_t,
-                                           e_t_valid=lm_valid)(q_probe, e_vis),
+            "+adapter": lambda: FusionHook(state, *prompts)(q_probe, e_vis),
             "+lm-prompts": lambda: lm_prompts(patches),
             "total": fused,
         }

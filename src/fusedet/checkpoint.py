@@ -88,12 +88,17 @@ def load_checkpoint(directory: str | Path) -> dict[str, np.ndarray]:
     if not manifest.exists():
         raise UsageError(f"no checkpoint manifest at {manifest}")
     out: dict[str, np.ndarray] = {}
-    for line in manifest.read_text().splitlines():
+    for i, line in enumerate(manifest.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        name, fname, shape_s = line.split("\t")
+        try:
+            name, fname, shape_s = line.split("\t")
+            shape = tuple(int(s) for s in shape_s.split(",") if s)
+        except ValueError:
+            raise UsageError(
+                f"{manifest} line {i}: {line!r} is not "
+                f"name<TAB>file<TAB>comma-separated integer shape") from None
         arr = load_tensor(directory / fname)
-        shape = tuple(int(s) for s in shape_s.split(",") if s)
         if arr.shape != shape:
             raise UsageError(
                 f"{fname}: manifest shape {shape} != stored shape {arr.shape}")

@@ -31,7 +31,7 @@ import numpy as np
 from . import analysis, training as tr
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_file, save_file
-from .scenes import SPLITS
+from .scenes import SPLITS, pad_token_rows
 from .tensor import (ConfigurationError, DegenerateInputError, DimensionError,
                      NumericsError, UsageError)
 from .verify import GRADCHECK_TOL, max_error, run_gradcheck
@@ -126,15 +126,23 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
         print(f"stage 2 done: final captioning loss {rep['final_loss']:.4f}")
         return 0
 
+    return _train_head(cfg, out, tr.run_stage3_experiment, "adapter",
+                       "stage3", "stage 3")
+
+
+def _train_head(cfg: ExperimentConfig, out: Path, experiment, checkpoint: str,
+                name: str, label: str) -> int:
+    """Train a head on the frozen backbones with ``experiment``, save its
+    checkpoint, report and metrics, and print one line per split."""
     mllm, det = _backbones(cfg, out)
-    state, rep = tr.run_stage3_experiment(
-        cfg, mllm, det, tr.snapshot(mllm.projector),
-        tr.load_split(cfg, "train"), _val_splits(cfg))
-    save_checkpoint(out / "adapter", tr.snapshot(state))
-    _save_stage_report(out, "stage3", rep)
-    _write_jsonl(out / "metrics-stage3.jsonl", _metrics_records(rep["metrics"]))
+    head, rep = experiment(cfg, mllm, det, tr.snapshot(mllm.projector),
+                           tr.load_split(cfg, "train"), _val_splits(cfg))
+    save_checkpoint(out / checkpoint, tr.snapshot(head))
+    _save_stage_report(out, name, rep)
+    _write_jsonl(out / f"metrics-{name}.jsonl",
+                 _metrics_records(rep["metrics"]))
     for rec in _metrics_records(rep["metrics"]):
-        print(f"stage 3 {rec['split']}: acc {rec['acc']:.3f} "
+        print(f"{label} {rec['split']}: acc {rec['acc']:.3f} "
               f"mean_iou {rec['mean_iou']:.3f}")
     return 0
 
@@ -174,7 +182,6 @@ def cmd_analyze_attention(cfg: ExperimentConfig, out: Path, args) -> int:
     mllm, _ = tr.build_models(cfg)
     _load_into(mllm, out, "mllm-stage2")
     scenes = tr.load_split(cfg, "val-category")[:args.batch]
-    from .scenes import pad_token_rows
     ids, valid = pad_token_rows([s.caption for s in scenes])
     images = np.stack([s.image for s in scenes])
     rows = analysis.attention_medians(mllm, images, ids, valid)
@@ -200,18 +207,8 @@ def cmd_flops_report(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_substitute_baseline(cfg: ExperimentConfig, out: Path, args) -> int:
-    mllm, det = _backbones(cfg, out)
-    sub, rep = tr.run_substitution_experiment(
-        cfg, mllm, det, tr.snapshot(mllm.projector),
-        tr.load_split(cfg, "train"), _val_splits(cfg))
-    save_checkpoint(out / "substitution", tr.snapshot(sub))
-    _save_stage_report(out, "substitution", rep)
-    _write_jsonl(out / "metrics-substitution.jsonl",
-                 _metrics_records(rep["metrics"]))
-    for rec in _metrics_records(rep["metrics"]):
-        print(f"substitution {rec['split']}: acc {rec['acc']:.3f} "
-              f"mean_iou {rec['mean_iou']:.3f}")
-    return 0
+    return _train_head(cfg, out, tr.run_substitution_experiment,
+                       "substitution", "substitution", "substitution")
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:

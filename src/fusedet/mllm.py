@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, TransformerBlock, cross_entropy
 from .scenes import PAD, VOCAB
-from .tensor import ConfigurationError, DimensionError, Tensor
+from .tensor import ConfigurationError, DimensionError, Tensor, UsageError
 
 
 @dataclass
@@ -213,9 +213,11 @@ class MiniMllm(Module):
         """Vision-span (and text-span) states from layer ``l_lm``, running the
         shortest sufficient forward from aligned vision tokens, so the frozen
         encoder prefix can come from a cache.  Text defaults to none
-        (Arch IV)."""
+        (Arch IV); ``text_valid`` needs ``text_ids``."""
         if not 0 <= l_lm <= self.cfg.n:
             raise ConfigurationError(f"l_lm {l_lm} outside [0, {self.cfg.n}]")
+        if text_ids is None and text_valid is not None:
+            raise UsageError("text_valid without text_ids")
         ids = np.zeros((vis.shape[0], 0), dtype=np.intp) \
             if text_ids is None else text_ids
         h = self.forward(self.embed_from_aligned(vis, ids), text_valid,

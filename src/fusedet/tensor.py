@@ -239,8 +239,8 @@ def no_tape():
     """Ops inside the ``with`` block record no tape: their outputs never
     require gradients, so every intermediate is freed as soon as it is
     unused.  For forward passes whose values are kept, never differentiated:
-    ``training.grounded_outputs`` (hence ``evaluate``), ``training.cache_vision``,
-    the ``Stage3Cache`` build, ``analysis.attention_medians`` and the metered
+    ``training.grounded_outputs`` (hence ``evaluate``), ``training.patch_tokens``
+    (hence ``cache_vision``), the ``Stage3Cache`` build, ``analysis.attention_medians`` and the metered
     and timed passes of ``analysis.compute_report``."""
     _NO_TAPE.append(True)
     try:

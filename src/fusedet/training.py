@@ -11,18 +11,18 @@ Order of operations for a complete experiment:
                          by upsampled LM vision states, the substitution head
                          trained with the stage-3 budget.
 
-Everything trains with Adam under a cosine-decayed learning rate.  Every
-detector pass (both detector losses, both stage-3 losses, evaluation, the
-gradient check and the cost report) runs through ``_detector_outputs`` over a
-``_candidate_text`` tuple; ``fused_outputs`` is that pass from images.  Stage 3
-runs against cached activations of the frozen components; the cache stores
-the same pass's own arrays, so it is an exact-value shortcut (same ops on the
-same values), and an equivalence test compares it against the uncached path.
-Evaluation (``grounded_outputs``, so ``evaluate``) and the frozen-activation
-caches (``cache_vision``, ``Stage3Cache``) only ever run forward, so they
-record no tape even over trainable modules.  Reports embed the resolved
-config and the full loss curve but no wall-clock fields, so a repeated run
-produces byte-identical report files.
+Every stage trains through ``_run_stage`` with Adam under a cosine-decayed
+learning rate.  Every detector pass (both detector losses, both stage-3
+losses, evaluation, the gradient check and the cost report) runs through
+``_detector_outputs`` over a ``_candidate_text`` tuple; ``fused_outputs`` is
+that pass from patch tokens, which only ``patch_tokens`` computes from
+images.  The cached stage-3 loss runs against stored activations of the
+frozen components: the same pass's own arrays, so it is an exact-value
+shortcut, and an equivalence test compares it against the uncached path.
+Evaluation, ``patch_tokens`` and the ``Stage3Cache`` build only ever run
+forward, so they record no tape even over trainable modules.  Reports embed
+the resolved config and the full loss curve but no wall-clock fields, so a
+repeated run produces byte-identical report files.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ def configure_trainable(groups: list[ParamGroup], *frozen_modules) -> None:
             p.grad = None
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with cosine lr decay and optional global-norm gradient clipping.
 
@@ -132,12 +135,10 @@ class Adam:
     """
 
     def __init__(self, groups: list[ParamGroup], total: int,
-                 clip: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+                 clip: float = 0.0):
         self.groups = groups
         self.total = total
         self.clip = clip
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -160,8 +161,8 @@ class Adam:
         if self.clip > 0:
             self._clip_grads()
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for g in self.groups:
             lr = cosine_lr(g.lr, self.t - 1, self.total)
             for p in g.params.values():
@@ -173,20 +174,23 @@ class Adam:
                     m = np.zeros_like(p.data)
                     self._v[key] = np.zeros_like(p.data)
                 v = self._v[key]
-                m = self.beta1 * m + (1 - self.beta1) * p.grad
-                v = self.beta2 * v + (1 - self.beta2) * p.grad * p.grad
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * p.grad
+                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * p.grad * p.grad
                 self._m[key], self._v[key] = m, v
-                p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         for g in self.groups:
             for p in g.params.values():
                 p.grad = None
 
 
-def _run_loop(stage: str, steps: int, batch: int, n: int,
-              groups: list[ParamGroup], loss_fn, seed: int,
-              clip: float = 0.0) -> list[float]:
+def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
+               frozen: tuple, loss_fn, n: int, steps: int, batch: int,
+               seed: int, **extra) -> dict:
+    """Train ``groups`` alone among the ``frozen`` modules for ``steps`` Adam
+    steps of ``loss_fn(idx)``, ``idx`` drawn from ``range(n)``; the report."""
+    configure_trainable(groups, *frozen)
     rng = np.random.default_rng([seed, STAGE_TAGS[stage]])
-    opt = Adam(groups, total=steps, clip=clip)
+    opt = Adam(groups, total=steps, clip=cfg.grad_clip)
     losses = []
     for step in range(steps):
         idx = rng.integers(0, n, size=batch)
@@ -198,13 +202,8 @@ def _run_loop(stage: str, steps: int, batch: int, n: int,
                 f"{stage}: non-finite value at step {step}: {e}") from e
         opt.step()
         losses.append(float(loss.data))
-    return losses
-
-
-def _report(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
-            losses: list[float], **extra) -> dict:
     tail = losses[-25:] if losses else [float("nan")]
-    rep = {
+    return {
         "stage": stage,
         "steps": len(losses),
         "groups": [{"name": g.name, "lr": g.lr,
@@ -213,9 +212,8 @@ def _report(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
         "losses": losses,
         "final_loss": float(np.mean(tail)),
         "config": cfg.to_dict(),
+        **extra,
     }
-    rep.update(extra)
-    return rep
 
 
 def save_report(report: dict, path: str | Path) -> None:
@@ -232,20 +230,24 @@ def _chunks(n: int, size: int):
         yield lo, min(lo + size, n)
 
 
+def patch_tokens(mllm: MiniMllm, scenes: list[SyntheticScene]) -> np.ndarray:
+    """Patch tokens [B, P, d_patch] of the scenes' images, with no tape: the
+    one cut of the vision prefix, read by ``encode_vision`` and
+    ``align_vision``."""
+    with T.no_tape():
+        return mllm.encode_image(
+            T.constant(np.stack([s.image for s in scenes]))).data
+
+
 def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int = 64
                  ) -> np.ndarray:
-    """Patch tokens [N, P, d_patch] of the frozen vision encoder: the one
-    cut of the vision prefix.  The detector reads them through
-    ``encode_vision``, the LM through ``align_vision``.  The array is
-    allocated once and filled chunk by chunk, stacking one chunk's images at
-    a time, with no tape recorded."""
+    """``patch_tokens`` of every scene [N, P, d_patch], in one array
+    allocated once and filled chunk by chunk."""
     mcfg, n = mllm.cfg, len(scenes)
     h, w = mcfg.grid
     patches = np.empty((n, h * w, mcfg.d_patch))
-    with T.no_tape():
-        for lo, hi in _chunks(n, chunk):
-            patches[lo:hi] = mllm.encode_image(T.constant(
-                np.stack([s.image for s in scenes[lo:hi]]))).data
+    for lo, hi in _chunks(n, chunk):
+        patches[lo:hi] = patch_tokens(mllm, scenes[lo:hi])
     return patches
 
 
@@ -301,12 +303,6 @@ class Stage3Cache:
 # ---------------------------------------------------------------------------
 
 
-def _caption_loss(mllm: MiniMllm, patches: np.ndarray, ids: np.ndarray,
-                  valid: np.ndarray, idx: np.ndarray) -> Tensor:
-    vis = mllm.align_vision(T.constant(patches[idx]))
-    return mllm.lm_loss_from_aligned(vis, ids[idx], valid[idx])
-
-
 def _candidate_text(det: GroundingDetector, scenes: list[SyntheticScene]):
     """(e_txt [B,W,d], valid [B,W], pooled [B,Q,d]) for the scenes'
     candidate phrases, packed at ``PACK_WIDTH``."""
@@ -327,52 +323,62 @@ def _detector_outputs(det: GroundingDetector, e_vis: Tensor, text, hook=None,
     return det.boxes(q), det.phrase_logits(q, pooled)
 
 
-def _lm_states(mllm: MiniMllm, vis: Tensor, acfg, scenes):
-    """LM hidden states the adapter consumes (text only with text fusion)."""
-    if acfg.text_fusion:
-        ids, valid = pad_token_rows([s.query.ids for s in scenes])
-        e_v_l, e_t = mllm.hidden_from_aligned(vis, acfg.l_lm, ids, valid)
-        return e_v_l, e_t, valid
-    e_v_l, _ = mllm.hidden_from_aligned(vis, acfg.l_lm)
-    return e_v_l, None, None
-
-
-def _substituted_vision(cfg: ExperimentConfig, mllm: MiniMllm,
-                        det: GroundingDetector, sub: SubstitutionHead,
-                        vis: Tensor) -> Tensor:
-    """Detector vision features replaced by the substitution head's map of
-    the LM vision states at depth ``cfg.l_lm``."""
-    e_v_l, _ = mllm.hidden_from_aligned(vis, cfg.l_lm)
-    return T.add(sub(e_v_l), det.vis_pos)
+def _lm_states(mllm: MiniMllm, vis: Tensor, acfg, ids: np.ndarray,
+               valid: np.ndarray):
+    """(e_v_l, e_t, e_t_valid): the LM hidden states an adapter consumes
+    over padded query rows ``ids``/``valid``; text only with text fusion."""
+    if not acfg.text_fusion:
+        ids = valid = None
+    e_v_l, e_t = mllm.hidden_from_aligned(vis, acfg.l_lm, ids, valid)
+    return e_v_l, e_t, valid
 
 
 def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
-                  det: GroundingDetector, scenes: list[SyntheticScene],
+                  det: GroundingDetector, patches: np.ndarray,
+                  scenes: list[SyntheticScene],
                   state: FusionState | None = None,
                   sub: SubstitutionHead | None = None):
-    """The uncached detector pass from images: (boxes, logits) for the
-    plain detector, with a fusion adapter, or with the substitution head."""
+    """The uncached detector pass from the scenes' patch tokens: (boxes,
+    logits) for the plain detector, with a fusion adapter, or with the
+    substitution head mapping LM vision states at ``cfg.l_lm``."""
     if state is not None and sub is not None:
         raise UsageError("pass a fusion state or a substitution head, not both")
-    patches = mllm.encode_image(T.constant(np.stack([s.image for s in scenes])))
+    patches = T.constant(patches)
     hook = None
     if sub is not None:
-        e_vis = _substituted_vision(cfg, mllm, det, sub,
-                                    mllm.align_vision(patches))
+        e_v_l, _ = mllm.hidden_from_aligned(mllm.align_vision(patches),
+                                            cfg.l_lm)
+        e_vis = T.add(sub(e_v_l), det.vis_pos)
     else:
         e_vis = det.encode_vision(patches)
         if state is not None:
-            vis = mllm.align_vision(patches)
-            hook = FusionHook(state, *_lm_states(mllm, vis, state.cfg, scenes))
+            hook = FusionHook(state, *_lm_states(
+                mllm, mllm.align_vision(patches), state.cfg,
+                *pad_token_rows([s.query.ids for s in scenes])))
     return _detector_outputs(det, e_vis, _candidate_text(det, scenes), hook)
+
+
+def _cached_detection_loss(cfg: ExperimentConfig, mllm: MiniMllm,
+                           det: GroundingDetector, scenes, sub=None):
+    """``loss_fn(idx)``: the detection loss of ``fused_outputs`` on the
+    scenes ``idx``, their patch tokens read from one ``cache_vision``."""
+    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
+
+    def loss_fn(idx):
+        batch = [scenes[i] for i in idx]
+        return detection_loss(
+            *fused_outputs(cfg, mllm, det, patches[idx], batch, sub=sub),
+            batch, det.cfg)
+    return loss_fn
 
 
 def stage3_loss_naive(cfg: ExperimentConfig, mllm: MiniMllm,
                       det: GroundingDetector, state: FusionState,
                       scenes: list[SyntheticScene]) -> Tensor:
     """Reference stage-3 loss with no caching: full frozen forward passes."""
-    return detection_loss(*fused_outputs(cfg, mllm, det, scenes, state),
-                          scenes, det.cfg)
+    return detection_loss(*fused_outputs(cfg, mllm, det,
+                                         patch_tokens(mllm, scenes), scenes,
+                                         state), scenes, det.cfg)
 
 
 def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
@@ -382,7 +388,8 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
     the cached state entering layer ``cache.l_d``."""
     scenes = [cache.scenes[i] for i in idx]
     vis = mllm.align_vision(T.constant(cache.patches[idx]))
-    hook = FusionHook(state, *_lm_states(mllm, vis, state.cfg, scenes))
+    hook = FusionHook(state, *_lm_states(
+        mllm, vis, state.cfg, *pad_token_rows([s.query.ids for s in scenes])))
     e_txt, valid, pooled = cache.text
     text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]))
     outputs = _detector_outputs(
@@ -399,49 +406,43 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
 def pretrain_detector(cfg: ExperimentConfig, mllm: MiniMllm,
                       det: GroundingDetector,
                       scenes: list[SyntheticScene]) -> dict:
+    return _run_stage(
+        cfg, "pretrain",
+        [ParamGroup("detector", det.named_parameters(), cfg.pretrain_lr)],
+        (mllm, det), _cached_detection_loss(cfg, mllm, det, scenes),
+        len(scenes), cfg.pretrain_steps, cfg.pretrain_batch, cfg.seed)
+
+
+def _train_captioning(cfg: ExperimentConfig, mllm: MiniMllm,
+                      scenes: list[SyntheticScene], stage: str,
+                      group: ParamGroup, steps: int, batch: int) -> dict:
+    """The LM loss on the scenes' captions, training ``group`` alone."""
     patches = cache_vision(mllm, scenes, cfg.eval_chunk)
-    groups = [ParamGroup("detector", det.named_parameters(), cfg.pretrain_lr)]
-    configure_trainable(groups, mllm, det)
+    ids, valid = pad_token_rows([s.caption for s in scenes])
 
     def loss_fn(idx):
-        e_vis = det.encode_vision(T.constant(patches[idx]))
-        batch = [scenes[i] for i in idx]
-        return detection_loss(
-            *_detector_outputs(det, e_vis, _candidate_text(det, batch)),
-            batch, det.cfg)
+        vis = mllm.align_vision(T.constant(patches[idx]))
+        return mllm.lm_loss_from_aligned(vis, ids[idx], valid[idx])
 
-    losses = _run_loop("pretrain", cfg.pretrain_steps, cfg.pretrain_batch,
-                       len(scenes), groups, loss_fn, cfg.seed, cfg.grad_clip)
-    return _report(cfg, "pretrain", groups, losses)
+    return _run_stage(cfg, stage, [group], (mllm,), loss_fn, len(scenes),
+                      steps, batch, cfg.seed)
 
 
 def train_stage1(cfg: ExperimentConfig, mllm: MiniMllm,
                  scenes: list[SyntheticScene]) -> dict:
-    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
-    ids, valid = pad_token_rows([s.caption for s in scenes])
     named = {k: v for k, v in mllm.named_parameters().items()
              if not k.startswith("vision.")}
-    groups = [ParamGroup("lm+projector", named, cfg.s1_lr)]
-    configure_trainable(groups, mllm)
-    losses = _run_loop(
-        "stage1", cfg.s1_steps, cfg.s1_batch, len(scenes), groups,
-        lambda idx: _caption_loss(mllm, patches, ids, valid, idx), cfg.seed,
-        cfg.grad_clip)
-    return _report(cfg, "stage1", groups, losses)
+    return _train_captioning(cfg, mllm, scenes, "stage1",
+                             ParamGroup("lm+projector", named, cfg.s1_lr),
+                             cfg.s1_steps, cfg.s1_batch)
 
 
 def train_stage2(cfg: ExperimentConfig, mllm: MiniMllm,
                  scenes: list[SyntheticScene]) -> dict:
-    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
-    ids, valid = pad_token_rows([s.caption for s in scenes])
-    groups = [ParamGroup("projector", mllm.projector.named_parameters(),
-                         cfg.s2_lr)]
-    configure_trainable(groups, mllm)
-    losses = _run_loop(
-        "stage2", cfg.s2_steps, cfg.s2_batch, len(scenes), groups,
-        lambda idx: _caption_loss(mllm, patches, ids, valid, idx), cfg.seed,
-        cfg.grad_clip)
-    return _report(cfg, "stage2", groups, losses)
+    group = ParamGroup("projector", mllm.projector.named_parameters(),
+                       cfg.s2_lr)
+    return _train_captioning(cfg, mllm, scenes, "stage2", group,
+                             cfg.s2_steps, cfg.s2_batch)
 
 
 def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
@@ -454,7 +455,6 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
         ParamGroup("projector", mllm.projector.named_parameters(),
                    cfg.s3_mlp_lr),
     ]
-    configure_trainable(groups, mllm, det, state)
     if cached:
         if cache is None:
             cache = Stage3Cache(mllm, det, scenes, acfg.l_d,
@@ -466,35 +466,24 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
     else:
         loss_fn = lambda idx: stage3_loss_naive(
             cfg, mllm, det, state, [scenes[i] for i in idx])
-    losses = _run_loop("stage3", cfg.s3_steps, cfg.s3_batch, len(scenes),
-                       groups, loss_fn, cfg.run_seed, cfg.grad_clip)
-    return _report(cfg, "stage3", groups, losses,
-                   arch=acfg.arch, l_lm=acfg.l_lm, l_d=acfg.l_d)
+    return _run_stage(cfg, "stage3", groups, (mllm, det, state), loss_fn,
+                      len(scenes), cfg.s3_steps, cfg.s3_batch, cfg.run_seed,
+                      arch=acfg.arch, l_lm=acfg.l_lm, l_d=acfg.l_d)
 
 
 def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
                        det: GroundingDetector, sub: SubstitutionHead,
                        scenes: list[SyntheticScene]) -> dict:
-    patches = cache_vision(mllm, scenes, cfg.eval_chunk)
     groups = [
         ParamGroup("substitution", sub.named_parameters(), cfg.sub_lr),
         ParamGroup("projector", mllm.projector.named_parameters(),
                    cfg.sub_lr / 5.0),
     ]
-    configure_trainable(groups, mllm, det, sub)
-
-    def loss_fn(idx):
-        batch = [scenes[i] for i in idx]
-        vis = mllm.align_vision(T.constant(patches[idx]))
-        e_vis = _substituted_vision(cfg, mllm, det, sub, vis)
-        return detection_loss(
-            *_detector_outputs(det, e_vis, _candidate_text(det, batch)),
-            batch, det.cfg)
-
-    losses = _run_loop("substitution", cfg.sub_steps, cfg.sub_batch,
-                       len(scenes), groups, loss_fn, cfg.run_seed,
-                       cfg.grad_clip)
-    return _report(cfg, "substitution", groups, losses, l_lm=cfg.l_lm)
+    return _run_stage(
+        cfg, "substitution", groups, (mllm, det, sub),
+        _cached_detection_loss(cfg, mllm, det, scenes, sub),
+        len(scenes), cfg.sub_steps, cfg.sub_batch, cfg.run_seed,
+        l_lm=cfg.l_lm)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +497,12 @@ def grounded_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
                      sub: SubstitutionHead | None = None):
     """Numpy (boxes [B,Q,4], logits [B,Q,Q+1]) for one batch of scenes; the
     logit columns are the candidates padded to Q, then background.  Runs
-    ``fused_outputs`` with no tape recorded, whatever is trainable."""
+    ``fused_outputs`` on fresh ``patch_tokens`` with no tape recorded,
+    whatever is trainable."""
     with T.no_tape():
-        boxes, logits = fused_outputs(cfg, mllm, det, scenes, state, sub)
+        boxes, logits = fused_outputs(cfg, mllm, det,
+                                      patch_tokens(mllm, scenes), scenes,
+                                      state, sub)
     return boxes.data, logits.data
 
 

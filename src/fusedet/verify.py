@@ -22,6 +22,8 @@ adapter state in which gradients flow through every projection.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import tensor as T
@@ -233,9 +235,12 @@ def _caption_loss(rng):
                     encode(["<bos>", "the", "blue", "square", "<eos>"])])
     valid = np.ones(ids.shape, dtype=bool)
     valid[1, 4] = False
-    images = T.constant(rng.standard_normal((2, 3, _CANVAS, _CANVAS)) * 0.4)
+    images = rng.standard_normal((2, 3, _CANVAS, _CANVAS)) * 0.4
+    scene = _micro_scene(rng)
+    patches = T.constant(tr.patch_tokens(
+        mllm, [replace(scene, image=img) for img in images]))
     return (lambda: mllm.lm_loss_from_aligned(
-        mllm.align_vision(mllm.encode_image(images)), ids, valid)), [
+        mllm.align_vision(patches), ids, valid)), [
         mllm.projector.mlp.fc1.bias, mllm.projector.mlp.fc2.bias,
         mllm.blocks[0].attn.wq.bias, mllm.blocks[1].mlp.fc2.bias,
         mllm.ln_f.beta, mllm.sys_embed]
@@ -243,8 +248,9 @@ def _caption_loss(rng):
 
 def _grounding_loss(rng):
     mllm, det, scenes = _micro_grounding(rng)
-    return (lambda: detection_loss(*tr.fused_outputs(_CFG, mllm, det, scenes),
-                                   scenes, det.cfg)), [
+    patches = tr.patch_tokens(mllm, scenes)
+    return (lambda: detection_loss(*tr.fused_outputs(
+        _CFG, mllm, det, patches, scenes), scenes, det.cfg)), [
         det.vis_proj.bias, det.layers[0].mlp.fc2.bias,
         det.layers[1].txt_attn.wo.bias, det.box_head.fc2.bias,
         det.class_proj.bias, det.bg_embed]
@@ -308,9 +314,10 @@ def _detection_loss(rng):
 def _substitution_loss(rng):
     mllm, det, scenes = _micro_grounding(rng)
     sub = SubstitutionHead(12, 12, mllm.cfg.grid, mllm.cfg.shuffle_r, rng)
+    patches = tr.patch_tokens(mllm, scenes)
     return (lambda: detection_loss(
-        *tr.fused_outputs(_CFG, mllm, det, scenes, sub=sub), scenes, det.cfg)
-    ), [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]
+        *tr.fused_outputs(_CFG, mllm, det, patches, scenes, sub=sub), scenes,
+        det.cfg)), [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark's view of the program: every call ``perfbench/`` makes into
 ``fusedet`` still binds with the same positional and keyword shape, every
-function and method ``perfbench/spans.py`` wraps still exists, and a traced
+function and method ``perfbench/spans.py`` wraps still exists, the object
+attributes the benchmark reads and writes are the live ones, and a traced
 forward of each adapter preset records the per-arch adapter spans the
 benchmark reports."""
 
@@ -10,9 +11,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fusedet import adapter, analysis
+from fusedet.detector import GroundingDetector
 from fusedet.adapter import ARCHS
 from fusedet.config import ExperimentConfig
 from fusedet import training as tr
@@ -100,3 +103,43 @@ def test_traced_forward_records_adapter_spans(spans):
     # Arch I's step is its vision fusion alone, never an injection
     assert tracer.get("adapter.I.fuse_vision").calls == 1
     assert tracer.get("adapter.I.inject").calls == 0
+
+
+def test_corrupted_cache_row_moves_the_cached_loss():
+    """``perfbench/test_smoke.py`` shifts one ``Stage3Cache.evd`` row and
+    expects the cached stage-3 loss to stop matching the naive one."""
+    cfg = ExperimentConfig(n_train=4)
+    mllm, det = tr.build_models(cfg)
+    state = tr.build_adapter(cfg)
+    cache = tr.Stage3Cache(mllm, det, tr.load_split(cfg, "train"),
+                           state.cfg.l_d)
+    idx = np.array([2, 0])
+    before = tr.stage3_loss_cached(cfg, mllm, det, state, cache, idx).data
+    cache.evd[idx[0]] += 1e-3
+    after = tr.stage3_loss_cached(cfg, mllm, det, state, cache, idx).data
+    assert before.tobytes() != after.tobytes()
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_adapter_attributes_the_benchmark_reads(spans, monkeypatch, arch):
+    """The eval workload opens an adapter through ``FusionState.gate`` and
+    ``out_proj.weight`` (``perfbench/workloads.py::open_adapter``), and the
+    inject span names its arch from ``FusionHook.state.cfg.arch``."""
+    cfg = ExperimentConfig(n_val=2)
+    mllm, det = tr.build_models(cfg)
+    scenes = tr.load_split(cfg, "val-spatial")
+    state = tr.build_adapter(cfg, arch=arch)
+    base = tr.grounded_outputs(cfg, mllm, det, scenes, state=state)
+    for t in (state.gate, state.out_proj.weight):
+        t.data = np.full(t.shape, 0.5)
+    hooks = []
+    decode = GroundingDetector.decode
+
+    def recording_decode(self, *args, hook=None, **kwargs):
+        hooks.append(hook)
+        return decode(self, *args, hook=hook, **kwargs)
+
+    monkeypatch.setattr(GroundingDetector, "decode", recording_decode)
+    opened = tr.grounded_outputs(cfg, mllm, det, scenes, state=state)
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(base, opened))
+    assert [spans._arch_of_hook((h,), {}) for h in hooks] == [arch]

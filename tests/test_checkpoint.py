@@ -112,3 +112,16 @@ def test_save_is_deterministic(tmp_path):
 def test_missing_manifest(tmp_path):
     with pytest.raises(UsageError):
         ck.load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("line", ["gain\tgain.ledt",
+                                  "gain\tgain.ledt\t2\textra",
+                                  "gain\tgain.ledt\t2,x"])
+def test_malformed_manifest_line_is_named(tmp_path, line):
+    """A manifest line without exactly three fields, or with a non-integer
+    extent, is a named error that quotes the line."""
+    ck.save_checkpoint(tmp_path, {"gain": np.ones(2)})
+    (tmp_path / "manifest.txt").write_text(line + "\n")
+    with pytest.raises(UsageError, match="manifest.txt line 1: ") as err:
+        ck.load_checkpoint(tmp_path)
+    assert repr(line) in str(err.value)

@@ -199,3 +199,17 @@ def test_zero_batch_is_a_named_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: pretrain_batch must be at least 1, got 0\n",
                         err), err
+
+
+def test_malformed_manifest_is_a_named_error(tmp_path, monkeypatch, capsys):
+    """``eval`` on a checkpoint whose manifest line is short prints the
+    line and exits 1, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs" / "detector").mkdir(parents=True)
+    (tmp_path / "runs" / "detector" / "manifest.txt").write_text(
+        "gain\tgain.ledt\n")
+    assert cli.cli(["eval"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: runs/detector/manifest.txt line 1: "
+                        r"'gain\\tgain.ledt' is not name<TAB>file<TAB>"
+                        r"comma-separated integer shape\n", err), err

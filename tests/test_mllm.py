@@ -6,7 +6,7 @@ import pytest
 
 from fusedet import tensor as T
 from fusedet.mllm import MiniMllm, MllmConfig, Projector, VisionEncoder
-from fusedet.tensor import ConfigurationError, Tensor
+from fusedet.tensor import ConfigurationError, Tensor, UsageError
 
 
 def make_mllm(seed=0, **kw):
@@ -278,3 +278,12 @@ class TestAdapterTaps:
         mllm.tok_embed.data = mllm.tok_embed.data + 100.0
         after, _ = mllm.hidden_from_aligned(aligned(mllm, img), 2)
         assert np.array_equal(before.data, after.data)
+
+    def test_text_mask_without_text_rejected(self):
+        """A text mask with no text would mask the trailing vision positions
+        as padded text keys."""
+        mllm = make_mllm()
+        img = rand_images(np.random.default_rng(25), b=1)
+        with pytest.raises(UsageError, match="text_valid without text_ids"):
+            mllm.hidden_from_aligned(aligned(mllm, img), 2,
+                                     text_valid=np.array([[True, False]]))

@@ -12,6 +12,7 @@ from fusedet import tensor as T
 from fusedet import training as tr
 from fusedet.adapter import ARCHS
 from fusedet.config import ExperimentConfig
+from fusedet.detector import detection_loss
 from fusedet.scenes import pad_token_rows
 from fusedet.tensor import NumericsError, Tensor, UsageError
 
@@ -296,6 +297,26 @@ class TestCachedEquivalence:
         assert isinstance(got, np.ndarray)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("head", ["plain", "substitution"])
+    def test_cached_patch_tokens_give_the_fresh_loss(self, bench, head):
+        """The pretrain and substitution losses slice patch tokens from a
+        chunked ``cache_vision`` array; the naive loss and evaluation compute
+        them per batch with ``patch_tokens``.  Either way one batch has the
+        same loss, bit for bit."""
+        b = bench
+        sub = (tr.build_substitution(b["cfg"], b["mllm"])
+               if head == "substitution" else None)
+        idx = np.array([3, 17, 8, 3, 22])
+        batch = [b["train"][i] for i in idx]
+        cached = tr.cache_vision(b["mllm"], b["train"], chunk=5)[idx]
+        fresh = tr.patch_tokens(b["mllm"], batch)
+        cfg, mllm, det = b["cfg"], b["mllm"], b["det"]
+        losses = [detection_loss(*tr.fused_outputs(cfg, mllm, det, patches,
+                                                   batch, sub=sub),
+                                 batch, det.cfg).data
+                  for patches in (cached, fresh)]
+        assert losses[0].tobytes() == losses[1].tobytes()
+
     def test_first_layer_cache_holds_the_query_embeddings(self, bench):
         """At l_d = 1 the pre-state is the broadcast query embeddings, so a
         cached loss always resumes; ``full_decode`` changes no array."""
@@ -423,7 +444,8 @@ class TestRunLoop:
             return T.tsum(T.mul(p, p))
 
         with pytest.raises(NumericsError, match=r"stage3: .* step 1"):
-            tr._run_loop("stage3", 5, 2, 10, groups, loss_fn, seed=0)
+            tr._run_stage(tiny_config(), "stage3", groups, (), loss_fn,
+                          n=10, steps=5, batch=2, seed=0)
 
     def test_losses_are_plain_floats(self, bench):
         losses = bench["reports"]["stage1"]["losses"]
@@ -519,6 +541,7 @@ class TestForwardOnlyPasses:
 
     def test_fused_outputs_still_tapes(self, made, trainable):
         cfg, mllm, det, state, scenes = trainable
-        boxes, logits = tr.fused_outputs(cfg, mllm, det, scenes, state)
+        boxes, logits = tr.fused_outputs(
+            cfg, mllm, det, tr.patch_tokens(mllm, scenes), scenes, state)
         assert boxes.requires_grad and logits.requires_grad
         assert any(n.requires_grad for n in made)
