@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, Module, MultiHeadAttention, linear_flops, mha_flops
+from .layers import Linear, Module, MultiHeadAttention
 from .tensor import ConfigurationError, DimensionError, Tensor
 
 ARCHS = ("I", "II", "III", "IV")
@@ -250,42 +250,3 @@ class FusionHook:
     def inject(self, q: Tensor) -> Tensor:
         return zero_init_cross_attn(q, self.a_p, self.state)
 
-
-# ---------------------------------------------------------------------------
-# analytic parameter / FLOP accounting
-# ---------------------------------------------------------------------------
-
-
-def adapter_param_flops(cfg: AdapterConfig, b: int = 1, t_queries: int = 4,
-                        text_len: int = 8) -> tuple[int, int]:
-    """(trainable parameter count, FLOPs for one adapter forward).
-
-    ``t_queries`` is the number of rows that attend: decoder queries, or
-    detector vision tokens for a vision-fusing adapter.  The FLOP expression
-    mirrors the op-level conventions of the tensor core; the acceptance suite
-    checks it against a metered forward exactly.
-    """
-    d, d_lm, h = cfg.d, cfg.d_lm, cfg.heads
-    gh, gw = cfg.grid
-    l_v = gh * gw
-    l, t = cfg.prompt_len, t_queries
-    s = 0 if cfg.fuses_vision else t                      # self-segment keys
-
-    params = 4 * (d * d + d) + h                          # wq,wk,wv,out_proj + gate
-    flops = 0
-    if cfg.text_fusion:
-        params += 4 * (d_lm * d_lm + d_lm)
-        flops += mha_flops(b, l_v, text_len, d_lm, h) + b * l_v * d_lm
-    if cfg.fuses_vision:
-        params += d_lm * d + d                            # proj_lm
-        flops += linear_flops(b * l_v, d_lm, d)
-    else:
-        ph, pw = cfg.prompt_grid
-        params += d * d_lm * cfg.conv_k ** 2 + d
-        flops += 2 * b * d * ph * pw * d_lm * cfg.conv_k ** 2
-        flops += b * d * ph * pw                          # conv bias add
-    # gated attention over L prompt + S self keys, out_proj included
-    flops += mha_flops(b, t, l + s, d, h, rope=True)
-    flops += h + b * h * t * l                            # tanh(g) + gating
-    flops += b * t * d                                    # residual add
-    return params, flops

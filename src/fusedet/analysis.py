@@ -13,11 +13,13 @@ that its CSV emitter writes as they are:
   GFLOPs, latency) with a baseline detector row, additive delta rows for the
   adapter and the LM prompt path, and a fused total.
 
-FLOPs follow the tensor core's metering conventions (2 per multiply-add, 1
-per element-wise output, 3 per softmax element, movement free).  Every count
-is produced twice - a closed-form expression from the configs and a metered
-forward of the real modules - and the two routes are reported side by side so
-tests can require exact agreement.
+This module is the only home of the closed-form cost model: one scene's
+FLOPs and parameters for every row, worked out from the configs alone.  FLOPs
+follow the tensor core's metering conventions (2 per multiply-add, 1 per
+element-wise output, 3 per softmax element, movement free).  Every count is
+produced twice - the closed form and a metered forward of the real modules -
+and the two routes are reported side by side so tests can require exact
+agreement.
 """
 
 from __future__ import annotations
@@ -31,20 +33,22 @@ import numpy as np
 
 from . import tensor as T
 from . import training as tr
-from .adapter import (AdapterConfig, FusionHook, FusionState,
-                      adapter_param_flops)
+from .adapter import AdapterConfig, FusionHook, FusionState
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
-from .layers import linear_flops, mha_flops
 from .mllm import MiniMllm, MllmConfig
 from .scenes import PACK_WIDTH
 from .tensor import FlopsMeter, UsageError
 
 # canonical workload for cost reports: one scene with a full candidate set
-# (fixed packed text width, one pooled slot per query) and the longest query
-# phrase the grammar can produce on the LM side
-REPORT_TEXT_WIDTH = PACK_WIDTH
+# (text packed at PACK_WIDTH, one pooled slot per query) and, on the LM side,
+# the longest query phrase the grammar can produce
 REPORT_LM_TEXT = 8
+# warm-up calls and timed repetitions behind each latency figure
+LATENCY_WARMUP = 5
+LATENCY_REPEATS = 50
+# the sweep column ``rank_layers`` orders the tap depths by
+RANK_COLUMN = "val-spatial/acc"
 
 MODALITIES = ("system", "vision", "text")
 
@@ -150,15 +154,14 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     return rows
 
 
-def rank_layers(rows: list[dict], column: str = "val-spatial/acc"
-                ) -> list[tuple[int, float]]:
-    """Tap depths ordered best-first by the mean of one column across
+def rank_layers(rows: list[dict]) -> list[tuple[int, float]]:
+    """Tap depths ordered best-first by the mean of ``RANK_COLUMN`` across
     seeds."""
     buckets: dict[int, list[float]] = {}
     for r in rows:
-        if column not in r:
-            raise UsageError(f"sweep point has no column {column!r}")
-        buckets.setdefault(r["l_lm"], []).append(float(r[column]))
+        if RANK_COLUMN not in r:
+            raise UsageError(f"sweep point has no column {RANK_COLUMN!r}")
+        buckets.setdefault(r["l_lm"], []).append(float(r[RANK_COLUMN]))
     means = [(l, float(np.mean(v))) for l, v in buckets.items()]
     return sorted(means, key=lambda kv: (-kv[1], kv[0]))
 
@@ -171,8 +174,33 @@ def write_ablation_csv(rows: list[dict], path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# closed-form FLOP expressions (mirroring the op-level conventions)
+# closed-form cost model of one scene (mirroring the op-level conventions)
 # ---------------------------------------------------------------------------
+
+
+def linear_flops(rows: int, d_in: int, d_out: int) -> int:
+    """``Linear`` on ``rows`` input rows."""
+    return 2 * rows * d_in * d_out + rows * d_out
+
+
+def attention_flops(t_q: int, t_k: int, d: int, heads: int,
+                    rope: bool = False) -> int:
+    """The ungated ``T.attention`` core: optional RoPE, scaled scores,
+    softmax, weighted values."""
+    f = 3 * t_q * d + 3 * t_k * d if rope else 0
+    f += 2 * t_q * d * t_k                        # scores
+    f += heads * t_q * t_k                        # 1/sqrt(d_head) scale
+    f += 3 * heads * t_q * t_k                    # softmax
+    f += 2 * t_q * d * t_k                        # weights @ values
+    return f
+
+
+def mha_flops(t_q: int, t_k: int, d: int, heads: int,
+              rope: bool = False) -> int:
+    """``MultiHeadAttention``: q/k/v projections, the attention core, output
+    map."""
+    return (2 * linear_flops(t_q, d, d) + 2 * linear_flops(t_k, d, d)
+            + attention_flops(t_q, t_k, d, heads, rope))
 
 
 def _layernorm_flops(rows: int, d: int) -> int:
@@ -186,7 +214,7 @@ def _mlp_flops(rows: int, d_in: int, d_hidden: int, d_out: int) -> int:
 
 def _lm_block_flops(n_seq: int, d: int, heads: int, mlp_ratio: int) -> int:
     return (_layernorm_flops(n_seq, d)
-            + mha_flops(1, n_seq, n_seq, d, heads, rope=True) + n_seq * d
+            + mha_flops(n_seq, n_seq, d, heads, rope=True) + n_seq * d
             + _layernorm_flops(n_seq, d)
             + _mlp_flops(n_seq, d, mlp_ratio * d, d) + n_seq * d)
 
@@ -198,38 +226,74 @@ def patch_encoder_flops(mcfg: MllmConfig) -> int:
     return 2 * p * mcfg.d_patch * mcfg.d_patch + p * mcfg.d_patch
 
 
-def detector_forward_flops(dcfg: DetectorConfig, n_patches: int, d_patch: int,
-                           text_width: int, n_cand: int) -> int:
-    """Detector inference on one scene's encoded patches: vision/text
+def detector_forward_flops(dcfg: DetectorConfig, mcfg: MllmConfig) -> int:
+    """Detector inference on one scene's encoded patches and its candidate
+    text (packed at ``PACK_WIDTH``, one candidate per query): vision/text
     encoders, phrase pooling, the decoder stack, and both heads."""
-    d, h, q, w = dcfg.d, dcfg.heads, dcfg.queries, text_width
-    f = linear_flops(n_patches, d_patch, d) + n_patches * d
-    f += (mha_flops(1, w, w, d, h, rope=True) + w * d
+    d, h, q, w = dcfg.d, dcfg.heads, dcfg.queries, PACK_WIDTH
+    gh, gw = mcfg.grid
+    p = gh * gw
+    f = linear_flops(p, mcfg.d_patch, d) + p * d
+    f += (mha_flops(w, w, d, h, rope=True) + w * d
           + _layernorm_flops(w, d))                       # text encoder
-    f += 2 * n_cand * w * d                               # phrase pooling
-    per_layer = (_layernorm_flops(q, d) + mha_flops(1, q, q, d, h) + q * d
-                 + _layernorm_flops(q, d) + mha_flops(1, q, n_patches, d, h)
-                 + q * d
-                 + _layernorm_flops(q, d) + mha_flops(1, q, w, d, h) + q * d
+    f += 2 * q * w * d                                    # phrase pooling
+    per_layer = (_layernorm_flops(q, d) + mha_flops(q, q, d, h) + q * d
+                 + _layernorm_flops(q, d) + mha_flops(q, p, d, h) + q * d
+                 + _layernorm_flops(q, d) + mha_flops(q, w, d, h) + q * d
                  + _layernorm_flops(q, d)
                  + _mlp_flops(q, d, dcfg.mlp_ratio * d, d) + q * d)
     f += dcfg.depth * per_layer
     f += _layernorm_flops(q, d)                           # output norm
     f += _mlp_flops(q, d, d, 4) + q * 4                   # box head
     f += linear_flops(q, d, d)                            # class projection
-    f += 2 * q * d * n_cand + q * n_cand                  # candidate logits
+    f += 2 * q * d * q + q * q                            # candidate logits
     f += 2 * q * d + q                                    # background column
     return f
 
 
-def prompt_path_flops(mcfg: MllmConfig, l_lm: int, lm_text: int = 0) -> int:
+def prompt_path_flops(mcfg: MllmConfig, acfg: AdapterConfig) -> int:
     """LM-side cost of producing one scene's adapter prompts, on top of the
-    shared patch encoding: the vision projector plus ``l_lm`` decoder
-    layers."""
+    shared patch encoding: the vision projector plus ``acfg.l_lm`` decoder
+    layers, over the query text as well with text fusion."""
     f = _mlp_flops(mcfg.l_v, mcfg.proj_in, mcfg.proj_hidden, mcfg.d_lm)
-    n_seq = mcfg.sys_len + mcfg.l_v + lm_text
-    return f + l_lm * _lm_block_flops(n_seq, mcfg.d_lm, mcfg.heads,
-                                      mcfg.mlp_ratio)
+    n_seq = (mcfg.sys_len + mcfg.l_v
+             + (REPORT_LM_TEXT if acfg.text_fusion else 0))
+    return f + acfg.l_lm * _lm_block_flops(n_seq, mcfg.d_lm, mcfg.heads,
+                                           mcfg.mlp_ratio)
+
+
+def adapter_param_flops(cfg: AdapterConfig, t_queries: int
+                        ) -> tuple[int, int]:
+    """(trainable parameter count, FLOPs for one scene's adapter forward).
+
+    ``t_queries`` is the number of rows that attend: decoder queries, or
+    detector vision tokens for a vision-fusing adapter.  With text fusion the
+    prompts attend over ``REPORT_LM_TEXT`` query tokens.
+    """
+    d, d_lm, h = cfg.d, cfg.d_lm, cfg.heads
+    gh, gw = cfg.grid
+    l_v = gh * gw
+    l, t = cfg.prompt_len, t_queries
+    s = 0 if cfg.fuses_vision else t                      # self-segment keys
+
+    params = 4 * (d * d + d) + h                          # wq,wk,wv,out_proj + gate
+    flops = 0
+    if cfg.text_fusion:
+        params += 4 * (d_lm * d_lm + d_lm)
+        flops += mha_flops(l_v, REPORT_LM_TEXT, d_lm, h) + l_v * d_lm
+    if cfg.fuses_vision:
+        params += d_lm * d + d                            # proj_lm
+        flops += linear_flops(l_v, d_lm, d)
+    else:
+        ph, pw = cfg.prompt_grid
+        params += d * d_lm * cfg.conv_k ** 2 + d
+        flops += 2 * d * ph * pw * d_lm * cfg.conv_k ** 2
+        flops += d * ph * pw                              # conv bias add
+    # gated attention over L prompt + S self keys, out_proj included
+    flops += mha_flops(t, l + s, d, h, rope=True)
+    flops += h + h * t * l                                # tanh(g) + gating
+    flops += t * d                                        # residual add
+    return params, flops
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +301,18 @@ def prompt_path_flops(mcfg: MllmConfig, l_lm: int, lm_text: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _even_spans(width: int, count: int) -> list[tuple[int, int]]:
-    edges = np.linspace(0, width, count + 1).astype(int)
+def _even_spans(count: int) -> list[tuple[int, int]]:
+    edges = np.linspace(0, PACK_WIDTH, count + 1).astype(int)
     return [(int(edges[i]), int(edges[i + 1])) for i in range(count)]
 
 
-def median_latency_ms(fn, repeats: int = 50, warmup: int = 5) -> float:
-    """Median wall-clock of ``fn()`` over warm repetitions, in milliseconds."""
-    for _ in range(warmup):
+def median_latency_ms(fn) -> float:
+    """Median wall-clock of ``fn()`` over ``LATENCY_REPEATS`` calls after
+    ``LATENCY_WARMUP`` warm-up calls, in milliseconds."""
+    for _ in range(LATENCY_WARMUP):
         fn()
     samples = []
-    for _ in range(repeats):
+    for _ in range(LATENCY_REPEATS):
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) * 1e3)
@@ -255,8 +320,7 @@ def median_latency_ms(fn, repeats: int = 50, warmup: int = 5) -> float:
 
 
 def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
-                   measure_latency: bool = False,
-                   repeats: int = 50, warmup: int = 5) -> list[dict]:
+                   measure_latency: bool = False) -> list[dict]:
     """Cost rows for the fused pipeline on the canonical one-scene workload.
 
     Rows: the detector baseline (shared patch encoder included), additive
@@ -278,20 +342,19 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         raise UsageError(
             f"adapter widths (d={acfg.d}, d_lm={acfg.d_lm}) do not match "
             f"detector d={dcfg.d} / LM d={mcfg.d_lm}")
-    b = 1                                     # the workload is one scene
     rng = np.random.default_rng(0)
     mllm = MiniMllm(mcfg, rng)
     h, w = mcfg.grid
     det = GroundingDetector(dcfg, mcfg.d_patch, h * w, rng)
     state = FusionState(acfg, rng)
 
-    images = T.constant(rng.standard_normal((b, 3, mcfg.canvas, mcfg.canvas)) * 0.1)
-    det_ids = rng.integers(1, dcfg.vocab, (b, REPORT_TEXT_WIDTH))
-    det_valid = np.ones((b, REPORT_TEXT_WIDTH), dtype=bool)
-    spans = [_even_spans(REPORT_TEXT_WIDTH, dcfg.queries)] * b
-    lm_ids = rng.integers(1, mcfg.vocab, (b, REPORT_LM_TEXT))
-    lm_valid = np.ones((b, REPORT_LM_TEXT), dtype=bool)
-    q_probe = T.constant(rng.standard_normal((b, dcfg.queries, dcfg.d)))
+    images = T.constant(rng.standard_normal((1, 3, mcfg.canvas, mcfg.canvas)) * 0.1)
+    det_ids = rng.integers(1, dcfg.vocab, (1, PACK_WIDTH))
+    det_valid = np.ones((1, PACK_WIDTH), dtype=bool)
+    spans = [_even_spans(dcfg.queries)]
+    lm_ids = rng.integers(1, mcfg.vocab, (1, REPORT_LM_TEXT))
+    lm_valid = np.ones((1, REPORT_LM_TEXT), dtype=bool)
+    q_probe = T.constant(rng.standard_normal((1, dcfg.queries, dcfg.d)))
 
     def lm_prompts(patches):
         return tr._lm_states(mllm, mllm.align_vision(patches), acfg, lm_ids,
@@ -306,23 +369,19 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         patches = mllm.encode_image(images)
         return detector(patches, FusionHook(state, *lm_prompts(patches)))
 
-    p_grid = h * w
     _, a_adapter = adapter_param_flops(
-        acfg, b=b, t_queries=p_grid if acfg.fuses_vision else dcfg.queries,
-        text_len=REPORT_LM_TEXT)
+        acfg, h * w if acfg.fuses_vision else dcfg.queries)
     # row -> (params, analytic FLOPs); the total is the sum of the deltas
     costs = {
         "detector": (mllm.vision.param_count() + det.param_count(),
-                     patch_encoder_flops(mcfg) + detector_forward_flops(
-                         dcfg, p_grid, mcfg.d_patch, REPORT_TEXT_WIDTH,
-                         dcfg.queries)),
+                     patch_encoder_flops(mcfg)
+                     + detector_forward_flops(dcfg, mcfg)),
         "+adapter": (state.param_count(), a_adapter),
         "+lm-prompts": (
             mllm.projector.param_count() + mllm.sys_embed.size
             + sum(blk.param_count() for blk in mllm.blocks[:acfg.l_lm])
             + (mllm.tok_embed.size if acfg.text_fusion else 0),
-            prompt_path_flops(mcfg, acfg.l_lm,
-                              REPORT_LM_TEXT if acfg.text_fusion else 0)),
+            prompt_path_flops(mcfg, acfg)),
     }
     costs["total"] = tuple(map(sum, zip(*costs.values())))
 
@@ -344,8 +403,8 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
             rows.append({
                 "framework": name, "params": params, "flops_analytic": flops,
                 "flops_metered": meter.accumulated,
-                "latency_ms": (median_latency_ms(fn, repeats, warmup)
-                               if measure_latency else None)})
+                "latency_ms": (median_latency_ms(fn) if measure_latency
+                               else None)})
     return rows
 
 

@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention
-from .scenes import VOCAB, SyntheticScene, box_iou, encode
+from .scenes import PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode
 from .tensor import ConfigurationError, Tensor, UsageError
 
 
@@ -165,15 +165,14 @@ class GroundingDetector(Module):
 # ---------------------------------------------------------------------------
 
 
-def pack_candidates(scene_candidates: list[list[np.ndarray]],
-                    width: int | None = None
+def pack_candidates(scene_candidates: list[list[np.ndarray]]
                     ) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, int]]]]:
     """Join each scene's candidate phrases with "." separators into one text
     row per scene.  Returns (ids, valid, per-scene token spans per candidate).
 
-    With ``width`` every batch is padded to that fixed size regardless of
-    content; training uses this so differently composed batches keep the
-    same shapes (and so the same summation order) everywhere downstream.
+    Every batch is padded to ``PACK_WIDTH`` regardless of content, so
+    differently composed batches keep the same shapes (and so the same
+    summation order) everywhere downstream.
     """
     sep = encode(["."])
     rows, spans = [], []
@@ -191,13 +190,11 @@ def pack_candidates(scene_candidates: list[list[np.ndarray]],
         rows.append(np.concatenate(toks))
         spans.append(sp)
     needed = max(len(r) for r in rows)
-    if width is None:
-        width = needed
-    elif width < needed:
+    if needed > PACK_WIDTH:
         raise UsageError(
-            f"pack width {width} too small for {needed}-token candidates")
-    ids = np.zeros((len(rows), width), dtype=np.intp)
-    valid = np.zeros((len(rows), width), dtype=bool)
+            f"pack width {PACK_WIDTH} too small for {needed}-token candidates")
+    ids = np.zeros((len(rows), PACK_WIDTH), dtype=np.intp)
+    valid = np.zeros((len(rows), PACK_WIDTH), dtype=bool)
     for i, r in enumerate(rows):
         ids[i, : len(r)] = r
         valid[i, : len(r)] = True
@@ -321,8 +318,7 @@ def query_column(scene: SyntheticScene) -> int:
 
 
 def eval_grounding(boxes: np.ndarray, logits: np.ndarray,
-                   scenes: list[SyntheticScene], iou_thresh: float = 0.5
-                   ) -> dict:
+                   scenes: list[SyntheticScene], iou_thresh: float) -> dict:
     """Single-phrase grounding accuracy at an IoU threshold, split by query
     kind.  The answer box comes from the query slot whose phrase distribution
     (over the scene's real candidates plus background) puts the most mass on

@@ -43,15 +43,11 @@ class Module:
             if not flag:
                 p.grad = None
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.named_parameters(prefix).items()}
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {k: v.data for k, v in self.named_parameters().items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         """Copy in one array per parameter; the names must match exactly."""
@@ -75,20 +71,18 @@ class Module:
 class Linear(Module):
     """y = x @ W + b with W of shape [d_in, d_out]."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = Tensor(rng.standard_normal((d_in, d_out))
                              * (1.0 / np.sqrt(d_in)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
     def zero_(self) -> None:
-        """Hard-set weights (and bias) to exact zeros, keeping trainability."""
+        """Hard-set weight and bias to exact zeros, keeping trainability."""
         self.weight.data = np.zeros_like(self.weight.data)
-        if self.bias is not None:
-            self.bias.data = np.zeros_like(self.bias.data)
+        self.bias.data = np.zeros_like(self.bias.data)
 
 
 class MLP(Module):
@@ -136,31 +130,6 @@ class MultiHeadAttention(Module):
                                    self.heads, mask=mask,
                                    rope_base=self.rope_base, pos_q=pos_q,
                                    pos_k=pos_k))
-
-
-def linear_flops(rows: int, d_in: int, d_out: int) -> int:
-    """Closed-form FLOPs of ``Linear`` (with bias) on ``rows`` input rows."""
-    return 2 * rows * d_in * d_out + rows * d_out
-
-
-def attention_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
-                    rope: bool = False) -> int:
-    """Closed-form FLOPs of the ungated ``T.attention`` core: optional RoPE,
-    scaled scores, softmax, weighted values."""
-    f = 3 * b * t_q * d + 3 * b * t_k * d if rope else 0
-    f += 2 * b * t_q * d * t_k                    # scores
-    f += b * heads * t_q * t_k                    # 1/sqrt(d_head) scale
-    f += 3 * b * heads * t_q * t_k                # softmax
-    f += 2 * b * t_q * d * t_k                    # weights @ values
-    return f
-
-
-def mha_flops(b: int, t_q: int, t_k: int, d: int, heads: int,
-              rope: bool = False) -> int:
-    """Closed-form FLOPs of ``MultiHeadAttention``: q/k/v
-    projections, the attention core, output map."""
-    return (2 * linear_flops(b * t_q, d, d) + 2 * linear_flops(b * t_k, d, d)
-            + attention_flops(b, t_q, t_k, d, heads, rope))
 
 
 class TransformerBlock(Module):

@@ -51,6 +51,7 @@ PAD, BOS, EOS = STOI["<pad>"], STOI["<bos>"], STOI["<eos>"]
 SPLITS = {"train": 0, "val-category": 1, "val-spatial": 2, "pretrain": 3}
 
 REL_MARGIN = 0.10
+MIN_GAP = 0.27                # least distance between two object centres
 
 # Static bound on the packed candidate-text width: at most four candidates,
 # of which one may be a relation phrase (8 tokens) and the rest category
@@ -98,18 +99,17 @@ class SyntheticScene:
     gt_labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
-def relation_holds(obj: SceneObject, rel: str, anchor: SceneObject,
-                   margin: float = REL_MARGIN) -> bool:
+def relation_holds(obj: SceneObject, rel: str, anchor: SceneObject) -> bool:
     dx = obj.box[0] - anchor.box[0]
     dy = obj.box[1] - anchor.box[1]
     if rel == "left":
-        return dx <= -margin
+        return dx <= -REL_MARGIN
     if rel == "right":
-        return dx >= margin
+        return dx >= REL_MARGIN
     if rel == "above":
-        return dy <= -margin
+        return dy <= -REL_MARGIN
     if rel == "below":
-        return dy >= margin
+        return dy >= REL_MARGIN
     raise UsageError(f"unknown relation {rel!r}")
 
 
@@ -122,13 +122,13 @@ def spatial_matches(objects: list[SceneObject], descriptor: tuple[str, str],
             and relation_holds(o, rel, anchor)]
 
 
-def render(objects: list[SceneObject], canvas: int = CANVAS) -> np.ndarray:
-    """Rasterize to [3, canvas, canvas] floats in [0, 1]."""
-    img = np.empty((3, canvas, canvas))
+def render(objects: list[SceneObject]) -> np.ndarray:
+    """Rasterize to [3, CANVAS, CANVAS] floats in [0, 1]."""
+    img = np.empty((3, CANVAS, CANVAS))
     for c in range(3):
         img[c] = _BG[c]
-    yy, xx = np.meshgrid((np.arange(canvas) + 0.5) / canvas,
-                         (np.arange(canvas) + 0.5) / canvas, indexing="ij")
+    yy, xx = np.meshgrid((np.arange(CANVAS) + 0.5) / CANVAS,
+                         (np.arange(CANVAS) + 0.5) / CANVAS, indexing="ij")
     for obj in objects:
         cx, cy, w, h = obj.box
         r = w / 2
@@ -145,8 +145,7 @@ def render(objects: list[SceneObject], canvas: int = CANVAS) -> np.ndarray:
     return img
 
 
-def _sample_layout(rng: np.random.Generator, count: int,
-                   min_gap: float = 0.27) -> list[np.ndarray]:
+def _sample_layout(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     """Non-overlapping boxes by rejection; restarts if a placement stalls."""
     while True:
         boxes: list[np.ndarray] = []
@@ -156,7 +155,7 @@ def _sample_layout(rng: np.random.Generator, count: int,
                 r = rng.uniform(0.09, 0.13)
                 cx = rng.uniform(0.16, 0.84)
                 cy = rng.uniform(0.16, 0.84)
-                if all(np.hypot(cx - b[0], cy - b[1]) >= min_gap for b in boxes):
+                if all(np.hypot(cx - b[0], cy - b[1]) >= MIN_GAP for b in boxes):
                     boxes.append(np.array([cx, cy, 2 * r, 2 * r]))
                     break
             else:

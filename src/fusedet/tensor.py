@@ -41,8 +41,6 @@ __all__ = [
     "DegenerateInputError",
     "NumericsError",
     "constant",
-    "zeros",
-    "ones",
     "add",
     "sub",
     "mul",
@@ -220,14 +218,6 @@ def as_tensor(x) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
-
-
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 # one entry per open ``no_tape`` scope

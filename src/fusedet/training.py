@@ -134,8 +134,7 @@ class Adam:
     every stage.
     """
 
-    def __init__(self, groups: list[ParamGroup], total: int,
-                 clip: float = 0.0):
+    def __init__(self, groups: list[ParamGroup], total: int, clip: float):
         self.groups = groups
         self.total = total
         self.clip = clip
@@ -239,7 +238,7 @@ def patch_tokens(mllm: MiniMllm, scenes: list[SyntheticScene]) -> np.ndarray:
             T.constant(np.stack([s.image for s in scenes]))).data
 
 
-def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int = 64
+def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int
                  ) -> np.ndarray:
     """``patch_tokens`` of every scene [N, P, d_patch], in one array
     allocated once and filled chunk by chunk."""
@@ -306,8 +305,7 @@ class Stage3Cache:
 def _candidate_text(det: GroundingDetector, scenes: list[SyntheticScene]):
     """(e_txt [B,W,d], valid [B,W], pooled [B,Q,d]) for the scenes'
     candidate phrases, packed at ``PACK_WIDTH``."""
-    ids, valid, spans = pack_candidates(
-        [s.candidates for s in scenes], width=PACK_WIDTH)
+    ids, valid, spans = pack_candidates([s.candidates for s in scenes])
     e_txt = det.encode_text(ids, valid)
     return e_txt, valid, pool_phrases(e_txt, spans, det.cfg.queries)
 
@@ -333,6 +331,15 @@ def _lm_states(mllm: MiniMllm, vis: Tensor, acfg, ids: np.ndarray,
     return e_v_l, e_t, valid
 
 
+def _fusion_hook(mllm: MiniMllm, state: FusionState, patches: Tensor,
+                 scenes: list[SyntheticScene]) -> FusionHook:
+    """The adapter's hook for a batch: prompts from the LM states over the
+    scenes' patch tokens and padded query phrases."""
+    return FusionHook(state, *_lm_states(
+        mllm, mllm.align_vision(patches), state.cfg,
+        *pad_token_rows([s.query.ids for s in scenes])))
+
+
 def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
                   det: GroundingDetector, patches: np.ndarray,
                   scenes: list[SyntheticScene],
@@ -352,9 +359,7 @@ def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
     else:
         e_vis = det.encode_vision(patches)
         if state is not None:
-            hook = FusionHook(state, *_lm_states(
-                mllm, mllm.align_vision(patches), state.cfg,
-                *pad_token_rows([s.query.ids for s in scenes])))
+            hook = _fusion_hook(mllm, state, patches, scenes)
     return _detector_outputs(det, e_vis, _candidate_text(det, scenes), hook)
 
 
@@ -387,9 +392,7 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
     """The stage-3 loss on cached frozen activations; the decode resumes from
     the cached state entering layer ``cache.l_d``."""
     scenes = [cache.scenes[i] for i in idx]
-    vis = mllm.align_vision(T.constant(cache.patches[idx]))
-    hook = FusionHook(state, *_lm_states(
-        mllm, vis, state.cfg, *pad_token_rows([s.query.ids for s in scenes])))
+    hook = _fusion_hook(mllm, state, T.constant(cache.patches[idx]), scenes)
     e_txt, valid, pooled = cache.text
     text = (T.constant(e_txt[idx]), valid[idx], T.constant(pooled[idx]))
     outputs = _detector_outputs(
@@ -462,6 +465,12 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
         elif cache.l_d != acfg.l_d:
             raise UsageError(f"cache built for l_d={cache.l_d}, "
                              f"run needs l_d={acfg.l_d}")
+        elif (len(cache.scenes) != len(scenes)
+              or any(a is not b for a, b in zip(cache.scenes, scenes))):
+            raise UsageError(
+                f"cache built over other scenes ({len(cache.scenes)}) than the "
+                f"{len(scenes)} this run trains on; build it over these "
+                f"scenes, in order")
         loss_fn = lambda idx: stage3_loss_cached(cfg, mllm, det, state, cache, idx)
     else:
         loss_fn = lambda idx: stage3_loss_naive(
@@ -554,7 +563,6 @@ def run_stage3_experiment(cfg: ExperimentConfig, mllm: MiniMllm,
                           projector_snap: dict[str, np.ndarray],
                           train_scenes: list[SyntheticScene],
                           val_splits: dict[str, list[SyntheticScene]],
-                          cached: bool = True,
                           cache: Stage3Cache | None = None,
                           **adapter_overrides) -> tuple[FusionState, dict]:
     """One adapter run on shared frozen backbones: restore the post-stage-2
@@ -565,8 +573,7 @@ def run_stage3_experiment(cfg: ExperimentConfig, mllm: MiniMllm,
     """
     restore(mllm.projector, projector_snap)
     state = build_adapter(cfg, **adapter_overrides)
-    report = train_stage3(cfg, mllm, det, state, train_scenes, cached=cached,
-                          cache=cache)
+    report = train_stage3(cfg, mllm, det, state, train_scenes, cache=cache)
     report["metrics"] = {name: evaluate(cfg, mllm, det, scenes, state=state)
                          for name, scenes in val_splits.items()}
     return state, report

@@ -366,9 +366,6 @@ CASES = [
     ("op/embedding", _embedding),
     ("layer/linear", _module(lambda rng: Linear(5, 4, rng), (3, 5),
                              lambda m: [m.weight, m.bias])),
-    ("layer/linear-3d-nobias",
-     _module(lambda rng: Linear(5, 4, rng, bias=False), (2, 3, 5),
-             lambda m: [m.weight])),
     ("layer/layernorm", _module(_random_layernorm, (2, 4, 6),
                                 lambda m: [m.gamma, m.beta])),
     ("layer/mlp", _module(lambda rng: MLP(5, 7, 4, rng), (3, 5),

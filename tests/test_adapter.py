@@ -1,14 +1,16 @@
 """The fusion adapter: exact zero-init identity, gate algebra against a
 brute-force softmax oracle, architecture surgery, injection locality,
-gradient escape, and the analytic parameter/FLOP accounting."""
+gradient escape, and the closed-form parameter/FLOP accounting of
+``analysis``."""
 
 import numpy as np
 import pytest
 
+from fusedet import analysis
 from fusedet import tensor as T
 from fusedet.adapter import (ARCHS, AdapterConfig, FusionHook, FusionState,
-                             adapter_param_flops,
                              fuse_vision, make_prompts, zero_init_cross_attn)
+from fusedet.analysis import adapter_param_flops
 from fusedet.tensor import ConfigurationError, DimensionError, FlopsMeter
 from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 
@@ -286,7 +288,8 @@ class TestHookLocality:
 
 class TestGradientEscape:
     def loss_and_grads(self, state, seed=19):
-        state.zero_grad()
+        for p in state.parameters():
+            p.grad = None
         rng = np.random.default_rng(seed)
         e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng)
         a_p = make_prompts(e_v_l, None, state.cfg, state)
@@ -392,13 +395,17 @@ class TestAccounting:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_param_count_matches_analytic(self, arch):
         state = make_state(arch)
-        params, _ = adapter_param_flops(state.cfg)
+        params, _ = adapter_param_flops(state.cfg, 4)
         assert state.param_count() == params
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("b,t,text", [(1, 4, 8), (3, 5, 11)])
-    def test_flops_match_metered_forward(self, arch, b, t, text):
-        """The closed-form FLOP expression equals an op-by-op metered pass."""
+    def test_flops_match_metered_forward(self, arch, b, t, text,
+                                         monkeypatch):
+        """The per-scene closed form, over ``text`` LM query tokens, equals
+        an op-by-op metered pass: ``b`` scenes cost ``b`` times one scene,
+        less the gate's tanh, which runs once per forward."""
+        monkeypatch.setattr(analysis, "REPORT_LM_TEXT", text)
         state = make_state(arch, seed=34)
         randomize(state, 35)
         cfg = state.cfg
@@ -415,8 +422,8 @@ class TestAccounting:
                 fuse_vision(e_v_d, a_p, state)
             else:
                 zero_init_cross_attn(e_d_prev, a_p, state)
-        _, analytic = adapter_param_flops(cfg, b=b, t_queries=t, text_len=text)
-        assert meter.accumulated == analytic
+        _, analytic = adapter_param_flops(cfg, t)
+        assert meter.accumulated == b * analytic - (b - 1) * cfg.heads
 
     def test_larger_grid_flops(self):
         cfg = AdapterConfig(arch="IV", grid=(8, 8))
@@ -428,5 +435,5 @@ class TestAccounting:
             a_p = make_prompts(e_v_l, None, cfg, state)
             zero_init_cross_attn(e_d_prev, a_p, state)
         assert a_p.shape[1] == 16
-        _, analytic = adapter_param_flops(cfg, b=1, t_queries=4)
+        _, analytic = adapter_param_flops(cfg, 4)
         assert meter.accumulated == analytic

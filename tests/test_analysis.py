@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 import fusedet.tensor as T
-from fusedet.adapter import AdapterConfig, adapter_param_flops
-from fusedet.analysis import (MODALITIES, attention_medians, compute_report,
-                              layer_sweep, median_latency_ms, rank_layers,
+from fusedet import analysis
+from fusedet.adapter import AdapterConfig
+from fusedet.analysis import (MODALITIES, adapter_param_flops,
+                              attention_medians, compute_report, layer_sweep,
+                              median_latency_ms, mha_flops, rank_layers,
                               write_ablation_csv, write_attention_csv,
                               write_compute_csv)
 from fusedet.config import ExperimentConfig
 from fusedet.detector import DetectorConfig
+from fusedet.layers import MultiHeadAttention
 from fusedet.mllm import MiniMllm, MllmConfig
 from fusedet import training as tr
-from fusedet.tensor import UsageError
+from fusedet.tensor import FlopsMeter, UsageError
 
 
 def read_csv(path):
@@ -221,14 +224,15 @@ class TestLayerSweep:
         cfg, mllm, det, snap, train, vals, cache = sweep_bench
         res = layer_sweep(cfg, mllm, det, snap, train, vals,
                           l_lm_values=[0, 2], seeds=[0, 1], cache=cache)
-        ranked = rank_layers(res, "val-spatial/acc")
+        ranked = rank_layers(res)
         assert [l for l, _ in sorted(ranked)] == [0, 2]
         for l_lm, mean in ranked:
             vals_l = [r["val-spatial/acc"] for r in res if r["l_lm"] == l_lm]
             assert mean == pytest.approx(np.mean(vals_l))
         assert ranked[0][1] >= ranked[1][1]
         with pytest.raises(UsageError, match="no column"):
-            rank_layers(res, "val-spatial/not-a-metric")
+            rank_layers([{k: v for k, v in r.items() if k != "val-spatial/acc"}
+                         for r in res])
 
     def test_ablation_csv(self, sweep_bench, tmp_path):
         cfg, mllm, det, snap, train, vals, cache = sweep_bench
@@ -329,7 +333,8 @@ class TestComputeReport:
         acfg = cfg.adapter_config()
         rows = compute_report(cfg.detector_config(), cfg.mllm_config(), acfg)
         assert rows[1]["framework"] == "+adapter"
-        assert rows[1]["params"] == adapter_param_flops(acfg)[0]
+        params, _ = adapter_param_flops(acfg, cfg.det_queries)
+        assert rows[1]["params"] == params
 
     def test_detector_row_params_match_hand_count(self):
         cfg = ExperimentConfig()
@@ -348,6 +353,19 @@ class TestComputeReport:
             + (d * d + d) + d
         patch_params = dp * dp + dp
         assert rows[0]["params"] == det_params + patch_params
+
+    @pytest.mark.parametrize("rope", [False, True])
+    def test_mha_batch_scales_the_closed_form(self, rope):
+        """Two batch rows of ``MultiHeadAttention`` cost twice the per-row
+        closed form."""
+        rng = np.random.default_rng(13)
+        mha = MultiHeadAttention(8, 2, rng, rope_base=100.0 if rope else None)
+        x_q = T.constant(rng.standard_normal((2, 3, 8)))
+        x_kv = T.constant(rng.standard_normal((2, 5, 8)))
+        pos = dict(pos_q=np.arange(3), pos_k=np.arange(5)) if rope else {}
+        with FlopsMeter() as meter:
+            mha(x_q, x_kv, **pos)
+        assert meter.accumulated == 2 * mha_flops(3, 5, 8, 2, rope=rope)
 
     def test_mismatched_configs_rejected(self):
         cfg = ExperimentConfig()
@@ -373,11 +391,12 @@ class TestComputeReport:
             assert float(r[2]) > 0
             assert r[3] == ""
 
-    def test_latency_measured_on_request(self, tmp_path):
+    def test_latency_measured_on_request(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "LATENCY_REPEATS", 3)
+        monkeypatch.setattr(analysis, "LATENCY_WARMUP", 1)
         rng = np.random.default_rng(12)
         dcfg, mcfg, acfg = random_accounting_configs(rng)
-        rows = compute_report(dcfg, mcfg, acfg, measure_latency=True,
-                              repeats=3, warmup=1)
+        rows = compute_report(dcfg, mcfg, acfg, measure_latency=True)
         for row in rows:
             assert row["latency_ms"] > 0
         path = tmp_path / "compute_report.csv"
@@ -385,6 +404,7 @@ class TestComputeReport:
         _, table = read_csv(path)
         assert all(float(r[3]) > 0 for r in table)
 
-    def test_median_latency_is_positive(self):
-        assert median_latency_ms(lambda: sum(range(100)), repeats=5,
-                                 warmup=1) > 0
+    def test_median_latency_is_positive(self, monkeypatch):
+        monkeypatch.setattr(analysis, "LATENCY_REPEATS", 5)
+        monkeypatch.setattr(analysis, "LATENCY_WARMUP", 1)
+        assert median_latency_ms(lambda: sum(range(100))) > 0

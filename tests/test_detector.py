@@ -37,10 +37,10 @@ class TestPackCandidates:
                   encode(["the", "blue", "square"])]]
         ids, valid, spans = pack_candidates(cands)
         dot = int(encode(["."])[0])
-        assert ids[0].tolist() == (encode(["the", "red", "circle"]).tolist()
-                                   + [dot]
-                                   + encode(["the", "blue", "square"]).tolist())
-        assert valid.all()
+        assert ids[0, :7].tolist() == (
+            encode(["the", "red", "circle"]).tolist() + [dot]
+            + encode(["the", "blue", "square"]).tolist())
+        assert valid[0, :7].all() and not valid[0, 7:].any()
         assert spans[0] == [(0, 3), (4, 7)]
 
     def test_batch_padding(self):
@@ -48,9 +48,9 @@ class TestPackCandidates:
                  [encode(["the", "blue", "square"]),
                   encode(["the", "green", "triangle"])]]
         ids, valid, spans = pack_candidates(cands)
-        assert ids.shape == valid.shape == (2, 7)
+        assert ids.shape == valid.shape == (2, PACK_WIDTH)
         assert valid[0].sum() == 3 and valid[1].sum() == 7
-        assert np.all(ids[0][3:] == PAD)
+        assert np.all(ids[0][3:] == PAD) and np.all(ids[1][7:] == PAD)
 
     def test_spans_address_their_phrases(self):
         cands = [[encode(["the", "red", "circle"]),
@@ -62,23 +62,21 @@ class TestPackCandidates:
 
     def test_fixed_width_padding(self):
         cands = [[encode(["the", "red", "circle"])]]
-        ids, valid, spans = pack_candidates(cands, width=11)
-        assert ids.shape == valid.shape == (1, 11)
+        ids, valid, spans = pack_candidates(cands)
+        assert ids.shape == valid.shape == (1, PACK_WIDTH)
         assert valid[0].sum() == 3 and np.all(ids[0][3:] == PAD)
         assert spans[0] == [(0, 3)]
 
     def test_fixed_width_too_small(self):
-        cands = [[encode(["the", "red", "circle"])]]
+        relation = encode(["the", "red", "circle", "left", "of", "the",
+                           "blue", "square"])
         with pytest.raises(UsageError, match="pack width"):
-            pack_candidates(cands, width=2)
+            pack_candidates([[relation] * 3])          # 26 tokens
 
     def test_generated_scenes_fit_the_static_width(self):
         scenes = generate_scenes(0, 300, "pretrain") + \
             generate_scenes(0, 100, "train")
-        _, valid, _ = pack_candidates([s.candidates for s in scenes])
-        assert valid.shape[1] <= PACK_WIDTH
-        ids, _, _ = pack_candidates([s.candidates for s in scenes],
-                                    width=PACK_WIDTH)
+        ids, _, _ = pack_candidates([s.candidates for s in scenes])
         assert ids.shape[1] == PACK_WIDTH
 
 
@@ -307,13 +305,13 @@ class TestEvalGrounding:
         logits = np.full((1, nq, c + 1), 0.0)
         boxes[0, 2] = scene.query.target_box
         logits[0, 2, col] = 30.0
-        out = eval_grounding(boxes, logits, [scene])
+        out = eval_grounding(boxes, logits, [scene], 0.5)
         assert out["acc"] == 1.0
         assert out["per_scene"][0]["picked_query"] == 2
         assert out["per_scene"][0]["iou"] == pytest.approx(1.0)
         # same logits but the confident slot points at a wrong box
         boxes[0, 2] = (0.05, 0.05, 0.02, 0.02)
-        out = eval_grounding(boxes, logits, [scene])
+        out = eval_grounding(boxes, logits, [scene], 0.5)
         assert out["acc"] == 0.0 and out["mean_iou"] < 0.1
 
     def test_threshold_monotonicity(self):
@@ -333,7 +331,7 @@ class TestEvalGrounding:
         nq, cmax = 4, max(len(s.candidates) for s in scenes)
         boxes = np.full((12, nq, 4), 0.5)
         logits = np.zeros((12, nq, cmax + 1))
-        out = eval_grounding(boxes, logits, scenes)
+        out = eval_grounding(boxes, logits, scenes, 0.5)
         assert out["n_category"] == 6 and out["n_spatial"] == 6
         total = (out["acc_category"] * 6 + out["acc_spatial"] * 6) / 12
         assert out["acc"] == pytest.approx(total)

@@ -141,4 +141,4 @@ def test_eps_zero_rejected():
 
 def test_empty_param_set_rejected():
     with pytest.raises(UsageError):
-        finite_diff_check(lambda: T.tsum(T.ones(1)), [])
+        finite_diff_check(lambda: T.tsum(Tensor(np.ones(1))), [])

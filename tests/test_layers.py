@@ -72,13 +72,6 @@ class TestLinear:
         out = lin(T.constant(x))
         assert np.allclose(out.data, x @ lin.weight.data + lin.bias.data)
 
-    def test_no_bias(self):
-        rng = np.random.default_rng(0)
-        lin = Linear(5, 3, rng, bias=False)
-        assert lin.bias is None
-        x = rng.standard_normal((2, 5))
-        assert np.allclose(lin(T.constant(x)).data, x @ lin.weight.data)
-
     def test_zero_makes_exact_zero_output(self):
         lin = Linear(6, 6, np.random.default_rng(1))
         lin.zero_()

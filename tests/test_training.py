@@ -86,7 +86,7 @@ class TestAdam:
         x0 = rng.standard_normal((3, 2))
         grads = [rng.standard_normal((3, 2)) for _ in range(5)]
         p = Tensor(x0.copy(), requires_grad=True)
-        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.01)], total=5)
+        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.01)], total=5, clip=0.0)
         for g in grads:
             p.grad = g.copy()
             opt.step()
@@ -99,7 +99,8 @@ class TestAdam:
         pa = Tensor(xa.copy(), requires_grad=True)
         pb = Tensor(xb.copy(), requires_grad=True)
         opt = tr.Adam([tr.ParamGroup("a", {"p": pa}, 0.05),
-                       tr.ParamGroup("b", {"p": pb}, 0.002)], total=3)
+                       tr.ParamGroup("b", {"p": pb}, 0.002)], total=3,
+                      clip=0.0)
         for g in grads:
             pa.grad, pb.grad = g.copy(), g.copy()
             opt.step()
@@ -108,7 +109,7 @@ class TestAdam:
 
     def test_step_consumes_gradients(self):
         p = Tensor(np.ones(2), requires_grad=True)
-        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1)
+        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1, clip=0.0)
         p.grad = np.ones(2)
         opt.step()
         assert p.grad is None
@@ -349,9 +350,10 @@ class TestCachedEquivalence:
         b = bench
         outcomes = []
         for cached in (True, False):
-            _, rep = tr.run_stage3_experiment(
-                b["cfg"], b["mllm"], b["det"], b["projector"], b["train"],
-                {}, cached=cached)
+            tr.restore(b["mllm"].projector, b["projector"])
+            rep = tr.train_stage3(b["cfg"], b["mllm"], b["det"],
+                                  tr.build_adapter(b["cfg"]), b["train"],
+                                  cached=cached)
             outcomes.append(rep["losses"])
         assert outcomes[0] == outcomes[1]
 
@@ -367,6 +369,26 @@ class TestCachedEquivalence:
         with pytest.raises(UsageError, match="cache built for"):
             tr.train_stage3(b["cfg"], b["mllm"], b["det"], vision,
                             b["train"], cache=cache)
+
+    def test_cache_over_fewer_scenes_rejected(self, bench):
+        """A cache over the first 8 scenes cannot serve a run over all 24:
+        batch indices would run past the cached rows."""
+        b = bench
+        state = tr.build_adapter(b["cfg"])
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"][:8],
+                               state.cfg.l_d, chunk=8)
+        with pytest.raises(UsageError, match="other scenes"):
+            tr.train_stage3(b["cfg"], b["mllm"], b["det"], state,
+                            b["train"], cache=cache)
+
+    def test_cache_over_other_scenes_rejected(self, bench):
+        """A cache over all 24 scenes cannot serve a run over scenes 12-15:
+        the loss would read the cache's first four scenes instead."""
+        b = bench
+        state = tr.build_adapter(b["cfg"])
+        with pytest.raises(UsageError, match="other scenes"):
+            tr.train_stage3(b["cfg"], b["mllm"], b["det"], state,
+                            b["train"][12:16], cache=stage3_cache(b))
 
 
 class TestAttentionTap:
@@ -515,8 +537,12 @@ class TestForwardOnlyPasses:
             m.set_trainable(True)
         return cfg, mllm, det, state, tr.load_split(cfg, "val-spatial")[:6]
 
-    def test_forward_only_passes_build_no_tape(self, made, trainable):
+    def test_forward_only_passes_build_no_tape(self, made, trainable,
+                                               monkeypatch):
+        from fusedet import analysis
         from fusedet.analysis import attention_medians, compute_report
+        monkeypatch.setattr(analysis, "LATENCY_REPEATS", 1)
+        monkeypatch.setattr(analysis, "LATENCY_WARMUP", 0)
         cfg, mllm, det, state, scenes = trainable
         images = np.stack([s.image for s in scenes])
         ids, valid = pad_token_rows([s.caption for s in scenes])
@@ -530,8 +556,7 @@ class TestForwardOnlyPasses:
                                                            valid),
             "compute_report": lambda: compute_report(
                 cfg.detector_config(), cfg.mllm_config(),
-                cfg.adapter_config(arch="I"), measure_latency=True,
-                repeats=1, warmup=0),
+                cfg.adapter_config(arch="I"), measure_latency=True),
         }
         for name, run in passes.items():
             made.clear()
