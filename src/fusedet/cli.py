@@ -5,9 +5,10 @@ verification, and evaluation.
 Every subcommand takes ``--config FILE`` (flat ``key = value`` text over the
 ``ExperimentConfig`` fields), ``--seed N``, and ``--out DIR``.  Every command
 but the read-only ``gradcheck`` writes the resolved config to
-``DIR/resolved-config.txt``.  Checkpoints are directories in the
-parameter-file format; reports are JSON with the resolved config embedded,
-plus JSON-lines for per-step / per-scene records and CSV for tables.
+``DIR/resolved-config.txt``.  Checkpoints are directories of numpy ``.npy``
+files, one per parameter, listed by a manifest (see ``checkpoint.py``);
+reports are JSON with the resolved config embedded, plus JSON-lines for
+per-step / per-scene records and CSV for tables.
 
 Checkpoint layout under ``--out`` (the default is ``./runs``):
 
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, training as tr
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import MANIFEST, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_file, save_file
 from .scenes import SPLITS, pad_token_rows
 from .tensor import (ConfigurationError, DegenerateInputError, DimensionError,
@@ -59,7 +60,7 @@ def _metrics_records(metrics: dict):
 
 def _load_into(module, out: Path, name: str) -> None:
     path = out / name
-    if not (path / "manifest.txt").exists():
+    if not (path / MANIFEST).exists():
         raise UsageError(
             f"missing prerequisite checkpoint {path} -- run the earlier "
             f"stage first")

@@ -1,9 +1,10 @@
 """Neural-net building blocks on top of the tensor core.
 
-``Module`` gives dotted-name parameter discovery (enough for checkpoints,
-freezing, and SGD) without any of the usual framework machinery.  Blocks here
-are shared by the toy multimodal LM, the grounding detector, and the fusion
-adapter.
+``Module`` gives dotted-name parameter discovery (enough for freezing and
+SGD) without any of the usual framework machinery; ``training.snapshot`` and
+``training.restore`` are the one way out of and into a module's parameters,
+for checkpoints and between runs.  Blocks here are shared by the toy
+multimodal LM, the grounding detector, and the fusion adapter.
 """
 
 from __future__ import annotations
@@ -45,27 +46,6 @@ class Module:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.named_parameters().items()}
-
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        """Copy in one array per parameter; the names must match exactly."""
-        params = self.named_parameters()
-        missing = set(params) - set(state)
-        if missing:
-            raise T.UsageError(f"checkpoint missing parameters: {sorted(missing)[:4]}...")
-        unexpected = set(state) - set(params)
-        if unexpected:
-            raise T.UsageError(
-                f"checkpoint has parameters the model lacks: "
-                f"{sorted(unexpected)[:4]}...")
-        for name, p in params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise T.UsageError(
-                    f"{name}: checkpoint shape {arr.shape} != model shape {p.data.shape}")
-            p.data = arr.copy()
 
 
 class Linear(Module):

@@ -189,14 +189,12 @@ class MiniMllm(Module):
     # -- training objective -------------------------------------------------
 
     def lm_loss_from_aligned(self, vis: Tensor, text_ids: np.ndarray,
-                             text_valid: np.ndarray | None = None) -> Tensor:
-        """Mean next-token cross-entropy over (valid) text positions."""
+                             text_valid: np.ndarray) -> Tensor:
+        """Mean next-token cross-entropy over the valid text positions."""
         if text_ids.size == 0 or text_ids.shape[1] == 0:
             raise ConfigurationError(
                 "lm_loss_from_aligned needs a non-empty text span")
         b, t = text_ids.shape
-        if text_valid is None:
-            text_valid = np.ones((b, t), dtype=bool)
         x = self.embed_from_aligned(vis, text_ids)
         logits = self.lm_head(self.ln_f(self.forward(x, text_valid)))
         t0 = self.cfg.sys_len + vis.shape[1]

@@ -562,11 +562,14 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out_data, parents, bw, "linear")
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
     ``gamma`` and shift by ``beta``.  The forward repeats the unfused op
-    sequence (mean, center, mean square, +eps, **-0.5, scale, shift) in the
-    same order, so values and FLOPs equal it."""
+    sequence (mean, center, mean square, +``LAYER_NORM_EPS``, **-0.5, scale,
+    shift) in the same order, so values and FLOPs equal it."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -577,7 +580,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xc = x.data - mu
     buf = xc * xc
     var = np.sum(buf, axis=-1, keepdims=True) * inv_n
-    rstd = (var + eps) ** -0.5
+    rstd = (var + LAYER_NORM_EPS) ** -0.5
     xhat = np.multiply(xc, rstd, out=xc)
     out_data = np.multiply(xhat, gamma.data, out=buf)
     out_data += beta.data
@@ -1074,16 +1077,18 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def finite_diff_check(f, params, eps: float = 1e-5) -> float:
+FINITE_DIFF_STEP = 1e-5
+
+
+def finite_diff_check(f, params) -> float:
     """Compare analytic gradients of scalar ``f()`` against central
-    differences over every coordinate of ``params``.
+    differences at step ``FINITE_DIFF_STEP`` over every coordinate of
+    ``params``.
 
     ``f`` must rebuild its graph from the current contents of ``params`` on
     each call.  Returns max over coordinates of
     ``|analytic - numeric| / max(1, |analytic|)``.
     """
-    if eps <= 0:
-        raise UsageError("finite_diff_check needs eps > 0")
     plist = list(params.values()) if isinstance(params, dict) else list(params)
     if not plist:
         raise UsageError("finite_diff_check needs at least one parameter")
@@ -1097,12 +1102,12 @@ def finite_diff_check(f, params, eps: float = 1e-5) -> float:
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + eps
+            flat[i] = keep + FINITE_DIFF_STEP
             hi = f().item()
-            flat[i] = keep - eps
+            flat[i] = keep - FINITE_DIFF_STEP
             lo = f().item()
             flat[i] = keep
-            numeric = (hi - lo) / (2.0 * eps)
+            numeric = (hi - lo) / (2.0 * FINITE_DIFF_STEP)
             a = analytic.reshape(-1)[i]
             err = abs(a - numeric) / max(1.0, abs(a))
             if err > worst:

@@ -77,21 +77,38 @@ def build_substitution(cfg: ExperimentConfig, mllm: MiniMllm) -> SubstitutionHea
 
 
 def snapshot(module) -> dict[str, np.ndarray]:
-    """Deep copy of a module's parameter arrays (for restore between runs)."""
-    return {k: v.copy() for k, v in module.state_arrays().items()}
+    """Copy of every parameter array by dotted name: the one way out of a
+    module, for checkpoints and for restoring between runs."""
+    return {name: p.data.copy() for name, p in module.named_parameters().items()}
 
 
 def restore(module, snap: dict[str, np.ndarray]) -> None:
-    module.load_state_arrays(snap)
+    """Copy in one array per parameter, the one way into a module; the names
+    and shapes must match exactly."""
+    params = module.named_parameters()
+    missing = set(params) - set(snap)
+    if missing:
+        raise UsageError(f"checkpoint missing parameters: {sorted(missing)[:4]}...")
+    unexpected = set(snap) - set(params)
+    if unexpected:
+        raise UsageError(
+            f"checkpoint has parameters the model lacks: "
+            f"{sorted(unexpected)[:4]}...")
+    for name, p in params.items():
+        arr = np.asarray(snap[name], dtype=np.float64)
+        if arr.shape != p.data.shape:
+            raise UsageError(
+                f"{name}: checkpoint shape {arr.shape} != model shape {p.data.shape}")
+        p.data = arr.copy()
 
 
 def module_digest(module) -> str:
     """Order-independent content hash over all parameters; two calls agree
     iff every parameter array is bytewise identical."""
     h = hashlib.sha256()
-    for name, arr in sorted(module.state_arrays().items()):
+    for name, arr in sorted(snapshot(module).items()):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(arr.tobytes())
     return h.hexdigest()
 
 

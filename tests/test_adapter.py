@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fusedet import analysis
+from fusedet import training as tr
 from fusedet import tensor as T
 from fusedet.adapter import (ARCHS, AdapterConfig, FusionHook, FusionState,
                              fuse_vision, make_prompts, zero_init_cross_attn)
@@ -82,7 +83,7 @@ class TestZeroInitIdentity:
             assert np.all(state.out_proj.bias.data == 0.0)
             zero_weight = np.all(state.out_proj.weight.data == 0.0)
             assert zero_weight == (not state.cfg.fuses_vision)
-        vision, inject = make_state("I").state_arrays(), make_state("II").state_arrays()
+        vision, inject = tr.snapshot(make_state("I")), tr.snapshot(make_state("II"))
         for name, arr in vision.items():
             if name.startswith(("wq.", "wk.", "wv.", "text_fusion.")):
                 assert np.array_equal(arr, inject[name]), name

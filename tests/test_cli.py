@@ -3,11 +3,12 @@ long-running ones print."""
 
 import re
 
+import numpy as np
 import pytest
 
 from fusedet import analysis, cli
 from fusedet import training as tr
-from fusedet.checkpoint import load_checkpoint
+from fusedet.checkpoint import load_checkpoint, save_checkpoint
 from fusedet.config import load_file
 
 
@@ -202,14 +203,27 @@ def test_zero_batch_is_a_named_error(tmp_path, monkeypatch, capsys):
 
 
 def test_malformed_manifest_is_a_named_error(tmp_path, monkeypatch, capsys):
-    """``eval`` on a checkpoint whose manifest line is short prints the
-    line and exits 1, not a traceback."""
+    """``eval`` on a checkpoint whose manifest line names no parameter file,
+    such as an old ``name<TAB>file<TAB>shape`` line, prints the file it
+    looked for and exits 1, not a traceback."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "runs" / "detector").mkdir(parents=True)
     (tmp_path / "runs" / "detector" / "manifest.txt").write_text(
         "gain\tgain.ledt\n")
     assert cli.cli(["eval"]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: runs/detector/manifest.txt line 1: "
-                        r"'gain\\tgain.ledt' is not name<TAB>file<TAB>"
-                        r"comma-separated integer shape\n", err), err
+    assert re.fullmatch(r"error: runs/detector/gain\tgain.ledt.npy: missing, "
+                        r"but manifest.txt names it\n", err), err
+
+
+def test_truncated_parameter_file_is_a_named_error(tmp_path, monkeypatch,
+                                                   capsys):
+    """``eval`` on a checkpoint with a truncated ``.npy`` file names that
+    file and exits 1."""
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint(tmp_path / "runs" / "detector", {"gain": np.ones(4)})
+    path = tmp_path / "runs" / "detector" / "gain.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+    assert cli.cli(["eval"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: runs/detector/gain\.npy: .+\n", err), err

@@ -11,7 +11,7 @@ from fusedet.layers import (LayerNorm, Linear, MLP, Module,
                             MultiHeadAttention, TransformerBlock,
                             cross_entropy)
 from fusedet.tensor import Tensor, UsageError
-from fusedet.training import build_adapter
+from fusedet.training import build_adapter, restore, snapshot
 from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 
 
@@ -264,34 +264,34 @@ class TestModuleMechanics:
         a, b = self.build(), self.build()
         for p in a.parameters():
             p.data = p.data + 1.5
-        b.load_state_arrays(a.state_arrays())
+        restore(b, snapshot(a))
         for (ka, pa), (kb, pb) in zip(sorted(a.named_parameters().items()),
                                       sorted(b.named_parameters().items())):
             assert ka == kb and np.array_equal(pa.data, pb.data)
 
     def test_load_rejects_bad_shape(self):
         m = self.build()
-        state = m.state_arrays()
+        state = snapshot(m)
         state["gain"] = np.ones(5)
         with pytest.raises(UsageError):
-            m.load_state_arrays(state)
+            restore(m, state)
 
     def test_load_rejects_missing_key(self):
         m = self.build()
-        state = m.state_arrays()
+        state = snapshot(m)
         del state["gain"]
         with pytest.raises(UsageError):
-            m.load_state_arrays(state)
+            restore(m, state)
 
     def test_load_rejects_unexpected_key(self):
         """Names the module lacks are refused, not dropped: an Arch II
         adapter's ``text_fusion.*`` arrays do not fit an Arch IV one."""
         m = self.build()
-        state = m.state_arrays()
+        state = snapshot(m)
         state["extra"] = np.ones(2)
         with pytest.raises(UsageError, match="extra"):
-            m.load_state_arrays(state)
+            restore(m, state)
         cfg = ExperimentConfig()
-        arch_ii = build_adapter(cfg, arch="II").state_arrays()
+        arch_ii = snapshot(build_adapter(cfg, arch="II"))
         with pytest.raises(UsageError, match="text_fusion"):
-            build_adapter(cfg, arch="IV").load_state_arrays(arch_ii)
+            restore(build_adapter(cfg, arch="IV"), arch_ii)

@@ -203,7 +203,8 @@ class TestLmLoss:
         mllm.lm_head.zero_()
         img = rand_images(np.random.default_rng(17), b=2)
         ids = np.array([[5, 6, 7], [8, 9, 10]])
-        loss = mllm.lm_loss_from_aligned(aligned(mllm, img), ids)
+        loss = mllm.lm_loss_from_aligned(aligned(mllm, img), ids,
+                                         np.ones(ids.shape, dtype=bool))
         assert float(loss.data) == pytest.approx(np.log(64), abs=1e-12)
 
     def test_padding_excluded_from_mean(self):
@@ -222,7 +223,8 @@ class TestLmLoss:
         img = rand_images(np.random.default_rng(19), b=1)
         with pytest.raises(ConfigurationError):
             mllm.lm_loss_from_aligned(aligned(mllm, img),
-                                      np.zeros((1, 0), dtype=np.intp))
+                                      np.zeros((1, 0), dtype=np.intp),
+                                      np.ones((1, 0), dtype=bool))
 
     def test_teacher_forcing_alignment(self):
         """Masking all-but-one target isolates the prediction made from the

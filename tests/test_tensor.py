@@ -391,7 +391,7 @@ class TestFusedOps:
             rstd = T.power(T.add(var, 1e-5), -0.5)
             return T.add(T.mul(T.mul(xc, rstd), gamma), beta)
 
-        got, flops = self.metered(lambda: T.layer_norm(x, gamma, beta, 1e-5))
+        got, flops = self.metered(lambda: T.layer_norm(x, gamma, beta))
         want, want_flops = self.metered(unfused)
         assert got.tobytes() == want.tobytes()
         assert flops == want_flops == _layernorm_flops(6, 8)
