@@ -73,7 +73,6 @@ class AdapterConfig:
     conv_pad: int = 1
     n_lm: int = 4
     depth: int = 6
-    rope_base: float = 10000.0
 
     def __post_init__(self):
         if self.arch not in ARCHS:
@@ -208,7 +207,7 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
 
     q = state.wq(x)
     k, v = keys(state.wk), keys(state.wv)
-    core = T.attention(q, k, v, cfg.heads, rope_base=cfg.rope_base,
+    core = T.attention(q, k, v, cfg.heads, rope_base=T.ROPE_BASE,
                        pos_q=np.arange(l, l + t), pos_k=np.arange(l + s),
                        gate=T.tanh(state.gate), gated_keys=l)
     return T.add(x, state.out_proj(core))

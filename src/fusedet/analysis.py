@@ -37,7 +37,7 @@ from .adapter import AdapterConfig, FusionHook, FusionState
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
 from .mllm import MiniMllm, MllmConfig
-from .scenes import PACK_WIDTH
+from .scenes import PACK_WIDTH, VOCAB
 from .tensor import FlopsMeter, UsageError
 
 # canonical workload for cost reports: one scene with a full candidate set
@@ -349,10 +349,10 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     state = FusionState(acfg, rng)
 
     images = T.constant(rng.standard_normal((1, 3, mcfg.canvas, mcfg.canvas)) * 0.1)
-    det_ids = rng.integers(1, dcfg.vocab, (1, PACK_WIDTH))
+    det_ids = rng.integers(1, VOCAB, (1, PACK_WIDTH))
     det_valid = np.ones((1, PACK_WIDTH), dtype=bool)
     spans = [_even_spans(dcfg.queries)]
-    lm_ids = rng.integers(1, mcfg.vocab, (1, REPORT_LM_TEXT))
+    lm_ids = rng.integers(1, VOCAB, (1, REPORT_LM_TEXT))
     lm_valid = np.ones((1, REPORT_LM_TEXT), dtype=bool)
     q_probe = T.constant(rng.standard_normal((1, dcfg.queries, dcfg.d)))
 

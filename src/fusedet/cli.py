@@ -150,10 +150,13 @@ def _train_head(cfg: ExperimentConfig, out: Path, experiment, checkpoint: str,
 
 def _int_list(flag: str, text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
+        values = []
+    if not values:
         raise UsageError(
-            f"{flag} takes comma-separated integers, got {text!r}") from None
+            f"{flag} takes comma-separated integers, got {text!r}")
+    return values
 
 
 def _sweep_point_line(row: dict) -> str:

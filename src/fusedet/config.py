@@ -4,6 +4,14 @@ CLI.
 Config files are plain ``key = value`` lines (``#`` comments allowed); every
 key is a field of ``ExperimentConfig``.  Reports embed the resolved config so
 any run can be reproduced from its own output.
+
+Only real choices are fields.  The canvas (``scenes.CANVAS``) and the token
+vocabulary (``scenes.VOCAB``) come from the scenes; the RoPE base is
+``tensor.ROPE_BASE``.  Sizes that follow from other fields are derived: the
+projector's input width is ``MllmConfig.proj_in`` = 3 * patch^2 * shuffle_r^2,
+the adapter grid is the LM's aligned grid, and the stage-3 (and
+substitution) projector lr is the head's lr over
+``training.PROJECTOR_LR_DIVISOR``.
 """
 
 from __future__ import annotations
@@ -25,18 +33,14 @@ class ExperimentConfig:
     data_seed: int = 0            # scene generation
 
     # toy multimodal LM
-    canvas: int = 32
     patch: int = 4
     shuffle_r: int = 2
     d_lm: int = 64
     lm_layers: int = 4
     lm_heads: int = 4
-    vocab: int = 64
-    proj_in: int = 192
     proj_hidden: int = 128
     sys_len: int = 2
     lm_mlp_ratio: int = 2
-    rope_base: float = 10000.0
 
     # grounding detector
     det_d: int = 64
@@ -74,8 +78,7 @@ class ExperimentConfig:
     s2_lr: float = 1e-3
     s3_steps: int = 2000
     s3_batch: int = 8
-    s3_adapter_lr: float = 1e-3
-    s3_mlp_lr: float = 2e-4      # adapter lr / 5, mirroring the co-train ratio
+    s3_adapter_lr: float = 1e-3   # projector: this / PROJECTOR_LR_DIVISOR
     sub_steps: int = 2000
     sub_batch: int = 8
     sub_lr: float = 1e-3
@@ -97,16 +100,14 @@ class ExperimentConfig:
     def mllm_config(self) -> MllmConfig:
         return MllmConfig(
             d_lm=self.d_lm, n=self.lm_layers, heads=self.lm_heads,
-            vocab=self.vocab, patch=self.patch, shuffle_r=self.shuffle_r,
-            canvas=self.canvas, proj_in=self.proj_in,
+            patch=self.patch, shuffle_r=self.shuffle_r,
             proj_hidden=self.proj_hidden, sys_len=self.sys_len,
-            mlp_ratio=self.lm_mlp_ratio, rope_base=self.rope_base)
+            mlp_ratio=self.lm_mlp_ratio)
 
     def detector_config(self) -> DetectorConfig:
         return DetectorConfig(
             d=self.det_d, heads=self.det_heads, depth=self.det_depth,
-            queries=self.det_queries, vocab=self.vocab,
-            mlp_ratio=self.det_mlp_ratio, rope_base=self.rope_base,
+            queries=self.det_queries, mlp_ratio=self.det_mlp_ratio,
             box_weight=self.box_weight, phrase_weight=self.phrase_weight,
             background_weight=self.background_weight)
 
@@ -121,8 +122,7 @@ class ExperimentConfig:
             heads=self.adapter_heads, d=self.det_d, d_lm=self.d_lm,
             grid=self.mllm_config().aligned_grid, conv_k=self.conv_k,
             conv_stride=self.conv_stride, conv_pad=self.conv_pad,
-            n_lm=self.lm_layers, depth=self.det_depth,
-            rope_base=self.rope_base)
+            n_lm=self.lm_layers, depth=self.det_depth)
         kw.update(overrides)
         return AdapterConfig(**kw)
 

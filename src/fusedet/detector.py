@@ -33,9 +33,7 @@ class DetectorConfig:
     heads: int = 4
     depth: int = 6
     queries: int = 4
-    vocab: int = VOCAB
     mlp_ratio: int = 2
-    rope_base: float = 10000.0
     box_weight: float = 5.0
     phrase_weight: float = 1.0
     background_weight: float = 0.5
@@ -43,10 +41,10 @@ class DetectorConfig:
 
 class TextEncoder(Module):
     def __init__(self, cfg: DetectorConfig, rng: np.random.Generator):
-        self.embed = Tensor(rng.standard_normal((cfg.vocab, cfg.d)) * 0.1,
+        self.embed = Tensor(rng.standard_normal((VOCAB, cfg.d)) * 0.1,
                             requires_grad=True)
         self.attn = MultiHeadAttention(cfg.d, cfg.heads, rng,
-                                       rope_base=cfg.rope_base)
+                                       rope_base=T.ROPE_BASE)
         self.ln = LayerNorm(cfg.d)
 
     def __call__(self, ids: np.ndarray, valid: np.ndarray) -> Tensor:

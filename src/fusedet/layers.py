@@ -113,12 +113,13 @@ class MultiHeadAttention(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-LN decoder block: self-attention then MLP, both residual."""
+    """Pre-LN decoder block: self-attention with RoPE, then MLP, both
+    residual."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
-                 mlp_ratio: int = 2, rope_base: float | None = 10000.0):
+                 mlp_ratio: int = 2):
         self.ln1 = LayerNorm(d)
-        self.attn = MultiHeadAttention(d, heads, rng, rope_base=rope_base)
+        self.attn = MultiHeadAttention(d, heads, rng, rope_base=T.ROPE_BASE)
         self.ln2 = LayerNorm(d)
         self.mlp = MLP(d, mlp_ratio * d, d, rng)
 

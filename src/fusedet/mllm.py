@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, TransformerBlock, cross_entropy
-from .scenes import PAD, VOCAB
+from .scenes import CANVAS, PAD, VOCAB
 from .tensor import ConfigurationError, DimensionError, Tensor, UsageError
 
 
@@ -26,15 +26,12 @@ class MllmConfig:
     d_lm: int = 64
     n: int = 4
     heads: int = 4
-    vocab: int = VOCAB
     patch: int = 4
     shuffle_r: int = 4
-    canvas: int = 32
-    proj_in: int = 768
+    canvas: int = CANVAS
     proj_hidden: int = 128
     sys_len: int = 2
     mlp_ratio: int = 2
-    rope_base: float = 10000.0
 
     def __post_init__(self):
         if self.d_lm % self.heads:
@@ -51,6 +48,11 @@ class MllmConfig:
     @property
     def d_patch(self) -> int:
         return 3 * self.patch * self.patch
+
+    @property
+    def proj_in(self) -> int:
+        """Width of one aligned vision token: r^2 regrouped patch tokens."""
+        return self.d_patch * self.shuffle_r * self.shuffle_r
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -87,22 +89,13 @@ class VisionEncoder(Module):
 
 
 class Projector(Module):
-    """Repeat-then-Truncate channel alignment followed by a 2-layer MLP."""
+    """2-layer MLP from regrouped patch tokens to the LM width."""
 
     def __init__(self, cfg: MllmConfig, rng: np.random.Generator):
         self.mlp = MLP(cfg.proj_in, cfg.proj_hidden, cfg.d_lm, rng)
-        self._target = cfg.proj_in
-
-    def repeat_truncate(self, x: Tensor) -> Tensor:
-        c = x.shape[-1]
-        if c == self._target:
-            return x
-        tile = -(-self._target // c)
-        x = T.concat([x] * tile, axis=-1)
-        return T.slice_axis(x, -1, 0, self._target)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.mlp(self.repeat_truncate(x))
+        return self.mlp(x)
 
 
 class MiniMllm(Module):
@@ -110,16 +103,15 @@ class MiniMllm(Module):
         self.cfg = cfg
         self.vision = VisionEncoder(cfg, rng)
         self.projector = Projector(cfg, rng)
-        self.tok_embed = Tensor(rng.standard_normal((cfg.vocab, cfg.d_lm)) * 0.1,
+        self.tok_embed = Tensor(rng.standard_normal((VOCAB, cfg.d_lm)) * 0.1,
                                 requires_grad=True)
         self.sys_embed = Tensor(rng.standard_normal((cfg.sys_len, cfg.d_lm)) * 0.1,
                                 requires_grad=True)
         self.blocks = [TransformerBlock(cfg.d_lm, cfg.heads, rng,
-                                        mlp_ratio=cfg.mlp_ratio,
-                                        rope_base=cfg.rope_base)
+                                        mlp_ratio=cfg.mlp_ratio)
                        for _ in range(cfg.n)]
         self.ln_f = LayerNorm(cfg.d_lm)
-        self.lm_head = Linear(cfg.d_lm, cfg.vocab, rng)
+        self.lm_head = Linear(cfg.d_lm, VOCAB, rng)
 
     # -- vision pipeline ----------------------------------------------------
 
@@ -150,22 +142,25 @@ class MiniMllm(Module):
 
     # -- sequence assembly --------------------------------------------------
 
-    def embed_from_aligned(self, vis: Tensor, text_ids: np.ndarray) -> Tensor:
-        """Assemble [system | vision | text] given aligned vision tokens."""
+    def embed_from_aligned(self, vis: Tensor,
+                           text_ids: np.ndarray | None = None) -> Tensor:
+        """Assemble [system | vision | text] given aligned vision tokens;
+        ``None`` is no text."""
         b = vis.shape[0]
         s = self.cfg.sys_len
         parts = [T.concat([T.reshape(self.sys_embed, 1, s, self.cfg.d_lm)] * b,
                           axis=0), vis]
-        if text_ids.size:
+        if text_ids is not None:
             parts.append(T.embedding(self.tok_embed, text_ids))
         return T.concat(parts, axis=1)
 
-    def sequence_mask(self, n: int, text_valid: np.ndarray | None) -> np.ndarray:
+    def sequence_mask(self, n: int,
+                      text_valid: np.ndarray | None = None) -> np.ndarray:
         """Causal mask over ``n`` positions; with ``text_valid`` the last
         ``text_valid.shape[1]`` positions are text and its padding is
         masked out as keys."""
         mask = T.causal_mask(n)[None, None]
-        if text_valid is not None and text_valid.size:
+        if text_valid is not None:
             b, t = text_valid.shape
             key_ok = np.ones((b, n), dtype=bool)
             key_ok[:, n - t:] = text_valid
@@ -200,7 +195,7 @@ class MiniMllm(Module):
         t0 = self.cfg.sys_len + vis.shape[1]
         # position t0 + j is predicted from the state at t0 + j - 1
         pred = T.slice_axis(logits, 1, t0 - 1, t0 + t - 1)
-        flat = T.reshape(pred, b * t, self.cfg.vocab)
+        flat = T.reshape(pred, b * t, VOCAB)
         keep = np.flatnonzero(text_valid.reshape(-1))
         picked = T.index_select(flat, 0, keep)
         return cross_entropy(picked, text_ids.reshape(-1)[keep])
@@ -216,13 +211,11 @@ class MiniMllm(Module):
             raise ConfigurationError(f"l_lm {l_lm} outside [0, {self.cfg.n}]")
         if text_ids is None and text_valid is not None:
             raise UsageError("text_valid without text_ids")
-        ids = np.zeros((vis.shape[0], 0), dtype=np.intp) \
-            if text_ids is None else text_ids
-        h = self.forward(self.embed_from_aligned(vis, ids), text_valid,
+        h = self.forward(self.embed_from_aligned(vis, text_ids), text_valid,
                          upto_layer=l_lm)
         v0 = self.cfg.sys_len
         v1 = v0 + vis.shape[1]
         e_v = T.slice_axis(h, 1, v0, v1)
-        if ids.shape[1] == 0:
+        if text_ids is None:
             return e_v, None
         return e_v, T.slice_axis(h, 1, v1, h.shape[1])

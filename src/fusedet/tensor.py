@@ -67,7 +67,6 @@ __all__ = [
     "conv2d",
     "conv2d_output_hw",
     "pixel_unshuffle",
-    "pixel_shuffle",
     "rope_apply",
     "rope_angles",
     "backward",
@@ -86,7 +85,7 @@ rope_apply               3 per output element (each 2d rotation = 6 FLOPs)
 reductions (sum, mean)   1 per input element
 element-wise ops         1 per output element
 data movement            0 (reshape, transpose, concat, slice, gather,
-                            pixel (un)shuffle)
+                            pixel unshuffle)
 weighted_cross_entropy   3 per logit (log-softmax) + 2 per row (weight, sum)
 
 Fused ops count exactly what their unfused op sequence counted:
@@ -526,28 +525,24 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x, w, b) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` with ``w`` of shape
     [d_in, d_out]: one tape node.  The forward is matmul then bias add, so
     values equal the two-op sequence; the weight gradient is one GEMM over
     the flattened rows."""
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 2:
         raise DimensionError(
             f"linear needs >=2-d input and a 2-d weight, got {x.shape} and {w.shape}")
     k, n = w.shape
     if x.shape[-1] != k:
         raise DimensionError(f"linear inner extents differ: {x.shape} vs {w.shape}")
+    if b.shape != (n,):
+        raise DimensionError(f"linear bias shape {b.shape} != ({n},)")
     out_data = np.matmul(x.data, w.data)
     _count_flops(2 * out_data.size * k)
-    parents = (x, w)
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != (n,):
-            raise DimensionError(f"linear bias shape {b.shape} != ({n},)")
-        out_data += b.data
-        _count_flops(out_data.size)
-        parents = (x, w, b)
+    out_data += b.data
+    _count_flops(out_data.size)
 
     def bw(g, acc):
         g2 = g.reshape(-1, n)
@@ -556,10 +551,10 @@ def linear(x, w, b=None) -> Tensor:
             acc(x, np.matmul(g, np.ascontiguousarray(w.data.T)))
         if w.requires_grad:
             acc(w, np.matmul(x.data.reshape(-1, k).T, g2))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             acc(b, g2.sum(axis=0))
 
-    return _make(out_data, parents, bw, "linear")
+    return _make(out_data, (x, w, b), bw, "linear")
 
 
 LAYER_NORM_EPS = 1e-5
@@ -942,33 +937,14 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     return _make(out_data, (x,), bw, "pixel_unshuffle")
 
 
-def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """Depth-to-space inverse of ``pixel_unshuffle``."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"pixel_shuffle wants 4-d input, got {x.shape}")
-    bsz, c, h, w = x.shape
-    if r < 1 or c % (r * r):
-        raise DimensionError(f"channel extent {c} not divisible by {r}*{r}")
-    co = c // (r * r)
-    out_data = (x.data.reshape(bsz, co, r, r, h, w)
-                .transpose(0, 1, 4, 2, 5, 3)
-                .reshape(bsz, co, h * r, w * r))
-
-    def bw(g, acc):
-        acc(x, (g.reshape(bsz, co, h, r, w, r)
-                .transpose(0, 1, 3, 5, 2, 4)
-                .reshape(bsz, c, h, w)))
-
-    return _make(out_data, (x,), bw, "pixel_shuffle")
-
-
 # ---------------------------------------------------------------------------
 # rotary position embedding
 # ---------------------------------------------------------------------------
 
+ROPE_BASE = 10000.0           # the RoPE base of every rotating layer
 
-def rope_angles(positions, d_head: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
+
+def rope_angles(positions, d_head: int, base: float = ROPE_BASE) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin) tables of shape [T, d_head/2] for the given positions."""
     if d_head % 2:
         raise DimensionError(f"rope needs an even head dim, got {d_head}")
@@ -1003,7 +979,7 @@ def _rope_rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
+def rope_apply(x: Tensor, positions, base: float = ROPE_BASE) -> Tensor:
     """Rotate consecutive (even, odd) channel pairs of [B,T,h,d_h] by
     position * base**(-2i/d_h).  Norm-preserving per pair."""
     x = as_tensor(x)

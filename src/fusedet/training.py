@@ -5,8 +5,9 @@ Order of operations for a complete experiment:
   1. detector pretrain - grounding detector alone, on the pretrain split;
   2. stage 1           - toy LM decoder + vision projector, captioning;
   3. stage 2           - projector only, captioning (re-alignment);
-  4. stage 3           - fusion adapter (plus projector at 1/5 of the adapter
-                         lr) under the detection loss, LM and detector frozen;
+  4. stage 3           - fusion adapter (plus projector at the adapter lr
+                         over ``PROJECTOR_LR_DIVISOR``) under the detection
+                         loss, LM and detector frozen;
   5. substitution      - negative control: detector vision features replaced
                          by upsampled LM vision states, the substitution head
                          trained with the stage-3 budget.
@@ -40,15 +41,18 @@ from .config import ExperimentConfig
 from .detector import (GroundingDetector, SubstitutionHead, detection_loss,
                        eval_grounding, pack_candidates, pool_phrases)
 from .mllm import MiniMllm
-from .scenes import (CANVAS, PACK_WIDTH, WORDS, SyntheticScene,
-                     generate_scenes, pad_token_rows)
-from .tensor import ConfigurationError, NumericsError, Tensor, UsageError
+from .scenes import (PACK_WIDTH, SyntheticScene, generate_scenes,
+                     pad_token_rows)
+from .tensor import NumericsError, Tensor, UsageError
 
 # rng stream tags, so each stage draws an independent deterministic stream
 STAGE_TAGS = {"pretrain": 11, "stage1": 12, "stage2": 13, "stage3": 14,
               "substitution": 15}
 MODEL_TAG = 7
 ADAPTER_TAG = 21
+# the projector co-trains with a stage-3 adapter or substitution head at the
+# head's lr over this
+PROJECTOR_LR_DIVISOR = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +477,7 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
     groups = [
         ParamGroup("adapter", state.named_parameters(), cfg.s3_adapter_lr),
         ParamGroup("projector", mllm.projector.named_parameters(),
-                   cfg.s3_mlp_lr),
+                   cfg.s3_adapter_lr / PROJECTOR_LR_DIVISOR),
     ]
     if cached:
         if cache is None:
@@ -503,7 +507,7 @@ def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
     groups = [
         ParamGroup("substitution", sub.named_parameters(), cfg.sub_lr),
         ParamGroup("projector", mllm.projector.named_parameters(),
-                   cfg.sub_lr / 5.0),
+                   cfg.sub_lr / PROJECTOR_LR_DIVISOR),
     ]
     return _run_stage(
         cfg, "substitution", groups, (mllm, det, sub),
@@ -544,13 +548,7 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
 
 
 def load_split(cfg: ExperimentConfig, split: str) -> list[SyntheticScene]:
-    """The split's scenes; the config must fit them (canvas, vocabulary)."""
-    if cfg.canvas != CANVAS:
-        raise ConfigurationError(
-            f"canvas {cfg.canvas} != the scenes' canvas {CANVAS}")
-    if cfg.vocab < len(WORDS):
-        raise ConfigurationError(
-            f"vocab {cfg.vocab} < the scenes' {len(WORDS)} words")
+    """The split's scenes, ``cfg``'s count of them."""
     counts = {"pretrain": cfg.n_pretrain, "train": cfg.n_train,
               "val-category": cfg.n_val, "val-spatial": cfg.n_val}
     return generate_scenes(cfg.data_seed, counts[split], split)

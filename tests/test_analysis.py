@@ -21,6 +21,7 @@ from fusedet.detector import DetectorConfig
 from fusedet.layers import MultiHeadAttention
 from fusedet.mllm import MiniMllm, MllmConfig
 from fusedet import training as tr
+from fusedet.scenes import VOCAB
 from fusedet.tensor import FlopsMeter, UsageError
 
 
@@ -33,7 +34,7 @@ def read_csv(path):
 
 def small_mllm(n=2, seed=5):
     cfg = MllmConfig(d_lm=16, n=n, heads=2, patch=4, shuffle_r=2, canvas=16,
-                     proj_in=192, proj_hidden=24, sys_len=2)
+                     proj_hidden=24, sys_len=2)
     return MiniMllm(cfg, np.random.default_rng(seed))
 
 
@@ -281,8 +282,7 @@ def random_accounting_configs(rng):
     r = int(rng.choice([1, 2]))
     n = int(rng.integers(1, 4))
     mcfg = MllmConfig(d_lm=d_lm, n=n, heads=heads, patch=4, canvas=canvas,
-                      shuffle_r=r, proj_in=48 * r * r,
-                      proj_hidden=int(rng.choice([16, 24])),
+                      shuffle_r=r, proj_hidden=int(rng.choice([16, 24])),
                       sys_len=int(rng.integers(1, 3)))
     dcfg = DetectorConfig(d=d, heads=heads, depth=int(rng.integers(1, 4)),
                           queries=int(rng.integers(2, 5)))
@@ -340,7 +340,7 @@ class TestComputeReport:
         cfg = ExperimentConfig()
         dcfg, mcfg = cfg.detector_config(), cfg.mllm_config()
         rows = compute_report(dcfg, mcfg, cfg.adapter_config())
-        d, q, v = dcfg.d, dcfg.queries, dcfg.vocab
+        d, q, v = dcfg.d, dcfg.queries, VOCAB
         dp = mcfg.d_patch
         p = mcfg.grid[0] * mcfg.grid[1]
         mha = 4 * (d * d + d)

@@ -1,7 +1,12 @@
 """Command-line surface: which commands leave files behind, and what the
 long-running ones print."""
 
+import importlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +111,17 @@ def test_non_integer_sweep_list_is_a_named_error(tmp_path, monkeypatch,
                    f"got '0,a'\n"), err
 
 
+@pytest.mark.parametrize("flag, text", [("--layers", ""), ("--seeds", ",")])
+def test_empty_sweep_list_is_a_named_error(tmp_path, monkeypatch, capsys,
+                                           flag, text):
+    """A sweep with no point fails before any model is built or loaded."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.cli(["ablate-layers", flag, text]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {flag} takes comma-separated integers, "
+                   f"got {text!r}\n"), err
+
+
 def test_staged_run_equals_one_process(tmp_path, monkeypatch):
     """``train --stage 1 → 2 → 3`` through checkpoints trains the same
     adapter, bit for bit, as the same run in one process."""
@@ -158,28 +174,19 @@ def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
                         r"max_c=3 \(the detector's query count\)\n", err), err
 
 
-def test_canvas_the_scenes_do_not_have_is_a_named_error(tmp_path, monkeypatch,
-                                                         capsys):
-    """The scenes are drawn on a fixed canvas; a config with another one
-    fails where it first meets them, while ``flops-report``, which never
-    loads scenes, still runs."""
+@pytest.mark.parametrize("key, value", [
+    ("canvas", "32"), ("vocab", "64"), ("proj_in", "192"),
+    ("rope_base", "10000.0"), ("s3_mlp_lr", "0.0002")])
+def test_removed_config_keys_are_named_errors(tmp_path, monkeypatch, capsys,
+                                               key, value):
+    """The canvas and vocabulary come from the scenes, the RoPE base is a
+    constant, and the projector width and stage-3 projector lr are derived,
+    so a config file that still sets one is refused by name."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(
-        "canvas = 16\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
-    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    (tmp_path / "old.cfg").write_text(f"{key} = {value}\n")
+    assert cli.cli(["flops-report", "--config", "old.cfg"]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: canvas 16 != the scenes' canvas 32\n", err), err
-    assert cli.cli(["flops-report", "--config", "tiny.cfg"]) == 0
-
-
-def test_vocabulary_smaller_than_the_scenes_is_a_named_error(
-        tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(
-        "vocab = 20\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
-    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: vocab 20 < the scenes' 30 words\n", err), err
+    assert err == f"error: unknown config keys: [{key!r}]\n", err
 
 
 def test_zero_eval_chunk_is_a_named_error(tmp_path, monkeypatch, capsys):
@@ -227,3 +234,22 @@ def test_truncated_parameter_file_is_a_named_error(tmp_path, monkeypatch,
     assert cli.cli(["eval"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: runs/detector/gain\.npy: .+\n", err), err
+
+
+def test_console_entry_point_resolves():
+    """``pyproject.toml``'s ``fusedet`` script names a callable, and the
+    module runs as ``python -m fusedet.cli``."""
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["fusedet"]
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "fusedet.cli", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: fusedet"), done.stdout

@@ -3,10 +3,14 @@ sub-configurations handed to each component."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from fusedet import config
+from fusedet import tensor as T
 from fusedet.config import ExperimentConfig
+from fusedet.mllm import MiniMllm
+from fusedet.scenes import CANVAS
 from fusedet.training import build_adapter
 from fusedet.tensor import ConfigurationError, UsageError
 
@@ -66,13 +70,23 @@ class TestDerivedConfigs:
         cfg = ExperimentConfig()
         m = cfg.mllm_config()
         assert m.d_lm == cfg.d_lm and m.n == cfg.lm_layers
-        assert m.canvas == cfg.canvas and m.shuffle_r == cfg.shuffle_r
+        assert m.canvas == CANVAS and m.shuffle_r == cfg.shuffle_r
+
+    def test_projector_reads_the_whole_regrouped_token(self):
+        """The projector's input width follows ``patch`` and ``shuffle_r``:
+        at patch 8 a regrouped token is 3 * 8^2 * 2^2 = 768 wide, and the
+        projector's first layer takes all 768 channels."""
+        mllm = MiniMllm(ExperimentConfig(patch=8).mllm_config(),
+                        np.random.default_rng(0))
+        images = np.random.default_rng(1).uniform(0, 1, (1, 3, CANVAS, CANVAS))
+        groups = mllm.regroup_patches(mllm.encode_image(T.constant(images)))
+        assert groups.shape[-1] == mllm.cfg.proj_in == 768
+        assert mllm.projector.mlp.fc1.weight.shape == (768, 128)
 
     def test_detector_wiring(self):
         cfg = ExperimentConfig(det_d=32, det_heads=2)
         d = cfg.detector_config()
         assert d.d == 32 and d.heads == 2
-        assert d.vocab == cfg.vocab          # shared tokenizer
 
     def test_adapter_grid_follows_lm_alignment(self):
         cfg = ExperimentConfig()

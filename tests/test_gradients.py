@@ -36,8 +36,7 @@ BINARY = {"add": "op/add", "sub": "op/sub", "mul": "op/mul",
           "matmul": "op/matmul", "add_broadcast": "op/add-broadcast",
           "mul_broadcast": "op/mul-broadcast",
           "matmul_batched": "op/matmul-batched"}
-LINEAR = {"2d-bias": "op/linear-2d-bias", "2d": "op/linear-2d",
-          "3d-bias": "op/linear-3d-bias", "3d": "op/linear-3d"}
+LINEAR = {"2d-bias": "op/linear-2d-bias", "3d-bias": "op/linear-3d-bias"}
 GATED = {"two-segments": "op/attention-gated-segments",
          "gated-only": "op/attention-gated-only"}
 SINGLE = ["op/conv2d", "op/rope", "op/pixel_unshuffle",

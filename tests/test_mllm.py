@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fusedet import tensor as T
-from fusedet.mllm import MiniMllm, MllmConfig, Projector, VisionEncoder
+from fusedet.mllm import MiniMllm, MllmConfig, VisionEncoder
 from fusedet.tensor import ConfigurationError, Tensor, UsageError
 
 
@@ -102,18 +102,6 @@ class TestAlignment:
             want = np.sort(np.concatenate(members))
             assert np.allclose(np.sort(grp[q]), want)
 
-    def test_repeat_truncate_identity_at_matching_width(self):
-        proj = make_mllm().projector
-        x = T.constant(np.random.default_rng(6).standard_normal((1, 4, 768)))
-        assert proj.repeat_truncate(x) is x
-
-    def test_repeat_truncate_tiles_then_cuts(self):
-        cfg = MllmConfig(proj_in=7)
-        proj = Projector(cfg, np.random.default_rng(7))
-        x = np.arange(3.0)[None, None]
-        out = proj.repeat_truncate(T.constant(x))
-        assert out.data.tolist() == [[[0, 1, 2, 0, 1, 2, 0]]]
-
     def test_align_runs_projector(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(8), b=2)
@@ -141,8 +129,7 @@ class TestSequenceAssembly:
     def test_text_free_sequence(self):
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(10), b=1)
-        x = mllm.embed_from_aligned(aligned(mllm, img),
-                                    np.zeros((1, 0), dtype=np.intp))
+        x = mllm.embed_from_aligned(aligned(mllm, img), None)
         assert x.shape == (1, 6, 64)
 
     def test_embedding_rows_match_table(self):
@@ -251,8 +238,7 @@ class TestAdapterTaps:
         mllm = make_mllm()
         img = rand_images(np.random.default_rng(21), b=1)
         e_v, e_t = mllm.hidden_from_aligned(aligned(mllm, img), 0)
-        x = mllm.embed_from_aligned(aligned(mllm, img),
-                                    np.zeros((1, 0), dtype=np.intp))
+        x = mllm.embed_from_aligned(aligned(mllm, img), None)
         assert e_t is None
         assert np.array_equal(e_v.data, x.data[:, 2:6])
 
