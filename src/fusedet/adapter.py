@@ -13,6 +13,13 @@ two derived properties of ``AdapterConfig``:
                      prompts that are injected into the decoder queries right
                      before decoder layer ``l_d``.
 
+The adapter has no sizes of its own.  ``FusionState`` reads them from the
+configs of the two models it connects: the detector width, the LM width and
+the LM's aligned grid, and the depths that bound ``l_lm`` and ``l_d``.  An
+``l_d`` left as ``None`` resolves to the detector's last layer (Arch II, IV)
+or to 1 (Arch I, III), so ``state.cfg.l_d`` is always the layer the hook
+runs before.
+
 ========  ===========  ============  =================================
 preset    text_fusion  fuses_vision  placement
 ========  ===========  ============  =================================
@@ -46,12 +53,14 @@ where both the gate and the map behind it are zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
+from .detector import DetectorConfig
 from .layers import Linear, Module, MultiHeadAttention
+from .mllm import MllmConfig
 from .tensor import ConfigurationError, DimensionError, Tensor
 
 ARCHS = ("I", "II", "III", "IV")
@@ -65,37 +74,20 @@ class AdapterConfig:
     l_lm: int = 2
     l_d: int | None = None        # None: the preset's layer (I, III: 1, else depth)
     heads: int = 4
-    d: int = 64
-    d_lm: int = 64
-    grid: tuple[int, int] = (2, 2)
     conv_k: int = 3
     conv_stride: int = 2
     conv_pad: int = 1
-    n_lm: int = 4
-    depth: int = 6
 
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
-        first_layer = self.arch in FIRST_LAYER_ARCHS
-        if self.l_d is None:
-            self.l_d = 1 if first_layer else self.depth
-        elif first_layer and self.l_d != 1:
-            raise ConfigurationError(
-                f"arch {self.arch} acts before decoder layer 1, "
-                f"got l_d={self.l_d}")
-        if not 0 <= self.l_lm <= self.n_lm:
-            raise ConfigurationError(f"l_lm {self.l_lm} outside [0, {self.n_lm}]")
-        if not 1 <= self.l_d <= self.depth:
-            raise ConfigurationError(f"l_d {self.l_d} outside [1, {self.depth}]")
-        if self.d % self.heads:
-            raise ConfigurationError(
-                f"width {self.d} not divisible by {self.heads} heads")
-        if not self.fuses_vision:
-            h, w = self.prompt_grid
-            if h < 1 or w < 1:
+        if self.arch in FIRST_LAYER_ARCHS:
+            if self.l_d is None:
+                self.l_d = 1
+            elif self.l_d != 1:
                 raise ConfigurationError(
-                    f"conv on grid {self.grid} yields empty prompt ({h}x{w})")
+                    f"arch {self.arch} acts before decoder layer 1, "
+                    f"got l_d={self.l_d}")
 
     @property
     def text_fusion(self) -> bool:
@@ -108,27 +100,37 @@ class AdapterConfig:
         (Arch I)."""
         return self.arch == "I"
 
-    @property
-    def prompt_grid(self) -> tuple[int, int]:
-        k = self.conv_k
-        return T.conv2d_output_hw(*self.grid, k, k, self.conv_stride,
-                                  self.conv_pad)
-
-    @property
-    def prompt_len(self) -> int:
-        h, w = self.grid if self.fuses_vision else self.prompt_grid
-        return h * w
-
 
 class FusionState(Module):
-    """All adapter weights.  Invariants at construction: every gate is exactly
-    zero and the output projection's bias is exactly zero; its weight is
-    exactly zero too when injecting (the self segment needs it) and stays
-    random with ``fuses_vision`` (a zero gate already zeroes the core)."""
+    """All adapter weights, sized by the LM and detector configs the adapter
+    attaches to, with ``cfg.l_d`` resolved.  Invariants at construction:
+    every gate is exactly zero and the output projection's bias is exactly
+    zero; its weight is exactly zero too when injecting (the self segment
+    needs it) and stays random with ``fuses_vision`` (a zero gate already
+    zeroes the core)."""
 
-    def __init__(self, cfg: AdapterConfig, rng: np.random.Generator):
+    def __init__(self, cfg: AdapterConfig, mcfg: MllmConfig,
+                 dcfg: DetectorConfig, rng: np.random.Generator):
+        if cfg.l_d is None:
+            cfg = replace(cfg, l_d=dcfg.depth)
+        if not 0 <= cfg.l_lm <= mcfg.n:
+            raise ConfigurationError(f"l_lm {cfg.l_lm} outside [0, {mcfg.n}]")
+        if not 1 <= cfg.l_d <= dcfg.depth:
+            raise ConfigurationError(f"l_d {cfg.l_d} outside [1, {dcfg.depth}]")
+        d, d_lm = dcfg.d, mcfg.d_lm
+        if d % cfg.heads:
+            raise ConfigurationError(
+                f"width {d} not divisible by {cfg.heads} heads")
         self.cfg = cfg
-        d, d_lm = cfg.d, cfg.d_lm
+        self.grid = mcfg.aligned_grid           # the LM states' grid
+        k = cfg.conv_k
+        self.prompt_grid = self.grid if cfg.fuses_vision else \
+            T.conv2d_output_hw(*self.grid, k, k, cfg.conv_stride, cfg.conv_pad)
+        h, w = self.prompt_grid
+        if h < 1 or w < 1:
+            raise ConfigurationError(
+                f"conv on grid {self.grid} yields empty prompt ({h}x{w})")
+        self.prompt_len = h * w
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)
         self.wv = Linear(d, d, rng)
@@ -158,7 +160,7 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, cfg: AdapterConfig,
     for the vision gating path.
     """
     b, l_v, d_lm = e_v_l.shape
-    h, w = cfg.grid
+    h, w = state.grid
     if l_v != h * w:
         raise DimensionError(f"{l_v} vision tokens do not tile grid {h}x{w}")
     if cfg.text_fusion:

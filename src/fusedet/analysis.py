@@ -117,8 +117,7 @@ def write_attention_csv(rows: list[dict], path: str | Path) -> None:
 def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
                 projector_snap: dict[str, np.ndarray],
                 train_scenes, val_splits: dict,
-                l_lm_values, seeds, cache: tr.Stage3Cache | None = None,
-                progress=None) -> list[dict]:
+                l_lm_values, seeds, progress=None) -> list[dict]:
     """Train one fresh adapter per (l_lm, seed) on the shared backbones.
 
     Returns one flat row per point: ``l_lm``, ``seed`` and a
@@ -134,9 +133,8 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     if bad:
         raise UsageError(
             f"l_lm values {bad} outside the decoder depth range 0..{mllm.cfg.n}")
-    if cache is None:
-        cache = tr.Stage3Cache(mllm, det, train_scenes,
-                               cfg.adapter_config().l_d, chunk=cfg.eval_chunk)
+    cache = tr.Stage3Cache(mllm, det, train_scenes, cfg.adapter_config().l_d,
+                           chunk=cfg.eval_chunk)
     rows = []
     for seed in seeds:
         for l_lm in l_lm_values:
@@ -262,7 +260,8 @@ def prompt_path_flops(mcfg: MllmConfig, acfg: AdapterConfig) -> int:
                                            mcfg.mlp_ratio)
 
 
-def adapter_param_flops(cfg: AdapterConfig, t_queries: int
+def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
+                        dcfg: DetectorConfig, t_queries: int
                         ) -> tuple[int, int]:
     """(trainable parameter count, FLOPs for one scene's adapter forward).
 
@@ -270,25 +269,25 @@ def adapter_param_flops(cfg: AdapterConfig, t_queries: int
     detector vision tokens for a vision-fusing adapter.  With text fusion the
     prompts attend over ``REPORT_LM_TEXT`` query tokens.
     """
-    d, d_lm, h = cfg.d, cfg.d_lm, cfg.heads
-    gh, gw = cfg.grid
-    l_v = gh * gw
-    l, t = cfg.prompt_len, t_queries
-    s = 0 if cfg.fuses_vision else t                      # self-segment keys
+    d, d_lm, h, k = dcfg.d, mcfg.d_lm, acfg.heads, acfg.conv_k
+    gh, gw = mcfg.aligned_grid
+    ph, pw = T.conv2d_output_hw(gh, gw, k, k, acfg.conv_stride, acfg.conv_pad)
+    l_v, t = gh * gw, t_queries
+    l = l_v if acfg.fuses_vision else ph * pw             # prompt keys
+    s = 0 if acfg.fuses_vision else t                     # self-segment keys
 
     params = 4 * (d * d + d) + h                          # wq,wk,wv,out_proj + gate
     flops = 0
-    if cfg.text_fusion:
+    if acfg.text_fusion:
         params += 4 * (d_lm * d_lm + d_lm)
         flops += mha_flops(l_v, REPORT_LM_TEXT, d_lm, h) + l_v * d_lm
-    if cfg.fuses_vision:
+    if acfg.fuses_vision:
         params += d_lm * d + d                            # proj_lm
         flops += linear_flops(l_v, d_lm, d)
     else:
-        ph, pw = cfg.prompt_grid
-        params += d * d_lm * cfg.conv_k ** 2 + d
-        flops += 2 * d * ph * pw * d_lm * cfg.conv_k ** 2
-        flops += d * ph * pw                              # conv bias add
+        params += d * d_lm * k ** 2 + d
+        flops += 2 * d * l * d_lm * k ** 2
+        flops += d * l                                    # conv bias add
     # gated attention over L prompt + S self keys, out_proj included
     flops += mha_flops(t, l + s, d, h, rope=True)
     flops += h + h * t * l                                # tanh(g) + gating
@@ -335,18 +334,10 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
     cannot be reproduced from the config alone.  No pass records a tape, so
     latency is the forward alone.
     """
-    if acfg.grid != mcfg.aligned_grid:
-        raise UsageError(
-            f"adapter grid {acfg.grid} != aligned LM grid {mcfg.aligned_grid}")
-    if acfg.d != dcfg.d or acfg.d_lm != mcfg.d_lm:
-        raise UsageError(
-            f"adapter widths (d={acfg.d}, d_lm={acfg.d_lm}) do not match "
-            f"detector d={dcfg.d} / LM d={mcfg.d_lm}")
     rng = np.random.default_rng(0)
     mllm = MiniMllm(mcfg, rng)
-    h, w = mcfg.grid
-    det = GroundingDetector(dcfg, mcfg.d_patch, h * w, rng)
-    state = FusionState(acfg, rng)
+    det = GroundingDetector(dcfg, mcfg, rng)
+    state = FusionState(acfg, mcfg, dcfg, rng)
 
     images = T.constant(rng.standard_normal((1, 3, mcfg.canvas, mcfg.canvas)) * 0.1)
     det_ids = rng.integers(1, VOCAB, (1, PACK_WIDTH))
@@ -369,8 +360,9 @@ def compute_report(dcfg: DetectorConfig, mcfg: MllmConfig, acfg: AdapterConfig,
         patches = mllm.encode_image(images)
         return detector(patches, FusionHook(state, *lm_prompts(patches)))
 
+    h, w = mcfg.grid
     _, a_adapter = adapter_param_flops(
-        acfg, h * w if acfg.fuses_vision else dcfg.queries)
+        acfg, mcfg, dcfg, h * w if acfg.fuses_vision else dcfg.queries)
     # row -> (params, analytic FLOPs); the total is the sum of the deltas
     costs = {
         "detector": (mllm.vision.param_count() + det.param_count(),

@@ -17,6 +17,8 @@ Checkpoint layout under ``--out`` (the default is ``./runs``):
     mllm-stage2/    projector re-alignment (the fusion baseline)
     adapter/        stage-3 fusion adapter
     substitution/   linear substitution control
+    <head>-projector/
+                    the projector trained alongside adapter or substitution
 """
 
 from __future__ import annotations
@@ -134,11 +136,14 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
 def _train_head(cfg: ExperimentConfig, out: Path, experiment, checkpoint: str,
                 name: str, label: str) -> int:
     """Train a head on the frozen backbones with ``experiment``, save its
-    checkpoint, report and metrics, and print one line per split."""
+    checkpoint and that of the projector it trained alongside, its report
+    and metrics, and print one line per split."""
     mllm, det = _backbones(cfg, out)
     head, rep = experiment(cfg, mllm, det, tr.snapshot(mllm.projector),
                            tr.load_split(cfg, "train"), _val_splits(cfg))
     save_checkpoint(out / checkpoint, tr.snapshot(head))
+    save_checkpoint(out / f"{checkpoint}-projector",
+                    tr.snapshot(mllm.projector))
     _save_stage_report(out, name, rep)
     _write_jsonl(out / f"metrics-{name}.jsonl",
                  _metrics_records(rep["metrics"]))
@@ -233,6 +238,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
     if args.fused:
         state = tr.build_adapter(cfg)
         _load_into(state, out, "adapter")
+        _load_into(mllm.projector, out, "adapter-projector")
     summary = {}
     for split, scenes in _val_splits(cfg).items():
         m = tr.evaluate(cfg, mllm, det, scenes, state=state)
@@ -304,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate checkpoints on the val splits")
     p.add_argument("--fused", action="store_true",
-                   help="evaluate with the stage-3 adapter applied")
+                   help="evaluate with the stage-3 adapter and the "
+                        "projector it trained alongside")
     common(p)
     return parser
 

@@ -9,9 +9,10 @@ Only real choices are fields.  The canvas (``scenes.CANVAS``) and the token
 vocabulary (``scenes.VOCAB``) come from the scenes; the RoPE base is
 ``tensor.ROPE_BASE``.  Sizes that follow from other fields are derived: the
 projector's input width is ``MllmConfig.proj_in`` = 3 * patch^2 * shuffle_r^2,
-the adapter grid is the LM's aligned grid, and the stage-3 (and
-substitution) projector lr is the head's lr over
-``training.PROJECTOR_LR_DIVISOR``.
+and the stage-3 (and substitution) projector lr is the head's lr over
+``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision input
+and the substitution head copy no size: each reads its widths, grids and
+depths from the ``MllmConfig`` and ``DetectorConfig`` it attaches to.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (f.name == "eval_chunk" or f.name.endswith("_batch")) and value < 1:
+            if f.name.endswith(("eval_chunk", "_batch", "_steps")) and value < 1:
                 raise ConfigurationError(
                     f"{f.name} must be at least 1, got {value}")
 
@@ -119,10 +120,8 @@ class ExperimentConfig:
         kw = dict(
             arch=self.arch, l_lm=self.l_lm,
             l_d=None if arch in FIRST_LAYER_ARCHS else self.l_d,
-            heads=self.adapter_heads, d=self.det_d, d_lm=self.d_lm,
-            grid=self.mllm_config().aligned_grid, conv_k=self.conv_k,
-            conv_stride=self.conv_stride, conv_pad=self.conv_pad,
-            n_lm=self.lm_layers, depth=self.det_depth)
+            heads=self.adapter_heads, conv_k=self.conv_k,
+            conv_stride=self.conv_stride, conv_pad=self.conv_pad)
         kw.update(overrides)
         return AdapterConfig(**kw)
 

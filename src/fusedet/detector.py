@@ -23,6 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention
+from .mllm import MllmConfig
 from .scenes import PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode
 from .tensor import ConfigurationError, Tensor, UsageError
 
@@ -76,11 +77,12 @@ class DecoderLayer(Module):
 
 
 class GroundingDetector(Module):
-    def __init__(self, cfg: DetectorConfig, d_patch: int, n_patches: int,
+    def __init__(self, cfg: DetectorConfig, mcfg: MllmConfig,
                  rng: np.random.Generator):
         self.cfg = cfg
-        self.vis_proj = Linear(d_patch, cfg.d, rng)
-        self.vis_pos = Tensor(rng.standard_normal((n_patches, cfg.d)) * 0.1,
+        h, w = mcfg.grid
+        self.vis_proj = Linear(mcfg.d_patch, cfg.d, rng)
+        self.vis_pos = Tensor(rng.standard_normal((h * w, cfg.d)) * 0.1,
                               requires_grad=True)
         self.text = TextEncoder(cfg, rng)
         self.query_embed = Tensor(rng.standard_normal((cfg.queries, cfg.d)) * 0.5,
@@ -114,8 +116,9 @@ class GroundingDetector(Module):
         run stops after that layer and returns its raw state, the one layer
         ``upto_layer + 1`` consumes.  A hook runs as
         ``q, e_vis = hook(q, e_vis)`` right before its layer ``hook.l_d``,
-        which must not precede ``start_layer``: a resumed decode cannot apply
-        it.
+        which must not precede ``start_layer`` (a resumed decode cannot apply
+        it) and must be one of this detector's layers: a hook past the last
+        one raises ``UsageError`` rather than never running.
         """
         b = e_vis.shape[0]
         if start_state is None:
@@ -129,6 +132,9 @@ class GroundingDetector(Module):
         if hook is not None and hook.l_d < start_layer:
             raise UsageError(
                 f"hook targets layer {hook.l_d} before start layer {start_layer}")
+        if hook is not None and hook.l_d > self.cfg.depth:
+            raise UsageError(f"hook targets layer {hook.l_d} past the "
+                             f"detector's last layer {self.cfg.depth}")
         stop = self.cfg.depth if upto_layer is None else upto_layer
         if not start_layer - 1 <= stop <= self.cfg.depth:
             raise UsageError(
@@ -357,10 +363,10 @@ class SubstitutionHead(Module):
     """Negative control: a single linear map from LM width onto the detector
     vision slots, replacing the detector's own vision features entirely."""
 
-    def __init__(self, d_lm: int, d: int, grid: tuple[int, int], r: int,
+    def __init__(self, mcfg: MllmConfig, dcfg: DetectorConfig,
                  rng: np.random.Generator):
-        self.proj = Linear(d_lm, d, rng)
-        self._index = substitution_index(grid, r)
+        self.proj = Linear(mcfg.d_lm, dcfg.d, rng)
+        self._index = substitution_index(mcfg.grid, mcfg.shuffle_r)
 
     def __call__(self, e_v_l: Tensor) -> Tensor:
         mapped = self.proj(e_v_l)

@@ -113,8 +113,8 @@ class MultiHeadAttention(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-LN decoder block: self-attention with RoPE, then MLP, both
-    residual."""
+    """Pre-LN decoder block: self-attention with RoPE at positions 0..T-1,
+    then MLP, both residual."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
                  mlp_ratio: int = 2):
@@ -123,10 +123,9 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(d)
         self.mlp = MLP(d, mlp_ratio * d, d, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 positions=None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         h = self.ln1(x)
-        x = T.add(x, self.attn(h, h, mask=mask, pos_q=positions, pos_k=positions))
+        x = T.add(x, self.attn(h, h, mask=mask))
         return T.add(x, self.mlp(self.ln2(x)))
 
 

@@ -175,10 +175,9 @@ class MiniMllm(Module):
         positions of the trailing text span."""
         n = x.shape[1]
         mask = self.sequence_mask(n, text_valid)
-        positions = np.arange(n)
         depth = self.cfg.n if upto_layer is None else upto_layer
         for block in self.blocks[:depth]:
-            x = block(x, mask=mask, positions=positions)
+            x = block(x, mask=mask)
         return x
 
     # -- training objective -------------------------------------------------

@@ -63,21 +63,19 @@ PROJECTOR_LR_DIVISOR = 5.0
 def build_models(cfg: ExperimentConfig) -> tuple[MiniMllm, GroundingDetector]:
     rng = np.random.default_rng([cfg.seed, MODEL_TAG])
     mllm = MiniMllm(cfg.mllm_config(), rng)
-    h, w = mllm.cfg.grid
-    det = GroundingDetector(cfg.detector_config(), mllm.cfg.d_patch, h * w, rng)
+    det = GroundingDetector(cfg.detector_config(), mllm.cfg, rng)
     return mllm, det
 
 
 def build_adapter(cfg: ExperimentConfig, **overrides) -> FusionState:
-    acfg = cfg.adapter_config(**overrides)
     rng = np.random.default_rng([cfg.run_seed, ADAPTER_TAG])
-    return FusionState(acfg, rng)
+    return FusionState(cfg.adapter_config(**overrides), cfg.mllm_config(),
+                       cfg.detector_config(), rng)
 
 
 def build_substitution(cfg: ExperimentConfig, mllm: MiniMllm) -> SubstitutionHead:
     rng = np.random.default_rng([cfg.run_seed, ADAPTER_TAG, 1])
-    return SubstitutionHead(cfg.d_lm, cfg.det_d, mllm.cfg.grid,
-                            mllm.cfg.shuffle_r, rng)
+    return SubstitutionHead(mllm.cfg, cfg.detector_config(), rng)
 
 
 def snapshot(module) -> dict[str, np.ndarray]:
@@ -222,7 +220,6 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
                 f"{stage}: non-finite value at step {step}: {e}") from e
         opt.step()
         losses.append(float(loss.data))
-    tail = losses[-25:] if losses else [float("nan")]
     return {
         "stage": stage,
         "steps": len(losses),
@@ -230,7 +227,7 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
                     "params": int(sum(p.size for p in g.params.values()))}
                    for g in groups],
         "losses": losses,
-        "final_loss": float(np.mean(tail)),
+        "final_loss": float(np.mean(losses[-25:])),
         "config": cfg.to_dict(),
         **extra,
     }

@@ -198,12 +198,9 @@ def _attention_layer(rng):
 
 _CANVAS = 8
 _CFG = ExperimentConfig(l_lm=1)     # the substitution head's LM tap
-
-
-def _micro_mllm(rng):
-    cfg = MllmConfig(d_lm=12, n=2, heads=2, patch=4, canvas=_CANVAS,
-                     shuffle_r=1, proj_hidden=10, sys_len=1)
-    return MiniMllm(cfg, rng)
+_MICRO_LM = MllmConfig(d_lm=12, n=2, heads=2, patch=4, canvas=_CANVAS,
+                       shuffle_r=1, proj_hidden=10, sys_len=1)
+_MICRO_DET = DetectorConfig(d=12, heads=2, depth=2, queries=3)
 
 
 def _micro_scene(rng):
@@ -222,14 +219,13 @@ def _micro_scene(rng):
 
 def _micro_grounding(rng):
     """A micro LM, detector and two scenes."""
-    mllm = _micro_mllm(rng)
-    det = GroundingDetector(DetectorConfig(d=12, heads=2, depth=2, queries=3),
-                            d_patch=48, n_patches=4, rng=rng)
+    mllm = MiniMllm(_MICRO_LM, rng)
+    det = GroundingDetector(_MICRO_DET, _MICRO_LM, rng)
     return mllm, det, [_micro_scene(rng) for _ in range(2)]
 
 
 def _caption_loss(rng):
-    mllm = _micro_mllm(rng)
+    mllm = MiniMllm(_MICRO_LM, rng)
     ids = np.stack([encode(["<bos>", "the", "red", "circle", "<eos>"]),
                     encode(["<bos>", "the", "blue", "square", "<eos>"])])
     valid = np.ones(ids.shape, dtype=bool)
@@ -258,9 +254,8 @@ def _grounding_loss(rng):
 def _fused_loss(arch):
     def build(rng):
         mllm, det, scenes = _micro_grounding(rng)
-        acfg = AdapterConfig(arch=arch, d=12, d_lm=12, heads=2, grid=(2, 2),
-                             l_lm=1, conv_stride=1, n_lm=2, depth=2)
-        state = FusionState(acfg, rng)
+        acfg = AdapterConfig(arch=arch, heads=2, l_lm=1, conv_stride=1)
+        state = FusionState(acfg, _MICRO_LM, _MICRO_DET, rng)
         # off the zero-init stationary point (see the module docstring)
         state.gate.data[:] = rng.standard_normal(state.gate.shape) * 0.3
         state.out_proj.weight.data[:] = \
@@ -280,7 +275,9 @@ def _adapter_step(arch):
     Arch IV injects its prompts into three queries, Arch I gates its
     text-fused prompts into three vision features."""
     def build(rng):
-        state = FusionState(AdapterConfig(arch=arch, d=8, d_lm=8, heads=2), rng)
+        state = FusionState(AdapterConfig(arch=arch, heads=2),
+                            replace(_MICRO_LM, d_lm=8),
+                            replace(_MICRO_DET, d=8), rng)
         for p in state.parameters():
             p.data = rng.standard_normal(p.shape) * 0.3
         cfg = state.cfg
@@ -312,7 +309,7 @@ def _detection_loss(rng):
 
 def _substitution_loss(rng):
     mllm, det, scenes = _micro_grounding(rng)
-    sub = SubstitutionHead(12, 12, mllm.cfg.grid, mllm.cfg.shuffle_r, rng)
+    sub = SubstitutionHead(_MICRO_LM, _MICRO_DET, rng)
     patches = tr.patch_tokens(mllm, scenes)
     return (lambda: detection_loss(
         *tr.fused_outputs(_CFG, mllm, det, patches, scenes, sub=sub), scenes,

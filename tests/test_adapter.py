@@ -3,6 +3,8 @@ brute-force softmax oracle, architecture surgery, injection locality,
 gradient escape, and the closed-form parameter/FLOP accounting of
 ``analysis``."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,21 @@ from fusedet import tensor as T
 from fusedet.adapter import (ARCHS, AdapterConfig, FusionHook, FusionState,
                              fuse_vision, make_prompts, zero_init_cross_attn)
 from fusedet.analysis import adapter_param_flops
+from fusedet.detector import DetectorConfig
+from fusedet.mllm import MllmConfig
 from fusedet.tensor import ConfigurationError, DimensionError, FlopsMeter
 from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 
 BUILDS = dict(CASES)
+# the host models' sizes: widths 64, a 2x2 aligned LM grid, an LM of 4 layers
+# and a detector of 6
+MCFG, DCFG = MllmConfig(), DetectorConfig()
+D = 64
 
 
-def make_state(arch="IV", seed=0, **kw):
-    cfg = AdapterConfig(arch=arch, **kw)
-    return FusionState(cfg, np.random.default_rng(seed))
+def make_state(arch="IV", seed=0, mcfg=MCFG, **kw):
+    return FusionState(AdapterConfig(arch=arch, **kw), mcfg, DCFG,
+                       np.random.default_rng(seed))
 
 
 def randomize(state, seed=99):
@@ -30,12 +38,12 @@ def randomize(state, seed=99):
         p.data = rng.standard_normal(p.data.shape) * 0.3
 
 
-def adapter_inputs(cfg, rng, b=2, t=4, text=6):
-    l_v = cfg.grid[0] * cfg.grid[1]
-    e_v_l = T.constant(rng.standard_normal((b, l_v, cfg.d_lm)))
-    e_t = T.constant(rng.standard_normal((b, text, cfg.d_lm)))
-    e_v_d = T.constant(rng.standard_normal((b, t, cfg.d)))
-    e_d_prev = T.constant(rng.standard_normal((b, t, cfg.d)))
+def adapter_inputs(state, rng, b=2, t=4, text=6):
+    l_v = state.grid[0] * state.grid[1]
+    e_v_l = T.constant(rng.standard_normal((b, l_v, D)))
+    e_t = T.constant(rng.standard_normal((b, text, D)))
+    e_v_d = T.constant(rng.standard_normal((b, t, D)))
+    e_d_prev = T.constant(rng.standard_normal((b, t, D)))
     return e_v_l, e_t, e_v_d, e_d_prev
 
 
@@ -64,7 +72,7 @@ class TestZeroInitIdentity:
         """A freshly built adapter must be a bit-exact no-op."""
         state = make_state(arch)
         rng = np.random.default_rng(1)
-        e_v_l, e_t, e_v_d, e_d_prev = adapter_inputs(state.cfg, rng)
+        e_v_l, e_t, e_v_d, e_d_prev = adapter_inputs(state, rng)
         a_p = make_prompts(e_v_l, e_t, state.cfg, state)
         if arch == "I":
             out = fuse_vision(e_v_d, a_p, state)
@@ -92,7 +100,7 @@ class TestZeroInitIdentity:
         state = make_state("IV")
         randomize(state)
         rng = np.random.default_rng(2)
-        e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng)
+        e_v_l, _, _, e_d_prev = adapter_inputs(state, rng)
         a_p = make_prompts(e_v_l, None, state.cfg, state)
         out = zero_init_cross_attn(e_d_prev, a_p, state)
         assert not np.allclose(out.data, e_d_prev.data)
@@ -112,7 +120,7 @@ class TestGateAlgebra:
         randomize(state, seed)
         state.gate.data = np.asarray(gate_values, dtype=float)
         rng = np.random.default_rng(seed + 1)
-        e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng, b=2, t=3)
+        e_v_l, _, _, e_d_prev = adapter_inputs(state, rng, b=2, t=3)
         a_p = make_prompts(e_v_l, None, state.cfg, state)
         return state, *tapped(lambda: zero_init_cross_attn(e_d_prev, a_p, state))
 
@@ -120,12 +128,12 @@ class TestGateAlgebra:
         gate = [0.7, -0.4, 0.0, 2.0]
         state, scores, weights = self.build_internals(gate)
         want = segment_softmax_oracle(scores, np.array(gate),
-                                      state.cfg.prompt_len)
+                                      state.prompt_len)
         assert np.allclose(weights, want, atol=1e-12)
 
     def test_segment_masses(self):
         state, _, w = self.build_internals([0.3, 1.2, -0.8, 0.5])
-        l = state.cfg.prompt_len
+        l = state.prompt_len
         prompt_mass = w[..., :l].sum(-1)       # [B, h, T]
         self_mass = w[..., l:].sum(-1)
         g = np.tanh(state.gate.data)
@@ -137,7 +145,7 @@ class TestGateAlgebra:
         randomize(state, seed)
         state.gate.data = np.asarray(gate_values, dtype=float)
         rng = np.random.default_rng(seed + 1)
-        e_v_l, e_t, e_v_d, _ = adapter_inputs(state.cfg, rng, b=2, t=3)
+        e_v_l, e_t, e_v_d, _ = adapter_inputs(state, rng, b=2, t=3)
         a_p = make_prompts(e_v_l, e_t, state.cfg, state)
         return state, *tapped(lambda: fuse_vision(e_v_d, a_p, state))
 
@@ -146,7 +154,7 @@ class TestGateAlgebra:
         the prompt segment alone."""
         gate = [0.7, -0.4, 0.0, 2.0]
         state, scores, weights = self.vision_internals(gate)
-        l = state.cfg.prompt_len
+        l = state.prompt_len
         assert weights.shape == (2, 4, 3, l)
         want = segment_softmax_oracle(scores, np.array(gate), l)
         assert np.allclose(weights, want, atol=1e-12)
@@ -158,7 +166,7 @@ class TestGateAlgebra:
 
     def test_zero_gate_heads_pass_nothing(self):
         state, _, weights = self.build_internals([0.0, 0.0, 1.0, 1.0])
-        l = state.cfg.prompt_len
+        l = state.prompt_len
         assert np.all(weights[:, :2, :, :l] == 0.0)
 
     def test_masked_prompt_columns_renormalize(self):
@@ -201,7 +209,7 @@ class TestArchitectureRelations:
         self.copy_shared(st2, st4)
         st2.text_fusion.wo.zero_()
         rng = np.random.default_rng(9)
-        e_v_l, e_t, _, e_d_prev = adapter_inputs(st2.cfg, rng)
+        e_v_l, e_t, _, e_d_prev = adapter_inputs(st2, rng)
         p2 = make_prompts(e_v_l, e_t, st2.cfg, st2)
         p4 = make_prompts(e_v_l, None, st4.cfg, st4)
         assert np.array_equal(p2.data, p4.data)
@@ -223,7 +231,7 @@ class TestArchitectureRelations:
         state = make_state("IV", seed=11)
         randomize(state, 12)
         rng = np.random.default_rng(13)
-        e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
+        e_v_l, e_t, _, _ = adapter_inputs(state, rng)
         a = make_prompts(e_v_l, None, state.cfg, state)
         b = make_prompts(e_v_l, e_t, state.cfg, state)
         assert np.array_equal(a.data, b.data)
@@ -248,8 +256,8 @@ class TestHookLocality:
         state = make_state(arch, seed=seed, l_d=l_d)
         randomize(state, seed + 1)
         rng = np.random.default_rng(seed + 2)
-        l_v = state.cfg.grid[0] * state.cfg.grid[1]
-        e_v_l = T.constant(rng.standard_normal((2, l_v, state.cfg.d_lm)))
+        l_v = state.grid[0] * state.grid[1]
+        e_v_l = T.constant(rng.standard_normal((2, l_v, D)))
         return FusionHook(state, e_v_l)
 
     def test_late_injection_leaves_early_layers_untouched(self):
@@ -268,11 +276,11 @@ class TestHookLocality:
     def test_arch_one_hook_never_injects(self):
         state = make_state("I", seed=16)
         rng = np.random.default_rng(17)
-        l_v = state.cfg.grid[0] * state.cfg.grid[1]
-        e_v_l = T.constant(rng.standard_normal((1, l_v, state.cfg.d_lm)))
-        e_t = T.constant(rng.standard_normal((1, 5, state.cfg.d_lm)))
-        e_v_d = T.constant(rng.standard_normal((1, 7, state.cfg.d)))
-        q = T.constant(rng.standard_normal((1, 4, state.cfg.d)))
+        l_v = state.grid[0] * state.grid[1]
+        e_v_l = T.constant(rng.standard_normal((1, l_v, D)))
+        e_t = T.constant(rng.standard_normal((1, 5, D)))
+        e_v_d = T.constant(rng.standard_normal((1, 7, D)))
+        q = T.constant(rng.standard_normal((1, 4, D)))
         hook = FusionHook(state, e_v_l, e_t)
         assert hook.l_d == 1
         q_out, e_out = hook(q, e_v_d)
@@ -292,7 +300,7 @@ class TestGradientEscape:
         for p in state.parameters():
             p.grad = None
         rng = np.random.default_rng(seed)
-        e_v_l, _, _, e_d_prev = adapter_inputs(state.cfg, rng)
+        e_v_l, _, _, e_d_prev = adapter_inputs(state, rng)
         a_p = make_prompts(e_v_l, None, state.cfg, state)
         out = zero_init_cross_attn(e_d_prev, a_p, state)
         target = T.constant(rng.standard_normal(out.shape))
@@ -332,30 +340,42 @@ class TestGradientEscape:
 
 class TestConfigValidation:
     def test_prompt_arithmetic(self):
-        assert AdapterConfig(arch="IV").prompt_len == 1        # 2x2 -> 1x1
-        assert AdapterConfig(arch="IV", grid=(8, 8)).prompt_len == 16
-        assert AdapterConfig(arch="I").prompt_len == 4         # full grid
+        """The prompt grid follows the LM's aligned grid."""
+        assert make_state("IV").prompt_len == 1               # 2x2 -> 1x1
+        assert make_state("IV", mcfg=MllmConfig(shuffle_r=1)).prompt_len == 16
+        assert make_state("I").prompt_len == 4                # full grid
 
     def test_rejections(self):
-        with pytest.raises(ConfigurationError):
+        """The adapter's choices are checked against the host models' sizes
+        when it is built: LM depth 4, detector depth 6, detector width 64."""
+        with pytest.raises(ConfigurationError, match="'V' not one of"):
             AdapterConfig(arch="V")
-        with pytest.raises(ConfigurationError):
-            AdapterConfig(l_lm=9)
-        with pytest.raises(ConfigurationError):
-            AdapterConfig(l_d=0)
-        with pytest.raises(ConfigurationError):
-            AdapterConfig(heads=5)
-        with pytest.raises(ConfigurationError):
-            AdapterConfig(grid=(1, 1), conv_pad=0)   # empty prompt
+        with pytest.raises(ConfigurationError,
+                           match=r"^l_lm 9 outside \[0, 4\]$"):
+            make_state(l_lm=9)
+        with pytest.raises(ConfigurationError,
+                           match=r"^l_d 0 outside \[1, 6\]$"):
+            make_state(l_d=0)
+        with pytest.raises(ConfigurationError,
+                           match=r"^l_d 7 outside \[1, 6\]$"):
+            make_state(l_d=7)
+        with pytest.raises(ConfigurationError,
+                           match="^width 64 not divisible by 5 heads$"):
+            make_state(heads=5)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "conv on grid (1, 1) yields empty prompt (0x0)")):
+            make_state(mcfg=MllmConfig(shuffle_r=8), conv_pad=0)
 
     def test_first_layer_preset_pins_l_d(self):
         """Arch III injects before decoder layer 1; any other layer is a
-        contradiction, not a silent fallback to the last layer."""
+        contradiction, not a silent fallback to the last layer.  An unset
+        Arch II layer becomes the detector's last when the adapter is
+        built."""
         assert AdapterConfig(arch="III").l_d == 1
-        assert AdapterConfig(arch="II").l_d == AdapterConfig().depth
+        assert make_state("II").cfg.l_d == DCFG.depth
         state = make_state("III", seed=39)
         rng = np.random.default_rng(40)
-        e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
+        e_v_l, e_t, _, _ = adapter_inputs(state, rng)
         assert FusionHook(state, e_v_l, e_t).l_d == 1
         with pytest.raises(ConfigurationError, match="III.*l_d=6"):
             AdapterConfig(arch="III", l_d=6)
@@ -373,17 +393,17 @@ class TestConfigValidation:
     def test_make_prompts_input_checks(self):
         state = make_state("II", seed=29)
         rng = np.random.default_rng(30)
-        e_v_l, e_t, _, _ = adapter_inputs(state.cfg, rng)
+        e_v_l, e_t, _, _ = adapter_inputs(state, rng)
         with pytest.raises(ConfigurationError):
             make_prompts(e_v_l, None, state.cfg, state)  # text required
-        bad = T.constant(rng.standard_normal((2, 5, state.cfg.d_lm)))
+        bad = T.constant(rng.standard_normal((2, 5, D)))
         with pytest.raises(DimensionError):
             make_prompts(bad, e_t, state.cfg, state)     # grid mismatch
 
     def test_injection_input_checks(self):
         state = make_state("IV", seed=32)
         rng = np.random.default_rng(33)
-        _, _, _, e_d_prev = adapter_inputs(state.cfg, rng)
+        _, _, _, e_d_prev = adapter_inputs(state, rng)
         empty = T.constant(np.zeros((2, 0, 64)))
         with pytest.raises(ConfigurationError):
             zero_init_cross_attn(e_d_prev, empty, state)
@@ -396,7 +416,7 @@ class TestAccounting:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_param_count_matches_analytic(self, arch):
         state = make_state(arch)
-        params, _ = adapter_param_flops(state.cfg, 4)
+        params, _ = adapter_param_flops(state.cfg, MCFG, DCFG, 4)
         assert state.param_count() == params
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -411,11 +431,11 @@ class TestAccounting:
         randomize(state, 35)
         cfg = state.cfg
         rng = np.random.default_rng(36)
-        l_v = cfg.grid[0] * cfg.grid[1]
-        e_v_l = T.constant(rng.standard_normal((b, l_v, cfg.d_lm)))
-        e_t = T.constant(rng.standard_normal((b, text, cfg.d_lm)))
-        e_v_d = T.constant(rng.standard_normal((b, t, cfg.d)))
-        e_d_prev = T.constant(rng.standard_normal((b, t, cfg.d)))
+        l_v = state.grid[0] * state.grid[1]
+        e_v_l = T.constant(rng.standard_normal((b, l_v, D)))
+        e_t = T.constant(rng.standard_normal((b, text, D)))
+        e_v_d = T.constant(rng.standard_normal((b, t, D)))
+        e_d_prev = T.constant(rng.standard_normal((b, t, D)))
         with FlopsMeter() as meter:
             needs_text = arch in ("I", "II", "III")
             a_p = make_prompts(e_v_l, e_t if needs_text else None, cfg, state)
@@ -423,18 +443,18 @@ class TestAccounting:
                 fuse_vision(e_v_d, a_p, state)
             else:
                 zero_init_cross_attn(e_d_prev, a_p, state)
-        _, analytic = adapter_param_flops(cfg, t)
+        _, analytic = adapter_param_flops(cfg, MCFG, DCFG, t)
         assert meter.accumulated == b * analytic - (b - 1) * cfg.heads
 
     def test_larger_grid_flops(self):
-        cfg = AdapterConfig(arch="IV", grid=(8, 8))
-        state = FusionState(cfg, np.random.default_rng(37))
+        mcfg = MllmConfig(shuffle_r=1)                  # 8x8 aligned grid
+        state = make_state("IV", seed=37, mcfg=mcfg)
         rng = np.random.default_rng(38)
-        e_v_l = T.constant(rng.standard_normal((1, 64, cfg.d_lm)))
-        e_d_prev = T.constant(rng.standard_normal((1, 4, cfg.d)))
+        e_v_l = T.constant(rng.standard_normal((1, 64, D)))
+        e_d_prev = T.constant(rng.standard_normal((1, 4, D)))
         with FlopsMeter() as meter:
-            a_p = make_prompts(e_v_l, None, cfg, state)
+            a_p = make_prompts(e_v_l, None, state.cfg, state)
             zero_init_cross_attn(e_d_prev, a_p, state)
         assert a_p.shape[1] == 16
-        _, analytic = adapter_param_flops(cfg, 4)
+        _, analytic = adapter_param_flops(state.cfg, mcfg, DCFG, 4)
         assert meter.accumulated == analytic

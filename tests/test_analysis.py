@@ -172,15 +172,14 @@ def sweep_bench():
     train = tr.load_split(cfg, "train")
     vals = {"val-category": tr.load_split(cfg, "val-category"),
             "val-spatial": tr.load_split(cfg, "val-spatial")}
-    cache = tr.Stage3Cache(mllm, det, train, cfg.l_d, chunk=cfg.eval_chunk)
-    return cfg, mllm, det, snap, train, vals, cache
+    return cfg, mllm, det, snap, train, vals
 
 
 class TestLayerSweep:
     def test_point_count_and_fields(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         res = layer_sweep(cfg, mllm, det, snap, train, vals,
-                          l_lm_values=[0, 1, 4], seeds=[0, 1], cache=cache)
+                          l_lm_values=[0, 1, 4], seeds=[0, 1])
         assert len(res) == 6
         assert sorted({(r["l_lm"], r["seed"]) for r in res}) == [
             (0, 0), (0, 1), (1, 0), (1, 1), (4, 0), (4, 1)]
@@ -190,41 +189,41 @@ class TestLayerSweep:
             assert "val-category/per_scene" not in r
 
     def test_depth_zero_taps_pre_decoder_state(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         rng = np.random.default_rng(7)
         vis = T.constant(rng.standard_normal((2, mllm.cfg.l_v, mllm.cfg.d_lm)))
         e_v, _ = mllm.hidden_from_aligned(vis, 0)
         assert np.array_equal(e_v.data, vis.data)
 
     def test_out_of_range_depth_rejected(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         with pytest.raises(UsageError, match="outside the decoder depth"):
             layer_sweep(cfg, mllm, det, snap, train, vals,
-                        l_lm_values=[0, 9], seeds=[0], cache=cache)
+                        l_lm_values=[0, 9], seeds=[0])
 
     def test_negative_depth_rejected(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         with pytest.raises(UsageError, match=r"\[-1\] outside"):
             layer_sweep(cfg, mllm, det, snap, train, vals,
-                        l_lm_values=[-1, 1], seeds=[0], cache=cache)
+                        l_lm_values=[-1, 1], seeds=[0])
 
     def test_missing_snapshot_rejected(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         with pytest.raises(UsageError, match="projector snapshot"):
             layer_sweep(cfg, mllm, det, None, train, vals,
-                        l_lm_values=[1], seeds=[0], cache=cache)
+                        l_lm_values=[1], seeds=[0])
 
     def test_points_reproduce_bitwise(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         runs = [layer_sweep(cfg, mllm, det, snap, train, vals,
-                            l_lm_values=[2], seeds=[3], cache=cache)[0]
+                            l_lm_values=[2], seeds=[3])[0]
                 for _ in range(2)]
         assert json.dumps(runs[0]) == json.dumps(runs[1])
 
     def test_means_and_ranking(self, sweep_bench):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         res = layer_sweep(cfg, mllm, det, snap, train, vals,
-                          l_lm_values=[0, 2], seeds=[0, 1], cache=cache)
+                          l_lm_values=[0, 2], seeds=[0, 1])
         ranked = rank_layers(res)
         assert [l for l, _ in sorted(ranked)] == [0, 2]
         for l_lm, mean in ranked:
@@ -236,9 +235,9 @@ class TestLayerSweep:
                          for r in res])
 
     def test_ablation_csv(self, sweep_bench, tmp_path):
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         res = layer_sweep(cfg, mllm, det, snap, train, vals,
-                          l_lm_values=[1], seeds=[0, 1], cache=cache)
+                          l_lm_values=[1], seeds=[0, 1])
         path = tmp_path / "ablation.csv"
         write_ablation_csv(res, path)
         header, rows = read_csv(path)
@@ -251,11 +250,8 @@ class TestLayerSweep:
     def test_first_layer_preset_sweeps(self, sweep_bench):
         """An Arch III sweep builds its cache for the preset's layer 1 and
         reproduces a direct run of the same weights injected at layer 1."""
-        cfg, mllm, det, snap, train, vals, cache = sweep_bench
+        cfg, mllm, det, snap, train, vals = sweep_bench
         cfg3 = replace(cfg, arch="III")
-        with pytest.raises(UsageError, match="l_d=6"):
-            layer_sweep(cfg3, mllm, det, snap, train, vals,
-                        l_lm_values=[1], seeds=[0], cache=cache)
         res = layer_sweep(cfg3, mllm, det, snap, train, vals,
                           l_lm_values=[1], seeds=[0])
         _, direct = tr.run_stage3_experiment(
@@ -290,11 +286,9 @@ def random_accounting_configs(rng):
     l_lm = int(rng.integers(0, n + 1))
     # l_d is drawn for every arch so later draws stay put; I and III pin 1
     l_d = int(rng.integers(1, dcfg.depth + 1))
-    acfg = AdapterConfig(arch=arch, d=d, d_lm=d_lm, heads=heads,
-                         grid=mcfg.aligned_grid, l_lm=l_lm,
+    acfg = AdapterConfig(arch=arch, heads=heads, l_lm=l_lm,
                          l_d=1 if arch in ("I", "III") else l_d,
-                         conv_stride=int(rng.choice([1, 2])),
-                         n_lm=n, depth=dcfg.depth)
+                         conv_stride=int(rng.choice([1, 2])))
     return dcfg, mcfg, acfg
 
 
@@ -333,7 +327,9 @@ class TestComputeReport:
         acfg = cfg.adapter_config()
         rows = compute_report(cfg.detector_config(), cfg.mllm_config(), acfg)
         assert rows[1]["framework"] == "+adapter"
-        params, _ = adapter_param_flops(acfg, cfg.det_queries)
+        params, _ = adapter_param_flops(acfg, cfg.mllm_config(),
+                                        cfg.detector_config(),
+                                        cfg.det_queries)
         assert rows[1]["params"] == params
 
     def test_detector_row_params_match_hand_count(self):
@@ -366,15 +362,6 @@ class TestComputeReport:
         with FlopsMeter() as meter:
             mha(x_q, x_kv, **pos)
         assert meter.accumulated == 2 * mha_flops(3, 5, 8, 2, rope=rope)
-
-    def test_mismatched_configs_rejected(self):
-        cfg = ExperimentConfig()
-        with pytest.raises(UsageError, match="grid"):
-            compute_report(cfg.detector_config(), cfg.mllm_config(),
-                           AdapterConfig(grid=(5, 5)))
-        bad = AdapterConfig(d=32, grid=cfg.mllm_config().aligned_grid)
-        with pytest.raises(UsageError, match="widths"):
-            compute_report(cfg.detector_config(), cfg.mllm_config(), bad)
 
     def test_csv_schema(self, tmp_path):
         cfg = ExperimentConfig()

@@ -2,10 +2,13 @@
 long-running ones print."""
 
 import importlib
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -122,26 +125,110 @@ def test_empty_sweep_list_is_a_named_error(tmp_path, monkeypatch, capsys,
                    f"got {text!r}\n"), err
 
 
-def test_staged_run_equals_one_process(tmp_path, monkeypatch):
-    """``train --stage 1 → 2 → 3`` through checkpoints trains the same
-    adapter, bit for bit, as the same run in one process."""
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(
-        "n_pretrain = 16\nn_train = 16\nn_val = 10\n"
-        "pretrain_steps = 10\ns1_steps = 10\ns2_steps = 10\ns3_steps = 10\n"
-        "pretrain_batch = 4\ns1_batch = 4\ns2_batch = 4\ns3_batch = 4\n"
-        "lm_layers = 2\nl_lm = 1\ndet_depth = 2\nl_d = 2\n")
+TINY_RUN = (
+    "n_pretrain = 16\nn_train = 16\nn_val = 10\n"
+    "pretrain_steps = 10\ns1_steps = 10\ns2_steps = 10\ns3_steps = 10\n"
+    "sub_steps = 10\n"
+    "pretrain_batch = 4\ns1_batch = 4\ns2_batch = 4\ns3_batch = 4\n"
+    "sub_batch = 4\n"
+    "lm_layers = 2\nl_lm = 1\ndet_depth = 2\nl_d = 2\n")
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """A tiny run staged through ``train --stage 1 → 2 → 3``: its config
+    file and its run directory, which tests copy before writing to."""
+    root = tmp_path_factory.mktemp("staged")
+    config = root / "tiny.cfg"
+    config.write_text(TINY_RUN)
+    out = root / "runs"
     for stage in ("1", "2", "3"):
-        assert cli.cli(["train", "--stage", stage, "--config", "tiny.cfg"]) == 0
-    cfg = load_file("tiny.cfg")
-    staged = tr.build_adapter(cfg)
-    tr.restore(staged, load_checkpoint(tmp_path / "runs" / "adapter"))
+        assert cli.cli(["train", "--stage", stage, "--config", str(config),
+                        "--out", str(out)]) == 0
+    return config, out
+
+
+def copy_run(staged, tmp_path) -> Path:
+    _, out = staged
+    return Path(shutil.copytree(out, tmp_path / "runs"))
+
+
+def test_staged_run_equals_one_process(staged, tmp_path):
+    """``train --stage 1 → 2 → 3`` through checkpoints trains the same
+    adapter, bit for bit, as the same run in one process, and ``eval
+    --fused`` on its checkpoints scores exactly what stage 3 reported."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    cfg = load_file(config)
+    staged_state = tr.build_adapter(cfg)
+    tr.restore(staged_state, load_checkpoint(out / "adapter"))
+    staged_mllm, _ = tr.build_models(cfg)
+    tr.restore(staged_mllm.projector,
+               load_checkpoint(out / "adapter-projector"))
 
     mllm, det, _ = tr.prepare_backbones(cfg)
     state, _ = tr.run_stage3_experiment(
         cfg, mllm, det, tr.snapshot(mllm.projector),
         tr.load_split(cfg, "train"), {})
-    assert tr.module_digest(staged) == tr.module_digest(state)
+    assert tr.module_digest(staged_state) == tr.module_digest(state)
+    assert (tr.module_digest(staged_mllm.projector)
+            == tr.module_digest(mllm.projector))
+
+    assert cli.cli(["eval", "--fused", "--config", str(config),
+                    "--out", str(out)]) == 0
+    fused = json.loads((out / "eval.json").read_text())["metrics"]
+    reported = json.loads((out / "report-stage3.json").read_text())["metrics"]
+    for split, metrics in reported.items():
+        per_scene = metrics.pop("per_scene")
+        assert fused[split] == metrics, split
+        lines = (out / f"per-scene-{split}.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            dict(rec, scene=i) for i, rec in enumerate(per_scene)]
+
+
+def test_fused_eval_needs_the_stage3_projector(staged, tmp_path, capsys):
+    """A run directory without the projector stage 3 trained is refused,
+    not scored with the stage-2 projector."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    shutil.rmtree(out / "adapter-projector")
+    assert cli.cli(["eval", "--fused", "--config", str(config),
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: missing prerequisite checkpoint "
+                   f"{out / 'adapter-projector'} -- run the earlier stage "
+                   f"first\n"), err
+
+
+@pytest.mark.parametrize("command, written", [
+    ("gen-data", ["scenes.jsonl"]),
+    ("substitute-baseline",
+     ["substitution/manifest.txt", "substitution-projector/manifest.txt",
+      "report-substitution.json", "losses-substitution.jsonl",
+      "metrics-substitution.jsonl"]),
+    ("eval", ["eval.json", "per-scene-val-category.jsonl",
+              "per-scene-val-spatial.jsonl"]),
+    ("flops-report", ["compute_report.csv"]),
+])
+def test_writing_command_runs_on_the_staged_run(staged, tmp_path, command,
+                                                written):
+    """Each command that writes output succeeds on the tiny staged run and
+    leaves its files next to the resolved config."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    for name in written:
+        assert not (out / name).exists(), name
+    assert cli.cli([command, "--config", str(config), "--out", str(out)]) == 0
+    for name in written + ["resolved-config.txt"]:
+        assert (out / name).is_file(), name
+    if command == "flops-report":
+        cfg = load_file(out / "resolved-config.txt")
+        analysis.write_compute_csv(
+            analysis.compute_report(cfg.detector_config(), cfg.mllm_config(),
+                                    cfg.adapter_config()),
+            tmp_path / "want.csv")
+        assert ((out / "compute_report.csv").read_text()
+                == (tmp_path / "want.csv").read_text())
 
 
 def test_gradcheck_seed_reaches_the_catalogue(tmp_path, monkeypatch):
@@ -209,6 +296,18 @@ def test_zero_batch_is_a_named_error(tmp_path, monkeypatch, capsys):
                         err), err
 
 
+def test_zero_steps_is_a_named_error(tmp_path, monkeypatch, capsys):
+    """A stage budget below 1 is refused before any stage runs, instead of
+    training nothing and reporting a ``NaN`` final loss."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "s1_steps = 0\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
+    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: s1_steps must be at least 1, got 0\n",
+                        err), err
+
+
 def test_malformed_manifest_is_a_named_error(tmp_path, monkeypatch, capsys):
     """``eval`` on a checkpoint whose manifest line names no parameter file,
     such as an old ``name<TAB>file<TAB>shape`` line, prints the file it
@@ -239,7 +338,6 @@ def test_truncated_parameter_file_is_a_named_error(tmp_path, monkeypatch,
 def test_console_entry_point_resolves():
     """``pyproject.toml``'s ``fusedet`` script names a callable, and the
     module runs as ``python -m fusedet.cli``."""
-    tomllib = pytest.importorskip("tomllib")      # Python 3.11+
     root = Path(__file__).resolve().parents[1]
     with open(root / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["fusedet"]

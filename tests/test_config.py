@@ -90,7 +90,7 @@ class TestDerivedConfigs:
 
     def test_adapter_grid_follows_lm_alignment(self):
         cfg = ExperimentConfig()
-        assert cfg.adapter_config().grid == cfg.mllm_config().aligned_grid
+        assert build_adapter(cfg).grid == cfg.mllm_config().aligned_grid
 
     def test_adapter_overrides(self):
         cfg = ExperimentConfig()

@@ -12,6 +12,7 @@ from fusedet.detector import (DetectorConfig, GroundingDetector,
                               match_bruteforce, match_hungarian,
                               pack_candidates, pool_phrases, query_column,
                               substitution_index)
+from fusedet.mllm import MllmConfig
 from fusedet.scenes import (PACK_WIDTH, PAD, SyntheticScene, encode,
                             generate_scenes)
 from fusedet.tensor import UsageError
@@ -19,9 +20,10 @@ from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 
 
 def make_detector(seed=0, **kw):
+    """A detector over the default LM's 8x8 grid of 48-wide patch tokens."""
     cfg = DetectorConfig(**kw)
-    return GroundingDetector(cfg, d_patch=48, n_patches=64,
-                             rng=np.random.default_rng(seed)), cfg
+    return GroundingDetector(cfg, MllmConfig(),
+                             np.random.default_rng(seed)), cfg
 
 
 def rand_patches(rng, b=2):
@@ -352,7 +354,7 @@ class TestSubstitution:
 
     def test_head_repeats_rows_per_quadrant(self):
         rng = np.random.default_rng(10)
-        head = SubstitutionHead(64, 64, (8, 8), 4, rng)
+        head = SubstitutionHead(MllmConfig(), DetectorConfig(), rng)
         e = T.constant(rng.standard_normal((2, 4, 64)))
         out = head(e)
         assert out.shape == (2, 64, 64)

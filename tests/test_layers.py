@@ -192,10 +192,10 @@ class TestTransformerBlock:
         blk = TransformerBlock(8, 2, rng)
         mask = T.causal_mask(6)[None, None]
         x = rng.standard_normal((1, 6, 8))
-        base = blk(T.constant(x), mask=mask, positions=np.arange(6)).data
+        base = blk(T.constant(x), mask=mask).data
         x2 = x.copy()
         x2[0, 4] += 3.0  # a later position
-        again = blk(T.constant(x2), mask=mask, positions=np.arange(6)).data
+        again = blk(T.constant(x2), mask=mask).data
         assert np.allclose(base[0, :4], again[0, :4])
         assert not np.allclose(base[0, 4:], again[0, 4:])
 

@@ -148,10 +148,9 @@ class TestSequenceAssembly:
         x = mllm.embed_from_aligned(aligned(mllm, img), np.array([[5, 6]]))
         assert mllm.forward(x, upto_layer=0) is x
         mask = mllm.sequence_mask(x.shape[1], None)
-        positions = np.arange(x.shape[1])
         want = x
         for k, block in enumerate(mllm.blocks, start=1):
-            want = block(want, mask=mask, positions=positions)
+            want = block(want, mask=mask)
             got = mllm.forward(x, upto_layer=k)
             assert np.array_equal(got.data, want.data)
         assert np.array_equal(mllm.forward(x).data, want.data)

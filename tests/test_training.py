@@ -10,9 +10,9 @@ import pytest
 
 from fusedet import tensor as T
 from fusedet import training as tr
-from fusedet.adapter import ARCHS
+from fusedet.adapter import ARCHS, AdapterConfig, FusionState
 from fusedet.config import ExperimentConfig
-from fusedet.detector import detection_loss
+from fusedet.detector import DetectorConfig, detection_loss
 from fusedet.scenes import pad_token_rows
 from fusedet.tensor import NumericsError, Tensor, UsageError
 
@@ -408,7 +408,7 @@ class TestAttentionTap:
         with T.attention_tap() as taps:
             tr.stage3_loss_cached(cfg, b["mllm"], b["det"], state,
                                   stage3_cache(b), idx)
-        l, q = state.cfg.prompt_len, cfg.det_queries
+        l, q = state.prompt_len, cfg.det_queries
         (w,) = [w for _, w in taps if w.shape[-1] == l + q]
         assert len(taps) > 1
         assert w.shape == (len(idx), state.cfg.heads, q, l + q)
@@ -509,6 +509,25 @@ class TestEvaluation:
         fused = tr.evaluate(b["cfg"], b["mllm"], b["det"], scenes, state=state)
         plain = tr.evaluate(b["cfg"], b["mllm"], b["det"], scenes)
         assert fused == plain
+
+    def test_hook_past_the_last_layer_is_a_named_error(self):
+        """An open adapter built for a 6-layer detector hooks layer 6; a
+        2-layer detector has no such layer, so the pass refuses it rather
+        than return the plain detector's outputs."""
+        cfg = ExperimentConfig(det_depth=2, l_d=2, n_val=2)
+        mllm, det = tr.build_models(cfg)
+        rng = np.random.default_rng(0)
+        state = FusionState(AdapterConfig(arch="IV"), cfg.mllm_config(),
+                            DetectorConfig(), rng)
+        assert state.cfg.l_d == 6
+        state.gate.data[:] = 1.0
+        state.out_proj.weight.data = rng.standard_normal(
+            state.out_proj.weight.shape)
+        with pytest.raises(UsageError, match="^hook targets layer 6 past the "
+                                             "detector's last layer 2$"):
+            tr.grounded_outputs(cfg, mllm, det,
+                                tr.load_split(cfg, "val-spatial"),
+                                state=state)
 
 
 class TestForwardOnlyPasses:
