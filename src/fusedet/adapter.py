@@ -13,12 +13,12 @@ two derived properties of ``AdapterConfig``:
                      prompts that are injected into the decoder queries right
                      before decoder layer ``l_d``.
 
-The adapter has no sizes of its own.  ``FusionState`` reads them from the
-configs of the two models it connects: the detector width, the LM width and
-the LM's aligned grid, and the depths that bound ``l_lm`` and ``l_d``.  An
-``l_d`` left as ``None`` resolves to the detector's last layer (Arch II, IV)
-or to 1 (Arch I, III), so ``state.cfg.l_d`` is always the layer the hook
-runs before.
+The adapter has no sizes of its own.  ``AdapterConfig.resolve`` checks it
+against the configs of the two models it connects (the widths, the LM's
+aligned grid, and the depths that bound ``l_lm`` and ``l_d``) and resolves an
+unset ``l_d``: to 1 for Arch I and III, else to the detector's last layer.
+``FusionState`` holds the resolved config, so ``state.cfg.l_d`` is always the
+layer the hook runs before.
 
 ========  ===========  ============  =================================
 preset    text_fusion  fuses_vision  placement
@@ -68,7 +68,7 @@ ARCHS = ("I", "II", "III", "IV")
 FIRST_LAYER_ARCHS = ("I", "III")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterConfig:
     arch: str = "IV"
     l_lm: int = 2
@@ -81,13 +81,38 @@ class AdapterConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
-        if self.arch in FIRST_LAYER_ARCHS:
-            if self.l_d is None:
-                self.l_d = 1
-            elif self.l_d != 1:
+        if self.arch in FIRST_LAYER_ARCHS and self.l_d not in (None, 1):
+            raise ConfigurationError(
+                f"arch {self.arch} acts before decoder layer 1, "
+                f"got l_d={self.l_d}")
+
+    def resolve(self, mcfg: MllmConfig, dcfg: DetectorConfig) -> AdapterConfig:
+        """This config attached to an LM and a detector, with ``l_d``
+        resolved; raises ``ConfigurationError`` if it cannot attach."""
+        l_d = self.l_d
+        if l_d is None:
+            l_d = 1 if self.arch in FIRST_LAYER_ARCHS else dcfg.depth
+        if not 0 <= self.l_lm <= mcfg.n:
+            raise ConfigurationError(f"l_lm {self.l_lm} outside [0, {mcfg.n}]")
+        if not 1 <= l_d <= dcfg.depth:
+            raise ConfigurationError(f"l_d {l_d} outside [1, {dcfg.depth}]")
+        for width in (dcfg.d, mcfg.d_lm) if self.text_fusion else (dcfg.d,):
+            if width % self.heads:
                 raise ConfigurationError(
-                    f"arch {self.arch} acts before decoder layer 1, "
-                    f"got l_d={self.l_d}")
+                    f"width {width} not divisible by {self.heads} heads")
+        h, w = self.prompt_grid(mcfg)
+        if h < 1 or w < 1:
+            raise ConfigurationError(
+                f"conv on grid {mcfg.aligned_grid} yields empty prompt "
+                f"({h}x{w})")
+        return replace(self, l_d=l_d)
+
+    def prompt_grid(self, mcfg: MllmConfig) -> tuple[int, int]:
+        """The LM's aligned grid with ``fuses_vision``, else the conv's
+        output over it."""
+        k, grid = self.conv_k, mcfg.aligned_grid
+        return grid if self.fuses_vision else T.conv2d_output_hw(
+            *grid, k, k, self.conv_stride, self.conv_pad)
 
     @property
     def text_fusion(self) -> bool:
@@ -111,25 +136,10 @@ class FusionState(Module):
 
     def __init__(self, cfg: AdapterConfig, mcfg: MllmConfig,
                  dcfg: DetectorConfig, rng: np.random.Generator):
-        if cfg.l_d is None:
-            cfg = replace(cfg, l_d=dcfg.depth)
-        if not 0 <= cfg.l_lm <= mcfg.n:
-            raise ConfigurationError(f"l_lm {cfg.l_lm} outside [0, {mcfg.n}]")
-        if not 1 <= cfg.l_d <= dcfg.depth:
-            raise ConfigurationError(f"l_d {cfg.l_d} outside [1, {dcfg.depth}]")
+        self.cfg = cfg = cfg.resolve(mcfg, dcfg)
         d, d_lm = dcfg.d, mcfg.d_lm
-        if d % cfg.heads:
-            raise ConfigurationError(
-                f"width {d} not divisible by {cfg.heads} heads")
-        self.cfg = cfg
         self.grid = mcfg.aligned_grid           # the LM states' grid
-        k = cfg.conv_k
-        self.prompt_grid = self.grid if cfg.fuses_vision else \
-            T.conv2d_output_hw(*self.grid, k, k, cfg.conv_stride, cfg.conv_pad)
-        h, w = self.prompt_grid
-        if h < 1 or w < 1:
-            raise ConfigurationError(
-                f"conv on grid {self.grid} yields empty prompt ({h}x{w})")
+        h, w = cfg.prompt_grid(mcfg)
         self.prompt_len = h * w
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)

@@ -133,8 +133,8 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     if bad:
         raise UsageError(
             f"l_lm values {bad} outside the decoder depth range 0..{mllm.cfg.n}")
-    cache = tr.Stage3Cache(mllm, det, train_scenes, cfg.adapter_config().l_d,
-                           chunk=cfg.eval_chunk)
+    l_d = cfg.adapter.resolve(mllm.cfg, det.cfg).l_d
+    cache = tr.Stage3Cache(mllm, det, train_scenes, l_d, chunk=cfg.eval_chunk)
     rows = []
     for seed in seeds:
         for l_lm in l_lm_values:
@@ -270,10 +270,8 @@ def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
     prompts attend over ``REPORT_LM_TEXT`` query tokens.
     """
     d, d_lm, h, k = dcfg.d, mcfg.d_lm, acfg.heads, acfg.conv_k
-    gh, gw = mcfg.aligned_grid
-    ph, pw = T.conv2d_output_hw(gh, gw, k, k, acfg.conv_stride, acfg.conv_pad)
-    l_v, t = gh * gw, t_queries
-    l = l_v if acfg.fuses_vision else ph * pw             # prompt keys
+    ph, pw = acfg.prompt_grid(mcfg)
+    l_v, l, t = mcfg.l_v, ph * pw, t_queries              # l: prompt keys
     s = 0 if acfg.fuses_vision else t                     # self-segment keys
 
     params = 4 * (d * d + d) + h                          # wq,wk,wv,out_proj + gate

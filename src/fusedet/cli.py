@@ -2,13 +2,13 @@
 attention profiling, cost accounting, the substitution control, gradient
 verification, and evaluation.
 
-Every subcommand takes ``--config FILE`` (flat ``key = value`` text over the
-``ExperimentConfig`` fields), ``--seed N``, and ``--out DIR``.  Every command
-but the read-only ``gradcheck`` writes the resolved config to
-``DIR/resolved-config.txt``.  Checkpoints are directories of numpy ``.npy``
-files, one per parameter, listed by a manifest (see ``checkpoint.py``);
-reports are JSON with the resolved config embedded, plus JSON-lines for
-per-step / per-scene records and CSV for tables.
+Every subcommand takes ``--config FILE`` (``key = value`` lines such as
+``detector.depth = 2``, checked as ``config.py`` says), ``--seed N``, and
+``--out DIR``.  Every command but the read-only ``gradcheck`` writes the
+resolved config to ``DIR/resolved-config.txt``.  Checkpoints are directories
+of numpy ``.npy`` files, one per parameter, listed by a manifest (see
+``checkpoint.py``); reports are JSON with the resolved config embedded, plus
+JSON-lines for per-step / per-scene records and CSV for tables.
 
 Checkpoint layout under ``--out`` (the default is ``./runs``):
 
@@ -202,9 +202,8 @@ def cmd_analyze_attention(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_flops_report(cfg: ExperimentConfig, out: Path, args) -> int:
-    rows = analysis.compute_report(
-        cfg.detector_config(), cfg.mllm_config(), cfg.adapter_config(),
-        measure_latency=args.latency)
+    rows = analysis.compute_report(cfg.detector, cfg.mllm, cfg.adapter,
+                                   measure_latency=args.latency)
     analysis.write_compute_csv(rows, out / "compute_report.csv")
     for row in rows:
         lat = (f"  {row['latency_ms']:.3f} ms" if row["latency_ms"] is not None
@@ -269,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int,
                        help="override the config seed (backbone stages use "
                             "it as the model/data seed, adapter-level "

@@ -1,29 +1,37 @@
-"""One flat experiment configuration shared by training, analysis, and the
-CLI.
+"""One experiment configuration shared by training, analysis, and the CLI.
 
-Config files are plain ``key = value`` lines (``#`` comments allowed); every
-key is a field of ``ExperimentConfig``.  Reports embed the resolved config so
-any run can be reproduced from its own output.
+Config files are plain ``key = value`` lines (``#`` comments allowed).  A key
+is a top-level field of ``ExperimentConfig`` or ``section.field`` for a field
+of one of its sections, ``mllm`` (``MllmConfig``), ``detector``
+(``DetectorConfig``) and ``adapter`` (``AdapterConfig``), such as
+``detector.depth = 2``, so each model setting is declared once, in its
+module.  Any other key is refused by name.  A config is checked when it is
+built, so an adapter that cannot attach fails before any stage runs.  Reports
+embed the resolved config so any run can be reproduced from its own output.
 
-Only real choices are fields.  The canvas (``scenes.CANVAS``) and the token
+Only real choices are keys.  The canvas (``scenes.CANVAS``) and the token
 vocabulary (``scenes.VOCAB``) come from the scenes; the RoPE base is
-``tensor.ROPE_BASE``.  Sizes that follow from other fields are derived: the
-projector's input width is ``MllmConfig.proj_in`` = 3 * patch^2 * shuffle_r^2,
-and the stage-3 (and substitution) projector lr is the head's lr over
-``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision input
-and the substitution head copy no size: each reads its widths, grids and
-depths from the ``MllmConfig`` and ``DetectorConfig`` it attaches to.
+``tensor.ROPE_BASE``.  Sizes that follow from other settings are derived:
+the projector's input width is ``MllmConfig.proj_in`` = 3 * patch^2 *
+shuffle_r^2, and the stage-3 (and substitution) projector lr is the head's lr
+over ``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision
+input and the substitution head copy no size: each reads its widths, grids
+and depths from the ``MllmConfig`` and ``DetectorConfig`` it attaches to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .adapter import FIRST_LAYER_ARCHS, AdapterConfig
 from .detector import DetectorConfig
 from .mllm import MllmConfig
 from .tensor import ConfigurationError, UsageError
+
+CODE_ONLY = {"mllm.canvas"}     # set in code: scenes are drawn on CANVAS
 
 
 @dataclass
@@ -33,34 +41,11 @@ class ExperimentConfig:
     run_seed: int = 0             # adapter / substitution init + stage-3 batches
     data_seed: int = 0            # scene generation
 
-    # toy multimodal LM
-    patch: int = 4
-    shuffle_r: int = 2
-    d_lm: int = 64
-    lm_layers: int = 4
-    lm_heads: int = 4
-    proj_hidden: int = 128
-    sys_len: int = 2
-    lm_mlp_ratio: int = 2
-
-    # grounding detector
-    det_d: int = 64
-    det_heads: int = 4
-    det_depth: int = 6
-    det_queries: int = 4
-    det_mlp_ratio: int = 2
-    box_weight: float = 5.0
-    phrase_weight: float = 1.0
-    background_weight: float = 0.5
-
-    # fusion adapter
-    arch: str = "IV"
-    l_lm: int = 2
-    l_d: int = 6                  # Arch II/IV injection layer; I, III pin 1
-    adapter_heads: int = 4
-    conv_k: int = 3
-    conv_stride: int = 2
-    conv_pad: int = 1
+    # the sections: the fields with a default factory; each is frozen, so
+    # the copies dataclasses.replace makes can share them
+    mllm: MllmConfig = field(default_factory=MllmConfig)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    adapter: AdapterConfig = field(default_factory=AdapterConfig)
 
     # data volumes
     n_pretrain: int = 2000
@@ -97,54 +82,61 @@ class ExperimentConfig:
             if f.name.endswith(("eval_chunk", "_batch", "_steps")) and value < 1:
                 raise ConfigurationError(
                     f"{f.name} must be at least 1, got {value}")
+        self.adapter.resolve(self.mllm, self.detector)
 
     def mllm_config(self) -> MllmConfig:
-        return MllmConfig(
-            d_lm=self.d_lm, n=self.lm_layers, heads=self.lm_heads,
-            patch=self.patch, shuffle_r=self.shuffle_r,
-            proj_hidden=self.proj_hidden, sys_len=self.sys_len,
-            mlp_ratio=self.lm_mlp_ratio)
+        return self.mllm
 
     def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            d=self.det_d, heads=self.det_heads, depth=self.det_depth,
-            queries=self.det_queries, mlp_ratio=self.det_mlp_ratio,
-            box_weight=self.box_weight, phrase_weight=self.phrase_weight,
-            background_weight=self.background_weight)
+        return self.detector
 
     def adapter_config(self, **overrides) -> AdapterConfig:
-        # l_d places the Arch II and IV injection; the first-layer presets
-        # pin their own (1), so the preset resolves it unless an override
-        # names one
-        arch = overrides.get("arch", self.arch)
-        kw = dict(
-            arch=self.arch, l_lm=self.l_lm,
-            l_d=None if arch in FIRST_LAYER_ARCHS else self.l_d,
-            heads=self.adapter_heads, conv_k=self.conv_k,
-            conv_stride=self.conv_stride, conv_pad=self.conv_pad)
-        kw.update(overrides)
-        return AdapterConfig(**kw)
+        """The adapter section with ``overrides``; one naming Arch I or III
+        and no ``l_d`` gets that preset's own layer."""
+        if overrides.get("arch", self.adapter.arch) in FIRST_LAYER_ARCHS:
+            overrides.setdefault("l_d", None)
+        return replace(self.adapter, **overrides)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every config-file key with its value, in file order."""
+        return {key: reduce(getattr, key.split("."), self)
+                for key, _ in _settings(type(self))}
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = set(values) - set(known)
+        keys = dict(_settings(cls))
+        unknown = set(values) - set(keys)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        coerced = {}
-        for f in fields(cls):
-            if f.name not in values:
-                continue
-            raw = values[f.name]
-            kind = type(getattr(cls(), f.name))
+        kw: dict[str, dict] = {"": {}}
+        for key, raw in values.items():
             try:
-                coerced[f.name] = kind(raw)
+                value = _coerce(raw, keys[key])
             except (TypeError, ValueError) as e:
-                raise UsageError(f"config key {f.name}: {e}") from None
-        return cls(**coerced)
+                raise UsageError(f"config key {key}: {e}") from None
+            section, _, name = key.rpartition(".")
+            kw.setdefault(section, {})[name] = value
+        sections = {f.name: f.default_factory for f in fields(cls)}
+        return cls(**kw.pop(""), **{s: sections[s](**v) for s, v in kw.items()})
+
+
+def _settings(cls, prefix: str = ""):
+    """(key, annotated type) of every config-file key, in file order; a
+    section contributes its own fields as ``section.field``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            yield from _settings(f.default_factory, f"{f.name}.")
+        elif prefix + f.name not in CODE_ONLY:
+            yield prefix + f.name, hints[f.name]
+
+
+def _coerce(raw, hint):
+    """``raw``, a value or its text, as ``hint``; None where it admits it."""
+    kinds = get_args(hint) or (hint,)
+    if raw in (None, "None") and type(None) in kinds:
+        return None
+    return kinds[0](raw)
 
 
 def loads(text: str) -> ExperimentConfig:

@@ -28,7 +28,7 @@ from .scenes import PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode
 from .tensor import ConfigurationError, Tensor, UsageError
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     d: int = 64
     heads: int = 4

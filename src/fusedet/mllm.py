@@ -21,13 +21,13 @@ from .scenes import CANVAS, PAD, VOCAB
 from .tensor import ConfigurationError, DimensionError, Tensor, UsageError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MllmConfig:
     d_lm: int = 64
     n: int = 4
     heads: int = 4
     patch: int = 4
-    shuffle_r: int = 4
+    shuffle_r: int = 2
     canvas: int = CANVAS
     proj_hidden: int = 128
     sys_len: int = 2

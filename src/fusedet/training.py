@@ -365,14 +365,14 @@ def fused_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
                   sub: SubstitutionHead | None = None):
     """The uncached detector pass from the scenes' patch tokens: (boxes,
     logits) for the plain detector, with a fusion adapter, or with the
-    substitution head mapping LM vision states at ``cfg.l_lm``."""
+    substitution head mapping LM vision states at ``cfg.adapter.l_lm``."""
     if state is not None and sub is not None:
         raise UsageError("pass a fusion state or a substitution head, not both")
     patches = T.constant(patches)
     hook = None
     if sub is not None:
         e_v_l, _ = mllm.hidden_from_aligned(mllm.align_vision(patches),
-                                            cfg.l_lm)
+                                            cfg.adapter.l_lm)
         e_vis = T.add(sub(e_v_l), det.vis_pos)
     else:
         e_vis = det.encode_vision(patches)
@@ -510,7 +510,7 @@ def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
         cfg, "substitution", groups, (mllm, det, sub),
         _cached_detection_loss(cfg, mllm, det, scenes, sub),
         len(scenes), cfg.sub_steps, cfg.sub_batch, cfg.run_seed,
-        l_lm=cfg.l_lm)
+        l_lm=cfg.adapter.l_lm)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def _attention_layer(rng):
 # ---------------------------------------------------------------------------
 
 _CANVAS = 8
-_CFG = ExperimentConfig(l_lm=1)     # the substitution head's LM tap
+_CFG = ExperimentConfig(adapter=AdapterConfig(l_lm=1))  # substitution LM tap
 _MICRO_LM = MllmConfig(d_lm=12, n=2, heads=2, patch=4, canvas=_CANVAS,
                        shuffle_r=1, proj_hidden=10, sys_len=1)
 _MICRO_DET = DetectorConfig(d=12, heads=2, depth=2, queries=3)

@@ -22,7 +22,7 @@ from fusedet.verify import CASES, GRADCHECK_TOL, check_case
 BUILDS = dict(CASES)
 # the host models' sizes: widths 64, a 2x2 aligned LM grid, an LM of 4 layers
 # and a detector of 6
-MCFG, DCFG = MllmConfig(), DetectorConfig()
+MCFG, DCFG = MllmConfig(shuffle_r=4), DetectorConfig()
 D = 64
 
 
@@ -369,9 +369,10 @@ class TestConfigValidation:
     def test_first_layer_preset_pins_l_d(self):
         """Arch III injects before decoder layer 1; any other layer is a
         contradiction, not a silent fallback to the last layer.  An unset
-        Arch II layer becomes the detector's last when the adapter is
-        built."""
-        assert AdapterConfig(arch="III").l_d == 1
+        layer resolves when the adapter attaches: Arch III's to 1, Arch
+        II's to the detector's last."""
+        assert AdapterConfig(arch="III").l_d is None
+        assert AdapterConfig(arch="III").resolve(MCFG, DCFG).l_d == 1
         assert make_state("II").cfg.l_d == DCFG.depth
         state = make_state("III", seed=39)
         rng = np.random.default_rng(40)
@@ -384,7 +385,7 @@ class TestConfigValidation:
         """Arch I gates the vision features, before decoder layer 1, so its
         l_d is pinned to 1 as Arch III's is: no other value selects
         anything."""
-        assert AdapterConfig(arch="I").l_d == 1
+        assert AdapterConfig(arch="I").resolve(MCFG, DCFG).l_d == 1
         assert AdapterConfig(arch="I", l_d=1).l_d == 1
         for l_d in (2, 6):
             with pytest.raises(ConfigurationError, match=f"arch I .*l_d={l_d}"):

@@ -251,12 +251,12 @@ class TestLayerSweep:
         """An Arch III sweep builds its cache for the preset's layer 1 and
         reproduces a direct run of the same weights injected at layer 1."""
         cfg, mllm, det, snap, train, vals = sweep_bench
-        cfg3 = replace(cfg, arch="III")
+        cfg3 = replace(cfg, adapter=cfg.adapter_config(arch="III"))
         res = layer_sweep(cfg3, mllm, det, snap, train, vals,
                           l_lm_values=[1], seeds=[0])
         _, direct = tr.run_stage3_experiment(
-            replace(cfg, arch="II", run_seed=0), mllm, det, snap, train, vals,
-            l_lm=1, l_d=1)
+            replace(cfg, run_seed=0), mllm, det, snap, train, vals,
+            arch="II", l_lm=1, l_d=1)
         assert direct["l_d"] == 1
         want = {"l_lm": 1, "seed": 0}
         for split, m in direct["metrics"].items():
@@ -329,7 +329,7 @@ class TestComputeReport:
         assert rows[1]["framework"] == "+adapter"
         params, _ = adapter_param_flops(acfg, cfg.mllm_config(),
                                         cfg.detector_config(),
-                                        cfg.det_queries)
+                                        cfg.detector.queries)
         assert rows[1]["params"] == params
 
     def test_detector_row_params_match_hand_count(self):

@@ -33,7 +33,8 @@ def spans():
 
 
 # (callable, positional argument count, keyword names) for each call shape
-# in perfbench/workloads.py, perfbench/projection.py and perfbench/run.py
+# in perfbench/workloads.py, perfbench/projection.py, perfbench/run.py and
+# perfbench/test_smoke.py; a method's count includes ``self``
 CALLS = [
     (tr.build_models, 1, ()),
     (tr.load_split, 2, ()),
@@ -57,6 +58,15 @@ CALLS = [
     (tr.evaluate, 4, ("sub",)),
     (tr.grounded_outputs, 4, ("state",)),
     (analysis.compute_report, 3, ("measure_latency",)),
+    (ExperimentConfig.mllm_config, 1, ()),
+    (ExperimentConfig.detector_config, 1, ()),
+    (ExperimentConfig.adapter_config, 1, ()),
+    # ExperimentConfig(**Plan.cfg) with the smoke test's plan, TINY
+    (ExperimentConfig, 0, ("n_pretrain", "n_train", "n_val", "pretrain_batch",
+                           "s3_batch", "eval_chunk")),
+    # the fields the benchmark sets through dataclasses.replace
+    (ExperimentConfig, 0, ("seed", "data_seed", "run_seed", "pretrain_steps",
+                           "s1_steps", "s2_steps", "s3_steps", "sub_steps")),
 ]
 
 

@@ -74,7 +74,7 @@ def test_analyze_attention_prints_one_line_per_row(tmp_path, monkeypatch,
     """One ``layer N <modality>: median ±x.xxxx`` line per profile row; the
     stage-2 checkpoint load is stubbed, so the LM keeps its init weights."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text("n_val = 2\nlm_layers = 2\n")
+    (tmp_path / "tiny.cfg").write_text("n_val = 2\nmllm.n = 2\n")
     monkeypatch.setattr(cli, "_load_into", lambda module, out, name: None)
     assert cli.cli(["analyze-attention", "--config", "tiny.cfg",
                     "--batch", "2"]) == 0
@@ -93,7 +93,8 @@ def test_non_positive_attention_batch_is_a_named_error(tmp_path, monkeypatch,
     """``--batch`` below 1 is refused before any scene is sliced: 0 used to
     fail inside the padding code, -1 to profile all scenes but one."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text("n_val = 2\nlm_layers = 1\n")
+    (tmp_path / "tiny.cfg").write_text(
+        "n_val = 2\nmllm.n = 1\nadapter.l_lm = 1\n")
     monkeypatch.setattr(cli, "_load_into", lambda module, out, name: None)
     assert cli.cli(["analyze-attention", "--config", "tiny.cfg",
                     "--batch", batch]) == 1
@@ -131,7 +132,7 @@ TINY_RUN = (
     "sub_steps = 10\n"
     "pretrain_batch = 4\ns1_batch = 4\ns2_batch = 4\ns3_batch = 4\n"
     "sub_batch = 4\n"
-    "lm_layers = 2\nl_lm = 1\ndet_depth = 2\nl_d = 2\n")
+    "mllm.n = 2\nadapter.l_lm = 1\ndetector.depth = 2\n")
 
 
 @pytest.fixture(scope="module")
@@ -242,10 +243,28 @@ def test_gradcheck_seed_reaches_the_catalogue(tmp_path, monkeypatch):
 
 def test_configuration_error_is_a_named_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.cfg").write_text("arch = V\n")
+    (tmp_path / "bad.cfg").write_text("adapter.arch = V\n")
     assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'V'" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("adapter.arch = V\n", "arch 'V' not one of ('I', 'II', 'III', 'IV')"),
+    ("mllm.n = 1\n", "l_lm 2 outside [0, 1]"),
+    ("detector.depth = 2\nadapter.l_d = 4\n", "l_d 4 outside [1, 2]")],
+    ids=["arch", "l_lm", "l_d"])
+def test_adapter_that_cannot_attach_fails_before_stage_1(
+        tmp_path, monkeypatch, capsys, text, message):
+    """The adapter is first built at stage 3, but its config is checked at
+    load: ``train --stage 1`` refuses it before training anything."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(
+        "n_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n"
+        "s1_steps = 1\ns1_batch = 4\n" + text)
+    assert cli.cli(["train", "--stage", "1", "--config", "bad.cfg"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
@@ -253,8 +272,8 @@ def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
     pool them, and the error names both counts."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tiny.cfg").write_text(
-        "n_pretrain = 16\npretrain_batch = 16\nlm_layers = 1\n"
-        "det_depth = 1\ndet_queries = 3\n")
+        "n_pretrain = 16\npretrain_batch = 16\nmllm.n = 1\nadapter.l_lm = 1\n"
+        "detector.depth = 1\ndetector.queries = 3\n")
     assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: scene \d+ has 4 candidates, more than "
@@ -263,12 +282,14 @@ def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("canvas", "32"), ("vocab", "64"), ("proj_in", "192"),
-    ("rope_base", "10000.0"), ("s3_mlp_lr", "0.0002")])
+    ("rope_base", "10000.0"), ("s3_mlp_lr", "0.0002"), ("mllm.canvas", "32"),
+    ("det_depth", "2"), ("lm_layers", "2"), ("l_d", "2"), ("arch", "IV")])
 def test_removed_config_keys_are_named_errors(tmp_path, monkeypatch, capsys,
                                                key, value):
     """The canvas and vocabulary come from the scenes, the RoPE base is a
     constant, and the projector width and stage-3 projector lr are derived,
-    so a config file that still sets one is refused by name."""
+    so a config file that still sets one is refused by name.  So is a flat
+    key for a model setting, whose key is ``section.field``."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "old.cfg").write_text(f"{key} = {value}\n")
     assert cli.cli(["flops-report", "--config", "old.cfg"]) == 1

@@ -354,7 +354,7 @@ class TestSubstitution:
 
     def test_head_repeats_rows_per_quadrant(self):
         rng = np.random.default_rng(10)
-        head = SubstitutionHead(MllmConfig(), DetectorConfig(), rng)
+        head = SubstitutionHead(MllmConfig(shuffle_r=4), DetectorConfig(), rng)
         e = T.constant(rng.standard_normal((2, 4, 64)))
         out = head(e)
         assert out.shape == (2, 64, 64)

@@ -9,8 +9,9 @@ from fusedet.mllm import MiniMllm, MllmConfig, VisionEncoder
 from fusedet.tensor import ConfigurationError, Tensor, UsageError
 
 
-def make_mllm(seed=0, **kw):
-    cfg = MllmConfig(**kw)
+def make_mllm(seed=0, shuffle_r=4, **kw):
+    """An LM whose 8x8 patch grid aligns to 2x2 tokens."""
+    cfg = MllmConfig(shuffle_r=shuffle_r, **kw)
     return MiniMllm(cfg, np.random.default_rng(seed))
 
 
@@ -27,8 +28,8 @@ class TestConfigArithmetic:
         cfg = MllmConfig()
         assert cfg.d_patch == 48            # 3 * 4 * 4
         assert cfg.grid == (8, 8)           # 32 / 4
-        assert cfg.aligned_grid == (2, 2)   # 8 / 4
-        assert cfg.l_v == 4
+        assert cfg.aligned_grid == (4, 4)   # 8 / 2
+        assert cfg.l_v == 16
 
     def test_rejects_indivisible(self):
         with pytest.raises(ConfigurationError):

@@ -46,8 +46,10 @@ def bench():
 
 
 def stage3_cache(b):
-    return tr.Stage3Cache(b["mllm"], b["det"], b["train"],
-                          b["cfg"].l_d, chunk=b["cfg"].eval_chunk)
+    cfg = b["cfg"]
+    l_d = cfg.adapter.resolve(cfg.mllm, cfg.detector).l_d
+    return tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d,
+                          chunk=cfg.eval_chunk)
 
 
 class TestSchedule:
@@ -408,7 +410,7 @@ class TestAttentionTap:
         with T.attention_tap() as taps:
             tr.stage3_loss_cached(cfg, b["mllm"], b["det"], state,
                                   stage3_cache(b), idx)
-        l, q = state.prompt_len, cfg.det_queries
+        l, q = state.prompt_len, cfg.detector.queries
         (w,) = [w for _, w in taps if w.shape[-1] == l + q]
         assert len(taps) > 1
         assert w.shape == (len(idx), state.cfg.heads, q, l + q)
@@ -514,7 +516,7 @@ class TestEvaluation:
         """An open adapter built for a 6-layer detector hooks layer 6; a
         2-layer detector has no such layer, so the pass refuses it rather
         than return the plain detector's outputs."""
-        cfg = ExperimentConfig(det_depth=2, l_d=2, n_val=2)
+        cfg = ExperimentConfig(detector=DetectorConfig(depth=2), n_val=2)
         mllm, det = tr.build_models(cfg)
         rng = np.random.default_rng(0)
         state = FusionState(AdapterConfig(arch="IV"), cfg.mllm_config(),
