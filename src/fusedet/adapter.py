@@ -61,7 +61,7 @@ from . import tensor as T
 from .detector import DetectorConfig
 from .layers import Linear, Module, MultiHeadAttention
 from .mllm import MllmConfig
-from .tensor import ConfigurationError, DimensionError, Tensor
+from .tensor import ConfigurationError, DimensionError, Tensor, check_fields
 
 ARCHS = ("I", "II", "III", "IV")
 # presets that act before decoder layer 1, so their l_d is pinned to 1
@@ -81,6 +81,10 @@ class AdapterConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
+        check_fields(self, "adapter.", ("heads", "conv_k", "conv_stride"),
+                     "at least 1", lambda v: v >= 1)
+        check_fields(self, "adapter.", ("conv_pad",), "at least 0",
+                     lambda v: v >= 0)
         if self.arch in FIRST_LAYER_ARCHS and self.l_d not in (None, 1):
             raise ConfigurationError(
                 f"arch {self.arch} acts before decoder layer 1, "

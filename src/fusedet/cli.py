@@ -19,6 +19,13 @@ Checkpoint layout under ``--out`` (the default is ``./runs``):
     substitution/   linear substitution control
     <head>-projector/
                     the projector trained alongside adapter or substitution
+
+``eval`` scores the stage-2 ``baseline`` and each head checkpointed there, on
+its own projector and rebuilt from the ``adapter`` section its stage recorded
+in ``report-<stage>.json``, never from ``--config``: ``eval.json`` by head,
+then split, and ``per-scene-<head>-<split>.jsonl``.  A backbone checkpoint
+loads only under the ``mllm`` / ``detector`` section ``report-stage1.json``
+recorded.
 """
 
 from __future__ import annotations
@@ -26,12 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, training as tr
+from .adapter import AdapterConfig
 from .checkpoint import MANIFEST, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_file, save_file
 from .scenes import SPLITS, pad_token_rows
@@ -53,20 +61,51 @@ def _save_stage_report(out: Path, name: str, report: dict) -> None:
                   for i, loss in enumerate(report["losses"])))
 
 
-def _metrics_records(metrics: dict):
+def _summarize(label: str, metrics: dict) -> dict:
+    """``metrics`` by split without their per-scene records; prints one
+    ``<label> <split>: acc … mean_iou …`` line per split."""
+    summary = {}
     for split, m in metrics.items():
-        rec = {k: v for k, v in m.items() if k != "per_scene"}
-        rec["split"] = split
-        yield rec
+        summary[split] = {k: v for k, v in m.items() if k != "per_scene"}
+        print(f"{label} {split}: acc {m['acc']:.3f} "
+              f"mean_iou {m['mean_iou']:.3f}")
+    return summary
+
+
+def _missing(kind: str, path: Path) -> UsageError:
+    return UsageError(f"missing prerequisite {kind} {path} -- run the "
+                      f"earlier stage first")
+
+
+def _recorded_config(out: Path, stage: str) -> dict:
+    """The config ``report-<stage>.json`` recorded, by config key."""
+    path = out / f"report-{stage}.json"
+    if not path.exists():
+        raise _missing("report", path)
+    return json.loads(path.read_text())["config"]
+
+
+# backbone checkpoints: the config section each is built from
+_BACKBONES = {"detector": "detector", "mllm-stage1": "mllm",
+              "mllm-stage2": "mllm"}
 
 
 def _load_into(module, out: Path, name: str) -> None:
     path = out / name
     if not (path / MANIFEST).exists():
-        raise UsageError(
-            f"missing prerequisite checkpoint {path} -- run the earlier "
-            f"stage first")
-    tr.restore(module, load_checkpoint(path))
+        raise _missing("checkpoint", path)
+    snap = load_checkpoint(path)
+    section = _BACKBONES.get(name)
+    if section is not None:
+        recorded = _recorded_config(out, "stage1")
+        for f in fields(module.cfg):
+            key, value = f"{section}.{f.name}", getattr(module.cfg, f.name)
+            # a field that is no config key (mllm.canvas) is never recorded
+            if recorded.get(key, value) != value:
+                raise ConfigurationError(
+                    f"{key} = {value} differs from {recorded[key]}, the value "
+                    f"{out / 'report-stage1.json'} records for {path}")
+    tr.restore(module, snap)
 
 
 def _backbones(cfg: ExperimentConfig, out: Path):
@@ -130,26 +169,32 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
         return 0
 
     return _train_head(cfg, out, tr.run_stage3_experiment, "adapter",
-                       "stage3", "stage 3")
+                       "stage 3")
 
 
-def _train_head(cfg: ExperimentConfig, out: Path, experiment, checkpoint: str,
-                name: str, label: str) -> int:
+# each head's checkpoint: the stage whose report records the settings it
+# trained under, how to build it, and the keyword ``evaluate`` takes it by
+_HEADS = {
+    "adapter": ("stage3", lambda cfg, mllm: tr.build_adapter(cfg), "state"),
+    "substitution": ("substitution", tr.build_substitution, "sub"),
+}
+
+
+def _train_head(cfg: ExperimentConfig, out: Path, experiment, head: str,
+                label: str) -> int:
     """Train a head on the frozen backbones with ``experiment``, save its
     checkpoint and that of the projector it trained alongside, its report
     and metrics, and print one line per split."""
+    name = _HEADS[head][0]
     mllm, det = _backbones(cfg, out)
-    head, rep = experiment(cfg, mllm, det, tr.snapshot(mllm.projector),
-                           tr.load_split(cfg, "train"), _val_splits(cfg))
-    save_checkpoint(out / checkpoint, tr.snapshot(head))
-    save_checkpoint(out / f"{checkpoint}-projector",
-                    tr.snapshot(mllm.projector))
+    module, rep = experiment(cfg, mllm, det, tr.snapshot(mllm.projector),
+                             tr.load_split(cfg, "train"), _val_splits(cfg))
+    save_checkpoint(out / head, tr.snapshot(module))
+    save_checkpoint(out / f"{head}-projector", tr.snapshot(mllm.projector))
     _save_stage_report(out, name, rep)
     _write_jsonl(out / f"metrics-{name}.jsonl",
-                 _metrics_records(rep["metrics"]))
-    for rec in _metrics_records(rep["metrics"]):
-        print(f"{label} {rec['split']}: acc {rec['acc']:.3f} "
-              f"mean_iou {rec['mean_iou']:.3f}")
+                 (dict(m, split=split) for split, m
+                  in _summarize(label, rep["metrics"]).items()))
     return 0
 
 
@@ -188,6 +233,9 @@ def cmd_ablate_layers(cfg: ExperimentConfig, out: Path, args) -> int:
 def cmd_analyze_attention(cfg: ExperimentConfig, out: Path, args) -> int:
     if args.batch < 1:
         raise UsageError(f"--batch must be at least 1, got {args.batch}")
+    if args.batch > cfg.n_val:
+        raise UsageError(f"--batch {args.batch} exceeds n_val {cfg.n_val}, "
+                         f"the scenes there are to profile")
     mllm, _ = tr.build_models(cfg)
     _load_into(mllm, out, "mllm-stage2")
     scenes = tr.load_split(cfg, "val-category")[:args.batch]
@@ -216,7 +264,7 @@ def cmd_flops_report(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_substitute_baseline(cfg: ExperimentConfig, out: Path, args) -> int:
     return _train_head(cfg, out, tr.run_substitution_experiment,
-                       "substitution", "substitution", "substitution")
+                       "substitution", "substitution")
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:
@@ -233,23 +281,31 @@ def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
     mllm, det = _backbones(cfg, out)
-    state = None
-    if args.fused:
-        state = tr.build_adapter(cfg)
-        _load_into(state, out, "adapter")
-        _load_into(mllm.projector, out, "adapter-projector")
+    splits = _val_splits(cfg)
     summary = {}
-    for split, scenes in _val_splits(cfg).items():
-        m = tr.evaluate(cfg, mllm, det, scenes, state=state)
-        per_scene = m.pop("per_scene", None)
-        summary[split] = m
-        if per_scene is not None:
-            _write_jsonl(out / f"per-scene-{split}.jsonl",
+
+    def score(head: str, head_cfg: ExperimentConfig, **module) -> None:
+        metrics = {split: tr.evaluate(head_cfg, mllm, det, scenes, **module)
+                   for split, scenes in splits.items()}
+        for split, m in metrics.items():
+            _write_jsonl(out / f"per-scene-{head}-{split}.jsonl",
                          (dict(rec, scene=i)
-                          for i, rec in enumerate(per_scene)))
-        print(f"{split}: acc {m['acc']:.3f} mean_iou {m['mean_iou']:.3f}")
-    payload = {"config": cfg.to_dict(), "fused": bool(args.fused),
-               "metrics": summary}
+                          for i, rec in enumerate(m["per_scene"])))
+        summary[head] = _summarize(head, metrics)
+
+    score("baseline", cfg)
+    for head, (stage, build, keyword) in _HEADS.items():
+        if not (out / head).is_dir():
+            continue
+        recorded = _recorded_config(out, stage)
+        head_cfg = replace(cfg, adapter=AdapterConfig(**{
+            key.removeprefix("adapter."): value
+            for key, value in recorded.items() if key.startswith("adapter.")}))
+        _load_into(mllm.projector, out, f"{head}-projector")
+        module = build(head_cfg, mllm)
+        _load_into(module, out, head)
+        score(head, head_cfg, **{keyword: module})
+    payload = {"config": cfg.to_dict(), "metrics": summary}
     (out / "eval.json").write_text(json.dumps(payload, indent=2,
                                               sort_keys=True) + "\n")
     print(f"wrote {out / 'eval.json'}")
@@ -307,11 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("gradcheck",
                           help="finite-difference gradient verification"))
 
-    p = sub.add_parser("eval", help="evaluate checkpoints on the val splits")
-    p.add_argument("--fused", action="store_true",
-                   help="evaluate with the stage-3 adapter and the "
-                        "projector it trained alongside")
-    common(p)
+    common(sub.add_parser("eval", help="score the baseline and every "
+                          "trained head on the val splits"))
     return parser
 
 

@@ -29,7 +29,7 @@ from typing import get_args, get_type_hints
 from .adapter import FIRST_LAYER_ARCHS, AdapterConfig
 from .detector import DetectorConfig
 from .mllm import MllmConfig
-from .tensor import ConfigurationError, UsageError
+from .tensor import UsageError, check_fields
 
 CODE_ONLY = {"mllm.canvas"}     # set in code: scenes are drawn on CANVAS
 
@@ -77,11 +77,15 @@ class ExperimentConfig:
     eval_chunk: int = 64
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith(("eval_chunk", "_batch", "_steps")) and value < 1:
-                raise ConfigurationError(
-                    f"{f.name} must be at least 1, got {value}")
+        names = [f.name for f in fields(self)]
+        counts = [n for n in names if n.startswith("n_")
+                  or n.endswith(("eval_chunk", "_batch", "_steps"))]
+        check_fields(self, "", counts, "at least 1", lambda v: v >= 1)
+        check_fields(self, "", [n for n in names if n.endswith("_lr")],
+                     "positive", lambda v: v > 0)
+        check_fields(self, "", ("grad_clip",), "at least 0", lambda v: v >= 0)
+        check_fields(self, "", ("iou_thresh",), "in (0, 1]",
+                     lambda v: 0 < v <= 1)
         self.adapter.resolve(self.mllm, self.detector)
 
     def mllm_config(self) -> MllmConfig:

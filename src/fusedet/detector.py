@@ -25,7 +25,7 @@ from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention
 from .mllm import MllmConfig
 from .scenes import PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode
-from .tensor import ConfigurationError, Tensor, UsageError
+from .tensor import ConfigurationError, Tensor, UsageError, check_fields
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,11 @@ class DetectorConfig:
     box_weight: float = 5.0
     phrase_weight: float = 1.0
     background_weight: float = 0.5
+
+    def __post_init__(self):
+        check_fields(self, "detector.",
+                     ("d", "heads", "depth", "queries", "mlp_ratio"),
+                     "at least 1", lambda v: v >= 1)
 
 
 class TextEncoder(Module):

@@ -18,7 +18,8 @@ import numpy as np
 from . import tensor as T
 from .layers import Linear, MLP, LayerNorm, Module, TransformerBlock, cross_entropy
 from .scenes import CANVAS, PAD, VOCAB
-from .tensor import ConfigurationError, DimensionError, Tensor, UsageError
+from .tensor import (ConfigurationError, DimensionError, Tensor, UsageError,
+                     check_fields)
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ class MllmConfig:
     mlp_ratio: int = 2
 
     def __post_init__(self):
+        check_fields(self, "mllm.", ("d_lm", "n", "heads", "patch", "shuffle_r",
+                                     "canvas", "proj_hidden", "mlp_ratio"),
+                     "at least 1", lambda v: v >= 1)
+        check_fields(self, "mllm.", ("sys_len",), "at least 0",
+                     lambda v: v >= 0)
         if self.d_lm % self.heads:
             raise ConfigurationError(
                 f"d_lm {self.d_lm} not divisible by heads {self.heads}")

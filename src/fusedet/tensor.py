@@ -32,51 +32,6 @@ from contextlib import contextmanager
 import numpy as np
 from scipy import special as _sp_special
 
-__all__ = [
-    "Tensor",
-    "FlopsMeter",
-    "DimensionError",
-    "ConfigurationError",
-    "UsageError",
-    "DegenerateInputError",
-    "NumericsError",
-    "constant",
-    "add",
-    "sub",
-    "mul",
-    "power",
-    "matmul",
-    "linear",
-    "layer_norm",
-    "attention",
-    "tanh",
-    "sigmoid",
-    "gelu",
-    "absval",
-    "softmax",
-    "log_softmax",
-    "weighted_cross_entropy",
-    "reshape",
-    "transpose",
-    "concat",
-    "slice_axis",
-    "index_select",
-    "embedding",
-    "tsum",
-    "tmean",
-    "conv2d",
-    "conv2d_output_hw",
-    "pixel_unshuffle",
-    "rope_apply",
-    "rope_angles",
-    "backward",
-    "no_tape",
-    "attention_tap",
-    "finite_diff_check",
-    "additive_mask",
-    "causal_mask",
-]
-
 FLOP_CONVENTIONS = """\
 matmul                   2*m*k*n per leading batch element (one MAC = 2 FLOPs)
 conv2d                   2 * B*Cout*Hout*Wout * Cin*kh*kw
@@ -104,6 +59,17 @@ class DimensionError(ValueError):
 
 class ConfigurationError(ValueError):
     """A structurally invalid configuration (widths, spans, arch choices)."""
+
+
+def check_fields(cfg, prefix: str, names, rule: str, ok) -> None:
+    """Raise ``ConfigurationError`` for the first of ``cfg``'s fields
+    ``names`` whose value fails ``ok``, named as the config key
+    ``prefix + name``."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ConfigurationError(
+                f"{prefix}{name} must be {rule}, got {value}")
 
 
 class UsageError(ValueError):

@@ -154,10 +154,30 @@ def copy_run(staged, tmp_path) -> Path:
     return Path(shutil.copytree(out, tmp_path / "runs"))
 
 
+def assert_scores(out: Path, head: str, metrics: dict) -> None:
+    """``eval``'s metrics and per-scene records for ``head`` under ``out``
+    equal ``metrics`` (``evaluate``'s, by split) bit for bit."""
+    scored = json.loads((out / "eval.json").read_text())["metrics"][head]
+    assert list(scored) == list(metrics)
+    for split, m in metrics.items():
+        m = dict(m)
+        per_scene = m.pop("per_scene")
+        assert scored[split] == m, (head, split)
+        lines = (out / f"per-scene-{head}-{split}.jsonl").read_text()
+        assert [json.loads(line) for line in lines.splitlines()] == [
+            dict(rec, scene=i) for i, rec in enumerate(per_scene)], split
+
+
+def reported(out: Path, stage: str) -> dict:
+    return json.loads((out / f"report-{stage}.json").read_text())["metrics"]
+
+
 def test_staged_run_equals_one_process(staged, tmp_path):
     """``train --stage 1 → 2 → 3`` through checkpoints trains the same
-    adapter, bit for bit, as the same run in one process, and ``eval
-    --fused`` on its checkpoints scores exactly what stage 3 reported."""
+    adapter, bit for bit, as the same run in one process.  ``eval`` on its
+    checkpoints scores the baseline exactly as that process does on the
+    stage-2 backbones, and the adapter and the substitution control exactly
+    as their stages reported."""
     config, _ = staged
     out = copy_run(staged, tmp_path)
     cfg = load_file(config)
@@ -168,23 +188,21 @@ def test_staged_run_equals_one_process(staged, tmp_path):
                load_checkpoint(out / "adapter-projector"))
 
     mllm, det, _ = tr.prepare_backbones(cfg)
+    stage2 = tr.snapshot(mllm.projector)
+    baseline = {split: tr.evaluate(cfg, mllm, det, tr.load_split(cfg, split))
+                for split in ("val-category", "val-spatial")}
     state, _ = tr.run_stage3_experiment(
-        cfg, mllm, det, tr.snapshot(mllm.projector),
-        tr.load_split(cfg, "train"), {})
+        cfg, mllm, det, stage2, tr.load_split(cfg, "train"), {})
     assert tr.module_digest(staged_state) == tr.module_digest(state)
     assert (tr.module_digest(staged_mllm.projector)
             == tr.module_digest(mllm.projector))
 
-    assert cli.cli(["eval", "--fused", "--config", str(config),
-                    "--out", str(out)]) == 0
-    fused = json.loads((out / "eval.json").read_text())["metrics"]
-    reported = json.loads((out / "report-stage3.json").read_text())["metrics"]
-    for split, metrics in reported.items():
-        per_scene = metrics.pop("per_scene")
-        assert fused[split] == metrics, split
-        lines = (out / f"per-scene-{split}.jsonl").read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [
-            dict(rec, scene=i) for i, rec in enumerate(per_scene)]
+    for command in ("substitute-baseline", "eval"):
+        assert cli.cli([command, "--config", str(config),
+                        "--out", str(out)]) == 0
+    assert_scores(out, "baseline", baseline)
+    assert_scores(out, "adapter", reported(out, "stage3"))
+    assert_scores(out, "substitution", reported(out, "substitution"))
 
 
 def test_fused_eval_needs_the_stage3_projector(staged, tmp_path, capsys):
@@ -193,12 +211,85 @@ def test_fused_eval_needs_the_stage3_projector(staged, tmp_path, capsys):
     config, _ = staged
     out = copy_run(staged, tmp_path)
     shutil.rmtree(out / "adapter-projector")
-    assert cli.cli(["eval", "--fused", "--config", str(config),
-                    "--out", str(out)]) == 1
+    assert cli.cli(["eval", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: missing prerequisite checkpoint "
                    f"{out / 'adapter-projector'} -- run the earlier stage "
                    f"first\n"), err
+
+
+def test_head_without_its_report_is_refused(staged, tmp_path, capsys):
+    """A head is rebuilt from the settings its stage recorded, so a head
+    whose report is gone is refused by name rather than rebuilt from
+    ``--config``."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    (out / "report-stage3.json").unlink()
+    assert cli.cli(["eval", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: missing prerequisite report "
+                   f"{out / 'report-stage3.json'} -- run the earlier stage "
+                   f"first\n"), err
+
+
+@pytest.fixture(scope="module")
+def arch_ii_run(staged, tmp_path_factory):
+    """The staged run with an Arch II adapter trained at stage 3 and the
+    substitution control at ``adapter.l_lm = 1``."""
+    config, out = staged
+    root = tmp_path_factory.mktemp("arch-ii")
+    out = Path(shutil.copytree(out, root / "runs"))
+    arch_ii = root / "arch-ii.cfg"
+    arch_ii.write_text(TINY_RUN + "adapter.arch = II\n")
+    for command in (["train", "--stage", "3"], ["substitute-baseline"]):
+        assert cli.cli(command + ["--config", str(arch_ii),
+                                  "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("setting", [
+    "adapter.arch = III\n", "adapter.l_lm = 2\n", "adapter.l_d = 1\n"],
+    ids=["arch", "l_lm", "l_d"])
+def test_eval_scores_each_head_as_it_trained(arch_ii_run, tmp_path, setting):
+    """``eval`` rebuilds each head from the ``adapter`` section its stage
+    recorded, whatever ``--config`` says: Arch II and III share every
+    parameter shape, so an adapter rebuilt from ``--config`` would restore
+    and score as the wrong head, and the substitution control would read
+    the wrong LM layer."""
+    out = Path(shutil.copytree(arch_ii_run, tmp_path / "runs"))
+    (tmp_path / "eval.cfg").write_text(TINY_RUN + setting)
+    assert cli.cli(["eval", "--config", str(tmp_path / "eval.cfg"),
+                    "--out", str(out)]) == 0
+    assert_scores(out, "adapter", reported(out, "stage3"))
+    assert_scores(out, "substitution", reported(out, "substitution"))
+
+
+@pytest.mark.parametrize("command, key, checkpoint", [
+    (["eval"], "mllm.heads", "mllm-stage2"),
+    (["eval"], "detector.heads", "detector"),
+    (["train", "--stage", "2"], "mllm.heads", "mllm-stage1"),
+    (["train", "--stage", "3"], "detector.heads", "detector"),
+    (["substitute-baseline"], "mllm.heads", "mllm-stage2"),
+    (["ablate-layers", "--layers", "0", "--seeds", "0"], "detector.heads",
+     "detector"),
+    (["analyze-attention", "--batch", "2"], "mllm.heads", "mllm-stage2")],
+    ids=["eval-mllm", "eval-detector", "stage2", "stage3", "substitution",
+         "ablate-layers", "analyze-attention"])
+def test_backbone_settings_are_checked_at_restore(staged, tmp_path, capsys,
+                                                  command, key, checkpoint):
+    """Head counts change no parameter shape, so restoring a backbone under
+    another count would succeed and score a different model; every command
+    that loads one refuses a section that differs from stage 1's, naming
+    the key."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    (tmp_path / "heads.cfg").write_text(TINY_RUN + f"{key} = 2\n")
+    assert cli.cli(command + ["--config", str(tmp_path / "heads.cfg"),
+                              "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {key} = 2 differs from 4, the value "
+                   f"{out / 'report-stage1.json'} records for "
+                   f"{out / checkpoint}\n"), err
 
 
 @pytest.mark.parametrize("command, written", [
@@ -207,8 +298,10 @@ def test_fused_eval_needs_the_stage3_projector(staged, tmp_path, capsys):
      ["substitution/manifest.txt", "substitution-projector/manifest.txt",
       "report-substitution.json", "losses-substitution.jsonl",
       "metrics-substitution.jsonl"]),
-    ("eval", ["eval.json", "per-scene-val-category.jsonl",
-              "per-scene-val-spatial.jsonl"]),
+    ("eval", ["eval.json", "per-scene-baseline-val-category.jsonl",
+              "per-scene-baseline-val-spatial.jsonl",
+              "per-scene-adapter-val-category.jsonl",
+              "per-scene-adapter-val-spatial.jsonl"]),
     ("flops-report", ["compute_report.csv"]),
 ])
 def test_writing_command_runs_on_the_staged_run(staged, tmp_path, command,
@@ -327,6 +420,49 @@ def test_zero_steps_is_a_named_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: s1_steps must be at least 1, got 0\n",
                         err), err
+
+
+BAD_VALUES = [
+    ("mllm.patch = 0", "mllm.patch must be at least 1, got 0"),
+    ("mllm.heads = 0", "mllm.heads must be at least 1, got 0"),
+    ("adapter.heads = 0", "adapter.heads must be at least 1, got 0"),
+    ("adapter.conv_stride = 0",
+     "adapter.conv_stride must be at least 1, got 0"),
+    ("detector.heads = 0", "detector.heads must be at least 1, got 0"),
+    ("detector.queries = 0", "detector.queries must be at least 1, got 0"),
+    ("n_val = 0", "n_val must be at least 1, got 0"),
+    ("pretrain_lr = -1", "pretrain_lr must be positive, got -1.0"),
+    ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0"),
+    ("grad_clip = -1", "grad_clip must be at least 0, got -1.0"),
+    ("iou_thresh = 2", "iou_thresh must be in (0, 1], got 2.0"),
+    ("iou_thresh = 0", "iou_thresh must be in (0, 1], got 0.0")]
+
+
+@pytest.mark.parametrize("text, message", BAD_VALUES, ids=[
+    text.replace(" = ", "=") for text, _ in BAD_VALUES])
+def test_bad_config_value_is_a_named_error(tmp_path, monkeypatch, capsys,
+                                           text, message):
+    """A size, count or stride below 1, a learning rate that is not
+    positive, a negative clip or an IoU threshold outside (0, 1] is refused
+    when the config loads, naming its key: the first five used to raise
+    ``ZeroDivisionError`` here, zero queries failed only inside a pass, and
+    the rest were accepted."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(text + "\n")
+    assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_attention_batch_beyond_the_split_is_a_named_error(
+        tmp_path, monkeypatch, capsys):
+    """``--batch`` above ``n_val`` used to profile only ``n_val`` scenes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text("n_val = 2\n")
+    assert cli.cli(["analyze-attention", "--config", "tiny.cfg",
+                    "--batch", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: --batch 3 exceeds n_val 2, the scenes there are "
+                   "to profile\n"), err
 
 
 def test_malformed_manifest_is_a_named_error(tmp_path, monkeypatch, capsys):
