@@ -20,6 +20,10 @@ unset ``l_d``: to 1 for Arch I and III, else to the detector's last layer.
 ``FusionState`` holds the resolved config, so ``state.cfg.l_d`` is always the
 layer the hook runs before.
 
+The prompt conv's kernel and padding are the constants ``CONV_K`` = 3 and
+``CONV_PAD`` = 1, so over an aligned grid side h it keeps (h - 1) // stride
++ 1 >= 1 rows, and the prompt sequence is never empty.
+
 ========  ===========  ============  =================================
 preset    text_fusion  fuses_vision  placement
 ========  ===========  ============  =================================
@@ -66,6 +70,7 @@ from .tensor import ConfigurationError, DimensionError, Tensor, check_fields
 ARCHS = ("I", "II", "III", "IV")
 # presets that act before decoder layer 1, so their l_d is pinned to 1
 FIRST_LAYER_ARCHS = ("I", "III")
+CONV_K, CONV_PAD = 3, 1         # the prompt conv's kernel side and padding
 
 
 @dataclass(frozen=True)
@@ -74,17 +79,13 @@ class AdapterConfig:
     l_lm: int = 2
     l_d: int | None = None        # None: the preset's layer (I, III: 1, else depth)
     heads: int = 4
-    conv_k: int = 3
     conv_stride: int = 2
-    conv_pad: int = 1
 
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
-        check_fields(self, "adapter.", ("heads", "conv_k", "conv_stride"),
+        check_fields(self, "adapter.", ("heads", "conv_stride"),
                      "at least 1", lambda v: v >= 1)
-        check_fields(self, "adapter.", ("conv_pad",), "at least 0",
-                     lambda v: v >= 0)
         if self.arch in FIRST_LAYER_ARCHS and self.l_d not in (None, 1):
             raise ConfigurationError(
                 f"arch {self.arch} acts before decoder layer 1, "
@@ -104,19 +105,14 @@ class AdapterConfig:
             if width % self.heads:
                 raise ConfigurationError(
                     f"width {width} not divisible by {self.heads} heads")
-        h, w = self.prompt_grid(mcfg)
-        if h < 1 or w < 1:
-            raise ConfigurationError(
-                f"conv on grid {mcfg.aligned_grid} yields empty prompt "
-                f"({h}x{w})")
         return replace(self, l_d=l_d)
 
     def prompt_grid(self, mcfg: MllmConfig) -> tuple[int, int]:
         """The LM's aligned grid with ``fuses_vision``, else the conv's
         output over it."""
-        k, grid = self.conv_k, mcfg.aligned_grid
+        grid = mcfg.aligned_grid
         return grid if self.fuses_vision else T.conv2d_output_hw(
-            *grid, k, k, self.conv_stride, self.conv_pad)
+            *grid, CONV_K, CONV_K, self.conv_stride, CONV_PAD)
 
     @property
     def text_fusion(self) -> bool:
@@ -157,10 +153,9 @@ class FusionState(Module):
         if cfg.fuses_vision:
             self.proj_lm = Linear(d_lm, d, rng)
         else:
-            k = cfg.conv_k
             self.conv_kernel = Tensor(
-                rng.standard_normal((d, d_lm, k, k)) / np.sqrt(d_lm * k * k),
-                requires_grad=True)
+                rng.standard_normal((d, d_lm, CONV_K, CONV_K))
+                / np.sqrt(d_lm * CONV_K * CONV_K), requires_grad=True)
             self.conv_bias = Tensor(np.zeros(d), requires_grad=True)
 
 
@@ -189,7 +184,7 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, cfg: AdapterConfig,
     x = T.transpose(e_v_l, (0, 2, 1))
     x = T.reshape(x, b, d_lm, h, w)
     x = T.conv2d(x, state.conv_kernel, stride=cfg.conv_stride,
-                 padding=cfg.conv_pad, bias=state.conv_bias)
+                 padding=CONV_PAD, bias=state.conv_bias)
     _, d, ho, wo = x.shape
     x = T.reshape(x, b, d, ho * wo)
     return T.transpose(x, (0, 2, 1))

@@ -33,9 +33,10 @@ import numpy as np
 
 from . import tensor as T
 from . import training as tr
-from .adapter import AdapterConfig, FusionHook, FusionState
+from .adapter import CONV_K, AdapterConfig, FusionHook, FusionState
 from .config import ExperimentConfig
 from .detector import DetectorConfig, GroundingDetector, pool_phrases
+from .layers import MLP_RATIO
 from .mllm import MiniMllm, MllmConfig
 from .scenes import PACK_WIDTH, VOCAB
 from .tensor import FlopsMeter, UsageError
@@ -123,32 +124,30 @@ def layer_sweep(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     Returns one flat row per point: ``l_lm``, ``seed`` and a
     ``"<split>/<metric>"`` column for every grounding metric but
     ``per_scene``.  Depth 0 taps the embedded sequence before any decoder
-    layer (the vision-projector-only arm).  All points share one
+    layer (the vision-projector-only arm).  Every point's config is built,
+    and so checked, before any trains.  All points share one
     frozen-activation cache; each point restores the stage-2 projector, so
     results per point are independent of sweep order and bit-reproducible.
     """
     if projector_snap is None:
         raise UsageError("layer_sweep needs the stage-2 projector snapshot")
-    bad = [l for l in l_lm_values if not 0 <= l <= mllm.cfg.n]
-    if bad:
-        raise UsageError(
-            f"l_lm values {bad} outside the decoder depth range 0..{mllm.cfg.n}")
+    points = [replace(cfg, run_seed=seed,
+                      adapter=replace(cfg.adapter, l_lm=l_lm))
+              for seed in seeds for l_lm in l_lm_values]
     l_d = cfg.adapter.resolve(mllm.cfg, det.cfg).l_d
     cache = tr.Stage3Cache(mllm, det, train_scenes, l_d, chunk=cfg.eval_chunk)
     rows = []
-    for seed in seeds:
-        for l_lm in l_lm_values:
-            point_cfg = replace(cfg, run_seed=seed)
-            _, report = tr.run_stage3_experiment(
-                point_cfg, mllm, det, projector_snap, train_scenes, val_splits,
-                cache=cache, l_lm=l_lm)
-            row = {"l_lm": l_lm, "seed": seed}
-            for split, m in report["metrics"].items():
-                row.update((f"{split}/{k}", v) for k, v in m.items()
-                           if k != "per_scene")
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+    for point in points:
+        _, report = tr.run_stage3_experiment(
+            point, mllm, det, projector_snap, train_scenes, val_splits,
+            cache=cache)
+        row = {"l_lm": point.adapter.l_lm, "seed": point.run_seed}
+        for split, m in report["metrics"].items():
+            row.update((f"{split}/{k}", v) for k, v in m.items()
+                       if k != "per_scene")
+        rows.append(row)
+        if progress is not None:
+            progress(row)
     return rows
 
 
@@ -210,11 +209,11 @@ def _mlp_flops(rows: int, d_in: int, d_hidden: int, d_out: int) -> int:
             + linear_flops(rows, d_hidden, d_out))
 
 
-def _lm_block_flops(n_seq: int, d: int, heads: int, mlp_ratio: int) -> int:
+def _lm_block_flops(n_seq: int, d: int, heads: int) -> int:
     return (_layernorm_flops(n_seq, d)
             + mha_flops(n_seq, n_seq, d, heads, rope=True) + n_seq * d
             + _layernorm_flops(n_seq, d)
-            + _mlp_flops(n_seq, d, mlp_ratio * d, d) + n_seq * d)
+            + _mlp_flops(n_seq, d, MLP_RATIO * d, d) + n_seq * d)
 
 
 def patch_encoder_flops(mcfg: MllmConfig) -> int:
@@ -239,7 +238,7 @@ def detector_forward_flops(dcfg: DetectorConfig, mcfg: MllmConfig) -> int:
                  + _layernorm_flops(q, d) + mha_flops(q, p, d, h) + q * d
                  + _layernorm_flops(q, d) + mha_flops(q, w, d, h) + q * d
                  + _layernorm_flops(q, d)
-                 + _mlp_flops(q, d, dcfg.mlp_ratio * d, d) + q * d)
+                 + _mlp_flops(q, d, MLP_RATIO * d, d) + q * d)
     f += dcfg.depth * per_layer
     f += _layernorm_flops(q, d)                           # output norm
     f += _mlp_flops(q, d, d, 4) + q * 4                   # box head
@@ -256,8 +255,7 @@ def prompt_path_flops(mcfg: MllmConfig, acfg: AdapterConfig) -> int:
     f = _mlp_flops(mcfg.l_v, mcfg.proj_in, mcfg.proj_hidden, mcfg.d_lm)
     n_seq = (mcfg.sys_len + mcfg.l_v
              + (REPORT_LM_TEXT if acfg.text_fusion else 0))
-    return f + acfg.l_lm * _lm_block_flops(n_seq, mcfg.d_lm, mcfg.heads,
-                                           mcfg.mlp_ratio)
+    return f + acfg.l_lm * _lm_block_flops(n_seq, mcfg.d_lm, mcfg.heads)
 
 
 def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
@@ -269,7 +267,7 @@ def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
     detector vision tokens for a vision-fusing adapter.  With text fusion the
     prompts attend over ``REPORT_LM_TEXT`` query tokens.
     """
-    d, d_lm, h, k = dcfg.d, mcfg.d_lm, acfg.heads, acfg.conv_k
+    d, d_lm, h, k = dcfg.d, mcfg.d_lm, acfg.heads, CONV_K
     ph, pw = acfg.prompt_grid(mcfg)
     l_v, l, t = mcfg.l_v, ph * pw, t_queries              # l: prompt keys
     s = 0 if acfg.fuses_vision else t                     # self-segment keys

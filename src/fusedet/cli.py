@@ -3,12 +3,14 @@ attention profiling, cost accounting, the substitution control, gradient
 verification, and evaluation.
 
 Every subcommand takes ``--config FILE`` (``key = value`` lines such as
-``detector.depth = 2``, checked as ``config.py`` says), ``--seed N``, and
-``--out DIR``.  Every command but the read-only ``gradcheck`` writes the
-resolved config to ``DIR/resolved-config.txt``.  Checkpoints are directories
-of numpy ``.npy`` files, one per parameter, listed by a manifest (see
-``checkpoint.py``); reports are JSON with the resolved config embedded, plus
-JSON-lines for per-step / per-scene records and CSV for tables.
+``detector.depth = 2``, checked as ``config.py`` says) and ``--out DIR``.
+All but ``eval``, ``flops-report`` and ``ablate-layers``, where it would
+select nothing, take ``--seed N``.  Every command but the read-only
+``gradcheck`` writes the resolved config to ``DIR/resolved-config.txt``.
+Checkpoints are directories of numpy ``.npy`` files, one per parameter,
+listed by a manifest (see ``checkpoint.py``); reports are JSON with the
+resolved config embedded, plus JSON-lines for per-step / per-scene records
+and CSV for tables.
 
 Checkpoint layout under ``--out`` (the default is ``./runs``):
 
@@ -21,11 +23,12 @@ Checkpoint layout under ``--out`` (the default is ``./runs``):
                     the projector trained alongside adapter or substitution
 
 ``eval`` scores the stage-2 ``baseline`` and each head checkpointed there, on
-its own projector and rebuilt from the ``adapter`` section its stage recorded
-in ``report-<stage>.json``, never from ``--config``: ``eval.json`` by head,
-then split, and ``per-scene-<head>-<split>.jsonl``.  A backbone checkpoint
-loads only under the ``mllm`` / ``detector`` section ``report-stage1.json``
-recorded.
+its own projector and rebuilt from the ``adapter`` section of the config its
+stage recorded in ``report-<stage>.json``, never from ``--config``.
+``eval.json`` holds, by head, the config the head was scored under
+(``config``) and its metrics by split (``metrics``); per-scene records go to
+``per-scene-<head>-<split>.jsonl``.  A backbone checkpoint loads only under
+the ``mllm`` / ``detector`` section ``report-stage1.json`` recorded.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, training as tr
-from .adapter import AdapterConfig
 from .checkpoint import MANIFEST, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_file, save_file
 from .scenes import SPLITS, pad_token_rows
@@ -281,8 +283,12 @@ def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
     mllm, det = _backbones(cfg, out)
+    heads = [(head, replace(cfg, adapter=ExperimentConfig.from_dict(
+                 _recorded_config(out, stage)).adapter), build, keyword)
+             for head, (stage, build, keyword) in _HEADS.items()
+             if (out / head).is_dir()]
     splits = _val_splits(cfg)
-    summary = {}
+    configs, summary = {}, {}
 
     def score(head: str, head_cfg: ExperimentConfig, **module) -> None:
         metrics = {split: tr.evaluate(head_cfg, mllm, det, scenes, **module)
@@ -291,21 +297,16 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
             _write_jsonl(out / f"per-scene-{head}-{split}.jsonl",
                          (dict(rec, scene=i)
                           for i, rec in enumerate(m["per_scene"])))
+        configs[head] = head_cfg.to_dict()
         summary[head] = _summarize(head, metrics)
 
     score("baseline", cfg)
-    for head, (stage, build, keyword) in _HEADS.items():
-        if not (out / head).is_dir():
-            continue
-        recorded = _recorded_config(out, stage)
-        head_cfg = replace(cfg, adapter=AdapterConfig(**{
-            key.removeprefix("adapter."): value
-            for key, value in recorded.items() if key.startswith("adapter.")}))
+    for head, head_cfg, build, keyword in heads:
         _load_into(mllm.projector, out, f"{head}-projector")
         module = build(head_cfg, mllm)
         _load_into(module, out, head)
         score(head, head_cfg, **{keyword: module})
-    payload = {"config": cfg.to_dict(), "metrics": summary}
+    payload = {"config": configs, "metrics": summary}
     (out / "eval.json").write_text(json.dumps(payload, indent=2,
                                               sort_keys=True) + "\n")
     print(f"wrote {out / 'eval.json'}")
@@ -323,12 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="LM-to-detector fusion experiments on synthetic scenes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed: bool = True):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int,
-                       help="override the config seed (backbone stages use "
-                            "it as the model/data seed, adapter-level "
-                            "commands as the run seed)")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the model/data "
+                           "seed (backbone stages) or the run seed (the rest)")
         p.add_argument("--out", default="runs",
                        help="checkpoint/report directory (default: runs)")
 
@@ -338,13 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, required=True, choices=(1, 2, 3))
     common(p)
 
-    p = sub.add_parser("ablate-layers",
+    # no abbreviations, or a refused --seed would be read as --seeds
+    p = sub.add_parser("ablate-layers", allow_abbrev=False,
                        help="sweep the LM tap depth against seeds")
     p.add_argument("--layers", default="0,1,2,4",
                    help="comma-separated LM layer taps (default 0,1,2,4)")
     p.add_argument("--seeds", default="0,1,2",
                    help="comma-separated run seeds (default 0,1,2)")
-    common(p)
+    common(p, seed=False)
 
     p = sub.add_parser("analyze-attention",
                        help="per-layer median attention by modality")
@@ -356,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="params / FLOPs / latency accounting table")
     p.add_argument("--latency", action="store_true",
                    help="also measure median wall-clock latency")
-    common(p)
+    common(p, seed=False)
 
     common(sub.add_parser("substitute-baseline",
                           help="train the linear substitution control"))
@@ -364,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="finite-difference gradient verification"))
 
     common(sub.add_parser("eval", help="score the baseline and every "
-                          "trained head on the val splits"))
+                          "trained head on the val splits"), seed=False)
     return parser
 
 
@@ -375,7 +376,7 @@ _READ_ONLY_COMMANDS = {"gradcheck"}
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_file(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if (args.command in _BACKBONE_COMMANDS
                 or (args.command == "train" and args.stage in (1, 2))):
             cfg = replace(cfg, seed=args.seed, data_seed=args.seed)

@@ -9,14 +9,17 @@ module.  Any other key is refused by name.  A config is checked when it is
 built, so an adapter that cannot attach fails before any stage runs.  Reports
 embed the resolved config so any run can be reproduced from its own output.
 
-Only real choices are keys.  The canvas (``scenes.CANVAS``) and the token
-vocabulary (``scenes.VOCAB``) come from the scenes; the RoPE base is
-``tensor.ROPE_BASE``.  Sizes that follow from other settings are derived:
-the projector's input width is ``MllmConfig.proj_in`` = 3 * patch^2 *
-shuffle_r^2, and the stage-3 (and substitution) projector lr is the head's lr
-over ``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision
-input and the substitution head copy no size: each reads its widths, grids
-and depths from the ``MllmConfig`` and ``DetectorConfig`` it attaches to.
+Only real choices are keys; a value no run varies is a module constant: the
+canvas (``scenes.CANVAS``), the vocabulary (``scenes.VOCAB``), the RoPE base
+(``tensor.ROPE_BASE``), the MLP ratio (``layers.MLP_RATIO``), the loss weights
+(``detector.BOX_WEIGHT``, ``PHRASE_WEIGHT``, ``BACKGROUND_WEIGHT``) and the
+prompt conv's kernel and padding (``adapter.CONV_K``, ``CONV_PAD``).  Sizes
+that follow from other settings are derived: the projector's input width is
+``MllmConfig.proj_in`` = 3 * patch^2 * shuffle_r^2, and the stage-3 (and
+substitution) projector lr is the head's lr over
+``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision input
+and the substitution head copy no size: each reads its widths, grids and
+depths from the ``MllmConfig`` and ``DetectorConfig`` it attaches to.
 """
 
 from __future__ import annotations

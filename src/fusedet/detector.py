@@ -22,10 +22,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
-from .layers import Linear, MLP, LayerNorm, Module, MultiHeadAttention
+from .layers import (MLP_RATIO, Linear, MLP, LayerNorm, Module,
+                     MultiHeadAttention)
 from .mllm import MllmConfig
 from .scenes import PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode
 from .tensor import ConfigurationError, Tensor, UsageError, check_fields
+
+# detection-loss weights: matched box L1, matched phrase CE, background CE
+BOX_WEIGHT, PHRASE_WEIGHT, BACKGROUND_WEIGHT = 5.0, 1.0, 0.5
 
 
 @dataclass(frozen=True)
@@ -34,14 +38,9 @@ class DetectorConfig:
     heads: int = 4
     depth: int = 6
     queries: int = 4
-    mlp_ratio: int = 2
-    box_weight: float = 5.0
-    phrase_weight: float = 1.0
-    background_weight: float = 0.5
 
     def __post_init__(self):
-        check_fields(self, "detector.",
-                     ("d", "heads", "depth", "queries", "mlp_ratio"),
+        check_fields(self, "detector.", ("d", "heads", "depth", "queries"),
                      "at least 1", lambda v: v >= 1)
 
 
@@ -70,7 +69,7 @@ class DecoderLayer(Module):
         self.ln_txt = LayerNorm(d)
         self.txt_attn = MultiHeadAttention(d, h, rng)
         self.ln_mlp = LayerNorm(d)
-        self.mlp = MLP(d, cfg.mlp_ratio * d, d, rng)
+        self.mlp = MLP(d, MLP_RATIO * d, d, rng)
 
     def __call__(self, q: Tensor, e_vis: Tensor, e_txt: Tensor,
                  txt_mask: np.ndarray) -> Tensor:
@@ -275,14 +274,15 @@ def _candidate_probs(logits: np.ndarray, n_cand: int
     return keep, shifted / shifted.sum(-1, keepdims=True)
 
 
-def detection_loss(boxes: Tensor, logits: Tensor, scenes: list[SyntheticScene],
-                   cfg: DetectorConfig) -> Tensor:
+def detection_loss(boxes: Tensor, logits: Tensor,
+                   scenes: list[SyntheticScene]) -> Tensor:
     """Hungarian-matched loss, summed per scene and averaged over the batch.
 
-    Per scene: box_weight * L1 on matched boxes, phrase_weight * CE on matched
-    queries' candidate labels, background_weight * CE pushing unmatched
-    queries to the background class.  Each CE runs over the scene's real
-    candidates plus background; padded candidate columns are masked out.
+    Per scene: ``BOX_WEIGHT`` * L1 on matched boxes, ``PHRASE_WEIGHT`` * CE
+    on matched queries' candidate labels, ``BACKGROUND_WEIGHT`` * CE pushing
+    unmatched queries to the background class.  Each CE runs over the
+    scene's real candidates plus background; padded candidate columns are
+    masked out.
 
     Matching runs per scene on numpy; the loss is then one weighted L1 term
     and one masked cross-entropy over the whole batch, built from target and
@@ -294,7 +294,7 @@ def detection_loss(boxes: Tensor, logits: Tensor, scenes: list[SyntheticScene],
     gt_boxes = np.zeros((b, nq, 4))
     box_w = np.zeros((b, nq, 1))
     labels = np.full((b, nq), bg)
-    row_w = np.full((b, nq), cfg.background_weight)
+    row_w = np.full((b, nq), BACKGROUND_WEIGHT)
     col_ok = np.zeros((b, 1, n_col), dtype=bool)
     for i, scene in enumerate(scenes):
         keep, probs = _candidate_probs(logits.data[i], len(scene.candidates))
@@ -303,13 +303,13 @@ def detection_loss(boxes: Tensor, logits: Tensor, scenes: list[SyntheticScene],
         cost = np.zeros((nq, g))
         for j in range(g):
             l1 = np.abs(boxes.data[i] - scene.gt_boxes[j]).sum(-1)
-            cost[:, j] = cfg.box_weight * l1 + cfg.phrase_weight * (
+            cost[:, j] = BOX_WEIGHT * l1 + PHRASE_WEIGHT * (
                 1.0 - probs[:, scene.gt_labels[j]])
         for qi, gj in match_hungarian(cost):
             gt_boxes[i, qi] = scene.gt_boxes[gj]
-            box_w[i, qi] = cfg.box_weight
+            box_w[i, qi] = BOX_WEIGHT
             labels[i, qi] = scene.gt_labels[gj]
-            row_w[i, qi] = cfg.phrase_weight
+            row_w[i, qi] = PHRASE_WEIGHT
     scale = 1.0 / len(scenes)
     l1 = T.tsum(T.mul(T.absval(T.sub(boxes, T.constant(gt_boxes))),
                       T.constant(box_w * scale)))

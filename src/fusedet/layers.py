@@ -14,6 +14,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import DimensionError, Tensor
 
+# hidden width of every transformer MLP over its model width
+MLP_RATIO = 2
+
 
 class Module:
     """Base class: parameters are Tensor attributes, submodules are Module
@@ -31,8 +34,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         out.update(item.named_parameters(f"{key}.{i}."))
-                    elif isinstance(item, Tensor):
-                        out[f"{key}.{i}"] = item
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -117,7 +118,7 @@ class TransformerBlock(Module):
     then MLP, both residual."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
-                 mlp_ratio: int = 2):
+                 mlp_ratio: int = MLP_RATIO):
         self.ln1 = LayerNorm(d)
         self.attn = MultiHeadAttention(d, heads, rng, rope_base=T.ROPE_BASE)
         self.ln2 = LayerNorm(d)

@@ -32,11 +32,10 @@ class MllmConfig:
     canvas: int = CANVAS
     proj_hidden: int = 128
     sys_len: int = 2
-    mlp_ratio: int = 2
 
     def __post_init__(self):
         check_fields(self, "mllm.", ("d_lm", "n", "heads", "patch", "shuffle_r",
-                                     "canvas", "proj_hidden", "mlp_ratio"),
+                                     "canvas", "proj_hidden"),
                      "at least 1", lambda v: v >= 1)
         check_fields(self, "mllm.", ("sys_len",), "at least 0",
                      lambda v: v >= 0)
@@ -113,8 +112,7 @@ class MiniMllm(Module):
                                 requires_grad=True)
         self.sys_embed = Tensor(rng.standard_normal((cfg.sys_len, cfg.d_lm)) * 0.1,
                                 requires_grad=True)
-        self.blocks = [TransformerBlock(cfg.d_lm, cfg.heads, rng,
-                                        mlp_ratio=cfg.mlp_ratio)
+        self.blocks = [TransformerBlock(cfg.d_lm, cfg.heads, rng)
                        for _ in range(cfg.n)]
         self.ln_f = LayerNorm(cfg.d_lm)
         self.lm_head = Linear(cfg.d_lm, VOCAB, rng)

@@ -22,15 +22,16 @@ frozen components: the same pass's own arrays, so it is an exact-value
 shortcut, and an equivalence test compares it against the uncached path.
 Evaluation, ``patch_tokens`` and the ``Stage3Cache`` build only ever run
 forward, so they record no tape even over trainable modules.  Reports embed
-the resolved config and the full loss curve but no wall-clock fields, so a
-repeated run produces byte-identical report files.
+the resolved config (for stage 3, with its head's own adapter section) and
+the full loss curve but no wall-clock fields, so a repeated run produces
+byte-identical report files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ class Adam:
 
 def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
                frozen: tuple, loss_fn, n: int, steps: int, batch: int,
-               seed: int, **extra) -> dict:
+               seed: int) -> dict:
     """Train ``groups`` alone among the ``frozen`` modules for ``steps`` Adam
     steps of ``loss_fn(idx)``, ``idx`` drawn from ``range(n)``; the report."""
     configure_trainable(groups, *frozen)
@@ -229,7 +230,6 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
         "losses": losses,
         "final_loss": float(np.mean(losses[-25:])),
         "config": cfg.to_dict(),
-        **extra,
     }
 
 
@@ -391,7 +391,7 @@ def _cached_detection_loss(cfg: ExperimentConfig, mllm: MiniMllm,
         batch = [scenes[i] for i in idx]
         return detection_loss(
             *fused_outputs(cfg, mllm, det, patches[idx], batch, sub=sub),
-            batch, det.cfg)
+            batch)
     return loss_fn
 
 
@@ -401,7 +401,7 @@ def stage3_loss_naive(cfg: ExperimentConfig, mllm: MiniMllm,
     """Reference stage-3 loss with no caching: full frozen forward passes."""
     return detection_loss(*fused_outputs(cfg, mllm, det,
                                          patch_tokens(mllm, scenes), scenes,
-                                         state), scenes, det.cfg)
+                                         state), scenes)
 
 
 def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
@@ -416,7 +416,7 @@ def stage3_loss_cached(cfg: ExperimentConfig, mllm: MiniMllm,
     outputs = _detector_outputs(
         det, T.constant(cache.evd[idx]), text, hook,
         start_state=T.constant(cache.pre_state[idx]), start_layer=cache.l_d)
-    return detection_loss(*outputs, scenes, det.cfg)
+    return detection_loss(*outputs, scenes)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +493,9 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
     else:
         loss_fn = lambda idx: stage3_loss_naive(
             cfg, mllm, det, state, [scenes[i] for i in idx])
-    return _run_stage(cfg, "stage3", groups, (mllm, det, state), loss_fn,
-                      len(scenes), cfg.s3_steps, cfg.s3_batch, cfg.run_seed,
-                      arch=acfg.arch, l_lm=acfg.l_lm, l_d=acfg.l_d)
+    return _run_stage(replace(cfg, adapter=acfg), "stage3", groups,
+                      (mllm, det, state), loss_fn, len(scenes), cfg.s3_steps,
+                      cfg.s3_batch, cfg.run_seed)
 
 
 def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
@@ -509,8 +509,7 @@ def train_substitution(cfg: ExperimentConfig, mllm: MiniMllm,
     return _run_stage(
         cfg, "substitution", groups, (mllm, det, sub),
         _cached_detection_loss(cfg, mllm, det, scenes, sub),
-        len(scenes), cfg.sub_steps, cfg.sub_batch, cfg.run_seed,
-        l_lm=cfg.adapter.l_lm)
+        len(scenes), cfg.sub_steps, cfg.sub_batch, cfg.run_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +574,18 @@ def run_stage3_experiment(cfg: ExperimentConfig, mllm: MiniMllm,
                           projector_snap: dict[str, np.ndarray],
                           train_scenes: list[SyntheticScene],
                           val_splits: dict[str, list[SyntheticScene]],
-                          cache: Stage3Cache | None = None,
-                          **adapter_overrides) -> tuple[FusionState, dict]:
+                          cache: Stage3Cache | None = None
+                          ) -> tuple[FusionState, dict]:
     """One adapter run on shared frozen backbones: restore the post-stage-2
     projector, train a fresh adapter, evaluate on every provided split.
 
+    An arm is its config: to run another adapter, pass
+    ``replace(cfg, adapter=...)``, and the report records that section.
     Vary ``cfg.run_seed`` (not ``cfg.seed``) between repeats so the frozen
     backbones stay those of the prepared checkpoint.
     """
     restore(mllm.projector, projector_snap)
-    state = build_adapter(cfg, **adapter_overrides)
+    state = build_adapter(cfg)
     report = train_stage3(cfg, mllm, det, state, train_scenes, cache=cache)
     report["metrics"] = {name: evaluate(cfg, mllm, det, scenes, state=state)
                          for name, scenes in val_splits.items()}

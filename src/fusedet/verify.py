@@ -245,7 +245,7 @@ def _grounding_loss(rng):
     mllm, det, scenes = _micro_grounding(rng)
     patches = tr.patch_tokens(mllm, scenes)
     return (lambda: detection_loss(*tr.fused_outputs(
-        _CFG, mllm, det, patches, scenes), scenes, det.cfg)), [
+        _CFG, mllm, det, patches, scenes), scenes)), [
         det.vis_proj.bias, det.layers[0].mlp.fc2.bias,
         det.layers[1].txt_attn.wo.bias, det.box_head.fc2.bias,
         det.class_proj.bias, det.bg_embed]
@@ -303,7 +303,7 @@ def _detection_loss(rng):
     c = len(scene.candidates)
     boxes_raw = _param(rng, 1, cfg.queries, 4)
     logits = _param(rng, 1, cfg.queries, c + 1)
-    return (lambda: detection_loss(T.sigmoid(boxes_raw), logits, [scene], cfg)
+    return (lambda: detection_loss(T.sigmoid(boxes_raw), logits, [scene])
             ), [boxes_raw, logits]
 
 
@@ -312,8 +312,8 @@ def _substitution_loss(rng):
     sub = SubstitutionHead(_MICRO_LM, _MICRO_DET, rng)
     patches = tr.patch_tokens(mllm, scenes)
     return (lambda: detection_loss(
-        *tr.fused_outputs(_CFG, mllm, det, patches, scenes, sub=sub), scenes,
-        det.cfg)), [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]
+        *tr.fused_outputs(_CFG, mllm, det, patches, scenes, sub=sub),
+        scenes)), [sub.proj.bias, mllm.projector.mlp.fc1.bias, det.bg_embed]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@ brute-force softmax oracle, architecture surgery, injection locality,
 gradient escape, and the closed-form parameter/FLOP accounting of
 ``analysis``."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -362,9 +360,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError,
                            match="^width 64 not divisible by 5 heads$"):
             make_state(heads=5)
-        with pytest.raises(ConfigurationError, match=re.escape(
-                "conv on grid (1, 1) yields empty prompt (0x0)")):
-            make_state(mcfg=MllmConfig(shuffle_r=8), conv_pad=0)
+
+    def test_prompt_grid_is_never_empty(self):
+        """With ``CONV_K`` = 3 and ``CONV_PAD`` = 1 the conv keeps
+        (side - 1) // stride + 1 >= 1 rows of any aligned grid, so no
+        setting can leave the adapter without prompts."""
+        for stride in range(1, 5):
+            acfg = AdapterConfig(conv_stride=stride)
+            for side in range(1, 9):
+                mcfg = MllmConfig(canvas=side, patch=1, shuffle_r=1)
+                rows = (side - 1) // stride + 1
+                assert acfg.prompt_grid(mcfg) == (rows, rows), (stride, side)
+                assert rows >= 1
 
     def test_first_layer_preset_pins_l_d(self):
         """Arch III injects before decoder layer 1; any other layer is a

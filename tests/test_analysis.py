@@ -18,11 +18,11 @@ from fusedet.analysis import (MODALITIES, adapter_param_flops,
                               write_compute_csv)
 from fusedet.config import ExperimentConfig
 from fusedet.detector import DetectorConfig
-from fusedet.layers import MultiHeadAttention
+from fusedet.layers import MLP_RATIO, MultiHeadAttention
 from fusedet.mllm import MiniMllm, MllmConfig
 from fusedet import training as tr
 from fusedet.scenes import VOCAB
-from fusedet.tensor import FlopsMeter, UsageError
+from fusedet.tensor import ConfigurationError, FlopsMeter, UsageError
 
 
 def read_csv(path):
@@ -196,14 +196,18 @@ class TestLayerSweep:
         assert np.array_equal(e_v.data, vis.data)
 
     def test_out_of_range_depth_rejected(self, sweep_bench):
+        """A point's config is built, and so checked, before any point
+        trains: the tap past the LM's 4 layers is refused by name."""
         cfg, mllm, det, snap, train, vals = sweep_bench
-        with pytest.raises(UsageError, match="outside the decoder depth"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^l_lm 9 outside \[0, 4\]$"):
             layer_sweep(cfg, mllm, det, snap, train, vals,
                         l_lm_values=[0, 9], seeds=[0])
 
     def test_negative_depth_rejected(self, sweep_bench):
         cfg, mllm, det, snap, train, vals = sweep_bench
-        with pytest.raises(UsageError, match=r"\[-1\] outside"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^l_lm -1 outside \[0, 4\]$"):
             layer_sweep(cfg, mllm, det, snap, train, vals,
                         l_lm_values=[-1, 1], seeds=[0])
 
@@ -254,10 +258,10 @@ class TestLayerSweep:
         cfg3 = replace(cfg, adapter=cfg.adapter_config(arch="III"))
         res = layer_sweep(cfg3, mllm, det, snap, train, vals,
                           l_lm_values=[1], seeds=[0])
-        _, direct = tr.run_stage3_experiment(
-            replace(cfg, run_seed=0), mllm, det, snap, train, vals,
-            arch="II", l_lm=1, l_d=1)
-        assert direct["l_d"] == 1
+        arm = replace(cfg, run_seed=0, adapter=replace(
+            cfg.adapter, arch="II", l_lm=1, l_d=1))
+        _, direct = tr.run_stage3_experiment(arm, mllm, det, snap, train, vals)
+        assert direct["config"]["adapter.l_d"] == 1
         want = {"l_lm": 1, "seed": 0}
         for split, m in direct["metrics"].items():
             want.update((f"{split}/{k}", v) for k, v in m.items()
@@ -341,8 +345,7 @@ class TestComputeReport:
         p = mcfg.grid[0] * mcfg.grid[1]
         mha = 4 * (d * d + d)
         ln = 2 * d
-        mlp = d * (dcfg.mlp_ratio * d) + dcfg.mlp_ratio * d \
-            + (dcfg.mlp_ratio * d) * d + d
+        mlp = d * (MLP_RATIO * d) + MLP_RATIO * d + (MLP_RATIO * d) * d + d
         per_layer = 4 * ln + 3 * mha + mlp
         det_params = (dp * d + d) + p * d + (v * d + mha + ln) + q * d \
             + dcfg.depth * per_layer + ln + (d * d + d + d * 4 + 4) \

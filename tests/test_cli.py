@@ -264,6 +264,52 @@ def test_eval_scores_each_head_as_it_trained(arch_ii_run, tmp_path, setting):
     assert_scores(out, "substitution", reported(out, "substitution"))
 
 
+def test_eval_json_records_each_heads_config(arch_ii_run, tmp_path):
+    """``eval.json``'s ``config`` is keyed by head like its ``metrics``:
+    each entry is the config that head was scored under, so a head carries
+    the adapter section it trained with, not the one ``--config`` names."""
+    out = Path(shutil.copytree(arch_ii_run, tmp_path / "runs"))
+    (tmp_path / "eval.cfg").write_text(TINY_RUN + "adapter.arch = III\n")
+    assert cli.cli(["eval", "--config", str(tmp_path / "eval.cfg"),
+                    "--out", str(out)]) == 0
+    configs = json.loads((out / "eval.json").read_text())["config"]
+    assert set(configs) == {"baseline", "adapter", "substitution"}
+    assert configs["baseline"]["adapter.arch"] == "III"
+    assert configs["adapter"]["adapter.arch"] == "II"
+    assert configs["adapter"]["adapter.l_d"] == 2
+    assert configs["substitution"]["adapter.l_lm"] == 1
+
+
+def test_head_report_with_a_removed_key_is_refused(staged, tmp_path, capsys):
+    """A head is rebuilt from its report's whole config, checked like a
+    config file: a report naming a key the config does not have, such as
+    ``adapter.conv_k`` in a run directory from an older version, is refused
+    by name before anything is scored."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    path = out / "report-stage3.json"
+    report = json.loads(path.read_text())
+    report["config"]["adapter.conv_k"] = 3
+    path.write_text(json.dumps(report))
+    assert cli.cli(["eval", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown config keys: ['adapter.conv_k']\n", err
+    assert not list(out.glob("per-scene-*"))
+
+
+@pytest.mark.parametrize("command", ["eval", "flops-report", "ablate-layers"])
+def test_seed_is_refused_where_it_selects_nothing(tmp_path, monkeypatch,
+                                                  capsys, command):
+    """``eval`` restores every module it scores, ``flops-report`` draws from
+    a fixed generator and ``ablate-layers`` takes its run seeds from
+    ``--seeds``, so ``--seed`` would change nothing but a line of
+    ``resolved-config.txt``; argparse refuses it."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.cli([command, "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, key, checkpoint", [
     (["eval"], "mllm.heads", "mllm-stage2"),
     (["eval"], "detector.heads", "detector"),
@@ -376,13 +422,18 @@ def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("key, value", [
     ("canvas", "32"), ("vocab", "64"), ("proj_in", "192"),
     ("rope_base", "10000.0"), ("s3_mlp_lr", "0.0002"), ("mllm.canvas", "32"),
-    ("det_depth", "2"), ("lm_layers", "2"), ("l_d", "2"), ("arch", "IV")])
+    ("det_depth", "2"), ("lm_layers", "2"), ("l_d", "2"), ("arch", "IV"),
+    ("detector.box_weight", "5.0"), ("detector.phrase_weight", "1.0"),
+    ("detector.background_weight", "0.5"), ("detector.mlp_ratio", "2"),
+    ("mllm.mlp_ratio", "2"), ("adapter.conv_k", "3"),
+    ("adapter.conv_pad", "1")])
 def test_removed_config_keys_are_named_errors(tmp_path, monkeypatch, capsys,
                                                key, value):
-    """The canvas and vocabulary come from the scenes, the RoPE base is a
-    constant, and the projector width and stage-3 projector lr are derived,
-    so a config file that still sets one is refused by name.  So is a flat
-    key for a model setting, whose key is ``section.field``."""
+    """The canvas and vocabulary come from the scenes, the RoPE base, the
+    MLP ratio, the loss weights and the prompt conv's kernel and padding are
+    constants, and the projector width and stage-3 projector lr are
+    derived, so a config file that still sets one is refused by name.  So
+    is a flat key for a model setting, whose key is ``section.field``."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "old.cfg").write_text(f"{key} = {value}\n")
     assert cli.cli(["flops-report", "--config", "old.cfg"]) == 1

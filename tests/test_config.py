@@ -166,10 +166,8 @@ class TestDerivedConfigs:
         ("mllm.n = 1\n", "l_lm 2 outside [0, 1]"),
         ("adapter.heads = 5\n", "width 64 not divisible by 5 heads"),
         ("adapter.arch = II\nmllm.d_lm = 66\nmllm.heads = 6\n",
-         "width 66 not divisible by 4 heads"),
-        ("mllm.shuffle_r = 8\nadapter.conv_pad = 0\n",
-         "conv on grid (1, 1) yields empty prompt (0x0)")],
-        ids=["l_d", "l_lm", "detector-width", "lm-width", "empty-prompt"])
+         "width 66 not divisible by 4 heads")],
+        ids=["l_d", "l_lm", "detector-width", "lm-width"])
     def test_adapter_that_cannot_attach_is_refused_at_load(self, text,
                                                            message):
         """``AdapterConfig.resolve`` runs when the config is built, so an

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fusedet import tensor as T
-from fusedet.detector import (DetectorConfig, GroundingDetector,
+from fusedet.detector import (BOX_WEIGHT, DetectorConfig, GroundingDetector,
                               SubstitutionHead, detection_loss, eval_grounding,
                               match_bruteforce, match_hungarian,
                               pack_candidates, pool_phrases, query_column,
@@ -231,7 +231,7 @@ class TestDetectionLoss:
         _, cfg = make_detector()
         scene = self.scene()
         boxes, logits = perfect_outputs(scene, cfg)
-        loss = detection_loss(boxes, logits, [scene], cfg)
+        loss = detection_loss(boxes, logits, [scene])
         assert float(loss.data) < 1e-10
 
     def test_query_slot_permutation_invariance(self):
@@ -241,11 +241,10 @@ class TestDetectionLoss:
         rng = np.random.default_rng(6)
         boxes = rng.uniform(0.2, 0.8, (1, cfg.queries, 4))
         logits = rng.standard_normal((1, cfg.queries, len(scene.candidates) + 1))
-        base = detection_loss(T.constant(boxes), T.constant(logits), [scene],
-                              cfg)
+        base = detection_loss(T.constant(boxes), T.constant(logits), [scene])
         perm = np.array([2, 0, 3, 1])
         again = detection_loss(T.constant(boxes[:, perm]),
-                               T.constant(logits[:, perm]), [scene], cfg)
+                               T.constant(logits[:, perm]), [scene])
         assert float(base.data) == pytest.approx(float(again.data), rel=1e-12)
 
     def test_box_error_raises_loss(self):
@@ -254,8 +253,8 @@ class TestDetectionLoss:
         boxes, logits = perfect_outputs(scene, cfg)
         worse = boxes.data.copy()
         worse[0, 0, :2] += 0.2
-        a = detection_loss(boxes, logits, [scene], cfg)
-        b = detection_loss(T.constant(worse), logits, [scene], cfg)
+        a = detection_loss(boxes, logits, [scene])
+        b = detection_loss(T.constant(worse), logits, [scene])
         assert float(b.data) > float(a.data) + 0.5
 
     def test_padded_columns_do_not_matter(self):
@@ -265,24 +264,26 @@ class TestDetectionLoss:
         c = len(scene.candidates)
         boxes = rng.uniform(0.2, 0.8, (1, cfg.queries, 4))
         logits = rng.standard_normal((1, cfg.queries, c + 3))
-        base = detection_loss(T.constant(boxes), T.constant(logits), [scene],
-                              cfg)
+        base = detection_loss(T.constant(boxes), T.constant(logits), [scene])
         polluted = logits.copy()
         polluted[:, :, c:-1] = 1e3          # garbage in the padding columns
         again = detection_loss(T.constant(boxes), T.constant(polluted),
-                               [scene], cfg)
+                               [scene])
         assert float(base.data) == pytest.approx(float(again.data), rel=1e-12)
 
     def test_loss_weights_scale_their_terms(self):
-        _, cfg_a = make_detector()
+        """Moving one matched box by delta along one coordinate keeps the
+        matching and adds ``BOX_WEIGHT`` * delta to the loss."""
+        _, cfg = make_detector()
         scene = self.scene()
-        boxes, logits = perfect_outputs(scene, cfg_a)
-        worse = boxes.data.copy()
-        worse[0, 0, 0] += 0.1
-        _, cfg_b = make_detector(box_weight=10.0)
-        a = detection_loss(T.constant(worse), logits, [scene], cfg_a)
-        b = detection_loss(T.constant(worse), logits, [scene], cfg_b)
-        assert float(b.data) == pytest.approx(2 * float(a.data), rel=1e-9)
+        boxes, logits = perfect_outputs(scene, cfg)
+        delta = 0.1
+        moved = boxes.data.copy()
+        moved[0, 0, 0] += delta
+        a = detection_loss(boxes, logits, [scene])
+        b = detection_loss(T.constant(moved), logits, [scene])
+        assert float(b.data) - float(a.data) == pytest.approx(
+            BOX_WEIGHT * delta, rel=1e-9)
 
     def test_gradient(self):
         build = dict(CASES)["composed/detection-loss"]

@@ -162,9 +162,9 @@ class TestFreezing:
     def test_stage3_touches_only_adapter_and_projector(self, bench, arch):
         b = bench
         mllm_before = tr.snapshot(b["mllm"])
+        arm = dataclasses.replace(b["cfg"], adapter=AdapterConfig(arch=arch))
         state, _ = tr.run_stage3_experiment(
-            b["cfg"], b["mllm"], b["det"], b["projector"], b["train"],
-            {}, arch=arch)
+            arm, b["mllm"], b["det"], b["projector"], b["train"], {})
         assert tr.module_digest(b["det"]) == b["det_digest"]
         after = tr.snapshot(b["mllm"])
         for name in mllm_before:
@@ -186,6 +186,24 @@ class TestFreezing:
                              b["train"][:4]).backward()
         grads = [p.grad for p in (state.gate, state.out_proj.weight)]
         assert any(g is not None and np.any(g != 0.0) for g in grads)
+
+    def test_arm_report_records_its_adapter(self, bench):
+        """An arm is its config: the stage-3 report's ``adapter.*`` keys
+        rebuild the head's own resolved section exactly, and neither head's
+        report keeps a second, top-level copy of its settings."""
+        b = bench
+        arm = dataclasses.replace(b["cfg"],
+                                  adapter=AdapterConfig(arch="II", l_lm=1))
+        state, report = tr.run_stage3_experiment(
+            arm, b["mllm"], b["det"], b["projector"], b["train"], {})
+        assert (state.cfg.arch, state.cfg.l_lm, state.cfg.l_d) == ("II", 1, 6)
+        assert ExperimentConfig.from_dict(report["config"]).adapter == state.cfg
+        _, sub_report = tr.run_substitution_experiment(
+            arm, b["mllm"], b["det"], b["projector"], b["train"], {})
+        assert sub_report["config"]["adapter.l_lm"] == 1
+        for rep in (report, sub_report):
+            assert set(rep) == {"stage", "steps", "groups", "losses",
+                                "final_loss", "config", "metrics"}
 
     def test_substitution_touches_only_head_and_projector(self, bench):
         b = bench
@@ -316,7 +334,7 @@ class TestCachedEquivalence:
         cfg, mllm, det = b["cfg"], b["mllm"], b["det"]
         losses = [detection_loss(*tr.fused_outputs(cfg, mllm, det, patches,
                                                    batch, sub=sub),
-                                 batch, det.cfg).data
+                                 batch).data
                   for patches in (cached, fresh)]
         assert losses[0].tobytes() == losses[1].tobytes()
 
