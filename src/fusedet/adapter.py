@@ -205,8 +205,6 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
     cfg = state.cfg
     b, t, d = x.shape
     l = a_p.shape[1]
-    if l == 0:
-        raise ConfigurationError("empty prompt sequence")
     if a_p.shape[2] != d:
         raise DimensionError(
             f"prompt width {a_p.shape[2]} != detector width {d}")

@@ -221,6 +221,13 @@ def attention_tap():
         _TAPS.pop()                 # LIFO: this tap, never an equal list
 
 
+def observed() -> bool:
+    """True while a ``FlopsMeter`` or ``attention_tap`` is open.  Their
+    records live in this process, so work they should see must not be handed
+    to another one (``training.evaluate`` stays serial)."""
+    return bool(_METER_STACK or _TAPS)
+
+
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     """Wrap an op result, attaching the tape entry only when it matters."""
     _check_finite(out_data, op)

@@ -21,16 +21,27 @@ images.  The cached stage-3 loss runs against stored activations of the
 frozen components: the same pass's own arrays, so it is an exact-value
 shortcut, and an equivalence test compares it against the uncached path.
 Evaluation, ``patch_tokens`` and the ``Stage3Cache`` build only ever run
-forward, so they record no tape even over trainable modules.  Reports embed
-the resolved config (for stage 3, with its head's own adapter section) and
-the full loss curve but no wall-clock fields, so a repeated run produces
-byte-identical report files.
+forward, so they record no tape even over trainable modules.
+
+Evaluation uses at most two processes: given 2 or more chunks and 2 usable
+CPUs, ``evaluate`` runs the second half of its chunks in one forked worker
+and joins the results in chunk order, bitwise the serial values.  It stays
+serial inside a worker, while a ``FlopsMeter`` or ``attention_tap`` is open,
+and without ``os.fork``.  Training steps, scene generation and the caches
+always run in one process.
+
+Reports embed the resolved config (for stage 3, with its head's own adapter
+section) and the full loss curve but no wall-clock fields, so a repeated run
+produces byte-identical report files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -532,13 +543,92 @@ def grounded_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
     return boxes.data, logits.data
 
 
+# set in a forked evaluation worker, so a worker never forks again
+_IN_WORKER = False
+
+
+def _over_chunks(run, spans: list[tuple[int, int]]) -> list:
+    """``[run(lo, hi) for lo, hi in spans]``, with the second half of the
+    spans run in one forked worker.  The worker inherits everything ``run``
+    reads and sends its results back pickled over a pipe; an exception in it
+    is re-raised here with its type kept, and no path leaves it running.
+    Serial with fewer than 2 spans, inside a worker, while a ``FlopsMeter``
+    or ``attention_tap`` is open (the worker's records would be lost), and
+    without ``os.fork`` or 2 usable CPUs."""
+    global _IN_WORKER
+    half = len(spans) // 2
+    if (half == 0 or _IN_WORKER or T.observed() or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return [run(lo, hi) for lo, hi in spans]
+    theirs = spans[half:]
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:                                    # the worker
+        code = 1
+        try:
+            _IN_WORKER = True
+            os.close(r)
+            try:
+                report = (True, [run(lo, hi) for lo, hi in theirs])
+            except Exception as e:
+                report = (False, e)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            mine = [run(lo, hi) for lo, hi in spans[:half]]
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(
+            f"evaluate worker for scenes[{theirs[0][0]}:{theirs[-1][1]}] "
+            f"exited without reporting ({how})") from None
+    if not ok:
+        raise value
+    return mine + value
+
+
 def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
              scenes: list[SyntheticScene], state: FusionState | None = None,
              sub: SubstitutionHead | None = None) -> dict:
-    """Chunked full-split evaluation -> grounding metrics."""
-    boxes, logits = zip(*(grounded_outputs(cfg, mllm, det, scenes[lo:hi],
-                                           state=state, sub=sub)
-                          for lo, hi in _chunks(len(scenes), cfg.eval_chunk)))
+    """Chunked full-split evaluation -> grounding metrics.
+
+    The ``eval_chunk`` chunks are independent forward passes, run on at most
+    two processes by ``_over_chunks``: serial with one chunk, inside a
+    worker, under an open ``FlopsMeter`` or ``attention_tap``, or without
+    ``os.fork`` and a second CPU.  An error in a chunk keeps its type and
+    its message names the chunk's scenes."""
+    if not scenes:
+        raise UsageError("evaluate needs at least one scene")
+
+    def run(lo, hi):
+        try:
+            return grounded_outputs(cfg, mllm, det, scenes[lo:hi],
+                                    state=state, sub=sub)
+        except Exception as e:
+            e.args = (f"evaluate scenes[{lo}:{hi}]: {e}",)
+            raise
+
+    boxes, logits = zip(*_over_chunks(
+        run, list(_chunks(len(scenes), cfg.eval_chunk))))
     return eval_grounding(np.concatenate(boxes), np.concatenate(logits),
                           scenes, cfg.iou_thresh)
 

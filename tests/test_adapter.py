@@ -413,7 +413,7 @@ class TestConfigValidation:
         rng = np.random.default_rng(33)
         _, _, _, e_d_prev = adapter_inputs(state, rng)
         empty = T.constant(np.zeros((2, 0, 64)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DimensionError, match="gated segment of 0 keys"):
             zero_init_cross_attn(e_d_prev, empty, state)
         narrow = T.constant(np.zeros((2, 1, 32)))
         with pytest.raises(DimensionError):

@@ -4,6 +4,7 @@ run reports, and the non-finite abort."""
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -495,6 +496,44 @@ class TestRunLoop:
         assert all(isinstance(x, float) and np.isfinite(x) for x in losses)
 
 
+def opened_adapter(cfg, arch, seed):
+    """An adapter with seeded non-zero gates and output map, so the fused
+    pass is not the detector's."""
+    state = tr.build_adapter(cfg, arch=arch)
+    rng = np.random.default_rng(seed)
+    state.gate.data = rng.uniform(0.5, 1.5, state.gate.shape)
+    w = state.out_proj.weight
+    w.data = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+    return state
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` sets the CPU count ``evaluate`` reads and returns the list
+    of its forks so far; on teardown, no child process is left."""
+    forks = []
+    fork = tr.os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(tr.os, "fork", counting_fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(tr.os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+        return forks
+
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        tr.os.waitpid(-1, tr.os.WNOHANG)
+
+
+def three_chunks(b):
+    return dataclasses.replace(b["cfg"], eval_chunk=4)   # of 12 scenes
+
+
 class TestEvaluation:
     def test_chunking_does_not_change_metrics(self, bench):
         b = bench
@@ -548,6 +587,119 @@ class TestEvaluation:
             tr.grounded_outputs(cfg, mllm, det,
                                 tr.load_split(cfg, "val-spatial"),
                                 state=state)
+
+    @pytest.mark.parametrize("head", ["baseline", "IV", "substitution"])
+    def test_two_processes_equal_one(self, bench, cpus, head):
+        """The worker runs chunks 2-3 of 3; the results are the serial
+        ones, bitwise."""
+        b = bench
+        cfg = three_chunks(b)
+        tr.restore(b["mllm"].projector, b["projector"])
+        module = {"baseline": {},
+                  "IV": {"state": opened_adapter(cfg, "IV", 5)},
+                  "substitution": {"sub": tr.build_substitution(cfg, b["mllm"])}
+                  }[head]
+        scenes = b["vals"]["val-spatial"]
+        forks = cpus(1)
+        serial = tr.evaluate(cfg, b["mllm"], b["det"], scenes, **module)
+        assert not forks
+        cpus(2)
+        forked = tr.evaluate(cfg, b["mllm"], b["det"], scenes, **module)
+        assert len(forks) == 1
+        assert forked == serial                  # metrics and per_scene
+
+    @pytest.mark.parametrize("n_cpus,bad,chunk", [
+        (2, 9, "8:12"),          # in the worker's half
+        (2, 1, "0:4"),           # in the parent's half
+        (1, 5, "4:8"),           # serial
+    ])
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(
+            self, bench, cpus, n_cpus, bad, chunk):
+        b = bench
+        scenes = list(b["vals"]["val-category"])
+        img = scenes[bad].image
+        scenes[bad] = dataclasses.replace(scenes[bad],
+                                          image=np.full_like(img, np.nan))
+        cpus(n_cpus)
+        with pytest.raises(NumericsError,
+                           match=rf"^evaluate scenes\[{chunk}\]: non-finite "
+                                 r"values produced by '\w+'$"):
+            tr.evaluate(three_chunks(b), b["mllm"], b["det"], scenes)
+
+    def test_worker_dying_without_a_report_is_named(self, bench, cpus,
+                                                    monkeypatch):
+        b = bench
+        run = tr.grounded_outputs
+
+        def dying(*args, **kwargs):
+            if tr._IN_WORKER:
+                tr.os.kill(tr.os.getpid(), tr.signal.SIGKILL)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "grounded_outputs", dying)
+        cpus(2)
+        with pytest.raises(ChildProcessError,
+                           match=r"^evaluate worker for scenes\[4:12\] "
+                                 r"exited without reporting \(killed by "
+                                 r"signal 9\)$"):
+            tr.evaluate(three_chunks(b), b["mllm"], b["det"],
+                        b["vals"]["val-spatial"])
+
+    def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
+        """The worker is killed, not waited for, when the parent's own half
+        fails: a worker that would stall for a minute costs nothing."""
+        b = bench
+
+        def stalls_or_fails(*args, **kwargs):
+            if tr._IN_WORKER:
+                time.sleep(60)
+            raise NumericsError("non-finite values produced by 'linear'")
+
+        monkeypatch.setattr(tr, "grounded_outputs", stalls_or_fails)
+        cpus(2)
+        t0 = time.perf_counter()
+        with pytest.raises(NumericsError, match=r"^evaluate scenes\[0:4\]: "):
+            tr.evaluate(three_chunks(b), b["mllm"], b["det"],
+                        b["vals"]["val-spatial"])
+        assert time.perf_counter() - t0 < 30
+
+    @pytest.mark.parametrize("scope", ["meter", "tap"])
+    def test_open_meter_or_tap_keeps_it_serial(self, bench, cpus,
+                                               monkeypatch, scope):
+        """An open scope sees every chunk: its count is the sum of the
+        per-chunk counts, and ``evaluate`` never forks (a fork raises)."""
+        b = bench
+        cfg = three_chunks(b)
+        scenes = b["vals"]["val-spatial"]
+        state = opened_adapter(cfg, "IV", 6)
+
+        def counted(run):
+            if scope == "meter":
+                with T.FlopsMeter() as meter:
+                    run()
+                return meter.accumulated
+            with T.attention_tap() as records:
+                run()
+            return len(records)
+
+        def no_fork():
+            raise AssertionError("evaluate forked under an open scope")
+
+        cpus(2)
+        monkeypatch.setattr(tr.os, "fork", no_fork)
+        total = counted(lambda: tr.evaluate(cfg, b["mllm"], b["det"], scenes,
+                                            state=state))
+        per_chunk = sum(
+            counted(lambda: tr.grounded_outputs(cfg, b["mllm"], b["det"],
+                                                scenes[lo:hi], state=state))
+            for lo, hi in tr._chunks(len(scenes), cfg.eval_chunk))
+        assert total == per_chunk > 0
+
+    def test_no_scenes_is_a_named_error(self, bench):
+        b = bench
+        with pytest.raises(UsageError,
+                           match="^evaluate needs at least one scene$"):
+            tr.evaluate(b["cfg"], b["mllm"], b["det"], [])
 
 
 class TestForwardOnlyPasses:
