@@ -122,13 +122,17 @@ def spatial_matches(objects: list[SceneObject], descriptor: tuple[str, str],
             and relation_holds(o, rel, anchor)]
 
 
+# (y, x) of every pixel centre on the unit canvas, each [CANVAS, CANVAS]
+_PIXEL_CENTRES = np.meshgrid((np.arange(CANVAS) + 0.5) / CANVAS,
+                             (np.arange(CANVAS) + 0.5) / CANVAS, indexing="ij")
+
+
 def render(objects: list[SceneObject]) -> np.ndarray:
     """Rasterize to [3, CANVAS, CANVAS] floats in [0, 1]."""
     img = np.empty((3, CANVAS, CANVAS))
     for c in range(3):
         img[c] = _BG[c]
-    yy, xx = np.meshgrid((np.arange(CANVAS) + 0.5) / CANVAS,
-                         (np.arange(CANVAS) + 0.5) / CANVAS, indexing="ij")
+    yy, xx = _PIXEL_CENTRES
     for obj in objects:
         cx, cy, w, h = obj.box
         r = w / 2
@@ -146,15 +150,21 @@ def render(objects: list[SceneObject]) -> np.ndarray:
 
 
 def _sample_layout(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """Non-overlapping boxes by rejection; restarts if a placement stalls."""
+    """Non-overlapping boxes by rejection; restarts if a placement stalls.
+
+    Each attempt takes one ``rng.random(3)`` call and scales it as
+    ``Generator.uniform`` does (``lo + (hi - lo) * u``): the draws, and the
+    generator's state after them, are bitwise those of three scalar
+    ``uniform`` calls for radius, x and y."""
     while True:
         boxes: list[np.ndarray] = []
         ok = True
         for _ in range(count):
             for _attempt in range(40):
-                r = rng.uniform(0.09, 0.13)
-                cx = rng.uniform(0.16, 0.84)
-                cy = rng.uniform(0.16, 0.84)
+                u = rng.random(3)
+                r = 0.09 + (0.13 - 0.09) * u[0]
+                cx = 0.16 + (0.84 - 0.16) * u[1]
+                cy = 0.16 + (0.84 - 0.16) * u[2]
                 if all(np.hypot(cx - b[0], cy - b[1]) >= MIN_GAP for b in boxes):
                     boxes.append(np.array([cx, cy, 2 * r, 2 * r]))
                     break

@@ -194,9 +194,11 @@ def no_tape():
     """Ops inside the ``with`` block record no tape: their outputs never
     require gradients, so every intermediate is freed as soon as it is
     unused.  For forward passes whose values are kept, never differentiated:
-    ``training.grounded_outputs`` (hence ``evaluate``), ``training.patch_tokens``
-    (hence ``cache_vision``), the ``Stage3Cache`` build, ``analysis.attention_medians`` and the metered
-    and timed passes of ``analysis.compute_report``."""
+    ``training.grounded_outputs`` (hence ``evaluate``),
+    ``training.patch_tokens`` (hence ``cache_vision``), the ``Stage3Cache``
+    build, ``analysis.attention_medians`` and the metered and timed passes
+    of ``analysis.compute_report``.  A process forked inside the block (a
+    ``training._fill_rows`` worker) inherits it."""
     _NO_TAPE.append(True)
     try:
         yield
@@ -224,7 +226,7 @@ def attention_tap():
 def observed() -> bool:
     """True while a ``FlopsMeter`` or ``attention_tap`` is open.  Their
     records live in this process, so work they should see must not be handed
-    to another one (``training.evaluate`` stays serial)."""
+    to another one (``training._fill_rows`` stays serial)."""
     return bool(_METER_STACK or _TAPS)
 
 

@@ -23,12 +23,13 @@ shortcut, and an equivalence test compares it against the uncached path.
 Evaluation, ``patch_tokens`` and the ``Stage3Cache`` build only ever run
 forward, so they record no tape even over trainable modules.
 
-Evaluation uses at most two processes: given 2 or more chunks and 2 usable
-CPUs, ``evaluate`` runs the second half of its chunks in one forked worker
-and joins the results in chunk order, bitwise the serial values.  It stays
-serial inside a worker, while a ``FlopsMeter`` or ``attention_tap`` is open,
-and without ``os.fork``.  Training steps, scene generation and the caches
-always run in one process.
+Evaluation and the ``Stage3Cache`` build use at most two processes, through
+one helper, ``_fill_rows``: given 2 or more chunks and 2 usable CPUs, the
+second half of the chunks runs in one forked worker, which sends its rows
+back as raw bytes into arrays the parent allocated, bitwise the serial
+values.  It stays serial inside a worker, while a ``FlopsMeter`` or
+``attention_tap`` is open, and without ``os.fork``.  Training steps, scene
+generation and ``cache_vision`` always run in one process.
 
 Reports embed the resolved config (for stage 3, with its head's own adapter
 section) and the full loss curve but no wall-clock fields, so a repeated run
@@ -258,6 +259,114 @@ def _chunks(n: int, size: int):
         yield lo, min(lo + size, n)
 
 
+# set in a forked ``_fill_rows`` worker, so a worker never forks again
+_IN_WORKER = False
+# the status byte a ``_fill_rows`` worker sends first
+_FILLED, _FAILED = b"\x00", b"\x01"
+
+
+def _fill_rows(run, n: int, chunk: int, outs: tuple[np.ndarray, ...],
+               name: str) -> None:
+    """``outs[k][lo:hi] = run(lo, hi)[k]`` for every ``_chunks(n, chunk)``
+    span, the second half of the spans run in one forked worker.
+
+    The worker inherits everything ``run`` reads, fills its own copy of the
+    rows, and sends one status byte and then each ``outs[k][mid:]`` as raw
+    bytes over a pipe, which the parent reads straight into its arrays:
+    nothing is pickled but an error, and the parent never holds the rows
+    twice.  An exception in a span keeps its type, gains the prefix
+    ``{name} scenes[lo:hi]: `` and is raised here from either process; a
+    worker that dies without reporting is a ``ChildProcessError``, and no
+    path leaves it running.  Serial with fewer than 2 spans, inside a
+    worker, while a ``FlopsMeter`` or ``attention_tap`` is open (the
+    worker's records would be lost), and without ``os.fork`` or 2 usable
+    CPUs."""
+    global _IN_WORKER
+    spans = list(_chunks(n, chunk))
+    half = len(spans) // 2
+
+    def fill(part):
+        for lo, hi in part:
+            try:
+                rows = run(lo, hi)
+            except Exception as e:
+                e.args = (f"{name} scenes[{lo}:{hi}]: {e}",)
+                raise
+            for out, src in zip(outs, rows):
+                out[lo:hi] = src
+
+    if (half == 0 or _IN_WORKER or T.observed() or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        fill(spans)
+        return
+    mid = spans[half][0]
+    blocks = [memoryview(out[mid:]).cast("B") for out in outs]
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:                                    # the worker
+        code = 1
+        try:
+            _IN_WORKER = True
+            os.close(r)
+            with os.fdopen(w, "wb") as pipe:
+                try:
+                    fill(spans[half:])
+                except Exception as e:
+                    pipe.write(_FAILED + pickle.dumps(e))
+                else:
+                    pipe.write(_FILLED)
+                    for block in blocks:
+                        pipe.write(block)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with os.fdopen(r, "rb", buffering=0) as pipe:
+        try:
+            fill(spans[:half])
+            filled, error = _receive(pipe, blocks)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if error is not None:
+        raise error
+    if not filled:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(
+            f"{name} worker for scenes[{mid}:{n}] exited without reporting "
+            f"({how})")
+
+
+def _receive(pipe, blocks: list[memoryview]) -> tuple[bool, Exception | None]:
+    """A ``_fill_rows`` worker's report: (True, None) once its rows fill
+    ``blocks``, (False, the exception) when it sent one, (False, None) when
+    the pipe ends early or the exception does not unpickle."""
+    status = pipe.read(1)
+    if status == _FAILED:
+        try:
+            return False, pickle.loads(pipe.readall())
+        except Exception:
+            return False, None
+    if status != _FILLED:
+        return False, None
+    for block in blocks:
+        while block:
+            got = pipe.readinto(block)
+            if not got:
+                return False, None
+            block = block[got:]
+    return True, None
+
+
 def patch_tokens(mllm: MiniMllm, scenes: list[SyntheticScene]) -> np.ndarray:
     """Patch tokens [B, P, d_patch] of the scenes' images, with no tape: the
     one cut of the vision prefix, read by ``encode_vision`` and
@@ -283,7 +392,7 @@ class Stage3Cache:
     """Per-scene activations of everything frozen during stage 3, stored as
     the arrays of the detector pass that consumes them.
 
-    patches    [N, P, d_patch] ``cache_vision`` patch tokens; the LM reads
+    patches    [N, P, d_patch] ``patch_tokens`` of the scenes; the LM reads
                                them through ``align_vision``, whose
                                projector is trained in stage 3
     evd        [N, P, d]       detector vision features
@@ -294,11 +403,16 @@ class Stage3Cache:
                                adapter attached; at l_d = 1 the broadcast
                                query embeddings
 
-    Every array is allocated once and filled chunk by chunk in place, with no
-    tape recorded (nothing here is differentiated).  The cached loss always
-    resumes at layer ``l_d``, so it needs a hook whose ``l_d`` is not
-    earlier; ``decode`` rejects one that is.  ``full_decode`` selects
-    nothing: it is kept so existing callers still construct the cache.
+    Every array is allocated once and filled chunk by chunk in place by one
+    ``_fill_rows`` pass, with no tape recorded (nothing here is
+    differentiated): each chunk runs from its images to its decoder state,
+    so with 2 or more chunks and 2 usable CPUs the second half of them is
+    built in a forked worker, bitwise the serial values.  An error in a
+    chunk keeps its type and its message names the chunk's scenes.  The
+    cached loss always resumes at layer ``l_d``, so it needs a hook whose
+    ``l_d`` is not earlier; ``decode`` rejects one that is.
+    ``full_decode`` selects nothing: it is kept so existing callers still
+    construct the cache.
     """
 
     def __init__(self, mllm: MiniMllm, det: GroundingDetector,
@@ -306,24 +420,27 @@ class Stage3Cache:
                  full_decode: bool = False, chunk: int = 64):
         n = len(scenes)
         d, nq = det.cfg.d, det.cfg.queries
+        h, w = mllm.cfg.grid
         self.scenes = scenes
         self.l_d = l_d
-        self.patches = cache_vision(mllm, scenes, chunk)
-        self.evd = np.empty((n, self.patches.shape[1], d))
+        self.patches = np.empty((n, h * w, mllm.cfg.d_patch))
+        self.evd = np.empty((n, h * w, d))
         self.text = (np.empty((n, PACK_WIDTH, d)),
                      np.empty((n, PACK_WIDTH), dtype=bool),
                      np.empty((n, nq, d)))
         self.pre_state = np.empty((n, nq, d))
+
+        def run(lo, hi):
+            patches = patch_tokens(mllm, scenes[lo:hi])
+            e_vis = det.encode_vision(T.constant(patches))
+            e_txt, valid, pooled = _candidate_text(det, scenes[lo:hi])
+            state = det.decode(e_vis, e_txt, valid, upto_layer=l_d - 1)
+            return (patches, e_vis.data, e_txt.data, valid, pooled.data,
+                    state.data)
+
         with T.no_tape():
-            for lo, hi in _chunks(n, chunk):
-                e_vis = det.encode_vision(T.constant(self.patches[lo:hi]))
-                e_txt, valid, pooled = _candidate_text(det, scenes[lo:hi])
-                self.evd[lo:hi] = e_vis.data
-                for dst, src in zip(self.text, (e_txt.data, valid,
-                                                pooled.data)):
-                    dst[lo:hi] = src
-                self.pre_state[lo:hi] = det.decode(
-                    e_vis, e_txt, valid, upto_layer=l_d - 1).data
+            _fill_rows(run, n, chunk, (self.patches, self.evd, *self.text,
+                                       self.pre_state), "Stage3Cache")
 
 
 # ---------------------------------------------------------------------------
@@ -543,94 +660,25 @@ def grounded_outputs(cfg: ExperimentConfig, mllm: MiniMllm,
     return boxes.data, logits.data
 
 
-# set in a forked evaluation worker, so a worker never forks again
-_IN_WORKER = False
-
-
-def _over_chunks(run, spans: list[tuple[int, int]]) -> list:
-    """``[run(lo, hi) for lo, hi in spans]``, with the second half of the
-    spans run in one forked worker.  The worker inherits everything ``run``
-    reads and sends its results back pickled over a pipe; an exception in it
-    is re-raised here with its type kept, and no path leaves it running.
-    Serial with fewer than 2 spans, inside a worker, while a ``FlopsMeter``
-    or ``attention_tap`` is open (the worker's records would be lost), and
-    without ``os.fork`` or 2 usable CPUs."""
-    global _IN_WORKER
-    half = len(spans) // 2
-    if (half == 0 or _IN_WORKER or T.observed() or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return [run(lo, hi) for lo, hi in spans]
-    theirs = spans[half:]
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:                                    # the worker
-        code = 1
-        try:
-            _IN_WORKER = True
-            os.close(r)
-            try:
-                report = (True, [run(lo, hi) for lo, hi in theirs])
-            except Exception as e:
-                report = (False, e)
-            with os.fdopen(w, "wb") as pipe:
-                pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    with os.fdopen(r, "rb") as pipe:
-        try:
-            mine = [run(lo, hi) for lo, hi in spans[:half]]
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    try:
-        ok, value = pickle.loads(payload)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(
-            f"evaluate worker for scenes[{theirs[0][0]}:{theirs[-1][1]}] "
-            f"exited without reporting ({how})") from None
-    if not ok:
-        raise value
-    return mine + value
-
-
 def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
              scenes: list[SyntheticScene], state: FusionState | None = None,
              sub: SubstitutionHead | None = None) -> dict:
     """Chunked full-split evaluation -> grounding metrics.
 
-    The ``eval_chunk`` chunks are independent forward passes, run on at most
-    two processes by ``_over_chunks``: serial with one chunk, inside a
-    worker, under an open ``FlopsMeter`` or ``attention_tap``, or without
-    ``os.fork`` and a second CPU.  An error in a chunk keeps its type and
-    its message names the chunk's scenes."""
+    The ``eval_chunk`` chunks are independent forward passes whose boxes and
+    logits ``_fill_rows`` writes into arrays allocated once, on at most two
+    processes: serial with one chunk, inside a worker, under an open
+    ``FlopsMeter`` or ``attention_tap``, or without ``os.fork`` and a second
+    CPU.  An error in a chunk keeps its type and its message names the
+    chunk's scenes."""
     if not scenes:
         raise UsageError("evaluate needs at least one scene")
-
-    def run(lo, hi):
-        try:
-            return grounded_outputs(cfg, mllm, det, scenes[lo:hi],
-                                    state=state, sub=sub)
-        except Exception as e:
-            e.args = (f"evaluate scenes[{lo}:{hi}]: {e}",)
-            raise
-
-    boxes, logits = zip(*_over_chunks(
-        run, list(_chunks(len(scenes), cfg.eval_chunk))))
-    return eval_grounding(np.concatenate(boxes), np.concatenate(logits),
-                          scenes, cfg.iou_thresh)
+    n, nq = len(scenes), det.cfg.queries
+    boxes, logits = np.empty((n, nq, 4)), np.empty((n, nq, nq + 1))
+    _fill_rows(lambda lo, hi: grounded_outputs(cfg, mllm, det, scenes[lo:hi],
+                                               state=state, sub=sub),
+               n, cfg.eval_chunk, (boxes, logits), "evaluate")
+    return eval_grounding(boxes, logits, scenes, cfg.iou_thresh)
 
 
 def load_split(cfg: ExperimentConfig, split: str) -> list[SyntheticScene]:

@@ -1,9 +1,10 @@
-"""Golden fingerprint: a tiny run through every training stage, both heads,
-a two-point layer sweep and the cost table, compared with the values
-recorded in ``tests/golden.json``.
+"""Golden fingerprint: the four scene splits, a tiny run through every
+training stage, both heads, a two-point layer sweep and the cost table,
+compared with the values recorded in ``tests/golden.json``.
 
-Only numbers are hashed: losses and final losses, metrics with their
-per-scene records, ``module_digest`` values and cost rows, never a config.
+Only numbers are hashed: each split's images, captions, queries, candidates
+and ground truth, losses and final losses, metrics with their per-scene
+records, ``module_digest`` values and cost rows, never a config.
 The hashes hold bit for bit only on the numpy, scipy and BLAS core they
 were recorded with, so each entry in the file is keyed by those three.
 Under a key the file does not hold, the test compares the recorded final
@@ -83,6 +84,19 @@ def _values(part: str, numbers: dict) -> dict[str, float]:
     return out
 
 
+def scenes_digest(scenes) -> str:
+    """SHA-256 over every array a split's scenes carry, each with its shape,
+    in scene order."""
+    h = hashlib.sha256()
+    for s in scenes:
+        for arr in (s.image, s.caption, s.query.ids, s.query.target_box,
+                    *s.candidates, s.gt_boxes, s.gt_labels):
+            h.update(repr(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(s.query.kind.encode())
+    return h.hexdigest()
+
+
 def fingerprint() -> dict[str, dict]:
     """Each part of the tiny run's numbers, by part name."""
     cfg = golden_config()
@@ -97,6 +111,9 @@ def fingerprint() -> dict[str, dict]:
                 for split, scenes in vals.items()}
 
     parts = {
+        "scenes": {split: scenes_digest(tr.load_split(cfg, split))
+                   for split in ("pretrain", "train", "val-category",
+                                 "val-spatial")},
         "backbones": {
             "runs": {stage: _run(rep) for stage, rep in reports.items()},
             "digests": {"mllm": tr.module_digest(mllm),

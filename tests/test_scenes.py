@@ -98,6 +98,60 @@ class TestDeterminism:
             S.make_scene(0, "test-time", 0)
 
 
+# -- layout draws ------------------------------------------------------------
+
+LAYOUT_BOUNDS = ((0.09, 0.13), (0.16, 0.84), (0.16, 0.84))   # r, cx, cy
+
+
+def scalar_layout(rng, count):
+    """``_sample_layout`` as first written, one ``uniform`` call a draw: the
+    reference its one-call-per-attempt form must equal."""
+    while True:
+        boxes = []
+        ok = True
+        for _ in range(count):
+            for _attempt in range(40):
+                r = rng.uniform(0.09, 0.13)
+                cx = rng.uniform(0.16, 0.84)
+                cy = rng.uniform(0.16, 0.84)
+                if all(np.hypot(cx - b[0], cy - b[1]) >= S.MIN_GAP
+                       for b in boxes):
+                    boxes.append(np.array([cx, cy, 2 * r, 2 * r]))
+                    break
+            else:
+                ok = False
+                break
+        if ok:
+            return boxes
+
+
+class TestLayoutDraws:
+    """``Generator.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``; a
+    numpy that changes that formula fails here, not in a golden hash."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
+    def test_one_random_call_is_three_uniform_draws(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [a.uniform(lo, hi) for _ in range(500)
+                for lo, hi in LAYOUT_BOUNDS]
+        got = []
+        for _ in range(500):
+            u = b.random(3)
+            got += [lo + (hi - lo) * u[k]
+                    for k, (lo, hi) in enumerate(LAYOUT_BOUNDS)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert b.bit_generator.state == a.bit_generator.state
+
+    def test_layout_equals_the_scalar_draw_reference(self):
+        for seed in range(300):
+            count = 1 + seed % 4
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = np.stack(scalar_layout(a, count))
+            got = np.stack(S._sample_layout(b, count))
+            assert got.tobytes() == want.tobytes(), seed
+            assert b.bit_generator.state == a.bit_generator.state, seed
+
+
 # -- category scenes ---------------------------------------------------------
 
 

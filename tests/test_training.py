@@ -509,8 +509,8 @@ def opened_adapter(cfg, arch, seed):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n)`` sets the CPU count ``evaluate`` reads and returns the list
-    of its forks so far; on teardown, no child process is left."""
+    """``cpus(n)`` sets the CPU count ``_fill_rows`` reads and returns the
+    list of its forks so far; on teardown, no child process is left."""
     forks = []
     fork = tr.os.fork
 
@@ -702,6 +702,120 @@ class TestEvaluation:
             tr.evaluate(b["cfg"], b["mllm"], b["det"], [])
 
 
+def cache_arrays(cache):
+    return (cache.patches, cache.evd, *cache.text, cache.pre_state)
+
+
+class TestCacheBuild:
+    """The ``Stage3Cache`` build fills its arrays on at most two processes:
+    24 scenes in 3 chunks of 8, the worker building chunks 2-3."""
+
+    @pytest.mark.parametrize("l_d", [1, 3])
+    def test_two_processes_equal_one(self, bench, cpus, l_d):
+        b = bench
+        forks = cpus(1)
+        serial = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
+        assert not forks
+        cpus(2)
+        forked = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
+        assert len(forks) == 1
+        for got, want in zip(cache_arrays(forked), cache_arrays(serial),
+                             strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert forked.text[1].dtype == bool
+
+    @pytest.mark.parametrize("n_cpus,bad,chunk", [
+        (2, 17, "16:24"),        # in the worker's half
+        (2, 1, "0:8"),           # in the parent's half
+        (1, 10, "8:16"),         # serial
+    ])
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(
+            self, bench, cpus, n_cpus, bad, chunk):
+        b = bench
+        scenes = list(b["train"])
+        img = scenes[bad].image
+        scenes[bad] = dataclasses.replace(scenes[bad],
+                                          image=np.full_like(img, np.nan))
+        cpus(n_cpus)
+        with pytest.raises(NumericsError,
+                           match=rf"^Stage3Cache scenes\[{chunk}\]: "
+                                 r"non-finite values produced by '\w+'$"):
+            tr.Stage3Cache(b["mllm"], b["det"], scenes, 3, chunk=8)
+
+    def test_worker_dying_without_a_report_is_named(self, bench, cpus,
+                                                    monkeypatch):
+        b = bench
+        run = tr.patch_tokens
+
+        def dying(*args):
+            if tr._IN_WORKER:
+                tr.os.kill(tr.os.getpid(), tr.signal.SIGKILL)
+            return run(*args)
+
+        monkeypatch.setattr(tr, "patch_tokens", dying)
+        cpus(2)
+        with pytest.raises(ChildProcessError,
+                           match=r"^Stage3Cache worker for scenes\[8:24\] "
+                                 r"exited without reporting \(killed by "
+                                 r"signal 9\)$"):
+            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+
+    def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
+        b = bench
+
+        def stalls_or_fails(*args):
+            if tr._IN_WORKER:
+                time.sleep(60)
+            raise NumericsError("non-finite values produced by 'linear'")
+
+        monkeypatch.setattr(tr, "patch_tokens", stalls_or_fails)
+        cpus(2)
+        t0 = time.perf_counter()
+        with pytest.raises(NumericsError,
+                           match=r"^Stage3Cache scenes\[0:8\]: "):
+            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        assert time.perf_counter() - t0 < 30
+
+    def test_rows_cut_short_are_no_report(self):
+        """A worker that dies while sending its rows has not reported: the
+        parent does not take half a block for the worker's result."""
+        block = np.zeros(8)
+        r, w = tr.os.pipe()
+        tr.os.write(w, tr._FILLED + np.ones(5).tobytes())
+        tr.os.close(w)
+        with tr.os.fdopen(r, "rb", buffering=0) as pipe:
+            assert tr._receive(pipe, [memoryview(block).cast("B")]) == (
+                False, None)
+
+    def test_open_meter_keeps_it_serial(self, bench, cpus, monkeypatch):
+        """Under an open ``FlopsMeter`` the build never forks (a fork
+        raises), the meter counts every chunk, and the arrays are the
+        serial ones."""
+        b = bench
+
+        def metered():
+            with T.FlopsMeter() as meter:
+                cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3,
+                                       chunk=8)
+            return meter.accumulated, cache
+
+        forks = cpus(1)
+        want_flops, serial = metered()
+        cpus(2)
+
+        def no_fork():
+            raise AssertionError("the cache build forked under a meter")
+
+        monkeypatch.setattr(tr.os, "fork", no_fork)
+        flops, cache = metered()
+        assert not forks
+        assert flops == want_flops > 0
+        for got, want in zip(cache_arrays(cache), cache_arrays(serial),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestForwardOnlyPasses:
     """Evaluation, the frozen-feature caches and the diagnostics record no
     tape even when every module they run is trainable; the uncached pass
@@ -743,6 +857,7 @@ class TestForwardOnlyPasses:
             "evaluate": lambda: tr.evaluate(cfg, mllm, det, scenes,
                                             state=state),
             "cache_vision": lambda: tr.cache_vision(mllm, scenes, chunk=4),
+            "Stage3Cache": lambda: tr.Stage3Cache(mllm, det, scenes, 3),
             "attention_medians": lambda: attention_medians(mllm, images, ids,
                                                            valid),
             "compute_report": lambda: compute_report(
