@@ -16,7 +16,6 @@ hook's content is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -244,18 +243,6 @@ def match_hungarian(costs: np.ndarray) -> list[tuple[int, int]]:
     rows, cols = linear_sum_assignment(costs)
     pairs = sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
     return [(int(r), int(c)) for r, c in pairs]
-
-
-def match_bruteforce(costs: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Enumerate every injective assignment; the oracle for small Q, G."""
-    q, g = costs.shape
-    best, best_cost = None, np.inf
-    for perm in permutations(range(q), g):
-        c = sum(costs[perm[j], j] for j in range(g))
-        if c < best_cost - 1e-15:
-            best_cost = c
-            best = [(perm[j], j) for j in range(g)]
-    return best, float(best_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy import special as _sp_special
 FLOP_CONVENTIONS = """\
 matmul                   2*m*k*n per leading batch element (one MAC = 2 FLOPs)
 conv2d                   2 * B*Cout*Hout*Wout * Cin*kh*kw
-softmax / log_softmax    3 per output element (exp + sum + divide)
+softmax                  3 per output element (exp + sum + divide)
 rope_apply               3 per output element (each 2d rotation = 6 FLOPs)
 reductions (sum, mean)   1 per input element
 element-wise ops         1 per output element
@@ -402,22 +402,6 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
         acc(x, y * (g - inner))
 
     return _make(y, (x,), bw, "softmax")
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    axis = _norm_axis(axis, x.ndim)
-    m = np.max(x.data, axis=axis, keepdims=True)
-    z = x.data - m
-    lse = np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
-    out_data = z - lse
-    _count_flops(3 * out_data.size)
-    y = np.exp(out_data)
-
-    def bw(g, acc):
-        acc(x, g - y * np.sum(g, axis=axis, keepdims=True))
-
-    return _make(out_data, (x,), bw, "log_softmax")
 
 
 def weighted_cross_entropy(logits, targets, weights,

@@ -25,9 +25,9 @@ forward, so they record no tape even over trainable modules.
 
 Evaluation and the ``Stage3Cache`` build use at most two processes, through
 one helper, ``_fill_rows``: given 2 or more chunks and 2 usable CPUs, the
-second half of the chunks runs in one forked worker, which sends its rows
-back as raw bytes into arrays the parent allocated, bitwise the serial
-values.  It stays serial inside a worker, while a ``FlopsMeter`` or
+second half of the chunks runs in one forked worker, which writes its rows
+straight into the arrays it returns (anonymous shared mappings), bitwise the
+serial values.  It stays serial inside a worker, while a ``FlopsMeter`` or
 ``attention_tap`` is open, and without ``os.fork``.  Training steps, scene
 generation and ``cache_vision`` always run in one process.
 
@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import mmap
 import os
 import pickle
 import signal
@@ -261,47 +263,52 @@ def _chunks(n: int, size: int):
 
 # set in a forked ``_fill_rows`` worker, so a worker never forks again
 _IN_WORKER = False
-# the status byte a ``_fill_rows`` worker sends first
-_FILLED, _FAILED = b"\x00", b"\x01"
 
 
-def _fill_rows(run, n: int, chunk: int, outs: tuple[np.ndarray, ...],
-               name: str) -> None:
-    """``outs[k][lo:hi] = run(lo, hi)[k]`` for every ``_chunks(n, chunk)``
-    span, the second half of the spans run in one forked worker.
+def _fill_rows(run, n: int, chunk: int, rows: tuple[tuple[tuple, type], ...],
+               name: str) -> list[np.ndarray]:
+    """One ``[n, *shape]`` array of ``dtype`` per ``(shape, dtype)`` in
+    ``rows``, filled as ``outs[k][lo:hi] = run(lo, hi)[k]`` for every
+    ``_chunks(n, chunk)`` span, the second half of the spans in one forked
+    worker.
 
-    The worker inherits everything ``run`` reads, fills its own copy of the
-    rows, and sends one status byte and then each ``outs[k][mid:]`` as raw
-    bytes over a pipe, which the parent reads straight into its arrays:
-    nothing is pickled but an error, and the parent never holds the rows
-    twice.  An exception in a span keeps its type, gains the prefix
+    Each array lives in an anonymous shared mapping, so the worker, which
+    inherits everything ``run`` reads, writes its rows straight into the
+    parent's arrays and reports success by exiting with status 0; the pipe
+    carries only a pickled exception.  (A shared page joins a process's
+    resident set only once that process touches it, so right after a
+    forked fill the parent's RSS leaves out the worker's rows.)  An
+    exception in a span keeps its type, gains the prefix
     ``{name} scenes[lo:hi]: `` and is raised here from either process; a
-    worker that dies without reporting is a ``ChildProcessError``, and no
-    path leaves it running.  Serial with fewer than 2 spans, inside a
-    worker, while a ``FlopsMeter`` or ``attention_tap`` is open (the
-    worker's records would be lost), and without ``os.fork`` or 2 usable
-    CPUs."""
+    worker that exits with another status and no exception that unpickles
+    is a ``ChildProcessError``, and no path leaves it running.  Serial with
+    fewer than 2 spans, inside a worker, while a ``FlopsMeter`` or
+    ``attention_tap`` is open (the worker's records would be lost), and
+    without ``os.fork`` or 2 usable CPUs."""
     global _IN_WORKER
+    outs = []
+    for shape, dtype in rows:
+        nbytes = n * math.prod(shape) * np.dtype(dtype).itemsize
+        outs.append(np.ndarray((n, *shape), dtype,
+                               buffer=mmap.mmap(-1, max(nbytes, 1))))
     spans = list(_chunks(n, chunk))
     half = len(spans) // 2
 
     def fill(part):
         for lo, hi in part:
             try:
-                rows = run(lo, hi)
+                got = run(lo, hi)
             except Exception as e:
                 e.args = (f"{name} scenes[{lo}:{hi}]: {e}",)
                 raise
-            for out, src in zip(outs, rows):
+            for out, src in zip(outs, got):
                 out[lo:hi] = src
 
     if (half == 0 or _IN_WORKER or T.observed() or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2):
         fill(spans)
-        return
-    mid = spans[half][0]
-    blocks = [memoryview(out[mid:]).cast("B") for out in outs]
+        return outs
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -318,53 +325,32 @@ def _fill_rows(run, n: int, chunk: int, outs: tuple[np.ndarray, ...],
                 try:
                     fill(spans[half:])
                 except Exception as e:
-                    pipe.write(_FAILED + pickle.dumps(e))
+                    pipe.write(pickle.dumps(e))
                 else:
-                    pipe.write(_FILLED)
-                    for block in blocks:
-                        pipe.write(block)
-            code = 0
+                    code = 0
         finally:
             os._exit(code)
     os.close(w)
-    with os.fdopen(r, "rb", buffering=0) as pipe:
+    with os.fdopen(r, "rb") as pipe:
         try:
             fill(spans[:half])
-            filled, error = _receive(pipe, blocks)
+            report = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    if error is not None:
-        raise error
-    if not filled:
-        code = os.waitstatus_to_exitcode(status)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return outs
+    try:
+        error = pickle.loads(report)
+    except Exception:
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
         raise ChildProcessError(
-            f"{name} worker for scenes[{mid}:{n}] exited without reporting "
-            f"({how})")
-
-
-def _receive(pipe, blocks: list[memoryview]) -> tuple[bool, Exception | None]:
-    """A ``_fill_rows`` worker's report: (True, None) once its rows fill
-    ``blocks``, (False, the exception) when it sent one, (False, None) when
-    the pipe ends early or the exception does not unpickle."""
-    status = pipe.read(1)
-    if status == _FAILED:
-        try:
-            return False, pickle.loads(pipe.readall())
-        except Exception:
-            return False, None
-    if status != _FILLED:
-        return False, None
-    for block in blocks:
-        while block:
-            got = pipe.readinto(block)
-            if not got:
-                return False, None
-            block = block[got:]
-    return True, None
+            f"{name} worker for scenes[{spans[half][0]}:{n}] exited without "
+            f"reporting ({how})") from None
+    raise error
 
 
 def patch_tokens(mllm: MiniMllm, scenes: list[SyntheticScene]) -> np.ndarray:
@@ -379,7 +365,11 @@ def patch_tokens(mllm: MiniMllm, scenes: list[SyntheticScene]) -> np.ndarray:
 def cache_vision(mllm: MiniMllm, scenes: list[SyntheticScene], chunk: int
                  ) -> np.ndarray:
     """``patch_tokens`` of every scene [N, P, d_patch], in one array
-    allocated once and filled chunk by chunk."""
+    allocated once and filled chunk by chunk, serially: it is the prelude
+    of each detector-pretrain and captioning call, where a fork costs more
+    than it saves (2,000 scenes take under 0.1 s either way) and the
+    ``_fill_rows`` arrays slowed the 64-step pretrain call they feed from a
+    median of 4.52 s to 4.84 s over 6 calls each."""
     mcfg, n = mllm.cfg, len(scenes)
     h, w = mcfg.grid
     patches = np.empty((n, h * w, mcfg.d_patch))
@@ -403,14 +393,15 @@ class Stage3Cache:
                                adapter attached; at l_d = 1 the broadcast
                                query embeddings
 
-    Every array is allocated once and filled chunk by chunk in place by one
-    ``_fill_rows`` pass, with no tape recorded (nothing here is
-    differentiated): each chunk runs from its images to its decoder state,
-    so with 2 or more chunks and 2 usable CPUs the second half of them is
-    built in a forked worker, bitwise the serial values.  An error in a
-    chunk keeps its type and its message names the chunk's scenes.  The
-    cached loss always resumes at layer ``l_d``, so it needs a hook whose
-    ``l_d`` is not earlier; ``decode`` rejects one that is.
+    Every array is allocated once, in shared memory, and filled chunk by
+    chunk in place by one ``_fill_rows`` pass, with no tape recorded
+    (nothing here is differentiated): each chunk runs from its images to its
+    decoder state, so with 2 or more chunks and 2 usable CPUs the second
+    half of them is built in a forked worker, bitwise the serial values.
+    The arrays are writable.  An error in a chunk keeps its type and its
+    message names the chunk's scenes.  The cached loss always resumes at
+    layer ``l_d``, so it needs a hook whose ``l_d`` is not earlier;
+    ``decode`` rejects one that is.
     ``full_decode`` selects nothing: it is kept so existing callers still
     construct the cache.
     """
@@ -423,12 +414,6 @@ class Stage3Cache:
         h, w = mllm.cfg.grid
         self.scenes = scenes
         self.l_d = l_d
-        self.patches = np.empty((n, h * w, mllm.cfg.d_patch))
-        self.evd = np.empty((n, h * w, d))
-        self.text = (np.empty((n, PACK_WIDTH, d)),
-                     np.empty((n, PACK_WIDTH), dtype=bool),
-                     np.empty((n, nq, d)))
-        self.pre_state = np.empty((n, nq, d))
 
         def run(lo, hi):
             patches = patch_tokens(mllm, scenes[lo:hi])
@@ -438,9 +423,13 @@ class Stage3Cache:
             return (patches, e_vis.data, e_txt.data, valid, pooled.data,
                     state.data)
 
+        rows = (((h * w, mllm.cfg.d_patch), float), ((h * w, d), float),
+                ((PACK_WIDTH, d), float), ((PACK_WIDTH,), bool),
+                ((nq, d), float), ((nq, d), float))
         with T.no_tape():
-            _fill_rows(run, n, chunk, (self.patches, self.evd, *self.text,
-                                       self.pre_state), "Stage3Cache")
+            (self.patches, self.evd, e_txt, valid, pooled,
+             self.pre_state) = _fill_rows(run, n, chunk, rows, "Stage3Cache")
+        self.text = (e_txt, valid, pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -666,18 +655,19 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     """Chunked full-split evaluation -> grounding metrics.
 
     The ``eval_chunk`` chunks are independent forward passes whose boxes and
-    logits ``_fill_rows`` writes into arrays allocated once, on at most two
-    processes: serial with one chunk, inside a worker, under an open
+    logits ``_fill_rows`` writes into the arrays it allocates, on at most
+    two processes: serial with one chunk, inside a worker, under an open
     ``FlopsMeter`` or ``attention_tap``, or without ``os.fork`` and a second
     CPU.  An error in a chunk keeps its type and its message names the
     chunk's scenes."""
     if not scenes:
         raise UsageError("evaluate needs at least one scene")
-    n, nq = len(scenes), det.cfg.queries
-    boxes, logits = np.empty((n, nq, 4)), np.empty((n, nq, nq + 1))
-    _fill_rows(lambda lo, hi: grounded_outputs(cfg, mllm, det, scenes[lo:hi],
-                                               state=state, sub=sub),
-               n, cfg.eval_chunk, (boxes, logits), "evaluate")
+    nq = det.cfg.queries
+    boxes, logits = _fill_rows(
+        lambda lo, hi: grounded_outputs(cfg, mllm, det, scenes[lo:hi],
+                                        state=state, sub=sub),
+        len(scenes), cfg.eval_chunk, (((nq, 4), float), ((nq, nq + 1), float)),
+        "evaluate")
     return eval_grounding(boxes, logits, scenes, cfg.iou_thresh)
 
 

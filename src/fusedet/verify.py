@@ -328,7 +328,6 @@ CASES = [
     ("op/power-2", _on(lambda x: T.power(x, 2.0), (3, 4))),
     ("op/softmax", _on(T.softmax, (3, 4))),
     ("op/softmax-masked", _masked_softmax),
-    ("op/log_softmax", _on(T.log_softmax, (3, 4))),
     ("op/reshape", _on(lambda x: T.reshape(x, 6, 2), (3, 4))),
     ("op/transpose", _on(lambda x: T.transpose(x, (1, 0)), (3, 4))),
     ("op/slice", _on(lambda x: T.slice_axis(x, 1, 1, 3), (3, 4))),

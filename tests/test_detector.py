@@ -9,9 +9,8 @@ import pytest
 from fusedet import tensor as T
 from fusedet.detector import (BOX_WEIGHT, DetectorConfig, GroundingDetector,
                               SubstitutionHead, detection_loss, eval_grounding,
-                              match_bruteforce, match_hungarian,
-                              pack_candidates, pool_phrases, query_column,
-                              substitution_index)
+                              match_hungarian, pack_candidates, pool_phrases,
+                              query_column, substitution_index)
 from fusedet.mllm import MllmConfig
 from fusedet.scenes import (PACK_WIDTH, PAD, SyntheticScene, encode,
                             generate_scenes)
@@ -177,6 +176,18 @@ class TestDecode:
 
 
 # -- matching ----------------------------------------------------------------
+
+
+def match_bruteforce(costs: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """Enumerate every injective assignment; the oracle for small Q, G."""
+    q, g = costs.shape
+    best, best_cost = None, np.inf
+    for perm in permutations(range(q), g):
+        c = sum(costs[perm[j], j] for j in range(g))
+        if c < best_cost - 1e-15:
+            best_cost = c
+            best = [(perm[j], j) for j in range(g)]
+    return best, float(best_cost)
 
 
 class TestMatching:

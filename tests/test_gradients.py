@@ -28,8 +28,8 @@ def check(name):
 
 UNARY = {"tanh": "op/tanh", "sigmoid": "op/sigmoid",
          "gelu": "op/gelu", "softmax": "op/softmax",
-         "log_softmax": "op/log_softmax", "reshape": "op/reshape",
-         "transpose": "op/transpose", "slice": "op/slice",
+         "reshape": "op/reshape", "transpose": "op/transpose",
+         "slice": "op/slice",
          "sum_axis": "op/sum-axis", "mean_axis": "op/mean-axis",
          "square": "op/power-2"}
 BINARY = {"add": "op/add", "sub": "op/sub", "mul": "op/mul",

@@ -131,13 +131,6 @@ class TestSoftmax:
             T.softmax(T.constant(np.zeros((2, 3))), axis=-1,
                       mask=np.full(3, -np.inf))
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 6))
-        a = T.log_softmax(T.constant(x), axis=-1).data
-        b = np.log(T.softmax(T.constant(x), axis=-1).data)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
 
 class TestTanhGate:
     def test_zero(self):
@@ -493,7 +486,9 @@ class TestFusedOps:
         want = 0.0
         for i in range(2):
             keep = np.flatnonzero(cols[i, 0])
-            logp = T.log_softmax(T.constant(logits[i][:, keep])).data
+            z = logits[i][:, keep]
+            z = z - z.max(axis=-1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
             for r in range(3):
                 want -= weights[i, r] * logp[r, list(keep).index(labels[i, r])]
         assert float(got.data) == pytest.approx(want, rel=1e-13)

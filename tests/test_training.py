@@ -702,6 +702,14 @@ class TestEvaluation:
             tr.evaluate(b["cfg"], b["mllm"], b["det"], [])
 
 
+class TwoArgumentError(Exception):
+    """An exception that pickles but, once its args are one message, does
+    not unpickle."""
+
+    def __init__(self, op, where):
+        super().__init__(f"{op} failed at {where}")
+
+
 def cache_arrays(cache):
     return (cache.patches, cache.evd, *cache.text, cache.pre_state)
 
@@ -723,6 +731,7 @@ class TestCacheBuild:
                              strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable          # the benchmark edits rows
         assert forked.text[1].dtype == bool
 
     @pytest.mark.parametrize("n_cpus,bad,chunk", [
@@ -777,16 +786,26 @@ class TestCacheBuild:
             tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
         assert time.perf_counter() - t0 < 30
 
-    def test_rows_cut_short_are_no_report(self):
-        """A worker that dies while sending its rows has not reported: the
-        parent does not take half a block for the worker's result."""
-        block = np.zeros(8)
-        r, w = tr.os.pipe()
-        tr.os.write(w, tr._FILLED + np.ones(5).tobytes())
-        tr.os.close(w)
-        with tr.os.fdopen(r, "rb", buffering=0) as pipe:
-            assert tr._receive(pipe, [memoryview(block).cast("B")]) == (
-                False, None)
+    def test_unpicklable_worker_error_is_named(self, bench, cpus,
+                                               monkeypatch):
+        """The worker pickles its exception, but with the prefix its args
+        are one message, so it does not rebuild in the parent: that is no
+        report, named by the worker's scenes and exit status."""
+        b = bench
+        run = tr.patch_tokens
+
+        def fails_in_worker(*args):
+            if tr._IN_WORKER:
+                raise TwoArgumentError("decode", "layer 3")
+            return run(*args)
+
+        monkeypatch.setattr(tr, "patch_tokens", fails_in_worker)
+        cpus(2)
+        with pytest.raises(ChildProcessError,
+                           match=r"^Stage3Cache worker for scenes\[8:24\] "
+                                 r"exited without reporting \(exit status "
+                                 r"1\)$"):
+            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
 
     def test_open_meter_keeps_it_serial(self, bench, cpus, monkeypatch):
         """Under an open ``FlopsMeter`` the build never forks (a fork
