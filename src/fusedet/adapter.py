@@ -37,11 +37,14 @@ Arch III  yes          no            before decoder layer 1 (``l_d``
 Arch IV   no           no            before decoder layer ``l_d``
 ========  ===========  ============  =================================
 
-The kernel: queries attend over the prompts and, when injecting, also over
-themselves as a second key segment.  Each segment is softmax-normalized on
-its own; prompt-segment weights are scaled by tanh(g) (one gate per head)
-and self-segment weights are a plain softmax.  Every gate starts at exactly 0,
-so the prompt segment contributes exactly nothing at construction:
+The kernel, ``zero_init_cross_attn``: queries attend over the prompts and,
+when injecting, also over themselves as a second key segment.  The preset
+picks that self segment (none with ``fuses_vision``), never the caller, and
+``fuse_vision`` is the same kernel under its own name.  Each segment is
+softmax-normalized on its own; prompt-segment weights are scaled by tanh(g)
+(one gate per head) and self-segment weights are a plain softmax.  Every gate
+starts at exactly 0, so the prompt segment contributes exactly nothing at
+construction:
 
 * with ``fuses_vision`` the prompt segment is the whole attention core, so
   the core is exactly 0 and the output projection keeps its random weight
@@ -50,9 +53,9 @@ so the prompt segment contributes exactly nothing at construction:
   projection (weight and bias) starts at exactly 0 as well; its weight gets a
   gradient from the first step and opens the gate after it.
 
-Either way the whole adapter is an exact identity, so a freshly attached
-adapter cannot disturb the host detector, and no weight sits at a saddle
-where both the gate and the map behind it are zero.
+Either way a fresh adapter is an exact identity from either entry, so a
+freshly attached adapter cannot disturb the host detector, and no weight sits
+at a saddle where both the gate and the map behind it are zero.
 """
 
 from __future__ import annotations
@@ -139,8 +142,6 @@ class FusionState(Module):
         self.cfg = cfg = cfg.resolve(mcfg, dcfg)
         d, d_lm = dcfg.d, mcfg.d_lm
         self.grid = mcfg.aligned_grid           # the LM states' grid
-        h, w = cfg.prompt_grid(mcfg)
-        self.prompt_len = h * w
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)
         self.wv = Linear(d, d, rng)
@@ -190,13 +191,12 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, cfg: AdapterConfig,
     return T.transpose(x, (0, 2, 1))
 
 
-def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
-                     self_keys: bool) -> Tensor:
+def zero_init_cross_attn(x: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
     """The adapter's one kernel: ``x + out_proj(attention)`` where the rows of
-    ``x`` attend over the L prompts and, with ``self_keys``, over the T rows
-    of ``x`` as a second key segment.  The attention core is ``T.attention``,
-    the same op ``MultiHeadAttention`` runs, with the prompts as its gated
-    key segment.
+    ``x`` attend over the L prompts and, unless the preset ``fuses_vision``,
+    over the T rows of ``x`` as a second key segment.  The attention core is
+    ``T.attention``, the same op ``MultiHeadAttention`` runs, with the
+    prompts as its gated key segment.
 
     RoPE positions run 0..L-1 over the prompts and L..L+T-1 over ``x`` (as
     queries and as self keys).  Per row and head the prompt segment sums to
@@ -208,30 +208,24 @@ def _gated_attention(x: Tensor, a_p: Tensor, state: FusionState,
     if a_p.shape[2] != d:
         raise DimensionError(
             f"prompt width {a_p.shape[2]} != detector width {d}")
-    s = t if self_keys else 0
+    injects = not cfg.fuses_vision          # the preset's self segment
 
     def keys(proj):
         seg = proj(a_p)
-        return T.concat([seg, proj(x)], axis=1) if self_keys else seg
+        return T.concat([seg, proj(x)], axis=1) if injects else seg
 
     q = state.wq(x)
     k, v = keys(state.wk), keys(state.wv)
     core = T.attention(q, k, v, cfg.heads, rope_base=T.ROPE_BASE,
-                       pos_q=np.arange(l, l + t), pos_k=np.arange(l + s),
+                       pos_q=np.arange(l, l + t), pos_k=np.arange(k.shape[1]),
                        gate=T.tanh(state.gate), gated_keys=l)
     return T.add(x, state.out_proj(core))
 
 
-def zero_init_cross_attn(e_d_prev: Tensor, a_p: Tensor,
-                         state: FusionState) -> Tensor:
-    """The injection step: decoder queries attend over [prompts | queries]."""
-    return _gated_attention(e_d_prev, a_p, state, True)
-
-
 def fuse_vision(e_v_d: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
     """The vision step (``fuses_vision``): detector vision features attend
-    over the prompts alone, with the same zero-init guarantees."""
-    return _gated_attention(e_v_d, a_p, state, False)
+    over the prompts alone; the benchmark times it under its own span."""
+    return zero_init_cross_attn(e_v_d, a_p, state)
 
 
 class FusionHook:

@@ -47,7 +47,7 @@ from .config import ExperimentConfig, load_file, save_file
 from .scenes import SPLITS, pad_token_rows
 from .tensor import (ConfigurationError, DegenerateInputError, DimensionError,
                      NumericsError, UsageError)
-from .verify import GRADCHECK_TOL, max_error, run_gradcheck
+from .verify import GRADCHECK_TOL, max_error, report_lines, run_gradcheck
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -271,14 +271,8 @@ def cmd_substitute_baseline(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:
     results = run_gradcheck(cfg.run_seed)
-    for name, err in results:
-        print(f"{name:35s} {err:.3e}")
-    worst = max_error(results)
-    ok = worst < GRADCHECK_TOL
-    print(f"max relative error {worst:.3e} "
-          f"({'<' if ok else '>='} {GRADCHECK_TOL:g}) -> "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print("\n".join(report_lines(results)))
+    return 0 if max_error(results) < GRADCHECK_TOL else 1
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:

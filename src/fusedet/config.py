@@ -12,9 +12,11 @@ embed the resolved config so any run can be reproduced from its own output.
 Only real choices are keys; a value no run varies is a module constant: the
 canvas (``scenes.CANVAS``), the vocabulary (``scenes.VOCAB``), the RoPE base
 (``tensor.ROPE_BASE``), the MLP ratio (``layers.MLP_RATIO``), the loss weights
-(``detector.BOX_WEIGHT``, ``PHRASE_WEIGHT``, ``BACKGROUND_WEIGHT``) and the
-prompt conv's kernel and padding (``adapter.CONV_K``, ``CONV_PAD``).  Sizes
-that follow from other settings are derived: the projector's input width is
+(``detector.BOX_WEIGHT``, ``PHRASE_WEIGHT``, ``BACKGROUND_WEIGHT``), the
+grounding hit's IoU threshold (``detector.IOU_THRESH``), the prompt conv's
+kernel and padding (``adapter.CONV_K``, ``CONV_PAD``) and the gradient-norm
+ceiling (``training.GRAD_CLIP``).  Sizes that follow from other settings are
+derived: the projector's input width is
 ``MllmConfig.proj_in`` = 3 * patch^2 * shuffle_r^2, and the stage-3 (and
 substitution) projector lr is the head's lr over
 ``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision input
@@ -72,11 +74,7 @@ class ExperimentConfig:
     sub_batch: int = 8
     sub_lr: float = 1e-3
 
-    # optimizer
-    grad_clip: float = 1.0        # global grad-norm ceiling; 0 disables
-
     # evaluation
-    iou_thresh: float = 0.5
     eval_chunk: int = 64
 
     def __post_init__(self):
@@ -86,11 +84,9 @@ class ExperimentConfig:
         check_fields(self, "", counts, "at least 1", lambda v: v >= 1)
         check_fields(self, "", [n for n in names if n.endswith("_lr")],
                      "positive", lambda v: v > 0)
-        check_fields(self, "", ("grad_clip",), "at least 0", lambda v: v >= 0)
-        check_fields(self, "", ("iou_thresh",), "in (0, 1]",
-                     lambda v: 0 < v <= 1)
         self.adapter.resolve(self.mllm, self.detector)
 
+    # only perfbench/ calls these two; the program reads the fields
     def mllm_config(self) -> MllmConfig:
         return self.mllm
 
@@ -147,7 +143,9 @@ def _coerce(raw, hint):
 
 
 def loads(text: str) -> ExperimentConfig:
+    """The config ``text`` sets; a key set on two lines is refused."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}              # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -155,7 +153,12 @@ def loads(text: str) -> ExperimentConfig:
         if "=" not in body:
             raise UsageError(f"config line {lineno}: expected 'key = value'")
         key, _, value = body.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise UsageError(f"config line {lineno}: {key} already set on "
+                             f"line {lines[key]}")
+        lines[key] = lineno
+        values[key] = value.strip()
     return ExperimentConfig.from_dict(values)
 
 

@@ -24,7 +24,8 @@ from . import tensor as T
 from .layers import (MLP_RATIO, Linear, MLP, LayerNorm, Module,
                      MultiHeadAttention)
 from .mllm import MllmConfig
-from .scenes import PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode
+from .scenes import (PACK_WIDTH, VOCAB, SyntheticScene, box_iou, encode,
+                     pad_token_rows)
 from .tensor import ConfigurationError, Tensor, UsageError, check_fields
 
 # detection-loss weights: matched box L1, matched phrase CE, background CE
@@ -52,7 +53,7 @@ class TextEncoder(Module):
         self.ln = LayerNorm(cfg.d)
 
     def __call__(self, ids: np.ndarray, valid: np.ndarray) -> Tensor:
-        x = T.embedding(self.embed, ids)
+        x = T.index_select(self.embed, 0, ids)
         mask = T.additive_mask(valid)[:, None, None, :]
         x = T.add(x, self.attn(x, x, mask=mask))
         return self.ln(x)
@@ -200,12 +201,7 @@ def pack_candidates(scene_candidates: list[list[np.ndarray]]
     if needed > PACK_WIDTH:
         raise UsageError(
             f"pack width {PACK_WIDTH} too small for {needed}-token candidates")
-    ids = np.zeros((len(rows), PACK_WIDTH), dtype=np.intp)
-    valid = np.zeros((len(rows), PACK_WIDTH), dtype=bool)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        valid[i, : len(r)] = True
-    return ids, valid, spans
+    return (*pad_token_rows(rows, PACK_WIDTH), spans)
 
 
 def pool_phrases(e_txt: Tensor, spans: list[list[tuple[int, int]]],
@@ -313,9 +309,13 @@ def query_column(scene: SyntheticScene) -> int:
     raise UsageError("query phrase is not among the scene candidates")
 
 
+# a grounding pick is a hit when its IoU with the target reaches this
+IOU_THRESH = 0.5
+
+
 def eval_grounding(boxes: np.ndarray, logits: np.ndarray,
-                   scenes: list[SyntheticScene], iou_thresh: float) -> dict:
-    """Single-phrase grounding accuracy at an IoU threshold, split by query
+                   scenes: list[SyntheticScene]) -> dict:
+    """Single-phrase grounding accuracy at IoU ``IOU_THRESH``, split by query
     kind.  The answer box comes from the query slot whose phrase distribution
     (over the scene's real candidates plus background) puts the most mass on
     the query phrase; padded candidate columns are excluded."""
@@ -327,10 +327,10 @@ def eval_grounding(boxes: np.ndarray, logits: np.ndarray,
         per_scene.append({
             "kind": scene.query.kind,
             "iou": iou,
-            "hit": bool(iou >= iou_thresh),
+            "hit": bool(iou >= IOU_THRESH),
             "picked_query": pick,
         })
-    out = {"n": len(scenes), "iou_thresh": iou_thresh}
+    out = {"n": len(scenes), "iou_thresh": IOU_THRESH}
     for kind in ("category", "spatial"):
         sub = [r for r in per_scene if r["kind"] == kind]
         if sub:

@@ -87,7 +87,8 @@ class LayerNorm(Module):
 
 
 class MultiHeadAttention(Module):
-    """Standard multi-head attention; optional RoPE on queries and keys.
+    """Standard multi-head attention; optional RoPE on queries and keys at
+    positions 0..T-1.
     Projections are ``Linear`` layers around the fused ``T.attention`` core.
 
     ``mask`` is an additive ndarray broadcastable to [B, h, Tq, Tk].
@@ -105,12 +106,11 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
-                 pos_q=None, pos_k=None) -> Tensor:
+    def __call__(self, x_q: Tensor, x_kv: Tensor,
+                 mask: np.ndarray | None = None) -> Tensor:
         return self.wo(T.attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv),
                                    self.heads, mask=mask,
-                                   rope_base=self.rope_base, pos_q=pos_q,
-                                   pos_k=pos_k))
+                                   rope_base=self.rope_base))
 
 
 class TransformerBlock(Module):

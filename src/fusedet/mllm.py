@@ -155,7 +155,7 @@ class MiniMllm(Module):
         parts = [T.concat([T.reshape(self.sys_embed, 1, s, self.cfg.d_lm)] * b,
                           axis=0), vis]
         if text_ids is not None:
-            parts.append(T.embedding(self.tok_embed, text_ids))
+            parts.append(T.index_select(self.tok_embed, 0, text_ids))
         return T.concat(parts, axis=1)
 
     def sequence_mask(self, n: int,

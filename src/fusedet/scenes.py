@@ -317,9 +317,12 @@ def generate_scenes(seed: int, count: int, split: str) -> list[SyntheticScene]:
     return [make_scene(seed, split, i) for i in range(count)]
 
 
-def pad_token_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id rows into [N, W] with a boolean valid mask."""
-    width = max(len(r) for r in rows)
+def pad_token_rows(rows: list[np.ndarray], width: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack variable-length id rows into [N, W] with a boolean valid mask;
+    W is ``width``, or the longest row's length when ``width`` is None."""
+    if width is None:
+        width = max(len(r) for r in rows)
     ids = np.full((len(rows), width), PAD, dtype=np.intp)
     valid = np.zeros((len(rows), width), dtype=bool)
     for i, r in enumerate(rows):

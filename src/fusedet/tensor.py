@@ -164,9 +164,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
 
 def _bad_item(t: Tensor):
     raise UsageError(f"item() needs a single-element tensor, got shape {t.shape}")
@@ -768,20 +765,6 @@ def _axis_index(axis, idx, ndim):
     return tuple(sel)
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Look up ``table[ids]``; ids is any integer ndarray."""
-    table = as_tensor(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    out_data = table.data[ids]
-
-    def bw(g, acc):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        acc(table, buf)
-
-    return _make(out_data, (table,), bw, "embedding")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -1028,7 +1011,7 @@ def finite_diff_check(f, params) -> float:
     if not plist:
         raise UsageError("finite_diff_check needs at least one parameter")
     for p in plist:
-        p.zero_grad()
+        p.grad = None
     loss = f()
     backward(loss)
     worst = 0.0

@@ -77,20 +77,20 @@ PROJECTOR_LR_DIVISOR = 5.0
 
 def build_models(cfg: ExperimentConfig) -> tuple[MiniMllm, GroundingDetector]:
     rng = np.random.default_rng([cfg.seed, MODEL_TAG])
-    mllm = MiniMllm(cfg.mllm_config(), rng)
-    det = GroundingDetector(cfg.detector_config(), mllm.cfg, rng)
+    mllm = MiniMllm(cfg.mllm, rng)
+    det = GroundingDetector(cfg.detector, mllm.cfg, rng)
     return mllm, det
 
 
 def build_adapter(cfg: ExperimentConfig, **overrides) -> FusionState:
     rng = np.random.default_rng([cfg.run_seed, ADAPTER_TAG])
-    return FusionState(cfg.adapter_config(**overrides), cfg.mllm_config(),
-                       cfg.detector_config(), rng)
+    return FusionState(cfg.adapter_config(**overrides), cfg.mllm,
+                       cfg.detector, rng)
 
 
 def build_substitution(cfg: ExperimentConfig, mllm: MiniMllm) -> SubstitutionHead:
     rng = np.random.default_rng([cfg.run_seed, ADAPTER_TAG, 1])
-    return SubstitutionHead(mllm.cfg, cfg.detector_config(), rng)
+    return SubstitutionHead(mllm.cfg, cfg.detector, rng)
 
 
 def snapshot(module) -> dict[str, np.ndarray]:
@@ -159,19 +159,21 @@ def configure_trainable(groups: list[ParamGroup], *frozen_modules) -> None:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the global grad-norm ceiling every Adam step clips to
+GRAD_CLIP = 1.0
 
 
 class Adam:
-    """Adam with cosine lr decay and optional global-norm gradient clipping.
+    """Adam with cosine lr decay and global-norm gradient clipping at
+    ``GRAD_CLIP``.
 
     Moment buffers are keyed by parameter identity; a fresh optimizer starts
     every stage.
     """
 
-    def __init__(self, groups: list[ParamGroup], total: int, clip: float):
+    def __init__(self, groups: list[ParamGroup], total: int):
         self.groups = groups
         self.total = total
-        self.clip = clip
         self.t = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -183,16 +185,15 @@ class Adam:
                 if p.grad is not None:
                     sq += float(np.sum(p.grad * p.grad))
         norm = np.sqrt(sq)
-        if norm > self.clip:
-            scale = self.clip / norm
+        if norm > GRAD_CLIP:
+            scale = GRAD_CLIP / norm
             for g in self.groups:
                 for p in g.params.values():
                     if p.grad is not None:
                         p.grad = p.grad * scale
 
     def step(self) -> None:
-        if self.clip > 0:
-            self._clip_grads()
+        self._clip_grads()
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
@@ -223,7 +224,7 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
     steps of ``loss_fn(idx)``, ``idx`` drawn from ``range(n)``; the report."""
     configure_trainable(groups, *frozen)
     rng = np.random.default_rng([seed, STAGE_TAGS[stage]])
-    opt = Adam(groups, total=steps, clip=cfg.grad_clip)
+    opt = Adam(groups, total=steps)
     losses = []
     for step in range(steps):
         idx = rng.integers(0, n, size=batch)
@@ -593,6 +594,9 @@ def train_stage3(cfg: ExperimentConfig, mllm: MiniMllm,
         ParamGroup("projector", mllm.projector.named_parameters(),
                    cfg.s3_adapter_lr / PROJECTOR_LR_DIVISOR),
     ]
+    if not cached and cache is not None:
+        raise UsageError("a Stage3Cache was passed to a run with "
+                         "cached=False, which would never read it")
     if cached:
         if cache is None:
             cache = Stage3Cache(mllm, det, scenes, acfg.l_d,
@@ -668,7 +672,7 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
                                         state=state, sub=sub),
         len(scenes), cfg.eval_chunk, (((nq, 4), float), ((nq, nq + 1), float)),
         "evaluate")
-    return eval_grounding(boxes, logits, scenes, cfg.iou_thresh)
+    return eval_grounding(boxes, logits, scenes)
 
 
 def load_split(cfg: ExperimentConfig, split: str) -> list[SyntheticScene]:

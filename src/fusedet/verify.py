@@ -27,8 +27,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .adapter import (ARCHS, AdapterConfig, FusionState, fuse_vision,
-                      make_prompts, zero_init_cross_attn)
+from .adapter import (ARCHS, AdapterConfig, FusionState, make_prompts,
+                      zero_init_cross_attn)
 from .config import ExperimentConfig
 from .detector import (DetectorConfig, GroundingDetector, SubstitutionHead,
                        detection_loss)
@@ -107,10 +107,11 @@ def _rope(rng):
     return (lambda: _weighted_sum(T.rope_apply(x, pos, base=base))), [x]
 
 
-def _embedding(rng):
+def _index_select(rng):
+    """A token lookup: rows of a table gathered by a 2-d id array."""
     table = _param(rng, 5, 3)
     ids = rng.integers(0, 5, size=(2, 4))
-    return (lambda: _weighted_sum(T.embedding(table, ids))), [table]
+    return (lambda: _weighted_sum(T.index_select(table, 0, ids))), [table]
 
 
 def _qkv(rng):
@@ -285,11 +286,10 @@ def _adapter_step(arch):
         e_t = T.constant(rng.standard_normal((1, 6, 8))) \
             if cfg.text_fusion else None
         x = T.constant(rng.standard_normal((1, 3, 8)))
-        step = fuse_vision if cfg.fuses_vision else zero_init_cross_attn
         own = ([state.proj_lm.weight, state.text_fusion.wo.weight]
                if cfg.fuses_vision else
                [state.wq.weight, state.conv_kernel, state.conv_bias])
-        return (lambda: _weighted_sum(step(
+        return (lambda: _weighted_sum(zero_init_cross_attn(
             x, make_prompts(e_v_l, e_t, cfg=cfg, state=state), state))
         ), [state.gate, state.out_proj.weight, *own]
     return build
@@ -356,7 +356,7 @@ CASES = [
     ("op/pixel_unshuffle",
      _on(lambda x: T.pixel_unshuffle(x, 2), (1, 2, 4, 4))),
     ("op/rope", _rope),
-    ("op/embedding", _embedding),
+    ("op/index-select", _index_select),
     ("layer/linear", _module(lambda rng: Linear(5, 4, rng), (3, 5),
                              lambda m: [m.weight, m.bias])),
     ("layer/layernorm", _module(_random_layernorm, (2, 4, 6),
@@ -391,3 +391,13 @@ def run_gradcheck(seed: int) -> list[tuple[str, float]]:
 
 def max_error(results: list[tuple[str, float]]) -> float:
     return max(err for _, err in results)
+
+
+def report_lines(results: list[tuple[str, float]]) -> list[str]:
+    """What ``fusedet gradcheck`` prints: one line per case, then the
+    verdict against ``GRADCHECK_TOL``."""
+    worst = max_error(results)
+    ok = worst < GRADCHECK_TOL
+    return [*(f"{name:35s} {err:.3e}" for name, err in results),
+            f"max relative error {worst:.3e} ({'<' if ok else '>='} "
+            f"{GRADCHECK_TOL:g}) -> {'PASS' if ok else 'FAIL'}"]

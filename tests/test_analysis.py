@@ -300,7 +300,7 @@ class TestComputeReport:
     @pytest.mark.parametrize("arch", ["I", "II", "III", "IV"])
     def test_metered_equals_analytic(self, arch):
         cfg = ExperimentConfig()
-        rows = compute_report(cfg.detector_config(), cfg.mllm_config(),
+        rows = compute_report(cfg.detector, cfg.mllm,
                               cfg.adapter_config(arch=arch))
         for row in rows:
             assert row["flops_metered"] == row["flops_analytic"], row["framework"]
@@ -316,7 +316,7 @@ class TestComputeReport:
 
     def test_deltas_additive(self):
         cfg = ExperimentConfig()
-        rows = compute_report(cfg.detector_config(), cfg.mllm_config(),
+        rows = compute_report(cfg.detector, cfg.mllm,
                               cfg.adapter_config())
         total = rows[-1]
         assert total["framework"] == "total"
@@ -329,16 +329,15 @@ class TestComputeReport:
     def test_adapter_row_params_match_closed_form(self):
         cfg = ExperimentConfig()
         acfg = cfg.adapter_config()
-        rows = compute_report(cfg.detector_config(), cfg.mllm_config(), acfg)
+        rows = compute_report(cfg.detector, cfg.mllm, acfg)
         assert rows[1]["framework"] == "+adapter"
-        params, _ = adapter_param_flops(acfg, cfg.mllm_config(),
-                                        cfg.detector_config(),
+        params, _ = adapter_param_flops(acfg, cfg.mllm, cfg.detector,
                                         cfg.detector.queries)
         assert rows[1]["params"] == params
 
     def test_detector_row_params_match_hand_count(self):
         cfg = ExperimentConfig()
-        dcfg, mcfg = cfg.detector_config(), cfg.mllm_config()
+        dcfg, mcfg = cfg.detector, cfg.mllm
         rows = compute_report(dcfg, mcfg, cfg.adapter_config())
         d, q, v = dcfg.d, dcfg.queries, VOCAB
         dp = mcfg.d_patch
@@ -361,14 +360,13 @@ class TestComputeReport:
         mha = MultiHeadAttention(8, 2, rng, rope_base=100.0 if rope else None)
         x_q = T.constant(rng.standard_normal((2, 3, 8)))
         x_kv = T.constant(rng.standard_normal((2, 5, 8)))
-        pos = dict(pos_q=np.arange(3), pos_k=np.arange(5)) if rope else {}
         with FlopsMeter() as meter:
-            mha(x_q, x_kv, **pos)
+            mha(x_q, x_kv)
         assert meter.accumulated == 2 * mha_flops(3, 5, 8, 2, rope=rope)
 
     def test_csv_schema(self, tmp_path):
         cfg = ExperimentConfig()
-        rows = compute_report(cfg.detector_config(), cfg.mllm_config(),
+        rows = compute_report(cfg.detector, cfg.mllm,
                               cfg.adapter_config())
         path = tmp_path / "compute_report.csv"
         write_compute_csv(rows, path)

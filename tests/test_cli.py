@@ -257,7 +257,10 @@ def test_eval_scores_each_head_as_it_trained(arch_ii_run, tmp_path, setting):
     and score as the wrong head, and the substitution control would read
     the wrong LM layer."""
     out = Path(shutil.copytree(arch_ii_run, tmp_path / "runs"))
-    (tmp_path / "eval.cfg").write_text(TINY_RUN + setting)
+    key = setting.split(" = ")[0]
+    kept = [line for line in TINY_RUN.splitlines(keepends=True)
+            if line.split(" = ")[0] != key]
+    (tmp_path / "eval.cfg").write_text("".join(kept) + setting)
     assert cli.cli(["eval", "--config", str(tmp_path / "eval.cfg"),
                     "--out", str(out)]) == 0
     assert_scores(out, "adapter", reported(out, "stage3"))
@@ -364,7 +367,7 @@ def test_writing_command_runs_on_the_staged_run(staged, tmp_path, command,
     if command == "flops-report":
         cfg = load_file(out / "resolved-config.txt")
         analysis.write_compute_csv(
-            analysis.compute_report(cfg.detector_config(), cfg.mllm_config(),
+            analysis.compute_report(cfg.detector, cfg.mllm,
                                     cfg.adapter_config()),
             tmp_path / "want.csv")
         assert ((out / "compute_report.csv").read_text()
@@ -483,21 +486,17 @@ BAD_VALUES = [
     ("detector.queries = 0", "detector.queries must be at least 1, got 0"),
     ("n_val = 0", "n_val must be at least 1, got 0"),
     ("pretrain_lr = -1", "pretrain_lr must be positive, got -1.0"),
-    ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0"),
-    ("grad_clip = -1", "grad_clip must be at least 0, got -1.0"),
-    ("iou_thresh = 2", "iou_thresh must be in (0, 1], got 2.0"),
-    ("iou_thresh = 0", "iou_thresh must be in (0, 1], got 0.0")]
+    ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0")]
 
 
 @pytest.mark.parametrize("text, message", BAD_VALUES, ids=[
     text.replace(" = ", "=") for text, _ in BAD_VALUES])
 def test_bad_config_value_is_a_named_error(tmp_path, monkeypatch, capsys,
                                            text, message):
-    """A size, count or stride below 1, a learning rate that is not
-    positive, a negative clip or an IoU threshold outside (0, 1] is refused
-    when the config loads, naming its key: the first five used to raise
-    ``ZeroDivisionError`` here, zero queries failed only inside a pass, and
-    the rest were accepted."""
+    """A size, count or stride below 1 or a learning rate that is not
+    positive is refused when the config loads, naming its key: the first
+    five used to raise ``ZeroDivisionError`` here, zero queries failed only
+    inside a pass, and the rest were accepted."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text + "\n")
     assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1

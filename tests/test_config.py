@@ -30,7 +30,7 @@ class TestRoundTrips:
         assert config.loads(config.dumps(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(n_train=64, grad_clip=0.0)
+        cfg = ExperimentConfig(n_train=64, eval_chunk=32)
         path = tmp_path / "run.cfg"
         config.save_file(cfg, path)
         assert config.load_file(path) == cfg
@@ -82,6 +82,15 @@ class TestParsing:
         with pytest.raises(UsageError, match="mllm.n"):
             ExperimentConfig.from_dict({"mllm.n": "None"})
 
+    def test_repeated_key_rejected(self):
+        """A key set on two lines is refused with both line numbers; the
+        last line used to win silently."""
+        with pytest.raises(UsageError, match=re.escape(
+                "config line 3: n_val already set on line 1")):
+            config.loads("n_val = 10\nseed = 1\nn_val = 20\n")
+        with pytest.raises(UsageError, match="adapter.arch already set"):
+            config.loads("adapter.arch = II\nadapter.arch = IV\n")
+
     def test_missing_separator_rejected(self):
         with pytest.raises(UsageError, match="line 2"):
             config.loads("seed = 1\nnonsense\n")
@@ -114,7 +123,7 @@ class TestDerivedConfigs:
 
     def test_adapter_grid_follows_lm_alignment(self):
         cfg = ExperimentConfig()
-        assert build_adapter(cfg).grid == cfg.mllm_config().aligned_grid
+        assert build_adapter(cfg).grid == cfg.mllm.aligned_grid
 
     def test_adapter_overrides(self):
         cfg = ExperimentConfig()

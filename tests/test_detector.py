@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from fusedet import detector
 from fusedet import tensor as T
 from fusedet.detector import (BOX_WEIGHT, DetectorConfig, GroundingDetector,
                               SubstitutionHead, detection_loss, eval_grounding,
@@ -319,23 +320,27 @@ class TestEvalGrounding:
         logits = np.full((1, nq, c + 1), 0.0)
         boxes[0, 2] = scene.query.target_box
         logits[0, 2, col] = 30.0
-        out = eval_grounding(boxes, logits, [scene], 0.5)
+        out = eval_grounding(boxes, logits, [scene])
         assert out["acc"] == 1.0
         assert out["per_scene"][0]["picked_query"] == 2
         assert out["per_scene"][0]["iou"] == pytest.approx(1.0)
         # same logits but the confident slot points at a wrong box
         boxes[0, 2] = (0.05, 0.05, 0.02, 0.02)
-        out = eval_grounding(boxes, logits, [scene], 0.5)
+        out = eval_grounding(boxes, logits, [scene])
         assert out["acc"] == 0.0 and out["mean_iou"] < 0.1
 
-    def test_threshold_monotonicity(self):
+    def test_threshold_monotonicity(self, monkeypatch):
         scenes = generate_scenes(35, 12, "val-category")
         rng = np.random.default_rng(9)
         nq, cmax = 4, max(len(s.candidates) for s in scenes)
         boxes = rng.uniform(0.2, 0.8, (12, nq, 4))
         logits = rng.standard_normal((12, nq, cmax + 1))
-        accs = [eval_grounding(boxes, logits, scenes, t)["acc"]
-                for t in (0.1, 0.3, 0.5, 0.7)]
+        accs = []
+        for t in (0.1, 0.3, 0.5, 0.7):
+            monkeypatch.setattr(detector, "IOU_THRESH", t)
+            out = eval_grounding(boxes, logits, scenes)
+            assert out["iou_thresh"] == t
+            accs.append(out["acc"])
         assert all(a >= b for a, b in zip(accs, accs[1:]))
 
     def test_split_accounting(self):
@@ -345,7 +350,7 @@ class TestEvalGrounding:
         nq, cmax = 4, max(len(s.candidates) for s in scenes)
         boxes = np.full((12, nq, 4), 0.5)
         logits = np.zeros((12, nq, cmax + 1))
-        out = eval_grounding(boxes, logits, scenes, 0.5)
+        out = eval_grounding(boxes, logits, scenes)
         assert out["n_category"] == 6 and out["n_spatial"] == 6
         total = (out["acc_category"] * 6 + out["acc_spatial"] * 6) / 12
         assert out["acc"] == pytest.approx(total)

@@ -1,14 +1,17 @@
 """Golden fingerprint: the four scene splits, a tiny run through every
 training stage, both heads, a two-point layer sweep and the cost table,
-compared with the values recorded in ``tests/golden.json``.
+compared with the values recorded in ``tests/golden.json``, and the lines
+``fusedet gradcheck`` prints at seed 0, compared with their recorded hash.
 
 Only numbers are hashed: each split's images, captions, queries, candidates
 and ground truth, losses and final losses, metrics with their per-scene
 records, ``module_digest`` values and cost rows, never a config.
 The hashes hold bit for bit only on the numpy, scipy and BLAS core they
 were recorded with, so each entry in the file is keyed by those three.
-Under a key the file does not hold, the test compares the recorded final
-losses and metrics to rtol 1e-9 instead, and prints which comparison ran.
+Under a key the file does not hold, the run test compares the recorded
+final losses and metrics to rtol 1e-9 instead, the gradcheck test requires
+every case below ``GRADCHECK_TOL`` instead, and each prints which comparison
+ran.
 
 After a change that moves outputs on purpose, rewrite the file with
 
@@ -30,6 +33,7 @@ from fusedet.adapter import ARCHS, AdapterConfig
 from fusedet.config import ExperimentConfig
 from fusedet.detector import DetectorConfig
 from fusedet.mllm import MllmConfig
+from fusedet.verify import GRADCHECK_TOL, report_lines, run_gradcheck
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-9
@@ -159,6 +163,12 @@ def record(parts: dict[str, dict]) -> dict:
     }
 
 
+def gradcheck_digest(results) -> str:
+    """SHA-256 over the lines ``fusedet gradcheck`` prints for ``results``."""
+    return hashlib.sha256(
+        "\n".join(report_lines(results)).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -178,7 +188,21 @@ def test_tiny_run_matches_the_golden_fingerprint(golden):
             assert got["values"][name] == pytest.approx(value, rel=RTOL), name
 
 
+def test_gradcheck_lines_match_the_golden_hash(golden):
+    results, key = run_gradcheck(0), platform_key()
+    if key in golden:
+        print(f"golden: gradcheck hash compared under {key}")
+        assert gradcheck_digest(results) == golden[key]["gradcheck"]
+        return
+    print(f"golden: {key} not recorded; gradcheck hash comparison skipped, "
+          f"every case compared to {GRADCHECK_TOL:g}")
+    for name, err in results:
+        assert err < GRADCHECK_TOL, name
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({platform_key(): record(fingerprint())},
+    entry = record(fingerprint())
+    entry["gradcheck"] = gradcheck_digest(run_gradcheck(0))
+    GOLDEN.write_text(json.dumps({platform_key(): entry},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} for {platform_key()}")

@@ -40,7 +40,7 @@ LINEAR = {"2d-bias": "op/linear-2d-bias", "3d-bias": "op/linear-3d-bias"}
 GATED = {"two-segments": "op/attention-gated-segments",
          "gated-only": "op/attention-gated-only"}
 SINGLE = ["op/conv2d", "op/rope", "op/pixel_unshuffle",
-          "op/concat", "op/embedding", "op/softmax-masked",
+          "op/concat", "op/index-select", "op/softmax-masked",
           "op/softmax-matmul", "op/layer_norm", "op/attention-masked",
           "op/attention-rope-offsets", "op/cross-entropy-masked"]
 # run by test_layers.py, test_adapter.py and test_detector.py
@@ -93,8 +93,8 @@ def test_concat_grads():
     check("op/concat")
 
 
-def test_embedding_grads():
-    check("op/embedding")
+def test_index_select_grads():
+    check("op/index-select")
 
 
 def test_masked_softmax_grads():

@@ -67,6 +67,9 @@ class TestVocabulary:
         assert ids[1, 0] == 7 and ids[1, 1] == S.PAD and ids[1, 2] == S.PAD
         assert valid.tolist() == [[True, True, False], [True, False, False],
                                   [True, True, True]]
+        wide, wide_valid = S.pad_token_rows(rows, width=5)
+        assert np.array_equal(wide[:, :3], ids)
+        assert np.all(wide[:, 3:] == S.PAD) and not wide_valid[:, 3:].any()
 
 
 # -- determinism and splits --------------------------------------------------

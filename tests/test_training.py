@@ -68,12 +68,16 @@ class TestSchedule:
             tr.cosine_lr(0.1, 0, 0)
 
 
-def adam_oracle(x0, grads, lr, total, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Independent Adam recurrence (bias-corrected, cosine-decayed)."""
+def adam_oracle(x0, grads, lr, total, copies=1, beta1=0.9, beta2=0.999,
+                eps=1e-8):
+    """Independent Adam recurrence (bias-corrected, cosine-decayed), each
+    gradient first clipped to global norm ``GRAD_CLIP`` over ``copies``
+    parameters that all receive it."""
     x = x0.copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     for t, g in enumerate(grads, start=1):
+        g = g * min(1.0, tr.GRAD_CLIP / np.sqrt(copies * np.sum(g * g)))
         step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * (t - 1) / total))
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
@@ -89,7 +93,7 @@ class TestAdam:
         x0 = rng.standard_normal((3, 2))
         grads = [rng.standard_normal((3, 2)) for _ in range(5)]
         p = Tensor(x0.copy(), requires_grad=True)
-        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.01)], total=5, clip=0.0)
+        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.01)], total=5)
         for g in grads:
             p.grad = g.copy()
             opt.step()
@@ -102,17 +106,18 @@ class TestAdam:
         pa = Tensor(xa.copy(), requires_grad=True)
         pb = Tensor(xb.copy(), requires_grad=True)
         opt = tr.Adam([tr.ParamGroup("a", {"p": pa}, 0.05),
-                       tr.ParamGroup("b", {"p": pb}, 0.002)], total=3,
-                      clip=0.0)
+                       tr.ParamGroup("b", {"p": pb}, 0.002)], total=3)
         for g in grads:
             pa.grad, pb.grad = g.copy(), g.copy()
             opt.step()
-        assert np.allclose(pa.data, adam_oracle(xa, grads, 0.05, 3), atol=1e-14)
-        assert np.allclose(pb.data, adam_oracle(xb, grads, 0.002, 3), atol=1e-14)
+        assert np.allclose(pa.data, adam_oracle(xa, grads, 0.05, 3, copies=2),
+                           atol=1e-14)
+        assert np.allclose(pb.data, adam_oracle(xb, grads, 0.002, 3, copies=2),
+                           atol=1e-14)
 
     def test_step_consumes_gradients(self):
         p = Tensor(np.ones(2), requires_grad=True)
-        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1, clip=0.0)
+        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1)
         p.grad = np.ones(2)
         opt.step()
         assert p.grad is None
@@ -121,18 +126,18 @@ class TestAdam:
         pa = Tensor(np.zeros(3), requires_grad=True)
         pb = Tensor(np.zeros(4), requires_grad=True)
         opt = tr.Adam([tr.ParamGroup("a", {"p": pa}, 0.1),
-                       tr.ParamGroup("b", {"p": pb}, 0.1)], total=1, clip=1.0)
+                       tr.ParamGroup("b", {"p": pb}, 0.1)], total=1)
         pa.grad = np.full(3, 2.0)
         pb.grad = np.full(4, 2.0)
         norm = np.sqrt(np.sum(pa.grad ** 2) + np.sum(pb.grad ** 2))
         opt._clip_grads()
         clipped = np.sqrt(np.sum(pa.grad ** 2) + np.sum(pb.grad ** 2))
-        assert clipped == pytest.approx(1.0, abs=1e-12)
+        assert clipped == pytest.approx(tr.GRAD_CLIP, abs=1e-12)
         assert np.allclose(pa.grad, np.full(3, 2.0) / norm)
 
     def test_clip_leaves_small_gradients_alone(self):
         p = Tensor(np.zeros(2), requires_grad=True)
-        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1, clip=10.0)
+        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1)
         g = np.array([0.3, -0.4])
         p.grad = g.copy()
         opt._clip_grads()
@@ -411,6 +416,15 @@ class TestCachedEquivalence:
             tr.train_stage3(b["cfg"], b["mllm"], b["det"], state,
                             b["train"][12:16], cache=stage3_cache(b))
 
+    def test_cache_on_an_uncached_run_rejected(self, bench):
+        """``cached=False`` trains on the naive loss, which never reads a
+        cache; one passed anyway is refused rather than ignored."""
+        b = bench
+        state = tr.build_adapter(b["cfg"])
+        with pytest.raises(UsageError, match="cached=False"):
+            tr.train_stage3(b["cfg"], b["mllm"], b["det"], state,
+                            b["train"], cached=False, cache=stage3_cache(b))
+
 
 class TestAttentionTap:
     def test_tap_reads_the_gate_of_an_opened_adapter(self, bench):
@@ -429,7 +443,7 @@ class TestAttentionTap:
         with T.attention_tap() as taps:
             tr.stage3_loss_cached(cfg, b["mllm"], b["det"], state,
                                   stage3_cache(b), idx)
-        l, q = state.prompt_len, cfg.detector.queries
+        l, q = np.prod(state.cfg.prompt_grid(cfg.mllm)), cfg.detector.queries
         (w,) = [w for _, w in taps if w.shape[-1] == l + q]
         assert len(taps) > 1
         assert w.shape == (len(idx), state.cfg.heads, q, l + q)
@@ -576,7 +590,7 @@ class TestEvaluation:
         cfg = ExperimentConfig(detector=DetectorConfig(depth=2), n_val=2)
         mllm, det = tr.build_models(cfg)
         rng = np.random.default_rng(0)
-        state = FusionState(AdapterConfig(arch="IV"), cfg.mllm_config(),
+        state = FusionState(AdapterConfig(arch="IV"), cfg.mllm,
                             DetectorConfig(), rng)
         assert state.cfg.l_d == 6
         state.gate.data[:] = 1.0
@@ -880,7 +894,7 @@ class TestForwardOnlyPasses:
             "attention_medians": lambda: attention_medians(mllm, images, ids,
                                                            valid),
             "compute_report": lambda: compute_report(
-                cfg.detector_config(), cfg.mllm_config(),
+                cfg.detector, cfg.mllm,
                 cfg.adapter_config(arch="I"), measure_latency=True),
         }
         for name, run in passes.items():
