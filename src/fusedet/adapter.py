@@ -13,10 +13,12 @@ two derived properties of ``AdapterConfig``:
                      prompts that are injected into the decoder queries right
                      before decoder layer ``l_d``.
 
-The adapter has no sizes of its own.  ``AdapterConfig.resolve`` checks it
-against the configs of the two models it connects (the widths, the LM's
-aligned grid, and the depths that bound ``l_lm`` and ``l_d``) and resolves an
-unset ``l_d``: to 1 for Arch I and III, else to the detector's last layer.
+The adapter has no sizes of its own: its widths, grid and head counts come
+from the two models it connects.  The gate (one entry per head) and the gated
+kernel split detector width into ``detector.heads``, and text fusion splits
+LM width into ``mllm.heads``.  ``AdapterConfig.resolve`` checks no widths,
+only the depths that bound ``l_lm`` and ``l_d``, and resolves an unset
+``l_d``: to 1 for Arch I and III, else to the detector's last layer.
 ``FusionState`` holds the resolved config, so ``state.cfg.l_d`` is always the
 layer the hook runs before.
 
@@ -81,13 +83,12 @@ class AdapterConfig:
     arch: str = "IV"
     l_lm: int = 2
     l_d: int | None = None        # None: the preset's layer (I, III: 1, else depth)
-    heads: int = 4
     conv_stride: int = 2
 
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ConfigurationError(f"arch {self.arch!r} not one of {ARCHS}")
-        check_fields(self, "adapter.", ("heads", "conv_stride"),
+        check_fields(self, "adapter.", ("conv_stride",),
                      "at least 1", lambda v: v >= 1)
         if self.arch in FIRST_LAYER_ARCHS and self.l_d not in (None, 1):
             raise ConfigurationError(
@@ -104,10 +105,6 @@ class AdapterConfig:
             raise ConfigurationError(f"l_lm {self.l_lm} outside [0, {mcfg.n}]")
         if not 1 <= l_d <= dcfg.depth:
             raise ConfigurationError(f"l_d {l_d} outside [1, {dcfg.depth}]")
-        for width in (dcfg.d, mcfg.d_lm) if self.text_fusion else (dcfg.d,):
-            if width % self.heads:
-                raise ConfigurationError(
-                    f"width {width} not divisible by {self.heads} heads")
         return replace(self, l_d=l_d)
 
     def prompt_grid(self, mcfg: MllmConfig) -> tuple[int, int]:
@@ -145,12 +142,12 @@ class FusionState(Module):
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)
         self.wv = Linear(d, d, rng)
-        self.gate = Tensor(np.zeros(cfg.heads), requires_grad=True)
+        self.gate = Tensor(np.zeros(dcfg.heads), requires_grad=True)
         self.out_proj = Linear(d, d, rng)
         if not cfg.fuses_vision:
             self.out_proj.zero_()
         if cfg.text_fusion:
-            self.text_fusion = MultiHeadAttention(d_lm, cfg.heads, rng)
+            self.text_fusion = MultiHeadAttention(d_lm, mcfg.heads, rng)
         if cfg.fuses_vision:
             self.proj_lm = Linear(d_lm, d, rng)
         else:
@@ -196,19 +193,18 @@ def zero_init_cross_attn(x: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
     ``x`` attend over the L prompts and, unless the preset ``fuses_vision``,
     over the T rows of ``x`` as a second key segment.  The attention core is
     ``T.attention``, the same op ``MultiHeadAttention`` runs, with the
-    prompts as its gated key segment.
+    prompts as its gated key segment and one head per gate.
 
     RoPE positions run 0..L-1 over the prompts and L..L+T-1 over ``x`` (as
     queries and as self keys).  Per row and head the prompt segment sums to
     tanh(g) and the self segment to 1; a ``T.attention_tap`` reads both.
     """
-    cfg = state.cfg
     b, t, d = x.shape
     l = a_p.shape[1]
     if a_p.shape[2] != d:
         raise DimensionError(
             f"prompt width {a_p.shape[2]} != detector width {d}")
-    injects = not cfg.fuses_vision          # the preset's self segment
+    injects = not state.cfg.fuses_vision    # the preset's self segment
 
     def keys(proj):
         seg = proj(a_p)
@@ -216,7 +212,7 @@ def zero_init_cross_attn(x: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
 
     q = state.wq(x)
     k, v = keys(state.wk), keys(state.wv)
-    core = T.attention(q, k, v, cfg.heads, rope_base=T.ROPE_BASE,
+    core = T.attention(q, k, v, state.gate.shape[0], rope_base=T.ROPE_BASE,
                        pos_q=np.arange(l, l + t), pos_k=np.arange(k.shape[1]),
                        gate=T.tanh(state.gate), gated_keys=l)
     return T.add(x, state.out_proj(core))

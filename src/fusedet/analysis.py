@@ -267,7 +267,7 @@ def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
     detector vision tokens for a vision-fusing adapter.  With text fusion the
     prompts attend over ``REPORT_LM_TEXT`` query tokens.
     """
-    d, d_lm, h, k = dcfg.d, mcfg.d_lm, acfg.heads, CONV_K
+    d, d_lm, h, k = dcfg.d, mcfg.d_lm, dcfg.heads, CONV_K
     ph, pw = acfg.prompt_grid(mcfg)
     l_v, l, t = mcfg.l_v, ph * pw, t_queries              # l: prompt keys
     s = 0 if acfg.fuses_vision else t                     # self-segment keys
@@ -276,7 +276,7 @@ def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
     flops = 0
     if acfg.text_fusion:
         params += 4 * (d_lm * d_lm + d_lm)
-        flops += mha_flops(l_v, REPORT_LM_TEXT, d_lm, h) + l_v * d_lm
+        flops += mha_flops(l_v, REPORT_LM_TEXT, d_lm, mcfg.heads) + l_v * d_lm
     if acfg.fuses_vision:
         params += d_lm * d + d                            # proj_lm
         flops += linear_flops(l_v, d_lm, d)

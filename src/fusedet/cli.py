@@ -301,8 +301,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
         _load_into(module, out, head)
         score(head, head_cfg, **{keyword: module})
     payload = {"config": configs, "metrics": summary}
-    (out / "eval.json").write_text(json.dumps(payload, indent=2,
-                                              sort_keys=True) + "\n")
+    tr.save_report(payload, out / "eval.json")
     print(f"wrote {out / 'eval.json'}")
     return 0
 

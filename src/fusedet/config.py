@@ -16,24 +16,26 @@ canvas (``scenes.CANVAS``), the vocabulary (``scenes.VOCAB``), the RoPE base
 grounding hit's IoU threshold (``detector.IOU_THRESH``), the prompt conv's
 kernel and padding (``adapter.CONV_K``, ``CONV_PAD``) and the gradient-norm
 ceiling (``training.GRAD_CLIP``).  Sizes that follow from other settings are
-derived: the projector's input width is
-``MllmConfig.proj_in`` = 3 * patch^2 * shuffle_r^2, and the stage-3 (and
-substitution) projector lr is the head's lr over
-``training.PROJECTOR_LR_DIVISOR``.  The adapter, the detector's vision input
-and the substitution head copy no size: each reads its widths, grids and
-depths from the ``MllmConfig`` and ``DetectorConfig`` it attaches to.
+derived: the projector's input width is ``MllmConfig.proj_in`` = 3 * patch^2
+* shuffle_r^2, the adapter's head counts are ``detector.heads`` (its gate)
+and ``mllm.heads`` (its text fusion), and the stage-3 (and substitution)
+projector lr is the head's lr over ``training.PROJECTOR_LR_DIVISOR``.  The
+adapter, the detector's vision input and the substitution head copy no size:
+each reads its widths, grids and depths from the ``MllmConfig`` and
+``DetectorConfig`` it attaches to.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .adapter import FIRST_LAYER_ARCHS, AdapterConfig
+from .adapter import AdapterConfig
 from .detector import DetectorConfig
 from .mllm import MllmConfig
+from .scenes import MAX_CANDIDATES
 from .tensor import UsageError, check_fields
 
 CODE_ONLY = {"mllm.canvas"}     # set in code: scenes are drawn on CANVAS
@@ -84,21 +86,20 @@ class ExperimentConfig:
         check_fields(self, "", counts, "at least 1", lambda v: v >= 1)
         check_fields(self, "", [n for n in names if n.endswith("_lr")],
                      "positive", lambda v: v > 0)
+        check_fields(self.detector, "detector.", ("queries",),
+                     f"at least {MAX_CANDIDATES}, the most candidates a "
+                     "scene has", lambda v: v >= MAX_CANDIDATES)
         self.adapter.resolve(self.mllm, self.detector)
 
-    # only perfbench/ calls these two; the program reads the fields
+    # only perfbench/ calls these three; the program reads the fields
     def mllm_config(self) -> MllmConfig:
         return self.mllm
 
     def detector_config(self) -> DetectorConfig:
         return self.detector
 
-    def adapter_config(self, **overrides) -> AdapterConfig:
-        """The adapter section with ``overrides``; one naming Arch I or III
-        and no ``l_d`` gets that preset's own layer."""
-        if overrides.get("arch", self.adapter.arch) in FIRST_LAYER_ARCHS:
-            overrides.setdefault("l_d", None)
-        return replace(self.adapter, **overrides)
+    def adapter_config(self) -> AdapterConfig:
+        return self.adapter
 
     def to_dict(self) -> dict:
         """Every config-file key with its value, in file order."""

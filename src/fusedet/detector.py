@@ -42,6 +42,9 @@ class DetectorConfig:
     def __post_init__(self):
         check_fields(self, "detector.", ("d", "heads", "depth", "queries"),
                      "at least 1", lambda v: v >= 1)
+        if self.d % self.heads:
+            raise ConfigurationError(
+                f"d {self.d} not divisible by heads {self.heads}")
 
 
 class TextEncoder(Module):

@@ -35,10 +35,8 @@ class MllmConfig:
 
     def __post_init__(self):
         check_fields(self, "mllm.", ("d_lm", "n", "heads", "patch", "shuffle_r",
-                                     "canvas", "proj_hidden"),
+                                     "canvas", "proj_hidden", "sys_len"),
                      "at least 1", lambda v: v >= 1)
-        check_fields(self, "mllm.", ("sys_len",), "at least 0",
-                     lambda v: v >= 0)
         if self.d_lm % self.heads:
             raise ConfigurationError(
                 f"d_lm {self.d_lm} not divisible by heads {self.heads}")

@@ -50,15 +50,16 @@ PAD, BOS, EOS = STOI["<pad>"], STOI["<bos>"], STOI["<eos>"]
 
 SPLITS = {"train": 0, "val-category": 1, "val-spatial": 2, "pretrain": 3}
 
+MAX_CANDIDATES = 4            # the most objects, so candidates, in a scene
 REL_MARGIN = 0.10
 MIN_GAP = 0.27                # least distance between two object centres
 
-# Static bound on the packed candidate-text width: at most four candidates,
-# of which one may be a relation phrase (8 tokens) and the rest category
-# phrases (3 tokens), joined by "." separators -> 8 + 3*3 + 3 = 20.  Training
-# and evaluation pad every text batch to exactly this width so that chunked,
-# cached, and naive passes see identical array shapes and therefore identical
-# floating-point reduction orders (bit-for-bit reproducibility).
+# Static bound on the packed candidate-text width: at most MAX_CANDIDATES = 4
+# candidates, of which one may be a relation phrase (8 tokens) and the rest
+# category phrases (3 tokens), joined by "." separators -> 8 + 3*3 + 3 = 20.
+# Training and evaluation pad every text batch to exactly this width so that
+# chunked, cached, and naive passes see identical array shapes and therefore
+# identical floating-point reduction orders (bit-for-bit reproducibility).
 PACK_WIDTH = 20
 
 
@@ -231,7 +232,7 @@ def _spatial_phrase(desc: tuple[str, str], rel: str, anchor: SceneObject) -> np.
 def _make_unique_scene(rng: np.random.Generator, decorate: bool) -> SyntheticScene:
     """All descriptors unique: category queries are unambiguous.  With
     ``decorate`` one ground-truth phrase gains a redundant relation clause."""
-    count = int(rng.integers(1, 5))
+    count = int(rng.integers(1, MAX_CANDIDATES + 1))
     boxes = _sample_layout(rng, count)
     descs = _unique_descriptors(rng, count)
     objects = [SceneObject(s, c, b) for (c, s), b in zip(descs, boxes)]

@@ -82,10 +82,11 @@ def build_models(cfg: ExperimentConfig) -> tuple[MiniMllm, GroundingDetector]:
     return mllm, det
 
 
-def build_adapter(cfg: ExperimentConfig, **overrides) -> FusionState:
+def build_adapter(cfg: ExperimentConfig, arch: str | None = None) -> FusionState:
+    """The adapter of ``cfg.adapter``, or of that section under ``arch``."""
     rng = np.random.default_rng([cfg.run_seed, ADAPTER_TAG])
-    return FusionState(cfg.adapter_config(**overrides), cfg.mllm,
-                       cfg.detector, rng)
+    acfg = cfg.adapter if arch is None else replace(cfg.adapter, arch=arch)
+    return FusionState(acfg, cfg.mllm, cfg.detector, rng)
 
 
 def build_substitution(cfg: ExperimentConfig, mllm: MiniMllm) -> SubstitutionHead:
@@ -409,7 +410,7 @@ class Stage3Cache:
 
     def __init__(self, mllm: MiniMllm, det: GroundingDetector,
                  scenes: list[SyntheticScene], l_d: int,
-                 full_decode: bool = False, chunk: int = 64):
+                 full_decode: bool = False, *, chunk: int):
         n = len(scenes)
         d, nq = det.cfg.d, det.cfg.queries
         h, w = mllm.cfg.grid

@@ -255,7 +255,7 @@ def _grounding_loss(rng):
 def _fused_loss(arch):
     def build(rng):
         mllm, det, scenes = _micro_grounding(rng)
-        acfg = AdapterConfig(arch=arch, heads=2, l_lm=1, conv_stride=1)
+        acfg = AdapterConfig(arch=arch, l_lm=1, conv_stride=1)
         state = FusionState(acfg, _MICRO_LM, _MICRO_DET, rng)
         # off the zero-init stationary point (see the module docstring)
         state.gate.data[:] = rng.standard_normal(state.gate.shape) * 0.3
@@ -276,7 +276,7 @@ def _adapter_step(arch):
     Arch IV injects its prompts into three queries, Arch I gates its
     text-fused prompts into three vision features."""
     def build(rng):
-        state = FusionState(AdapterConfig(arch=arch, heads=2),
+        state = FusionState(AdapterConfig(arch=arch),
                             replace(_MICRO_LM, d_lm=8),
                             replace(_MICRO_DET, d=8), rng)
         for p in state.parameters():

@@ -349,8 +349,9 @@ class TestConfigValidation:
         assert prompt_len(make_state("I")) == 4                # full grid
 
     def test_rejections(self):
-        """The adapter's choices are checked against the host models' sizes
-        when it is built: LM depth 4, detector depth 6, detector width 64."""
+        """The adapter's choices are checked against the host models' depths
+        when it is built: LM depth 4, detector depth 6.  Its heads split
+        detector width, so the detector's own config checks that split."""
         with pytest.raises(ConfigurationError, match="'V' not one of"):
             AdapterConfig(arch="V")
         with pytest.raises(ConfigurationError,
@@ -363,8 +364,8 @@ class TestConfigValidation:
                            match=r"^l_d 7 outside \[1, 6\]$"):
             make_state(l_d=7)
         with pytest.raises(ConfigurationError,
-                           match="^width 64 not divisible by 5 heads$"):
-            make_state(heads=5)
+                           match="^d 64 not divisible by heads 5$"):
+            DetectorConfig(heads=5)
 
     def test_prompt_grid_is_never_empty(self):
         """With ``CONV_K`` = 3 and ``CONV_PAD`` = 1 the conv keeps
@@ -457,7 +458,26 @@ class TestAccounting:
             else:
                 zero_init_cross_attn(e_d_prev, a_p, state)
         _, analytic = adapter_param_flops(cfg, MCFG, DCFG, t)
-        assert meter.accumulated == b * analytic - (b - 1) * cfg.heads
+        assert meter.accumulated == b * analytic - (b - 1) * DCFG.heads
+
+    def test_head_counts_come_from_the_models(self):
+        """The gate and the gated kernel run one head per detector head,
+        text fusion runs the LM's heads, and the closed form prices both:
+        here an LM of 2 heads and a detector of 8."""
+        mcfg, dcfg = MllmConfig(shuffle_r=4, heads=2), DetectorConfig(heads=8)
+        state = FusionState(AdapterConfig(arch="II"), mcfg, dcfg,
+                            np.random.default_rng(40))
+        randomize(state, 41)
+        e_v_l, e_t, _, e_d_prev = adapter_inputs(
+            state, np.random.default_rng(42), b=1,
+            text=analysis.REPORT_LM_TEXT)
+        with FlopsMeter() as meter, T.attention_tap() as taps:
+            zero_init_cross_attn(
+                e_d_prev, make_prompts(e_v_l, e_t, state.cfg, state), state)
+        assert state.gate.shape == (8,)
+        assert [w.shape[1] for _, w in taps] == [2, 8]
+        params, analytic = adapter_param_flops(state.cfg, mcfg, dcfg, 4)
+        assert (state.param_count(), meter.accumulated) == (params, analytic)
 
     def test_larger_grid_flops(self):
         mcfg = MllmConfig(shuffle_r=1)                  # 8x8 aligned grid

@@ -255,7 +255,7 @@ class TestLayerSweep:
         """An Arch III sweep builds its cache for the preset's layer 1 and
         reproduces a direct run of the same weights injected at layer 1."""
         cfg, mllm, det, snap, train, vals = sweep_bench
-        cfg3 = replace(cfg, adapter=cfg.adapter_config(arch="III"))
+        cfg3 = replace(cfg, adapter=replace(cfg.adapter, arch="III"))
         res = layer_sweep(cfg3, mllm, det, snap, train, vals,
                           l_lm_values=[1], seeds=[0])
         arm = replace(cfg, run_seed=0, adapter=replace(
@@ -290,7 +290,7 @@ def random_accounting_configs(rng):
     l_lm = int(rng.integers(0, n + 1))
     # l_d is drawn for every arch so later draws stay put; I and III pin 1
     l_d = int(rng.integers(1, dcfg.depth + 1))
-    acfg = AdapterConfig(arch=arch, heads=heads, l_lm=l_lm,
+    acfg = AdapterConfig(arch=arch, l_lm=l_lm,
                          l_d=1 if arch in ("I", "III") else l_d,
                          conv_stride=int(rng.choice([1, 2])))
     return dcfg, mcfg, acfg
@@ -301,7 +301,7 @@ class TestComputeReport:
     def test_metered_equals_analytic(self, arch):
         cfg = ExperimentConfig()
         rows = compute_report(cfg.detector, cfg.mllm,
-                              cfg.adapter_config(arch=arch))
+                              replace(cfg.adapter, arch=arch))
         for row in rows:
             assert row["flops_metered"] == row["flops_analytic"], row["framework"]
 
@@ -317,7 +317,7 @@ class TestComputeReport:
     def test_deltas_additive(self):
         cfg = ExperimentConfig()
         rows = compute_report(cfg.detector, cfg.mllm,
-                              cfg.adapter_config())
+                              cfg.adapter)
         total = rows[-1]
         assert total["framework"] == "total"
         assert total["flops_metered"] == sum(r["flops_metered"]
@@ -328,7 +328,7 @@ class TestComputeReport:
 
     def test_adapter_row_params_match_closed_form(self):
         cfg = ExperimentConfig()
-        acfg = cfg.adapter_config()
+        acfg = cfg.adapter
         rows = compute_report(cfg.detector, cfg.mllm, acfg)
         assert rows[1]["framework"] == "+adapter"
         params, _ = adapter_param_flops(acfg, cfg.mllm, cfg.detector,
@@ -338,7 +338,7 @@ class TestComputeReport:
     def test_detector_row_params_match_hand_count(self):
         cfg = ExperimentConfig()
         dcfg, mcfg = cfg.detector, cfg.mllm
-        rows = compute_report(dcfg, mcfg, cfg.adapter_config())
+        rows = compute_report(dcfg, mcfg, cfg.adapter)
         d, q, v = dcfg.d, dcfg.queries, VOCAB
         dp = mcfg.d_patch
         p = mcfg.grid[0] * mcfg.grid[1]
@@ -367,7 +367,7 @@ class TestComputeReport:
     def test_csv_schema(self, tmp_path):
         cfg = ExperimentConfig()
         rows = compute_report(cfg.detector, cfg.mllm,
-                              cfg.adapter_config())
+                              cfg.adapter)
         path = tmp_path / "compute_report.csv"
         write_compute_csv(rows, path)
         header, table = read_csv(path)

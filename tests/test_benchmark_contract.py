@@ -122,7 +122,7 @@ def test_corrupted_cache_row_moves_the_cached_loss():
     mllm, det = tr.build_models(cfg)
     state = tr.build_adapter(cfg)
     cache = tr.Stage3Cache(mllm, det, tr.load_split(cfg, "train"),
-                           state.cfg.l_d)
+                           state.cfg.l_d, chunk=cfg.eval_chunk)
     idx = np.array([2, 0])
     before = tr.stage3_loss_cached(cfg, mllm, det, state, cache, idx).data
     cache.evd[idx[0]] += 1e-3

@@ -368,7 +368,7 @@ def test_writing_command_runs_on_the_staged_run(staged, tmp_path, command,
         cfg = load_file(out / "resolved-config.txt")
         analysis.write_compute_csv(
             analysis.compute_report(cfg.detector, cfg.mllm,
-                                    cfg.adapter_config()),
+                                    cfg.adapter),
             tmp_path / "want.csv")
         assert ((out / "compute_report.csv").read_text()
                 == (tmp_path / "want.csv").read_text())
@@ -410,16 +410,18 @@ def test_adapter_that_cannot_attach_fails_before_stage_1(
 
 
 def test_too_few_queries_is_a_named_error(tmp_path, monkeypatch, capsys):
-    """Scenes carry up to four candidates; three detector queries cannot
-    pool them, and the error names both counts."""
+    """Scenes carry up to ``scenes.MAX_CANDIDATES`` = 4 candidates; three
+    detector queries cannot pool them, so the config is refused when it
+    loads, naming the key, before any stage writes a run directory."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tiny.cfg").write_text(
         "n_pretrain = 16\npretrain_batch = 16\nmllm.n = 1\nadapter.l_lm = 1\n"
         "detector.depth = 1\ndetector.queries = 3\n")
     assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: scene \d+ has 4 candidates, more than "
-                        r"max_c=3 \(the detector's query count\)\n", err), err
+    assert capsys.readouterr().err == (
+        "error: detector.queries must be at least 4, the most candidates a "
+        "scene has, got 3\n")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -479,11 +481,11 @@ def test_zero_steps_is_a_named_error(tmp_path, monkeypatch, capsys):
 BAD_VALUES = [
     ("mllm.patch = 0", "mllm.patch must be at least 1, got 0"),
     ("mllm.heads = 0", "mllm.heads must be at least 1, got 0"),
-    ("adapter.heads = 0", "adapter.heads must be at least 1, got 0"),
     ("adapter.conv_stride = 0",
      "adapter.conv_stride must be at least 1, got 0"),
     ("detector.heads = 0", "detector.heads must be at least 1, got 0"),
     ("detector.queries = 0", "detector.queries must be at least 1, got 0"),
+    ("mllm.sys_len = 0", "mllm.sys_len must be at least 1, got 0"),
     ("n_val = 0", "n_val must be at least 1, got 0"),
     ("pretrain_lr = -1", "pretrain_lr must be positive, got -1.0"),
     ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0")]
@@ -495,8 +497,9 @@ def test_bad_config_value_is_a_named_error(tmp_path, monkeypatch, capsys,
                                            text, message):
     """A size, count or stride below 1 or a learning rate that is not
     positive is refused when the config loads, naming its key: the first
-    five used to raise ``ZeroDivisionError`` here, zero queries failed only
-    inside a pass, and the rest were accepted."""
+    four used to raise ``ZeroDivisionError`` here, zero queries failed only
+    inside a pass, and the rest were accepted (zero ``sys_len`` then failed
+    in ``analyze-attention``, with no system keys to score)."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text + "\n")
     assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1

@@ -126,9 +126,11 @@ class TestDerivedConfigs:
         assert build_adapter(cfg).grid == cfg.mllm.aligned_grid
 
     def test_adapter_overrides(self):
-        cfg = ExperimentConfig()
-        assert cfg.adapter_config() == cfg.adapter
-        a = cfg.adapter_config(arch="III", l_d=1, l_lm=0)
+        """``adapter_config()`` is the section itself, and ``build_adapter``'s
+        one override, ``arch``, replaces that field alone."""
+        cfg = ExperimentConfig(adapter=AdapterConfig(l_lm=0))
+        assert cfg.adapter_config() is cfg.adapter
+        a = build_adapter(cfg, arch="III").cfg
         assert (a.arch, a.l_d, a.l_lm) == ("III", 1, 0)
         assert cfg.adapter.arch == "IV"      # base config untouched
 
@@ -150,38 +152,40 @@ class TestDerivedConfigs:
         assert build_adapter(cfg, arch="II").cfg.l_d == 2
 
     def test_first_layer_preset_resolves_its_layer(self):
-        """A set ``adapter.l_d`` places Arch II/IV; an override naming Arch
-        III injects before decoder layer 1, and a config that names Arch
-        III with another layer is refused."""
+        """A set ``adapter.l_d`` places Arch II/IV; Arch III on an unset
+        ``l_d`` injects before decoder layer 1, and naming Arch III on a
+        section with another layer is refused, by the loader and by
+        ``build_adapter`` alike."""
         cfg = ExperimentConfig(adapter=AdapterConfig(l_d=4))
-        assert cfg.adapter_config(arch="III").l_d is None
-        assert cfg.adapter_config(arch="II").l_d == 4
-        assert build_adapter(cfg, arch="III").cfg.l_d == 1
+        assert build_adapter(cfg, arch="II").cfg.l_d == 4
         assert build_adapter(ExperimentConfig(), arch="III").cfg.l_d == 1
-        with pytest.raises(ConfigurationError, match=re.escape(
-                "arch III acts before decoder layer 1, got l_d=4")):
+        message = re.escape("arch III acts before decoder layer 1, got l_d=4")
+        with pytest.raises(ConfigurationError, match=message):
             config.loads("adapter.arch = III\nadapter.l_d = 4\n")
+        with pytest.raises(ConfigurationError, match=message):
+            build_adapter(cfg, arch="III")
 
     def test_vision_preset_resolves_layer_one(self):
-        """A set ``adapter.l_d`` does not reach Arch I, which fuses before
-        decoder layer 1; naming another layer is rejected."""
+        """Arch I fuses before decoder layer 1; naming it on a section
+        with another layer is rejected, not reset."""
+        assert build_adapter(ExperimentConfig(), arch="I").cfg.l_d == 1
         cfg = ExperimentConfig(adapter=AdapterConfig(l_d=4))
-        assert build_adapter(cfg, arch="I").cfg.l_d == 1
         with pytest.raises(ConfigurationError, match="arch I "):
-            cfg.adapter_config(arch="I", l_d=4)
+            build_adapter(cfg, arch="I")
 
     @pytest.mark.parametrize("text, message", [
         ("detector.depth = 2\nadapter.l_d = 4\n", "l_d 4 outside [1, 2]"),
         ("mllm.n = 1\n", "l_lm 2 outside [0, 1]"),
-        ("adapter.heads = 5\n", "width 64 not divisible by 5 heads"),
-        ("adapter.arch = II\nmllm.d_lm = 66\nmllm.heads = 6\n",
-         "width 66 not divisible by 4 heads")],
+        ("detector.d = 66\n", "d 66 not divisible by heads 4"),
+        ("adapter.arch = II\nmllm.d_lm = 66\n",
+         "d_lm 66 not divisible by heads 4")],
         ids=["l_d", "l_lm", "detector-width", "lm-width"])
     def test_adapter_that_cannot_attach_is_refused_at_load(self, text,
                                                            message):
         """``AdapterConfig.resolve`` runs when the config is built, so an
         adapter that cannot attach to the LM and detector is refused before
-        any model exists."""
+        any model exists.  Its heads split the two models' widths, so each
+        model's config refuses a width its own heads do not divide."""
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             config.loads(text)
 

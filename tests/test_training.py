@@ -288,7 +288,8 @@ class TestCachedEquivalence:
         b = bench
         cfg = b["cfg"]
         tr.restore(b["mllm"].projector, b["projector"])
-        state = tr.build_adapter(cfg, arch=arch, l_d=l_d)
+        state = tr.build_adapter(dataclasses.replace(
+            cfg, adapter=AdapterConfig(arch=arch, l_d=l_d)))
         for p in state.parameters():                  # leave the zero point
             p.data = p.data + 0.01
         cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
@@ -387,7 +388,8 @@ class TestCachedEquivalence:
         b = bench
         cache = stage3_cache(b)                        # l_d=6
         tr.restore(b["mllm"].projector, b["projector"])
-        shallow = tr.build_adapter(b["cfg"], l_d=1)
+        shallow = tr.build_adapter(dataclasses.replace(
+            b["cfg"], adapter=AdapterConfig(l_d=1)))
         with pytest.raises(UsageError, match="cache built for"):
             tr.train_stage3(b["cfg"], b["mllm"], b["det"], shallow,
                             b["train"], cache=cache)
@@ -446,7 +448,7 @@ class TestAttentionTap:
         l, q = np.prod(state.cfg.prompt_grid(cfg.mllm)), cfg.detector.queries
         (w,) = [w for _, w in taps if w.shape[-1] == l + q]
         assert len(taps) > 1
-        assert w.shape == (len(idx), state.cfg.heads, q, l + q)
+        assert w.shape == (len(idx), cfg.detector.heads, q, l + q)
         assert np.allclose(w[..., :l].sum(-1),
                            np.tanh(state.gate.data)[None, :, None], atol=1e-12)
 
@@ -890,12 +892,14 @@ class TestForwardOnlyPasses:
             "evaluate": lambda: tr.evaluate(cfg, mllm, det, scenes,
                                             state=state),
             "cache_vision": lambda: tr.cache_vision(mllm, scenes, chunk=4),
-            "Stage3Cache": lambda: tr.Stage3Cache(mllm, det, scenes, 3),
+            "Stage3Cache": lambda: tr.Stage3Cache(mllm, det, scenes, 3,
+                                                  chunk=cfg.eval_chunk),
             "attention_medians": lambda: attention_medians(mllm, images, ids,
                                                            valid),
             "compute_report": lambda: compute_report(
                 cfg.detector, cfg.mllm,
-                cfg.adapter_config(arch="I"), measure_latency=True),
+                dataclasses.replace(cfg.adapter, arch="I"),
+                measure_latency=True),
         }
         for name, run in passes.items():
             made.clear()
