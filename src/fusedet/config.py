@@ -6,8 +6,10 @@ of one of its sections, ``mllm`` (``MllmConfig``), ``detector``
 (``DetectorConfig``) and ``adapter`` (``AdapterConfig``), such as
 ``detector.depth = 2``, so each model setting is declared once, in its
 module.  Any other key is refused by name.  A config is checked when it is
-built, so an adapter that cannot attach fails before any stage runs.  Reports
-embed the resolved config so any run can be reproduced from its own output.
+built, so an adapter that cannot attach fails before any stage runs, and a
+seed (``seed``, ``run_seed``, ``data_seed``) below 0 fails by name before any
+generator is built from it.  Reports embed the resolved config so any run can
+be reproduced from its own output.
 
 Only real choices are keys; a value no run varies is a module constant: the
 canvas (``scenes.CANVAS``), the vocabulary (``scenes.VOCAB``), the RoPE base
@@ -81,6 +83,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         names = [f.name for f in fields(self)]
+        check_fields(self, "", [n for n in names if n.endswith("seed")],
+                     "at least 0", lambda v: v >= 0)
         counts = [n for n in names if n.startswith("n_")
                   or n.endswith(("eval_chunk", "_batch", "_steps"))]
         check_fields(self, "", counts, "at least 1", lambda v: v >= 1)

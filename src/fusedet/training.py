@@ -27,7 +27,9 @@ Evaluation and the ``Stage3Cache`` build use at most two processes, through
 one helper, ``_fill_rows``: given 2 or more chunks and 2 usable CPUs, the
 second half of the chunks runs in one forked worker, which writes its rows
 straight into the arrays it returns (anonymous shared mappings), bitwise the
-serial values.  It stays serial inside a worker, while a ``FlopsMeter`` or
+serial values.  The worker only saves time: if it does not exit cleanly, or
+cannot be forked, the parent fills its half itself, so an error always rises
+in the parent.  It stays serial inside a worker, while a ``FlopsMeter`` or
 ``attention_tap`` is open, and without ``os.fork``.  Training steps, scene
 generation and ``cache_vision`` always run in one process.
 
@@ -43,7 +45,6 @@ import json
 import math
 import mmap
 import os
-import pickle
 import signal
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -276,15 +277,17 @@ def _fill_rows(run, n: int, chunk: int, rows: tuple[tuple[tuple, type], ...],
 
     Each array lives in an anonymous shared mapping, so the worker, which
     inherits everything ``run`` reads, writes its rows straight into the
-    parent's arrays and reports success by exiting with status 0; the pipe
-    carries only a pickled exception.  (A shared page joins a process's
-    resident set only once that process touches it, so right after a
-    forked fill the parent's RSS leaves out the worker's rows.)  An
-    exception in a span keeps its type, gains the prefix
-    ``{name} scenes[lo:hi]: `` and is raised here from either process; a
-    worker that exits with another status and no exception that unpickles
-    is a ``ChildProcessError``, and no path leaves it running.  Serial with
-    fewer than 2 spans, inside a worker, while a ``FlopsMeter`` or
+    parent's arrays and reports success by exiting with status 0.  (A
+    shared page joins a process's resident set only once that process
+    touches it, so right after a forked fill the parent's RSS leaves out
+    the worker's rows.)  The worker only saves time: every span is a
+    deterministic pass, so when it exits with any other status (an
+    exception, a kill) the parent fills its half again, serially, and a
+    ``fork`` that fails fills every span here.  An exception in a span thus
+    always rises in this process with its own type and traceback and the
+    prefix ``{name} scenes[lo:hi]: ``; a failure of the parent's half
+    kills the worker, and no path leaves it running.  Serial with fewer
+    than 2 spans, inside a worker, while a ``FlopsMeter`` or
     ``attention_tap`` is open (the worker's records would be lost), and
     without ``os.fork`` or 2 usable CPUs."""
     global _IN_WORKER
@@ -311,48 +314,29 @@ def _fill_rows(run, n: int, chunk: int, rows: tuple[tuple[tuple, type], ...],
             or len(os.sched_getaffinity(0)) < 2):
         fill(spans)
         return outs
-    r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+    except OSError:                                 # no process to spare
+        fill(spans)
+        return outs
     if pid == 0:                                    # the worker
         code = 1
         try:
             _IN_WORKER = True
-            os.close(r)
-            with os.fdopen(w, "wb") as pipe:
-                try:
-                    fill(spans[half:])
-                except Exception as e:
-                    pipe.write(pickle.dumps(e))
-                else:
-                    code = 0
+            fill(spans[half:])
+            code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    with os.fdopen(r, "rb") as pipe:
-        try:
-            fill(spans[:half])
-            report = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return outs
     try:
-        error = pickle.loads(report)
-    except Exception:
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(
-            f"{name} worker for scenes[{spans[half][0]}:{n}] exited without "
-            f"reporting ({how})") from None
-    raise error
+        fill(spans[:half])
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        fill(spans[half:])
+    return outs
 
 
 def patch_tokens(mllm: MiniMllm, scenes: list[SyntheticScene]) -> np.ndarray:
@@ -399,8 +383,9 @@ class Stage3Cache:
     chunk in place by one ``_fill_rows`` pass, with no tape recorded
     (nothing here is differentiated): each chunk runs from its images to its
     decoder state, so with 2 or more chunks and 2 usable CPUs the second
-    half of them is built in a forked worker, bitwise the serial values.
-    The arrays are writable.  An error in a chunk keeps its type and its
+    half of them is built in a forked worker, bitwise the serial values;
+    if that worker fails, this process builds its chunks again.  The arrays
+    are writable.  An error in a chunk rises here with its own type, and its
     message names the chunk's scenes.  The cached loss always resumes at
     layer ``l_d``, so it needs a hook whose ``l_d`` is not earlier;
     ``decode`` rejects one that is.
@@ -663,8 +648,9 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     logits ``_fill_rows`` writes into the arrays it allocates, on at most
     two processes: serial with one chunk, inside a worker, under an open
     ``FlopsMeter`` or ``attention_tap``, or without ``os.fork`` and a second
-    CPU.  An error in a chunk keeps its type and its message names the
-    chunk's scenes."""
+    CPU.  A worker that fails has its chunks evaluated again here, so an
+    error in a chunk rises in this process with its own type, and its
+    message names the chunk's scenes."""
     if not scenes:
         raise UsageError("evaluate needs at least one scene")
     nq = det.cfg.queries

@@ -488,22 +488,35 @@ BAD_VALUES = [
     ("mllm.sys_len = 0", "mllm.sys_len must be at least 1, got 0"),
     ("n_val = 0", "n_val must be at least 1, got 0"),
     ("pretrain_lr = -1", "pretrain_lr must be positive, got -1.0"),
-    ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0")]
+    ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0"),
+    ("seed = -1", "seed must be at least 0, got -1"),
+    ("run_seed = -2", "run_seed must be at least 0, got -2"),
+    ("data_seed = -1", "data_seed must be at least 0, got -1")]
 
 
 @pytest.mark.parametrize("text, message", BAD_VALUES, ids=[
     text.replace(" = ", "=") for text, _ in BAD_VALUES])
 def test_bad_config_value_is_a_named_error(tmp_path, monkeypatch, capsys,
                                            text, message):
-    """A size, count or stride below 1 or a learning rate that is not
-    positive is refused when the config loads, naming its key: the first
-    four used to raise ``ZeroDivisionError`` here, zero queries failed only
-    inside a pass, and the rest were accepted (zero ``sys_len`` then failed
-    in ``analyze-attention``, with no system keys to score)."""
+    """A size, count or stride below 1, a learning rate that is not
+    positive or a seed below 0 is refused when the config loads, naming its
+    key: the first four used to raise ``ZeroDivisionError`` here, zero
+    queries failed only inside a pass, and the rest were accepted (zero
+    ``sys_len`` then failed in ``analyze-attention``, with no system keys to
+    score, and a negative seed in numpy's ``default_rng``)."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text + "\n")
     assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_seed_flag_is_a_named_error(tmp_path, monkeypatch, capsys):
+    """``gradcheck --seed -1`` used to end in a traceback from numpy's
+    ``default_rng``; the seed it overrides is refused by name."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.cli(["gradcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == ("error: run_seed must be at least 0, "
+                                       "got -1\n")
 
 
 def test_attention_batch_beyond_the_split_is_a_named_error(

@@ -550,6 +550,43 @@ def three_chunks(b):
     return dataclasses.replace(b["cfg"], eval_chunk=4)   # of 12 scenes
 
 
+def first_scenes(monkeypatch, target, arg):
+    """Patch ``tr.<target>`` to record the first scene of the chunk each
+    call gets as its positional ``arg``.  The list lives in this process: a
+    forked worker's calls append to the worker's own copy."""
+    calls = []
+    run = getattr(tr, target)
+
+    def recorded(*args, **kwargs):
+        calls.append(args[arg][0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(tr, target, recorded)
+    return calls
+
+
+def break_the_worker(monkeypatch, target, how):
+    """Make the forked half fail ``how``: the worker is "killed" by SIGKILL,
+    or "raises", at its first call of ``tr.<target>``; or, with "no fork",
+    ``fork`` itself fails as it does when no process id is free."""
+    if how == "no fork":
+        def no_pid():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(tr.os, "fork", no_pid)
+        return
+    run = getattr(tr, target)
+
+    def fails_in_worker(*args, **kwargs):
+        if tr._IN_WORKER:
+            if how == "killed":
+                tr.os.kill(tr.os.getpid(), tr.signal.SIGKILL)
+            raise NumericsError("non-finite values produced by 'linear'")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(tr, target, fails_in_worker)
+
+
 class TestEvaluation:
     def test_chunking_does_not_change_metrics(self, bench):
         b = bench
@@ -605,9 +642,9 @@ class TestEvaluation:
                                 state=state)
 
     @pytest.mark.parametrize("head", ["baseline", "IV", "substitution"])
-    def test_two_processes_equal_one(self, bench, cpus, head):
-        """The worker runs chunks 2-3 of 3; the results are the serial
-        ones, bitwise."""
+    def test_two_processes_equal_one(self, bench, cpus, monkeypatch, head):
+        """The worker runs chunks 2-3 of 3 and the parent only chunk 1; the
+        results are the serial ones, bitwise."""
         b = bench
         cfg = three_chunks(b)
         tr.restore(b["mllm"].projector, b["projector"])
@@ -616,12 +653,16 @@ class TestEvaluation:
                   "substitution": {"sub": tr.build_substitution(cfg, b["mllm"])}
                   }[head]
         scenes = b["vals"]["val-spatial"]
+        calls = first_scenes(monkeypatch, "grounded_outputs", 3)
         forks = cpus(1)
         serial = tr.evaluate(cfg, b["mllm"], b["det"], scenes, **module)
-        assert not forks
+        assert not forks and len(calls) == 3
         cpus(2)
         forked = tr.evaluate(cfg, b["mllm"], b["det"], scenes, **module)
         assert len(forks) == 1
+        # a worker that always failed would be hidden by the parent's
+        # re-run, but would show here as 2 more calls, for chunks 2-3
+        assert len(calls) == 4 and calls[3] is scenes[0]
         assert forked == serial                  # metrics and per_scene
 
     @pytest.mark.parametrize("n_cpus,bad,chunk", [
@@ -639,27 +680,26 @@ class TestEvaluation:
         cpus(n_cpus)
         with pytest.raises(NumericsError,
                            match=rf"^evaluate scenes\[{chunk}\]: non-finite "
-                                 r"values produced by '\w+'$"):
+                                 r"values produced by '\w+'$") as err:
             tr.evaluate(three_chunks(b), b["mllm"], b["det"], scenes)
+        # raised in this process, with the traceback of the failed pass
+        assert "grounded_outputs" in [entry.name for entry in err.traceback]
 
-    def test_worker_dying_without_a_report_is_named(self, bench, cpus,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
+    def test_failed_worker_gives_the_serial_metrics(self, bench, cpus,
+                                                   monkeypatch, how):
+        """A worker that is killed or raises has its chunks evaluated again
+        in the parent, and a fork that fails leaves every chunk to it: the
+        metrics are the serial ones, bitwise."""
         b = bench
-        run = tr.grounded_outputs
-
-        def dying(*args, **kwargs):
-            if tr._IN_WORKER:
-                tr.os.kill(tr.os.getpid(), tr.signal.SIGKILL)
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(tr, "grounded_outputs", dying)
+        cfg = three_chunks(b)
+        scenes = b["vals"]["val-spatial"]
+        forks = cpus(1)
+        serial = tr.evaluate(cfg, b["mllm"], b["det"], scenes)
         cpus(2)
-        with pytest.raises(ChildProcessError,
-                           match=r"^evaluate worker for scenes\[4:12\] "
-                                 r"exited without reporting \(killed by "
-                                 r"signal 9\)$"):
-            tr.evaluate(three_chunks(b), b["mllm"], b["det"],
-                        b["vals"]["val-spatial"])
+        break_the_worker(monkeypatch, "grounded_outputs", how)
+        assert tr.evaluate(cfg, b["mllm"], b["det"], scenes) == serial
+        assert len(forks) == (0 if how == "no fork" else 1)
 
     def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
         """The worker is killed, not waited for, when the parent's own half
@@ -718,14 +758,6 @@ class TestEvaluation:
             tr.evaluate(b["cfg"], b["mllm"], b["det"], [])
 
 
-class TwoArgumentError(Exception):
-    """An exception that pickles but, once its args are one message, does
-    not unpickle."""
-
-    def __init__(self, op, where):
-        super().__init__(f"{op} failed at {where}")
-
-
 def cache_arrays(cache):
     return (cache.patches, cache.evd, *cache.text, cache.pre_state)
 
@@ -735,14 +767,17 @@ class TestCacheBuild:
     24 scenes in 3 chunks of 8, the worker building chunks 2-3."""
 
     @pytest.mark.parametrize("l_d", [1, 3])
-    def test_two_processes_equal_one(self, bench, cpus, l_d):
+    def test_two_processes_equal_one(self, bench, cpus, monkeypatch, l_d):
         b = bench
+        calls = first_scenes(monkeypatch, "patch_tokens", 1)
         forks = cpus(1)
         serial = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
-        assert not forks
+        assert not forks and len(calls) == 3
         cpus(2)
         forked = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
         assert len(forks) == 1
+        # the parent built chunk 1 only: the worker's calls stay its own
+        assert len(calls) == 4 and calls[3] is b["train"][0]
         for got, want in zip(cache_arrays(forked), cache_arrays(serial),
                              strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -765,26 +800,28 @@ class TestCacheBuild:
         cpus(n_cpus)
         with pytest.raises(NumericsError,
                            match=rf"^Stage3Cache scenes\[{chunk}\]: "
-                                 r"non-finite values produced by '\w+'$"):
+                                 r"non-finite values produced by '\w+'$"
+                           ) as err:
             tr.Stage3Cache(b["mllm"], b["det"], scenes, 3, chunk=8)
+        # raised in this process, with the traceback of the failed pass
+        assert "patch_tokens" in [entry.name for entry in err.traceback]
 
-    def test_worker_dying_without_a_report_is_named(self, bench, cpus,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
+    def test_failed_worker_gives_the_serial_arrays(self, bench, cpus,
+                                                  monkeypatch, how):
+        """A worker that is killed or raises has its chunks built again in
+        the parent, and a fork that fails leaves every chunk to it: every
+        array is the serial one, bitwise."""
         b = bench
-        run = tr.patch_tokens
-
-        def dying(*args):
-            if tr._IN_WORKER:
-                tr.os.kill(tr.os.getpid(), tr.signal.SIGKILL)
-            return run(*args)
-
-        monkeypatch.setattr(tr, "patch_tokens", dying)
+        forks = cpus(1)
+        serial = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
         cpus(2)
-        with pytest.raises(ChildProcessError,
-                           match=r"^Stage3Cache worker for scenes\[8:24\] "
-                                 r"exited without reporting \(killed by "
-                                 r"signal 9\)$"):
-            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        break_the_worker(monkeypatch, "patch_tokens", how)
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        assert len(forks) == (0 if how == "no fork" else 1)
+        for got, want in zip(cache_arrays(cache), cache_arrays(serial),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
         b = bench
@@ -801,27 +838,6 @@ class TestCacheBuild:
                            match=r"^Stage3Cache scenes\[0:8\]: "):
             tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
         assert time.perf_counter() - t0 < 30
-
-    def test_unpicklable_worker_error_is_named(self, bench, cpus,
-                                               monkeypatch):
-        """The worker pickles its exception, but with the prefix its args
-        are one message, so it does not rebuild in the parent: that is no
-        report, named by the worker's scenes and exit status."""
-        b = bench
-        run = tr.patch_tokens
-
-        def fails_in_worker(*args):
-            if tr._IN_WORKER:
-                raise TwoArgumentError("decode", "layer 3")
-            return run(*args)
-
-        monkeypatch.setattr(tr, "patch_tokens", fails_in_worker)
-        cpus(2)
-        with pytest.raises(ChildProcessError,
-                           match=r"^Stage3Cache worker for scenes\[8:24\] "
-                                 r"exited without reporting \(exit status "
-                                 r"1\)$"):
-            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
 
     def test_open_meter_keeps_it_serial(self, bench, cpus, monkeypatch):
         """Under an open ``FlopsMeter`` the build never forks (a fork
