@@ -3,6 +3,8 @@
 A checkpoint directory holds one numpy ``.npy`` file per named parameter,
 ``<name>.npy``, each a C-ordered float64 array: the dtype the code computes
 in, so a run staged through checkpoints equals the same run in one process.
+Every value is finite, as the code computes no other; the loader refuses a
+NaN or an infinity by file.
 ``manifest.txt`` lists the parameter names, sorted, one per line, and
 defines what the checkpoint holds: the loader reads exactly the files it
 names and ignores any others in the directory (a larger adapter's leftovers
@@ -32,7 +34,7 @@ def save_checkpoint(directory: str | Path, named: dict[str, np.ndarray]) -> None
 
 
 def _read_array(path: Path) -> np.ndarray:
-    """One float64 ``.npy`` file with nothing after its payload."""
+    """A float64 ``.npy`` file of finite values, nothing past its payload."""
     try:
         with open(path, "rb") as fh:
             arr = np.lib.format.read_array(fh, allow_pickle=False)
@@ -45,6 +47,8 @@ def _read_array(path: Path) -> np.ndarray:
         raise UsageError(f"{path}: bytes after the array payload")
     if arr.dtype != np.float64:
         raise UsageError(f"{path}: dtype {arr.dtype}, expected float64")
+    if not np.all(np.isfinite(arr)):
+        raise UsageError(f"{path}: non-finite values")
     return arr
 
 

@@ -321,9 +321,9 @@ def generate_scenes(seed: int, count: int, split: str) -> list[SyntheticScene]:
 def pad_token_rows(rows: list[np.ndarray], width: int | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Stack variable-length id rows into [N, W] with a boolean valid mask;
-    W is ``width``, or the longest row's length when ``width`` is None."""
+    W is ``width``, or when None the longest row's length (0 for no rows)."""
     if width is None:
-        width = max(len(r) for r in rows)
+        width = max((len(r) for r in rows), default=0)
     ids = np.full((len(rows), width), PAD, dtype=np.intp)
     valid = np.zeros((len(rows), width), dtype=bool)
     for i, r in enumerate(rows):

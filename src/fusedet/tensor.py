@@ -685,10 +685,8 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def reshape(a: Tensor, *shape) -> Tensor:
+def reshape(a: Tensor, *shape: int) -> Tensor:
     a = as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     out_data = a.data.reshape(shape)
 
     def bw(g, acc):
@@ -785,13 +783,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out_data), (a,), bw, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[_norm_axis(ax, a.ndim)] for ax in axes]))
+    n = a.shape[_norm_axis(axis, a.ndim)]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 

@@ -13,7 +13,9 @@ Order of operations for a complete experiment:
                          trained with the stage-3 budget.
 
 Every stage trains through ``_run_stage`` with Adam under a cosine-decayed
-learning rate.  Every detector pass (both detector losses, both stage-3
+learning rate; it alone checks a stage's contract (at least one scene, and
+a gradient on every group parameter at every step), which the code around
+it assumes.  Every detector pass (both detector losses, both stage-3
 losses, evaluation, the gradient check and the cost report) runs through
 ``_detector_outputs`` over a ``_candidate_text`` tuple; ``fused_outputs`` is
 that pass from patch tokens, which only ``patch_tokens`` computes from
@@ -167,55 +169,43 @@ GRAD_CLIP = 1.0
 
 class Adam:
     """Adam with cosine lr decay and global-norm gradient clipping at
-    ``GRAD_CLIP``.
-
-    Moment buffers are keyed by parameter identity; a fresh optimizer starts
-    every stage.
+    ``GRAD_CLIP``, over one ``m`` and one ``v`` per group parameter in group
+    order.  Every parameter holds a gradient at every step (``_run_stage``'s
+    contract), which the step consumes; a fresh optimizer starts every stage.
     """
 
     def __init__(self, groups: list[ParamGroup], total: int):
         self.groups = groups
         self.total = total
         self.t = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._m = [[np.zeros_like(p.data) for p in g.params.values()]
+                   for g in groups]
+        self._v = [[np.zeros_like(m) for m in ms] for ms in self._m]
 
     def _clip_grads(self) -> None:
         sq = 0.0
         for g in self.groups:
             for p in g.params.values():
-                if p.grad is not None:
-                    sq += float(np.sum(p.grad * p.grad))
+                sq += float(np.sum(p.grad * p.grad))
         norm = np.sqrt(sq)
         if norm > GRAD_CLIP:
             scale = GRAD_CLIP / norm
             for g in self.groups:
                 for p in g.params.values():
-                    if p.grad is not None:
-                        p.grad = p.grad * scale
+                    p.grad = p.grad * scale
 
     def step(self) -> None:
         self._clip_grads()
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for g in self.groups:
+        for g, m, v in zip(self.groups, self._m, self._v):
             lr = cosine_lr(g.lr, self.t - 1, self.total)
-            for p in g.params.values():
-                if p.grad is None:
-                    continue
-                key = id(p)
-                m = self._m.get(key)
-                if m is None:
-                    m = np.zeros_like(p.data)
-                    self._v[key] = np.zeros_like(p.data)
-                v = self._v[key]
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * p.grad
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * p.grad * p.grad
-                self._m[key], self._v[key] = m, v
-                p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        for g in self.groups:
-            for p in g.params.values():
+            for i, p in enumerate(g.params.values()):
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * p.grad
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * p.grad * p.grad
+                p.data = p.data - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2)
+                                                       + ADAM_EPS)
                 p.grad = None
 
 
@@ -223,7 +213,11 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
                frozen: tuple, loss_fn, n: int, steps: int, batch: int,
                seed: int) -> dict:
     """Train ``groups`` alone among the ``frozen`` modules for ``steps`` Adam
-    steps of ``loss_fn(idx)``, ``idx`` drawn from ``range(n)``; the report."""
+    steps of ``loss_fn(idx)``, ``idx`` drawn from ``range(n)``; the report.
+    It refuses by name a stage that breaks the contract: ``n >= 1``, and a
+    gradient on every group parameter after every ``backward``."""
+    if n < 1:
+        raise UsageError(f"{stage} needs at least one scene")
     configure_trainable(groups, *frozen)
     rng = np.random.default_rng([seed, STAGE_TAGS[stage]])
     opt = Adam(groups, total=steps)
@@ -236,6 +230,11 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
         except NumericsError as e:
             raise NumericsError(
                 f"{stage}: non-finite value at step {step}: {e}") from e
+        for g in groups:
+            for name, p in g.params.items():
+                if p.grad is None:
+                    raise UsageError(f"{stage}: no gradient reaches "
+                                     f"{g.name}.{name} at step {step}")
         opt.step()
         losses.append(float(loss.data))
     return {
@@ -663,10 +662,11 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
 
 
 def load_split(cfg: ExperimentConfig, split: str) -> list[SyntheticScene]:
-    """The split's scenes, ``cfg``'s count of them."""
-    counts = {"pretrain": cfg.n_pretrain, "train": cfg.n_train,
-              "val-category": cfg.n_val, "val-spatial": cfg.n_val}
-    return generate_scenes(cfg.data_seed, counts[split], split)
+    """The split's scenes, ``cfg``'s count of them (``n_val`` for a val
+    split); ``make_scene`` refuses an unknown split."""
+    count = {"pretrain": cfg.n_pretrain, "train": cfg.n_train}.get(
+        split, cfg.n_val)
+    return generate_scenes(cfg.data_seed, count, split)
 
 
 # ---------------------------------------------------------------------------

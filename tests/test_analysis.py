@@ -188,6 +188,15 @@ class TestLayerSweep:
                 "val-category", "val-spatial"}
             assert "val-category/per_scene" not in r
 
+    def test_progress_sees_every_row_in_order(self, sweep_bench):
+        cfg, mllm, det, snap, train, vals = sweep_bench
+        seen = []
+        res = layer_sweep(cfg, mllm, det, snap, train, vals,
+                          l_lm_values=[2, 0], seeds=[1], progress=seen.append)
+        assert [(r["l_lm"], r["seed"]) for r in res] == [(2, 1), (0, 1)]
+        assert len(seen) == len(res)
+        assert all(a is b for a, b in zip(seen, res))
+
     def test_depth_zero_taps_pre_decoder_state(self, sweep_bench):
         cfg, mllm, det, snap, train, vals = sweep_bench
         rng = np.random.default_rng(7)

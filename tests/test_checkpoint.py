@@ -121,6 +121,15 @@ def test_other_dtypes_rejected(tmp_path, dtype):
         ck.load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(tmp_path, value):
+    """The code computes only finite values, so a NaN or an infinity is
+    named at its file, not at the first op that reads it."""
+    save_one(tmp_path, np.array([1.0, value, 3.0]))
+    with pytest.raises(UsageError, match=r"w\.npy: non-finite values$"):
+        ck.load_checkpoint(tmp_path)
+
+
 def test_pickled_objects_rejected(tmp_path):
     p = save_one(tmp_path, np.ones(2))
     p.write_bytes(npy_bytes(np.array([1.0, None], dtype=object),

@@ -18,6 +18,7 @@ from fusedet import analysis, cli
 from fusedet import training as tr
 from fusedet.checkpoint import load_checkpoint, save_checkpoint
 from fusedet.config import load_file
+from fusedet.scenes import SPLITS
 
 
 def test_gradcheck_is_read_only(tmp_path, monkeypatch):
@@ -556,6 +557,43 @@ def test_truncated_parameter_file_is_a_named_error(tmp_path, monkeypatch,
     assert cli.cli(["eval"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: runs/detector/gain\.npy: .+\n", err), err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["train", "--stage", "3"]],
+                         ids=["eval", "stage3"])
+def test_non_finite_checkpoint_value_is_named_at_its_file(staged, tmp_path,
+                                                          capsys, command):
+    """A NaN in a checkpoint names its file and exits 1 before any op reads
+    it: the code never computes one."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    path = out / "detector" / "vis_proj.bias.npy"
+    arr = np.load(path)
+    arr[0] = np.nan
+    np.save(path, arr)
+    assert cli.cli(command + ["--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: non-finite values\n", err
+
+
+def test_gen_data_seed_sets_both_backbone_seeds(tmp_path, monkeypatch):
+    """``gen-data --seed 3`` writes the scenes of ``seed = data_seed = 3``
+    and records both in ``resolved-config.txt``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(
+        "n_pretrain = 2\nn_train = 2\nn_val = 2\n")
+    assert cli.cli(["gen-data", "--config", "tiny.cfg", "--seed", "3"]) == 0
+    cfg = load_file(tmp_path / "runs" / "resolved-config.txt")
+    assert (cfg.seed, cfg.data_seed, cfg.run_seed) == (3, 3, 0)
+    lines = (tmp_path / "runs" / "scenes.jsonl").read_text().splitlines()
+    written = [json.loads(line)["caption"] for line in lines]
+
+    def captions(c):
+        return [s.caption.tolist() for split in SPLITS
+                for s in tr.load_split(c, split)]
+    assert len(written) == 8
+    assert written == captions(cfg)
+    assert written != captions(load_file("tiny.cfg"))
 
 
 def test_console_entry_point_resolves():

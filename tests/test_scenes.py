@@ -70,6 +70,8 @@ class TestVocabulary:
         wide, wide_valid = S.pad_token_rows(rows, width=5)
         assert np.array_equal(wide[:, :3], ids)
         assert np.all(wide[:, 3:] == S.PAD) and not wide_valid[:, 3:].any()
+        none, none_valid = S.pad_token_rows([])
+        assert none.shape == none_valid.shape == (0, 0)
 
 
 # -- determinism and splits --------------------------------------------------

@@ -506,6 +506,39 @@ class TestRunLoop:
             tr._run_stage(tiny_config(), "stage3", groups, (), loss_fn,
                           n=10, steps=5, batch=2, seed=0)
 
+    def test_parameter_no_gradient_reaches_is_named(self):
+        """A group parameter the loss never reaches would stay silently
+        untrained; the step that finds it is refused by name."""
+        p = Tensor(np.ones(1), requires_grad=True)
+        dead = Tensor(np.ones(2), requires_grad=True)
+        groups = [tr.ParamGroup("head", {"w": p, "dead": dead}, 1e-3)]
+        with pytest.raises(
+                UsageError,
+                match=r"^stage3: no gradient reaches head\.dead at step 0$"):
+            tr._run_stage(tiny_config(), "stage3", groups, (),
+                          lambda idx: T.tsum(T.mul(p, p)),
+                          n=10, steps=3, batch=2, seed=0)
+
+    @pytest.mark.parametrize("stage, drive", [
+        ("pretrain", lambda cfg, mllm, det: tr.pretrain_detector(
+            cfg, mllm, det, [])),
+        ("stage1", lambda cfg, mllm, det: tr.train_stage1(cfg, mllm, [])),
+        ("stage2", lambda cfg, mllm, det: tr.train_stage2(cfg, mllm, [])),
+        ("stage3", lambda cfg, mllm, det: tr.train_stage3(
+            cfg, mllm, det, tr.build_adapter(cfg), [])),
+        ("stage3", lambda cfg, mllm, det: tr.train_stage3(
+            cfg, mllm, det, tr.build_adapter(cfg), [], cached=False)),
+        ("substitution", lambda cfg, mllm, det: tr.train_substitution(
+            cfg, mllm, det, tr.build_substitution(cfg, mllm), []))],
+        ids=["pretrain", "stage1", "stage2", "stage3-cached", "stage3-naive",
+             "substitution"])
+    def test_no_scenes_is_a_named_error(self, stage, drive):
+        cfg = tiny_config()
+        mllm, det = tr.build_models(cfg)
+        with pytest.raises(UsageError,
+                           match=f"^{stage} needs at least one scene$"):
+            drive(cfg, mllm, det)
+
     def test_losses_are_plain_floats(self, bench):
         losses = bench["reports"]["stage1"]["losses"]
         assert len(losses) == bench["cfg"].s1_steps
@@ -603,6 +636,12 @@ class TestEvaluation:
         assert m["n_spatial"] == len(b["vals"]["val-spatial"])
         assert "n_category" not in m                  # pure split
         assert m["acc"] == m["acc_spatial"]
+
+    def test_unknown_split_is_a_named_error(self):
+        with pytest.raises(UsageError, match=(
+                r"^unknown split 'val', expected one of \['pretrain', "
+                r"'train', 'val-category', 'val-spatial'\]$")):
+            tr.load_split(tiny_config(), "val")
 
     def test_fusion_and_substitution_are_exclusive(self, bench):
         b = bench
