@@ -828,11 +828,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
 
     def bw(g, acc):
         acc(kernel, np.einsum("bdhw,bchwkl->dckl", g, win, optimize=True))
+        # every tap's input gradient in one einsum, bitwise the per-tap
+        # "bdhw,dc->bchw" products, added in (i, j) order
+        taps = np.einsum("bdhw,dckl->bchwkl", g, kernel.data)
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                patch = np.einsum("bdhw,dc->bchw", g, kernel.data[:, :, i, j])
-                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += patch
+                gxp[:, :, i:i + stride * ho:stride,
+                    j:j + stride * wo:stride] += taps[..., i, j]
         if padding:
             gxp = gxp[:, :, padding:h + padding, padding:w + padding]
         acc(x, gxp)

@@ -15,15 +15,21 @@ Order of operations for a complete experiment:
 Every stage trains through ``_run_stage`` with Adam under a cosine-decayed
 learning rate; it alone checks a stage's contract (at least one scene, and
 a gradient on every group parameter at every step), which the code around
-it assumes.  Every detector pass (both detector losses, both stage-3
-losses, evaluation, the gradient check and the cost report) runs through
-``_detector_outputs`` over a ``_candidate_text`` tuple; ``fused_outputs`` is
-that pass from patch tokens, which only ``patch_tokens`` computes from
-images.  The cached stage-3 loss runs against stored activations of the
-frozen components: the same pass's own arrays, so it is an exact-value
-shortcut, and an equivalence test compares it against the uncached path.
-Evaluation, ``patch_tokens`` and the ``Stage3Cache`` build only ever run
-forward, so they record no tape even over trainable modules.
+it assumes.  For the length of its stage, that stage's ``Adam`` owns its
+groups' parameter storage: each ``p.data`` is a view of one flat buffer the
+optimizer allocated, updated in place.  Modules keep no buffer, so a
+``p.data`` rebound between stages (``restore``, a test) is simply copied
+into the next stage's buffer.
+
+Every detector pass (both detector losses, both stage-3 losses, evaluation,
+the gradient check and the cost report) runs through ``_detector_outputs``
+over a ``_candidate_text`` tuple; ``fused_outputs`` is that pass from patch
+tokens, which only ``patch_tokens`` computes from images.  The cached
+stage-3 loss runs against stored activations of the frozen components: the
+same pass's own arrays, so it is an exact-value shortcut, and an equivalence
+test compares it against the uncached path.  Evaluation, ``patch_tokens``
+and the ``Stage3Cache`` build only ever run forward, so they record no tape
+even over trainable modules.
 
 Evaluation and the ``Stage3Cache`` build use at most two processes, through
 one helper, ``_fill_rows``: given 2 or more chunks and 2 usable CPUs, the
@@ -43,6 +49,7 @@ produces byte-identical report files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import mmap
@@ -165,48 +172,105 @@ def configure_trainable(groups: list[ParamGroup], *frozen_modules) -> None:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # the global grad-norm ceiling every Adam step clips to
 GRAD_CLIP = 1.0
+# elements per in-place block of the Adam recurrence: its operands and two
+# scratch blocks stay in cache
+ADAM_BLOCK = 16384
 
 
 class Adam:
     """Adam with cosine lr decay and global-norm gradient clipping at
-    ``GRAD_CLIP``, over one ``m`` and one ``v`` per group parameter in group
-    order.  Every parameter holds a gradient at every step (``_run_stage``'s
-    contract), which the step consumes; a fresh optimizer starts every stage.
+    ``GRAD_CLIP``.  Every parameter holds a gradient at every step
+    (``_run_stage``'s contract), which the step consumes; a fresh optimizer
+    starts every stage.
+
+    For its stage the optimizer owns its groups' parameter storage: it
+    copies every group parameter, in group order, into one float64 buffer
+    and rebinds each ``p.data`` to a view of it, beside flat ``m``, ``v`` and
+    gradient buffers of the same layout.  Nothing is kept on the modules, so
+    a ``p.data`` rebound later (``restore``, a test) is re-homed by the next
+    optimizer built over it.  A parameter may appear once across the groups.
+    ``step`` updates the buffers in place, block by block, with the same
+    ufuncs in the same operand order as a per-tensor update, and sums the
+    clip norm per tensor in group order, so every value is bitwise that of
+    the per-tensor recurrence.
     """
 
     def __init__(self, groups: list[ParamGroup], total: int):
         self.groups = groups
         self.total = total
         self.t = 0
-        self._m = [[np.zeros_like(p.data) for p in g.params.values()]
-                   for g in groups]
-        self._v = [[np.zeros_like(m) for m in ms] for ms in self._m]
-
-    def _clip_grads(self) -> None:
-        sq = 0.0
-        for g in self.groups:
-            for p in g.params.values():
-                sq += float(np.sum(p.grad * p.grad))
-        norm = np.sqrt(sq)
-        if norm > GRAD_CLIP:
-            scale = GRAD_CLIP / norm
-            for g in self.groups:
-                for p in g.params.values():
-                    p.grad = p.grad * scale
+        self._named: list[tuple[str, Tensor]] = []
+        where: dict[int, str] = {}
+        for g in groups:
+            for name, p in g.params.items():
+                label = f"{g.name}.{name}"
+                if id(p) in where:
+                    raise UsageError(f"{label} is also {where[id(p)]}: a "
+                                     f"parameter belongs to one group, once")
+                where[id(p)] = label
+                self._named.append((label, p))
+        offs = [0, *itertools.accumulate(p.size for _, p in self._named)]
+        flat, self._g = np.empty(offs[-1]), np.empty(offs[-1])
+        self._m, self._v = np.zeros(offs[-1]), np.zeros(offs[-1])
+        # scratch a also holds the squares of the largest tensor
+        a = np.empty(max([ADAM_BLOCK, *(p.size for _, p in self._named)]))
+        b = np.empty(ADAM_BLOCK)
+        self._norm = []                 # per parameter: (its g, its squares)
+        for (_, p), lo, hi in zip(self._named, offs, offs[1:]):
+            view = flat[lo:hi].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self._norm.append((self._g[lo:hi], a[:hi - lo]))
+        self._blocks = []               # per group: [(g, m, v, p, a, b)]
+        k = 0
+        for group in groups:
+            lo, k = offs[k], k + len(group.params)
+            blocks = []
+            for s in range(lo, offs[k], ADAM_BLOCK):
+                e = min(s + ADAM_BLOCK, offs[k])
+                blocks.append((self._g[s:e], self._m[s:e], self._v[s:e],
+                               flat[s:e], a[:e - s], b[:e - s]))
+            self._blocks.append(blocks)
 
     def step(self) -> None:
-        self._clip_grads()
+        np.concatenate([p.grad.reshape(-1) for _, p in self._named],
+                       out=self._g)
+        sq = 0.0
+        for (_, p), (g, squares) in zip(self._named, self._norm):
+            # a gradient not in C order sums in its own memory order
+            sq += float(np.multiply(g, g, out=squares).sum()
+                        if p.grad.flags.c_contiguous
+                        else np.sum(p.grad * p.grad))
+        norm = np.sqrt(sq)
+        if not np.isfinite(norm):
+            bad = next((label for label, p in self._named
+                        if not np.all(np.isfinite(p.grad))), None)
+            raise NumericsError(f"non-finite gradient of {bad}" if bad else
+                                f"gradient norm overflows ({sq})")
+        if norm > GRAD_CLIP:
+            self._g *= GRAD_CLIP / norm
+        for _, p in self._named:
+            p.grad = None
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for g, m, v in zip(self.groups, self._m, self._v):
-            lr = cosine_lr(g.lr, self.t - 1, self.total)
-            for i, p in enumerate(g.params.values()):
-                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * p.grad
-                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * p.grad * p.grad
-                p.data = p.data - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2)
-                                                       + ADAM_EPS)
-                p.grad = None
+        for group, blocks in zip(self.groups, self._blocks):
+            lr = cosine_lr(group.lr, self.t - 1, self.total)
+            for g, m, v, p, a, b in blocks:
+                m *= ADAM_BETA1
+                np.multiply(1 - ADAM_BETA1, g, out=a)
+                m += a
+                np.multiply(1 - ADAM_BETA2, g, out=a)
+                a *= g
+                v *= ADAM_BETA2
+                v += a
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                a /= b
+                p -= a
 
 
 def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
@@ -227,15 +291,15 @@ def _run_stage(cfg: ExperimentConfig, stage: str, groups: list[ParamGroup],
         try:
             loss = loss_fn(idx)
             loss.backward()
+            for g in groups:
+                for name, p in g.params.items():
+                    if p.grad is None:
+                        raise UsageError(f"{stage}: no gradient reaches "
+                                         f"{g.name}.{name} at step {step}")
+            opt.step()
         except NumericsError as e:
             raise NumericsError(
                 f"{stage}: non-finite value at step {step}: {e}") from e
-        for g in groups:
-            for name, p in g.params.items():
-                if p.grad is None:
-                    raise UsageError(f"{stage}: no gradient reaches "
-                                     f"{g.name}.{name} at step {step}")
-        opt.step()
         losses.append(float(loss.data))
     return {
         "stage": stage,

@@ -179,6 +179,39 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((1, 1, 2, 2))),
                      Tensor(np.zeros((1, 1, 5, 5))), stride=1, padding=0)
 
+    @pytest.mark.parametrize("x_shape,k_shape,stride,padding", [
+        ((8, 64, 4, 4), (64, 64, 3, 3), 2, 1),      # stage 3's adapter conv
+        ((2, 3, 6, 7), (4, 3, 3, 3), 2, 1),
+        ((2, 3, 9, 8), (5, 3, 3, 3), 3, 0),
+        ((1, 4, 5, 5), (2, 4, 1, 1), 1, 0),
+        ((3, 2, 6, 6), (3, 2, 2, 2), 2, 0),
+        ((2, 5, 7, 5), (4, 5, 2, 2), 1, 1),
+        ((1, 3, 8, 8), (6, 3, 3, 3), 2, 0),
+        ((2, 2, 4, 6), (3, 2, 1, 1), 3, 1),
+    ])
+    def test_input_gradient_bitwise_per_tap(self, x_shape, k_shape, stride,
+                                            padding):
+        """The input gradient equals, bit for bit, the per-tap reference:
+        one ``"bdhw,dc->bchw"`` product per kernel tap, added into the padded
+        gradient in (i, j) order."""
+        rng = np.random.default_rng(list(x_shape + k_shape) + [stride, padding])
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        k = Tensor(rng.standard_normal(k_shape))
+        out = T.conv2d(x, k, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        T.tsum(T.mul(out, T.constant(g))).backward()
+        (_, _, h, w), (_, _, kh, kw) = x_shape, k_shape
+        _, _, ho, wo = out.shape
+        ref = np.zeros((x_shape[0], x_shape[1], h + 2 * padding,
+                        w + 2 * padding))
+        for i in range(kh):
+            for j in range(kw):
+                ref[:, :, i:i + stride * ho:stride,
+                    j:j + stride * wo:stride] += np.einsum(
+                        "bdhw,dc->bchw", g, k.data[:, :, i, j])
+        ref = ref[:, :, padding:h + padding, padding:w + padding]
+        assert x.grad.tobytes() == ref.tobytes()
+
 
 class TestPixelUnshuffle:
     def test_shape_contract_r4(self):

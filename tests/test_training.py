@@ -14,6 +14,7 @@ from fusedet import training as tr
 from fusedet.adapter import ARCHS, AdapterConfig, FusionState
 from fusedet.config import ExperimentConfig
 from fusedet.detector import DetectorConfig, detection_loss
+from fusedet.layers import Module
 from fusedet.scenes import pad_token_rows
 from fusedet.tensor import NumericsError, Tensor, UsageError
 
@@ -87,6 +88,48 @@ def adam_oracle(x0, grads, lr, total, copies=1, beta1=0.9, beta2=0.999,
     return x
 
 
+def reference_adam(xs, lrs, grads, total, clip=None):
+    """The per-tensor Adam recurrence the flat optimizer must match bit for
+    bit: ``xs[k]`` the initial arrays of group ``k`` at lr ``lrs[k]``,
+    ``grads[t][k]`` the gradients of that group at step ``t``.  The clip
+    norm sums each tensor, then the tensors in group order."""
+    clip = tr.GRAD_CLIP if clip is None else clip
+    xs = [[x.copy() for x in group] for group in xs]
+    ms = [[np.zeros_like(x) for x in group] for group in xs]
+    vs = [[np.zeros_like(x) for x in group] for group in xs]
+    for t, gs in enumerate(grads, start=1):
+        sq = 0.0
+        for group in gs:
+            for g in group:
+                sq += float(np.sum(g * g))
+        norm = np.sqrt(sq)
+        if norm > clip:
+            gs = [[g * (clip / norm) for g in group] for group in gs]
+        bc1 = 1.0 - tr.ADAM_BETA1 ** t
+        bc2 = 1.0 - tr.ADAM_BETA2 ** t
+        for x, m, v, group, base in zip(xs, ms, vs, gs, lrs):
+            lr = tr.cosine_lr(base, t - 1, total)
+            for i, g in enumerate(group):
+                m[i] = tr.ADAM_BETA1 * m[i] + (1 - tr.ADAM_BETA1) * g
+                v[i] = tr.ADAM_BETA2 * v[i] + (1 - tr.ADAM_BETA2) * g * g
+                x[i] = x[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2)
+                                                   + tr.ADAM_EPS)
+    return xs
+
+
+def same_bits(got, want) -> bool:
+    return len(got) == len(want) and all(
+        a.shape == b.shape and np.ascontiguousarray(a).tobytes()
+        == np.ascontiguousarray(b).tobytes() for a, b in zip(got, want))
+
+
+class Holder(Module):
+    """A module over the given parameters, by name."""
+
+    def __init__(self, params):
+        self.__dict__.update(params)
+
+
 class TestAdam:
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
@@ -110,10 +153,83 @@ class TestAdam:
         for g in grads:
             pa.grad, pb.grad = g.copy(), g.copy()
             opt.step()
-        assert np.allclose(pa.data, adam_oracle(xa, grads, 0.05, 3, copies=2),
-                           atol=1e-14)
-        assert np.allclose(pb.data, adam_oracle(xb, grads, 0.002, 3, copies=2),
-                           atol=1e-14)
+        want = reference_adam([[xa], [xb]], [0.05, 0.002],
+                              [[[g], [g]] for g in grads], total=3)
+        assert same_bits([pa.data, pb.data], [x for xs in want for x in xs])
+
+    def test_bitwise_per_tensor_recurrence(self):
+        """Two groups at different lrs over 1-, 2- and 4-d parameters (one
+        gradient in Fortran order, whose squares sum in another order than
+        a C-order copy's), 7 steps with the clip firing on some and not on
+        others, over 8 draws: every parameter is bit for bit the per-tensor
+        recurrence's."""
+        shapes = [[(5,), (6, 20), (2, 3, 2, 2)], [(7,), (4, 2)]]
+        scales = [3.0, 0.01, 2.0, 0.05, 0.02, 1.5, 0.01]
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            xs = [[rng.standard_normal(s) for s in group] for group in shapes]
+            grads = [[[rng.standard_normal(s) * c for s in group]
+                      for group in shapes] for c in scales]
+            for step in grads:
+                step[0][1] = np.asfortranarray(step[0][1])
+            fired = [np.sqrt(sum(float(np.sum(g * g))
+                                 for gs in step for g in gs)) > tr.GRAD_CLIP
+                     for step in grads]
+            assert any(fired) and not all(fired)
+            params = [[Tensor(x.copy(), requires_grad=True) for x in group]
+                      for group in xs]
+            opt = tr.Adam([tr.ParamGroup(f"g{k}", {f"p{i}": p for i, p in
+                                                     enumerate(ps)}, lr)
+                           for k, (ps, lr) in enumerate(zip(params,
+                                                            [0.03, 0.004]))],
+                          total=len(grads))
+            for step in grads:
+                for ps, gs in zip(params, step):
+                    for p, g in zip(ps, gs):
+                        p.grad = g.copy(order="K")
+                opt.step()
+            want = reference_adam(xs, [0.03, 0.004], grads, total=len(grads))
+            assert same_bits([p.data for ps in params for p in ps],
+                             [x for group in want for x in group]), seed
+
+    def test_parameters_share_one_buffer(self):
+        rng = np.random.default_rng(3)
+        ps = {"a": Tensor(rng.standard_normal((2, 3)), requires_grad=True),
+              "b": Tensor(rng.standard_normal(4), requires_grad=True)}
+        q = Tensor(rng.standard_normal((1, 2, 2, 1)), requires_grad=True)
+        before = [p.data.copy() for p in [*ps.values(), q]]
+        tr.Adam([tr.ParamGroup("x", ps, 0.1), tr.ParamGroup("y", {"q": q}, 0.1)],
+                total=1)
+        datas = [p.data for p in [*ps.values(), q]]
+        assert len({id(d.base) for d in datas}) == 1 and datas[0].base is not None
+        assert same_bits(datas, before)
+        snap = tr.snapshot(Holder(ps))
+        assert all(not np.shares_memory(snap[k], ps[k].data) for k in ps)
+
+    def test_restore_then_new_adam_matches_reference(self):
+        """``restore`` rebinds ``p.data`` away from the first optimizer's
+        buffer; the next optimizer re-homes it and still matches."""
+        rng = np.random.default_rng(4)
+        mod = Holder({"w": Tensor(rng.standard_normal((3, 2)), requires_grad=True),
+                      "b": Tensor(rng.standard_normal(2), requires_grad=True)})
+        x0 = tr.snapshot(mod)
+        grads = [[[rng.standard_normal((3, 2)) * c, rng.standard_normal(2) * c]]
+                 for c in (2.0, 0.01, 0.5, 0.03, 1.0)]
+
+        def run():
+            opt = tr.Adam([tr.ParamGroup("m", mod.named_parameters(), 0.02)],
+                          total=5)
+            for (gw, gb), in grads:
+                mod.w.grad, mod.b.grad = gw.copy(), gb.copy()
+                opt.step()
+            return [mod.w.data.copy(), mod.b.data.copy()]
+
+        first = run()
+        tr.restore(mod, x0)
+        assert mod.w.data.base is None
+        assert same_bits(run(), first)
+        want = reference_adam([[x0["w"], x0["b"]]], [0.02], grads, total=5)
+        assert same_bits(first, want[0])
 
     def test_step_consumes_gradients(self):
         p = Tensor(np.ones(2), requires_grad=True)
@@ -123,25 +239,66 @@ class TestAdam:
         assert p.grad is None
 
     def test_global_norm_clip(self):
+        """A gradient above ``GRAD_CLIP`` in global norm is scaled onto it
+        before the update: the step equals the per-tensor recurrence on the
+        clipped gradients, and differs from the unclipped update."""
         pa = Tensor(np.zeros(3), requires_grad=True)
         pb = Tensor(np.zeros(4), requires_grad=True)
         opt = tr.Adam([tr.ParamGroup("a", {"p": pa}, 0.1),
-                       tr.ParamGroup("b", {"p": pb}, 0.1)], total=1)
-        pa.grad = np.full(3, 2.0)
-        pb.grad = np.full(4, 2.0)
-        norm = np.sqrt(np.sum(pa.grad ** 2) + np.sum(pb.grad ** 2))
-        opt._clip_grads()
-        clipped = np.sqrt(np.sum(pa.grad ** 2) + np.sum(pb.grad ** 2))
-        assert clipped == pytest.approx(tr.GRAD_CLIP, abs=1e-12)
-        assert np.allclose(pa.grad, np.full(3, 2.0) / norm)
+                       tr.ParamGroup("b", {"p": pb}, 0.1)], total=2)
+        grads = [[[np.full(3, 2.0)], [np.full(4, 2.0)]],
+                 [[np.full(3, 0.01)], [np.full(4, -0.01)]]]
+        for (ga,), (gb,) in grads:
+            pa.grad, pb.grad = ga.copy(), gb.copy()
+            opt.step()
+        norm = np.sqrt(np.sum(grads[0][0][0] ** 2) + np.sum(grads[0][1][0] ** 2))
+        clipped = [[[g * (tr.GRAD_CLIP / norm) for g in gs] for gs in grads[0]],
+                   grads[1]]
+        want = reference_adam([[np.zeros(3)], [np.zeros(4)]], [0.1, 0.1],
+                              clipped, total=2)
+        assert same_bits([pa.data, pb.data], [want[0][0], want[1][0]])
+        raw = reference_adam([[np.zeros(3)], [np.zeros(4)]], [0.1, 0.1],
+                             grads, total=2, clip=np.inf)
+        assert not np.array_equal(pa.data, raw[0][0])
 
     def test_clip_leaves_small_gradients_alone(self):
+        """Below ``GRAD_CLIP`` the gradient enters the update unscaled."""
         p = Tensor(np.zeros(2), requires_grad=True)
-        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=1)
-        g = np.array([0.3, -0.4])
-        p.grad = g.copy()
-        opt._clip_grads()
-        assert np.array_equal(p.grad, g)
+        opt = tr.Adam([tr.ParamGroup("p", {"p": p}, 0.1)], total=2)
+        grads = [np.array([0.3, -0.4]), np.array([-0.1, 0.2])]
+        for g in grads:
+            p.grad = g.copy()
+            opt.step()
+        want = reference_adam([[np.zeros(2)]], [0.1], [[[g]] for g in grads],
+                              total=2, clip=np.inf)
+        assert same_bits([p.data], want[0])
+
+    def test_parameter_listed_twice_is_named(self):
+        """Listed twice, a parameter would take two updates per step, or
+        lose one once it lives in the optimizer's buffer."""
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(UsageError,
+                           match=r"^b\.again is also a\.w: a parameter "
+                                 r"belongs to one group, once$"):
+            tr.Adam([tr.ParamGroup("a", {"w": p, "v": q}, 0.1),
+                     tr.ParamGroup("b", {"again": p}, 0.1)], total=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_gradient_is_named_and_changes_nothing(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        opt = tr.Adam([tr.ParamGroup("a", {"p": p}, 0.1),
+                       tr.ParamGroup("b", {"q": q}, 0.1)], total=2)
+        p.grad, q.grad = np.ones(2), np.array([1.0, np.inf, 0.0])
+        with pytest.raises(NumericsError, match=r"^non-finite gradient of b\.q$"):
+            opt.step()
+        assert same_bits([p.data, q.data], [np.ones(2), np.ones(3)])
+        p.grad, q.grad = np.full(2, 1e200), np.ones(3)
+        with pytest.raises(NumericsError,
+                           match=r"^gradient norm overflows \(inf\)$"):
+            opt.step()
+        assert same_bits([p.data, q.data], [np.ones(2), np.ones(3)])
 
 
 class TestFreezing:
@@ -505,6 +662,28 @@ class TestRunLoop:
         with pytest.raises(NumericsError, match=r"stage3: .* step 1"):
             tr._run_stage(tiny_config(), "stage3", groups, (), loss_fn,
                           n=10, steps=5, batch=2, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_gradient_names_its_step_and_parameter(self):
+        """A finite loss whose gradient overflows fails at its own step,
+        naming the parameter, before any parameter moves; a one-step stage
+        fails too instead of ending on NaN parameters."""
+        x = Tensor(np.full(2, 1e-300), requires_grad=True)
+        w = Tensor(np.ones(3), requires_grad=True)
+        groups = [tr.ParamGroup("head", {"w": w}, 1e-3),
+                  tr.ParamGroup("tail", {"x": x}, 1e-3)]
+
+        def loss_fn(idx):
+            return T.add(T.tsum(T.mul(T.mul(x, 1e300), 1e300)),
+                         T.tsum(T.mul(w, w)))
+
+        with pytest.raises(NumericsError,
+                           match=r"^stage3: non-finite value at step 0: "
+                                 r"non-finite gradient of tail\.x$"):
+            tr._run_stage(tiny_config(), "stage3", groups, (), loss_fn,
+                          n=10, steps=1, batch=2, seed=0)
+        assert np.array_equal(x.data, np.full(2, 1e-300))
+        assert np.array_equal(w.data, np.ones(3))
 
     def test_parameter_no_gradient_reaches_is_named(self):
         """A group parameter the loss never reaches would stay silently
