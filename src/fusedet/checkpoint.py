@@ -9,6 +9,9 @@ NaN or an infinity by file.
 defines what the checkpoint holds: the loader reads exactly the files it
 names and ignores any others in the directory (a larger adapter's leftovers
 under the same ``--out``, say).  Identical states give identical bytes.
+A save removes the old manifest before it writes any file and writes the
+new one last, so a save that stops part-way leaves no manifest, and the
+directory is refused rather than loaded as a mix of old and new values.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ MANIFEST = "manifest.txt"
 
 
 def save_checkpoint(directory: str | Path, named: dict[str, np.ndarray]) -> None:
-    """Write one ``.npy`` file per entry of ``named`` (name -> ndarray), then
-    the manifest.  Existing files for the same names are overwritten."""
+    """Remove the manifest, write one ``.npy`` file per entry of ``named``
+    (name -> ndarray), then the manifest.  Existing files for the same names
+    are overwritten."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / MANIFEST).unlink(missing_ok=True)
     for name, arr in named.items():
         np.save(directory / f"{name}.npy",
                 np.asarray(arr, dtype=np.float64, order="C"))

@@ -84,7 +84,14 @@ def _recorded_config(out: Path, stage: str) -> dict:
     path = out / f"report-{stage}.json"
     if not path.exists():
         raise _missing("report", path)
-    return json.loads(path.read_text())["config"]
+    try:
+        report = json.loads(path.read_text())
+    except ValueError as err:              # also a file that is not UTF-8
+        raise UsageError(f"{path}: not JSON: {err}") from None
+    config = report.get("config") if isinstance(report, dict) else None
+    if not isinstance(config, dict):
+        raise UsageError(f"{path}: no config object")
+    return config
 
 
 # backbone checkpoints: the config section each is built from

@@ -99,7 +99,6 @@ class MultiHeadAttention(Module):
         if d % heads:
             raise DimensionError(f"width {d} not divisible by {heads} heads")
         self.heads = heads
-        self.d_head = d // heads
         self.rope_base = rope_base
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)

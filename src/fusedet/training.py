@@ -31,15 +31,10 @@ test compares it against the uncached path.  Evaluation, ``patch_tokens``
 and the ``Stage3Cache`` build only ever run forward, so they record no tape
 even over trainable modules.
 
-Evaluation and the ``Stage3Cache`` build use at most two processes, through
-one helper, ``_fill_rows``: given 2 or more chunks and 2 usable CPUs, the
-second half of the chunks runs in one forked worker, which writes its rows
-straight into the arrays it returns (anonymous shared mappings), bitwise the
-serial values.  The worker only saves time: if it does not exit cleanly, or
-cannot be forked, the parent fills its half itself, so an error always rises
-in the parent.  It stays serial inside a worker, while a ``FlopsMeter`` or
-``attention_tap`` is open, and without ``os.fork``.  Training steps, scene
-generation and ``cache_vision`` always run in one process.
+Evaluation and the ``Stage3Cache`` build fill their arrays through one
+helper, ``_fill_rows``, on at most two processes; its docstring is the one
+statement of when a worker runs and what its failure does.  Training steps,
+scene generation and ``cache_vision`` always run in one process.
 
 Reports embed the resolved config (for stage 3, with its head's own adapter
 section) and the full loss curve but no wall-clock fields, so a repeated run
@@ -442,16 +437,12 @@ class Stage3Cache:
                                adapter attached; at l_d = 1 the broadcast
                                query embeddings
 
-    Every array is allocated once, in shared memory, and filled chunk by
-    chunk in place by one ``_fill_rows`` pass, with no tape recorded
-    (nothing here is differentiated): each chunk runs from its images to its
-    decoder state, so with 2 or more chunks and 2 usable CPUs the second
-    half of them is built in a forked worker, bitwise the serial values;
-    if that worker fails, this process builds its chunks again.  The arrays
-    are writable.  An error in a chunk rises here with its own type, and its
-    message names the chunk's scenes.  The cached loss always resumes at
-    layer ``l_d``, so it needs a hook whose ``l_d`` is not earlier;
-    ``decode`` rejects one that is.
+    Every array is filled chunk by chunk by one ``_fill_rows`` pass, under
+    that helper's rules for its worker and for errors, with no tape recorded
+    (nothing here is differentiated); each chunk runs from its images to its
+    decoder state.  The arrays are writable.  The cached loss always
+    resumes at layer ``l_d``, so it needs a hook whose ``l_d`` is not
+    earlier; ``decode`` rejects one that is.
     ``full_decode`` selects nothing: it is kept so existing callers still
     construct the cache.
     """
@@ -708,12 +699,8 @@ def evaluate(cfg: ExperimentConfig, mllm: MiniMllm, det: GroundingDetector,
     """Chunked full-split evaluation -> grounding metrics.
 
     The ``eval_chunk`` chunks are independent forward passes whose boxes and
-    logits ``_fill_rows`` writes into the arrays it allocates, on at most
-    two processes: serial with one chunk, inside a worker, under an open
-    ``FlopsMeter`` or ``attention_tap``, or without ``os.fork`` and a second
-    CPU.  A worker that fails has its chunks evaluated again here, so an
-    error in a chunk rises in this process with its own type, and its
-    message names the chunk's scenes."""
+    logits one ``_fill_rows`` pass writes, under that helper's rules for its
+    worker and for errors."""
     if not scenes:
         raise UsageError("evaluate needs at least one scene")
     nq = det.cfg.queries

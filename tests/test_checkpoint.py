@@ -173,6 +173,25 @@ def test_save_is_deterministic(tmp_path):
                 == (tmp_path / "two" / name).read_bytes())
 
 
+def test_interrupted_resave_leaves_no_manifest(tmp_path, monkeypatch):
+    """A save over an older checkpoint that stops after its first file is
+    refused by name, not loaded as one new and one old parameter."""
+    ck.save_checkpoint(tmp_path, {"a": np.zeros(2), "b": np.zeros(2)})
+    save, calls = np.save, []
+
+    def fails_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        save(*args, **kwargs)
+
+    monkeypatch.setattr(ck.np, "save", fails_second)
+    with pytest.raises(OSError):
+        ck.save_checkpoint(tmp_path, {"a": np.ones(2), "b": np.ones(2)})
+    with pytest.raises(UsageError, match="^no checkpoint manifest at "):
+        ck.load_checkpoint(tmp_path)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(UsageError):
         ck.load_checkpoint(tmp_path)

@@ -233,6 +233,30 @@ def test_head_without_its_report_is_refused(staged, tmp_path, capsys):
                    f"first\n"), err
 
 
+@pytest.mark.parametrize("stage, damage, message", [
+    ("stage1", lambda text: text[:len(text) // 2], "not JSON: "),
+    ("stage3", lambda text: text[:len(text) // 2], "not JSON: "),
+    ("stage3", lambda text: "[]", "no config object"),
+    ("stage3", lambda text: '{"losses": []}', "no config object"),
+    ("stage3", lambda text: '{"config": 3}', "no config object")],
+    ids=["stage1-truncated", "truncated", "not-an-object", "no-config",
+         "config-not-an-object"])
+def test_damaged_report_is_refused(staged, tmp_path, capsys, stage, damage,
+                                   message):
+    """A report that is not JSON, not an object, or holds no ``config``
+    object is refused by file, where a truncated one used to end ``eval``
+    in a ``JSONDecodeError`` traceback and one without a config in a
+    ``KeyError``."""
+    config, _ = staged
+    out = copy_run(staged, tmp_path)
+    path = out / f"report-{stage}.json"
+    path.write_text(damage(path.read_text()))
+    assert cli.cli(["eval", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}"), err
+    assert not list(out.glob("per-scene-*"))
+
+
 @pytest.fixture(scope="module")
 def arch_ii_run(staged, tmp_path_factory):
     """The staged run with an Arch II adapter trained at stage 3 and the
@@ -447,38 +471,6 @@ def test_removed_config_keys_are_named_errors(tmp_path, monkeypatch, capsys,
     assert err == f"error: unknown config keys: [{key!r}]\n", err
 
 
-def test_zero_eval_chunk_is_a_named_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(
-        "eval_chunk = 0\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
-    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: eval_chunk must be at least 1, got 0\n",
-                        err), err
-
-
-def test_zero_batch_is_a_named_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(
-        "pretrain_batch = 0\nn_pretrain = 4\npretrain_steps = 1\n")
-    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: pretrain_batch must be at least 1, got 0\n",
-                        err), err
-
-
-def test_zero_steps_is_a_named_error(tmp_path, monkeypatch, capsys):
-    """A stage budget below 1 is refused before any stage runs, instead of
-    training nothing and reporting a ``NaN`` final loss."""
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(
-        "s1_steps = 0\nn_pretrain = 4\npretrain_steps = 1\npretrain_batch = 4\n")
-    assert cli.cli(["train", "--stage", "1", "--config", "tiny.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: s1_steps must be at least 1, got 0\n",
-                        err), err
-
-
 BAD_VALUES = [
     ("mllm.patch = 0", "mllm.patch must be at least 1, got 0"),
     ("mllm.heads = 0", "mllm.heads must be at least 1, got 0"),
@@ -488,6 +480,9 @@ BAD_VALUES = [
     ("detector.queries = 0", "detector.queries must be at least 1, got 0"),
     ("mllm.sys_len = 0", "mllm.sys_len must be at least 1, got 0"),
     ("n_val = 0", "n_val must be at least 1, got 0"),
+    ("eval_chunk = 0", "eval_chunk must be at least 1, got 0"),
+    ("pretrain_batch = 0", "pretrain_batch must be at least 1, got 0"),
+    ("s1_steps = 0", "s1_steps must be at least 1, got 0"),
     ("pretrain_lr = -1", "pretrain_lr must be positive, got -1.0"),
     ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0"),
     ("seed = -1", "seed must be at least 0, got -1"),
@@ -504,7 +499,9 @@ def test_bad_config_value_is_a_named_error(tmp_path, monkeypatch, capsys,
     key: the first four used to raise ``ZeroDivisionError`` here, zero
     queries failed only inside a pass, and the rest were accepted (zero
     ``sys_len`` then failed in ``analyze-attention``, with no system keys to
-    score, and a negative seed in numpy's ``default_rng``)."""
+    score, and a negative seed in numpy's ``default_rng``).  A stage budget
+    below 1 is refused before any stage runs, instead of training nothing
+    and reporting a ``NaN`` final loss."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text + "\n")
     assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1

@@ -41,7 +41,7 @@ def mha_oracle(x_q, x_kv, m, mask=None):
     """Loop-free numpy re-implementation of multi-head attention."""
     b, tq, d = x_q.shape
     tk = x_kv.shape[1]
-    h, dh = m.heads, m.d_head
+    h, dh = m.heads, d // m.heads
 
     def lin(layer, x):
         return x @ layer.weight.data + layer.bias.data

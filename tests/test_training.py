@@ -724,17 +724,6 @@ class TestRunLoop:
         assert all(isinstance(x, float) and np.isfinite(x) for x in losses)
 
 
-def opened_adapter(cfg, arch, seed):
-    """An adapter with seeded non-zero gates and output map, so the fused
-    pass is not the detector's."""
-    state = tr.build_adapter(cfg, arch=arch)
-    rng = np.random.default_rng(seed)
-    state.gate.data = rng.uniform(0.5, 1.5, state.gate.shape)
-    w = state.out_proj.weight
-    w.data = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
-    return state
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """``cpus(n)`` sets the CPU count ``_fill_rows`` reads and returns the
@@ -758,45 +747,173 @@ def cpus(monkeypatch):
         tr.os.waitpid(-1, tr.os.WNOHANG)
 
 
-def three_chunks(b):
-    return dataclasses.replace(b["cfg"], eval_chunk=4)   # of 12 scenes
+# 12 rows in spans of 4: the parent fills 0:4, a worker 4:8 and 8:12
+SPANS = [(0, 4), (4, 8), (8, 12)]
 
 
-def first_scenes(monkeypatch, target, arg):
-    """Patch ``tr.<target>`` to record the first scene of the chunk each
-    call gets as its positional ``arg``.  The list lives in this process: a
-    forked worker's calls append to the worker's own copy."""
-    calls = []
-    run = getattr(tr, target)
-
-    def recorded(*args, **kwargs):
-        calls.append(args[arg][0])
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(tr, target, recorded)
-    return calls
+class SpanError(Exception):
+    """Raised by a span, so a test sees its own type come back."""
 
 
-def break_the_worker(monkeypatch, target, how):
-    """Make the forked half fail ``how``: the worker is "killed" by SIGKILL,
-    or "raises", at its first call of ``tr.<target>``; or, with "no fork",
-    ``fork`` itself fails as it does when no process id is free."""
+def span_run(fail=None):
+    """``(run, ran)``: a ``run(lo, hi)`` of one ``T.attention`` per span,
+    which first calls ``fail(lo)`` when given, and the list of the spans it
+    ran in this process (a forked worker appends to its own copy)."""
+    ran = []
+
+    def run(lo, hi):
+        ran.append((lo, hi))
+        if fail is not None:
+            fail(lo)
+        x = T.constant(np.sin(np.arange(2 * lo, 2 * hi)).reshape(-1, 1, 2))
+        out = T.attention(x, x, x, 1).data[:, 0]
+        return out, out > 0
+
+    return run, ran
+
+
+def fill(run):
+    return tr._fill_rows(run, 12, 4, (((2,), float), ((2,), bool)), "fill")
+
+
+def break_the_worker(monkeypatch, how):
+    """A ``fail`` that makes the forked half fail ``how``: the worker is
+    "killed" by SIGKILL, or "raises", at its first span; or, with "no
+    fork", ``fork`` itself fails as it does when no process id is free."""
     if how == "no fork":
         def no_pid():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(tr.os, "fork", no_pid)
-        return
-    run = getattr(tr, target)
+        return None
 
-    def fails_in_worker(*args, **kwargs):
+    def fails_in_worker(lo):
         if tr._IN_WORKER:
             if how == "killed":
                 tr.os.kill(tr.os.getpid(), tr.signal.SIGKILL)
-            raise NumericsError("non-finite values produced by 'linear'")
-        return run(*args, **kwargs)
+            raise SpanError("worker failed")
 
-    monkeypatch.setattr(tr, target, fails_in_worker)
+    return fails_in_worker
+
+
+def same_rows(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestFillRows:
+    """``_fill_rows`` itself, the one home of the forked fill's rules, over
+    three spans of a cheap pass; ``evaluate`` and the ``Stage3Cache`` build
+    are checked below only for what they add."""
+
+    def test_two_processes_equal_one(self, cpus):
+        """The worker fills spans 2-3 and the parent only span 1; the rows
+        are the serial ones, bitwise, in writable arrays of each dtype."""
+        forks = cpus(1)
+        run, ran = span_run()
+        serial = fill(run)
+        assert not forks and ran == SPANS
+        cpus(2)
+        run, ran = span_run()
+        forked = fill(run)
+        # a worker that always failed would be hidden by the parent's
+        # re-run, but would show here as the worker's spans
+        assert len(forks) == 1 and ran == SPANS[:1]
+        same_rows(forked, serial)
+        assert [a.dtype for a in forked] == [np.float64, np.bool_]
+        # the benchmark edits cache rows
+        assert all(a.flags.writeable for a in forked)
+
+    @pytest.mark.parametrize("n_cpus,bad", [(2, 8), (2, 0), (1, 4)],
+                             ids=["worker", "parent", "serial"])
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(
+            self, cpus, n_cpus, bad):
+        def fail(lo):
+            if lo == bad:
+                raise SpanError("bad span")
+
+        cpus(n_cpus)
+        with pytest.raises(SpanError, match=rf"^fill scenes\[{bad}:{bad + 4}\]"
+                                            r": bad span$") as err:
+            fill(span_run(fail)[0])
+        # raised in this process, with the traceback of the failed span
+        assert "fail" in [entry.name for entry in err.traceback]
+
+    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
+    def test_failed_worker_gives_the_serial_rows(self, cpus, monkeypatch, how):
+        """A worker that is killed or raises has its spans filled again in
+        the parent, and a fork that fails leaves every span to it: the rows
+        are the serial ones, bitwise."""
+        forks = cpus(1)
+        serial = fill(span_run()[0])
+        cpus(2)
+        run, ran = span_run(break_the_worker(monkeypatch, how))
+        same_rows(fill(run), serial)
+        assert ran == SPANS
+        assert len(forks) == (0 if how == "no fork" else 1)
+
+    def test_parent_error_kills_the_worker(self, cpus):
+        """The worker is killed, not waited for, when the parent's own half
+        fails: a worker that would stall for a minute costs nothing."""
+        def stalls_or_fails(lo):
+            if tr._IN_WORKER:
+                time.sleep(60)
+            raise SpanError("parent failed")
+
+        cpus(2)
+        t0 = time.perf_counter()
+        with pytest.raises(SpanError, match=r"^fill scenes\[0:4\]: "):
+            fill(span_run(stalls_or_fails)[0])
+        assert time.perf_counter() - t0 < 30
+
+    @pytest.mark.parametrize("scope", ["meter", "tap"])
+    def test_open_meter_or_tap_keeps_it_serial(self, cpus, monkeypatch,
+                                               scope):
+        """An open scope sees every span: its count is the sum of the
+        per-span counts, and the fill never forks (a fork raises)."""
+        def counted(work):
+            if scope == "meter":
+                with T.FlopsMeter() as meter:
+                    work()
+                return meter.accumulated
+            with T.attention_tap() as records:
+                work()
+            return len(records)
+
+        def no_fork():
+            raise AssertionError("forked under an open scope")
+
+        cpus(2)
+        monkeypatch.setattr(tr.os, "fork", no_fork)
+        run, ran = span_run()
+        total = counted(lambda: fill(run))
+        assert ran == SPANS
+        assert total == sum(counted(lambda: run(lo, hi))
+                            for lo, hi in SPANS) > 0
+
+
+def opened_adapter(cfg, arch, seed):
+    """An adapter with seeded non-zero gates and output map, so the fused
+    pass is not the detector's."""
+    state = tr.build_adapter(cfg, arch=arch)
+    rng = np.random.default_rng(seed)
+    state.gate.data = rng.uniform(0.5, 1.5, state.gate.shape)
+    w = state.out_proj.weight
+    w.data = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+    return state
+
+
+def three_chunks(b):
+    return dataclasses.replace(b["cfg"], eval_chunk=4)   # of 12 scenes
+
+
+def nan_image(scenes, i):
+    """``scenes`` with scene ``i``'s image all NaN."""
+    scenes = list(scenes)
+    scenes[i] = dataclasses.replace(
+        scenes[i], image=np.full_like(scenes[i].image, np.nan))
+    return scenes
 
 
 class TestEvaluation:
@@ -860,9 +977,9 @@ class TestEvaluation:
                                 state=state)
 
     @pytest.mark.parametrize("head", ["baseline", "IV", "substitution"])
-    def test_two_processes_equal_one(self, bench, cpus, monkeypatch, head):
-        """The worker runs chunks 2-3 of 3 and the parent only chunk 1; the
-        results are the serial ones, bitwise."""
+    def test_two_processes_equal_one(self, bench, cpus, head):
+        """Chunks 2-3 of 3 evaluated in the worker give the serial metrics
+        and per-scene records, bitwise."""
         b = bench
         cfg = three_chunks(b)
         tr.restore(b["mllm"].projector, b["projector"])
@@ -871,103 +988,23 @@ class TestEvaluation:
                   "substitution": {"sub": tr.build_substitution(cfg, b["mllm"])}
                   }[head]
         scenes = b["vals"]["val-spatial"]
-        calls = first_scenes(monkeypatch, "grounded_outputs", 3)
         forks = cpus(1)
         serial = tr.evaluate(cfg, b["mllm"], b["det"], scenes, **module)
-        assert not forks and len(calls) == 3
         cpus(2)
         forked = tr.evaluate(cfg, b["mllm"], b["det"], scenes, **module)
         assert len(forks) == 1
-        # a worker that always failed would be hidden by the parent's
-        # re-run, but would show here as 2 more calls, for chunks 2-3
-        assert len(calls) == 4 and calls[3] is scenes[0]
         assert forked == serial                  # metrics and per_scene
 
-    @pytest.mark.parametrize("n_cpus,bad,chunk", [
-        (2, 9, "8:12"),          # in the worker's half
-        (2, 1, "0:4"),           # in the parent's half
-        (1, 5, "4:8"),           # serial
-    ])
-    def test_chunk_error_keeps_its_type_and_names_the_chunk(
-            self, bench, cpus, n_cpus, bad, chunk):
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(self, bench, cpus):
+        """A NaN image in the worker's half rises here, from its pass."""
         b = bench
-        scenes = list(b["vals"]["val-category"])
-        img = scenes[bad].image
-        scenes[bad] = dataclasses.replace(scenes[bad],
-                                          image=np.full_like(img, np.nan))
-        cpus(n_cpus)
+        cpus(2)
         with pytest.raises(NumericsError,
-                           match=rf"^evaluate scenes\[{chunk}\]: non-finite "
+                           match=r"^evaluate scenes\[8:12\]: non-finite "
                                  r"values produced by '\w+'$") as err:
-            tr.evaluate(three_chunks(b), b["mllm"], b["det"], scenes)
-        # raised in this process, with the traceback of the failed pass
-        assert "grounded_outputs" in [entry.name for entry in err.traceback]
-
-    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
-    def test_failed_worker_gives_the_serial_metrics(self, bench, cpus,
-                                                   monkeypatch, how):
-        """A worker that is killed or raises has its chunks evaluated again
-        in the parent, and a fork that fails leaves every chunk to it: the
-        metrics are the serial ones, bitwise."""
-        b = bench
-        cfg = three_chunks(b)
-        scenes = b["vals"]["val-spatial"]
-        forks = cpus(1)
-        serial = tr.evaluate(cfg, b["mllm"], b["det"], scenes)
-        cpus(2)
-        break_the_worker(monkeypatch, "grounded_outputs", how)
-        assert tr.evaluate(cfg, b["mllm"], b["det"], scenes) == serial
-        assert len(forks) == (0 if how == "no fork" else 1)
-
-    def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
-        """The worker is killed, not waited for, when the parent's own half
-        fails: a worker that would stall for a minute costs nothing."""
-        b = bench
-
-        def stalls_or_fails(*args, **kwargs):
-            if tr._IN_WORKER:
-                time.sleep(60)
-            raise NumericsError("non-finite values produced by 'linear'")
-
-        monkeypatch.setattr(tr, "grounded_outputs", stalls_or_fails)
-        cpus(2)
-        t0 = time.perf_counter()
-        with pytest.raises(NumericsError, match=r"^evaluate scenes\[0:4\]: "):
             tr.evaluate(three_chunks(b), b["mllm"], b["det"],
-                        b["vals"]["val-spatial"])
-        assert time.perf_counter() - t0 < 30
-
-    @pytest.mark.parametrize("scope", ["meter", "tap"])
-    def test_open_meter_or_tap_keeps_it_serial(self, bench, cpus,
-                                               monkeypatch, scope):
-        """An open scope sees every chunk: its count is the sum of the
-        per-chunk counts, and ``evaluate`` never forks (a fork raises)."""
-        b = bench
-        cfg = three_chunks(b)
-        scenes = b["vals"]["val-spatial"]
-        state = opened_adapter(cfg, "IV", 6)
-
-        def counted(run):
-            if scope == "meter":
-                with T.FlopsMeter() as meter:
-                    run()
-                return meter.accumulated
-            with T.attention_tap() as records:
-                run()
-            return len(records)
-
-        def no_fork():
-            raise AssertionError("evaluate forked under an open scope")
-
-        cpus(2)
-        monkeypatch.setattr(tr.os, "fork", no_fork)
-        total = counted(lambda: tr.evaluate(cfg, b["mllm"], b["det"], scenes,
-                                            state=state))
-        per_chunk = sum(
-            counted(lambda: tr.grounded_outputs(cfg, b["mllm"], b["det"],
-                                                scenes[lo:hi], state=state))
-            for lo, hi in tr._chunks(len(scenes), cfg.eval_chunk))
-        assert total == per_chunk > 0
+                        nan_image(b["vals"]["val-category"], 9))
+        assert "grounded_outputs" in [entry.name for entry in err.traceback]
 
     def test_no_scenes_is_a_named_error(self, bench):
         b = bench
@@ -981,108 +1018,30 @@ def cache_arrays(cache):
 
 
 class TestCacheBuild:
-    """The ``Stage3Cache`` build fills its arrays on at most two processes:
-    24 scenes in 3 chunks of 8, the worker building chunks 2-3."""
+    """The ``Stage3Cache`` build over 24 scenes in 3 chunks of 8, the worker
+    building chunks 2-3."""
 
     @pytest.mark.parametrize("l_d", [1, 3])
-    def test_two_processes_equal_one(self, bench, cpus, monkeypatch, l_d):
+    def test_two_processes_equal_one(self, bench, cpus, l_d):
         b = bench
-        calls = first_scenes(monkeypatch, "patch_tokens", 1)
         forks = cpus(1)
         serial = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
-        assert not forks and len(calls) == 3
         cpus(2)
         forked = tr.Stage3Cache(b["mllm"], b["det"], b["train"], l_d, chunk=8)
         assert len(forks) == 1
-        # the parent built chunk 1 only: the worker's calls stay its own
-        assert len(calls) == 4 and calls[3] is b["train"][0]
-        for got, want in zip(cache_arrays(forked), cache_arrays(serial),
-                             strict=True):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert got.flags.writeable          # the benchmark edits rows
-        assert forked.text[1].dtype == bool
+        same_rows(cache_arrays(forked), cache_arrays(serial))
 
-    @pytest.mark.parametrize("n_cpus,bad,chunk", [
-        (2, 17, "16:24"),        # in the worker's half
-        (2, 1, "0:8"),           # in the parent's half
-        (1, 10, "8:16"),         # serial
-    ])
-    def test_chunk_error_keeps_its_type_and_names_the_chunk(
-            self, bench, cpus, n_cpus, bad, chunk):
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(self, bench, cpus):
+        """A NaN image in the worker's half rises here, from its pass."""
         b = bench
-        scenes = list(b["train"])
-        img = scenes[bad].image
-        scenes[bad] = dataclasses.replace(scenes[bad],
-                                          image=np.full_like(img, np.nan))
-        cpus(n_cpus)
+        cpus(2)
         with pytest.raises(NumericsError,
-                           match=rf"^Stage3Cache scenes\[{chunk}\]: "
+                           match=r"^Stage3Cache scenes\[16:24\]: "
                                  r"non-finite values produced by '\w+'$"
                            ) as err:
-            tr.Stage3Cache(b["mllm"], b["det"], scenes, 3, chunk=8)
-        # raised in this process, with the traceback of the failed pass
+            tr.Stage3Cache(b["mllm"], b["det"], nan_image(b["train"], 17), 3,
+                           chunk=8)
         assert "patch_tokens" in [entry.name for entry in err.traceback]
-
-    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
-    def test_failed_worker_gives_the_serial_arrays(self, bench, cpus,
-                                                  monkeypatch, how):
-        """A worker that is killed or raises has its chunks built again in
-        the parent, and a fork that fails leaves every chunk to it: every
-        array is the serial one, bitwise."""
-        b = bench
-        forks = cpus(1)
-        serial = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
-        cpus(2)
-        break_the_worker(monkeypatch, "patch_tokens", how)
-        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
-        assert len(forks) == (0 if how == "no fork" else 1)
-        for got, want in zip(cache_arrays(cache), cache_arrays(serial),
-                             strict=True):
-            assert got.tobytes() == want.tobytes()
-
-    def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
-        b = bench
-
-        def stalls_or_fails(*args):
-            if tr._IN_WORKER:
-                time.sleep(60)
-            raise NumericsError("non-finite values produced by 'linear'")
-
-        monkeypatch.setattr(tr, "patch_tokens", stalls_or_fails)
-        cpus(2)
-        t0 = time.perf_counter()
-        with pytest.raises(NumericsError,
-                           match=r"^Stage3Cache scenes\[0:8\]: "):
-            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
-        assert time.perf_counter() - t0 < 30
-
-    def test_open_meter_keeps_it_serial(self, bench, cpus, monkeypatch):
-        """Under an open ``FlopsMeter`` the build never forks (a fork
-        raises), the meter counts every chunk, and the arrays are the
-        serial ones."""
-        b = bench
-
-        def metered():
-            with T.FlopsMeter() as meter:
-                cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3,
-                                       chunk=8)
-            return meter.accumulated, cache
-
-        forks = cpus(1)
-        want_flops, serial = metered()
-        cpus(2)
-
-        def no_fork():
-            raise AssertionError("the cache build forked under a meter")
-
-        monkeypatch.setattr(tr.os, "fork", no_fork)
-        flops, cache = metered()
-        assert not forks
-        assert flops == want_flops > 0
-        for got, want in zip(cache_arrays(cache), cache_arrays(serial),
-                             strict=True):
-            assert got.tobytes() == want.tobytes()
 
 
 class TestForwardOnlyPasses:
