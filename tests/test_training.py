@@ -796,6 +796,46 @@ def break_the_worker(monkeypatch, how):
     return fails_in_worker
 
 
+def stalls_or_fails(lo):
+    """A ``fail`` that stalls a worker for a minute and raises in the
+    parent."""
+    if tr._IN_WORKER:
+        time.sleep(60)
+    raise SpanError("parent failed")
+
+
+def fail_before(monkeypatch, target, fail):
+    """Patch ``tr.<target>``, a caller's pass, to call ``fail(None)``
+    first; a ``None`` fail patches nothing."""
+    if fail is None:
+        return
+    run = getattr(tr, target)
+
+    def failing(*args, **kwargs):
+        fail(None)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(tr, target, failing)
+
+
+def counted(scope, work):
+    """What an open ``scope``, "meter" or "tap", counts over ``work()``."""
+    if scope == "meter":
+        with T.FlopsMeter() as meter:
+            work()
+        return meter.accumulated
+    with T.attention_tap() as records:
+        work()
+    return len(records)
+
+
+def refuse_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked under an open scope")
+
+    monkeypatch.setattr(tr.os, "fork", no_fork)
+
+
 def same_rows(got, want):
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -805,7 +845,7 @@ def same_rows(got, want):
 class TestFillRows:
     """``_fill_rows`` itself, the one home of the forked fill's rules, over
     three spans of a cheap pass; ``evaluate`` and the ``Stage3Cache`` build
-    are checked below only for what they add."""
+    are checked below on their real passes."""
 
     def test_two_processes_equal_one(self, cpus):
         """The worker fills spans 2-3 and the parent only span 1; the rows
@@ -856,11 +896,6 @@ class TestFillRows:
     def test_parent_error_kills_the_worker(self, cpus):
         """The worker is killed, not waited for, when the parent's own half
         fails: a worker that would stall for a minute costs nothing."""
-        def stalls_or_fails(lo):
-            if tr._IN_WORKER:
-                time.sleep(60)
-            raise SpanError("parent failed")
-
         cpus(2)
         t0 = time.perf_counter()
         with pytest.raises(SpanError, match=r"^fill scenes\[0:4\]: "):
@@ -872,24 +907,12 @@ class TestFillRows:
                                                scope):
         """An open scope sees every span: its count is the sum of the
         per-span counts, and the fill never forks (a fork raises)."""
-        def counted(work):
-            if scope == "meter":
-                with T.FlopsMeter() as meter:
-                    work()
-                return meter.accumulated
-            with T.attention_tap() as records:
-                work()
-            return len(records)
-
-        def no_fork():
-            raise AssertionError("forked under an open scope")
-
         cpus(2)
-        monkeypatch.setattr(tr.os, "fork", no_fork)
+        refuse_fork(monkeypatch)
         run, ran = span_run()
-        total = counted(lambda: fill(run))
+        total = counted(scope, lambda: fill(run))
         assert ran == SPANS
-        assert total == sum(counted(lambda: run(lo, hi))
+        assert total == sum(counted(scope, lambda: run(lo, hi))
                             for lo, hi in SPANS) > 0
 
 
@@ -995,16 +1018,65 @@ class TestEvaluation:
         assert len(forks) == 1
         assert forked == serial                  # metrics and per_scene
 
-    def test_chunk_error_keeps_its_type_and_names_the_chunk(self, bench, cpus):
-        """A NaN image in the worker's half rises here, from its pass."""
+    @pytest.mark.parametrize("n_cpus,bad,chunk", [
+        (2, 9, "8:12"),          # in the worker's half
+        (2, 1, "0:4"),           # in the parent's half
+        (1, 5, "4:8"),           # serial
+    ])
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(
+            self, bench, cpus, n_cpus, bad, chunk):
+        """A NaN image rises here, from its pass, named by its chunk."""
         b = bench
-        cpus(2)
+        cpus(n_cpus)
         with pytest.raises(NumericsError,
-                           match=r"^evaluate scenes\[8:12\]: non-finite "
+                           match=rf"^evaluate scenes\[{chunk}\]: non-finite "
                                  r"values produced by '\w+'$") as err:
             tr.evaluate(three_chunks(b), b["mllm"], b["det"],
-                        nan_image(b["vals"]["val-category"], 9))
+                        nan_image(b["vals"]["val-category"], bad))
         assert "grounded_outputs" in [entry.name for entry in err.traceback]
+
+    # The next three keep _fill_rows's rules (TestFillRows) on the real pass.
+
+    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
+    def test_failed_worker_gives_the_serial_metrics(self, bench, cpus,
+                                                   monkeypatch, how):
+        b = bench
+        cfg = three_chunks(b)
+        scenes = b["vals"]["val-spatial"]
+        forks = cpus(1)
+        serial = tr.evaluate(cfg, b["mllm"], b["det"], scenes)
+        cpus(2)
+        fail_before(monkeypatch, "grounded_outputs",
+                    break_the_worker(monkeypatch, how))
+        assert tr.evaluate(cfg, b["mllm"], b["det"], scenes) == serial
+        assert len(forks) == (0 if how == "no fork" else 1)
+
+    def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
+        b = bench
+        fail_before(monkeypatch, "grounded_outputs", stalls_or_fails)
+        cpus(2)
+        t0 = time.perf_counter()
+        with pytest.raises(SpanError, match=r"^evaluate scenes\[0:4\]: "):
+            tr.evaluate(three_chunks(b), b["mllm"], b["det"],
+                        b["vals"]["val-spatial"])
+        assert time.perf_counter() - t0 < 30
+
+    @pytest.mark.parametrize("scope", ["meter", "tap"])
+    def test_open_meter_or_tap_keeps_it_serial(self, bench, cpus,
+                                               monkeypatch, scope):
+        b = bench
+        cfg = three_chunks(b)
+        scenes = b["vals"]["val-spatial"]
+        state = opened_adapter(cfg, "IV", 6)
+        cpus(2)
+        refuse_fork(monkeypatch)
+        total = counted(scope, lambda: tr.evaluate(cfg, b["mllm"], b["det"],
+                                                   scenes, state=state))
+        per_chunk = sum(
+            counted(scope, lambda: tr.grounded_outputs(
+                cfg, b["mllm"], b["det"], scenes[lo:hi], state=state))
+            for lo, hi in tr._chunks(len(scenes), cfg.eval_chunk))
+        assert total == per_chunk > 0
 
     def test_no_scenes_is_a_named_error(self, bench):
         b = bench
@@ -1031,17 +1103,63 @@ class TestCacheBuild:
         assert len(forks) == 1
         same_rows(cache_arrays(forked), cache_arrays(serial))
 
-    def test_chunk_error_keeps_its_type_and_names_the_chunk(self, bench, cpus):
-        """A NaN image in the worker's half rises here, from its pass."""
+    @pytest.mark.parametrize("n_cpus,bad,chunk", [
+        (2, 17, "16:24"),        # in the worker's half
+        (2, 1, "0:8"),           # in the parent's half
+        (1, 10, "8:16"),         # serial
+    ])
+    def test_chunk_error_keeps_its_type_and_names_the_chunk(
+            self, bench, cpus, n_cpus, bad, chunk):
+        """A NaN image rises here, from its pass, named by its chunk."""
         b = bench
-        cpus(2)
+        cpus(n_cpus)
         with pytest.raises(NumericsError,
-                           match=r"^Stage3Cache scenes\[16:24\]: "
+                           match=rf"^Stage3Cache scenes\[{chunk}\]: "
                                  r"non-finite values produced by '\w+'$"
                            ) as err:
-            tr.Stage3Cache(b["mllm"], b["det"], nan_image(b["train"], 17), 3,
+            tr.Stage3Cache(b["mllm"], b["det"], nan_image(b["train"], bad), 3,
                            chunk=8)
         assert "patch_tokens" in [entry.name for entry in err.traceback]
+
+    # The next three keep _fill_rows's rules (TestFillRows) on the real pass.
+
+    @pytest.mark.parametrize("how", ["killed", "raises", "no fork"])
+    def test_failed_worker_gives_the_serial_arrays(self, bench, cpus,
+                                                  monkeypatch, how):
+        b = bench
+        forks = cpus(1)
+        serial = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        cpus(2)
+        fail_before(monkeypatch, "patch_tokens",
+                    break_the_worker(monkeypatch, how))
+        cache = tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        assert len(forks) == (0 if how == "no fork" else 1)
+        same_rows(cache_arrays(cache), cache_arrays(serial))
+
+    def test_parent_error_kills_the_worker(self, bench, cpus, monkeypatch):
+        b = bench
+        fail_before(monkeypatch, "patch_tokens", stalls_or_fails)
+        cpus(2)
+        t0 = time.perf_counter()
+        with pytest.raises(SpanError, match=r"^Stage3Cache scenes\[0:8\]: "):
+            tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3, chunk=8)
+        assert time.perf_counter() - t0 < 30
+
+    def test_open_meter_keeps_it_serial(self, bench, cpus, monkeypatch):
+        b = bench
+        caches = []
+
+        def build():
+            caches.append(tr.Stage3Cache(b["mllm"], b["det"], b["train"], 3,
+                                         chunk=8))
+
+        forks = cpus(1)
+        want = counted("meter", build)
+        cpus(2)
+        refuse_fork(monkeypatch)
+        assert counted("meter", build) == want > 0
+        assert not forks
+        same_rows(cache_arrays(caches[1]), cache_arrays(caches[0]))
 
 
 class TestForwardOnlyPasses:
