@@ -1,16 +1,15 @@
-"""Command-line surface: data generation, staged training, ablations,
-attention profiling, cost accounting, the substitution control, gradient
-verification, and evaluation.
+"""Command-line surface of the experiments; ``fusedet --help`` lists the
+commands.
 
-Every subcommand takes ``--config FILE`` (``key = value`` lines such as
-``detector.depth = 2``, checked as ``config.py`` says) and ``--out DIR``.
-All but ``eval``, ``flops-report`` and ``ablate-layers``, where it would
-select nothing, take ``--seed N``.  Every command but the read-only
-``gradcheck`` writes the resolved config to ``DIR/resolved-config.txt``.
-Checkpoints are directories of numpy ``.npy`` files, one per parameter,
-listed by a manifest (see ``checkpoint.py``); reports are JSON with the
-resolved config embedded, plus JSON-lines for per-step / per-scene records
-and CSV for tables.
+Every command takes ``--config FILE`` (``key = value`` lines such as
+``detector.depth = 2``, checked as ``config.py`` says).  A command takes
+``--seed N`` only where it declares the config fields that seed sets (the
+model and data seeds for a backbone stage, the run seed for a head), and
+``--out DIR`` only where it writes; there it first writes the resolved config
+to ``DIR/resolved-config.txt``.  Checkpoints are directories of numpy
+``.npy`` files, one per parameter, listed by a manifest (see
+``checkpoint.py``); reports are JSON with the resolved config embedded, plus
+JSON-lines for per-step / per-scene records and CSV for tables.
 
 Checkpoint layout under ``--out`` (the default is ``./runs``):
 
@@ -177,24 +176,25 @@ def cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
         print(f"stage 2 done: final captioning loss {rep['final_loss']:.4f}")
         return 0
 
-    return _train_head(cfg, out, tr.run_stage3_experiment, "adapter",
-                       "stage 3")
+    return _train_head(cfg, out, "adapter")
 
 
 # each head's checkpoint: the stage whose report records the settings it
-# trained under, how to build it, and the keyword ``evaluate`` takes it by
+# trained under, how to build it, the keyword ``evaluate`` takes it by, the
+# experiment that trains it and the label its metric lines print
 _HEADS = {
-    "adapter": ("stage3", lambda cfg, mllm: tr.build_adapter(cfg), "state"),
-    "substitution": ("substitution", tr.build_substitution, "sub"),
+    "adapter": ("stage3", lambda cfg, mllm: tr.build_adapter(cfg), "state",
+                tr.run_stage3_experiment, "stage 3"),
+    "substitution": ("substitution", tr.build_substitution, "sub",
+                     tr.run_substitution_experiment, "substitution"),
 }
 
 
-def _train_head(cfg: ExperimentConfig, out: Path, experiment, head: str,
-                label: str) -> int:
-    """Train a head on the frozen backbones with ``experiment``, save its
-    checkpoint and that of the projector it trained alongside, its report
-    and metrics, and print one line per split."""
-    name = _HEADS[head][0]
+def _train_head(cfg: ExperimentConfig, out: Path, head: str) -> int:
+    """Train ``head`` on the frozen backbones, save its checkpoint and that
+    of the projector it trained alongside, its report and metrics, and
+    print one line per split."""
+    name, _, _, experiment, label = _HEADS[head]
     mllm, det = _backbones(cfg, out)
     module, rep = experiment(cfg, mllm, det, tr.snapshot(mllm.projector),
                              tr.load_split(cfg, "train"), _val_splits(cfg))
@@ -271,12 +271,7 @@ def cmd_flops_report(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_substitute_baseline(cfg: ExperimentConfig, out: Path, args) -> int:
-    return _train_head(cfg, out, tr.run_substitution_experiment,
-                       "substitution", "substitution")
-
-
-def cmd_gradcheck(cfg: ExperimentConfig, out: Path, args) -> int:
+def cmd_gradcheck(cfg: ExperimentConfig, out: None, args) -> int:
     results = run_gradcheck(cfg.run_seed)
     print("\n".join(report_lines(results)))
     return 0 if max_error(results) < GRADCHECK_TOL else 1
@@ -286,7 +281,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> int:
     mllm, det = _backbones(cfg, out)
     heads = [(head, replace(cfg, adapter=ExperimentConfig.from_dict(
                  _recorded_config(out, stage)).adapter), build, keyword)
-             for head, (stage, build, keyword) in _HEADS.items()
+             for head, (stage, build, keyword, *_) in _HEADS.items()
              if (out / head).is_dir()]
     splits = _val_splits(cfg)
     configs, summary = {}, {}
@@ -323,20 +318,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fusedet",
         description="LM-to-detector fusion experiments on synthetic scenes")
     sub = parser.add_subparsers(dest="command", required=True)
+    backbone, run = ("seed", "data_seed"), ("run_seed",)
 
-    def common(p, seed: bool = True):
+    def common(p, handler, seed_keys=(), out: bool = True):
+        """``p`` runs ``handler``; ``--seed`` sets the config fields
+        ``seed_keys`` names (by ``--stage`` for ``train``)."""
+        p.set_defaults(handler=handler, seed_keys=seed_keys)
         p.add_argument("--config", help="key = value config file")
-        if seed:
+        if seed_keys:
             p.add_argument("--seed", type=int, help="override the model/data "
                            "seed (backbone stages) or the run seed (the rest)")
-        p.add_argument("--out", default="runs",
-                       help="checkpoint/report directory (default: runs)")
+        if out:
+            p.add_argument("--out", default="runs",
+                           help="checkpoint/report directory (default: runs)")
 
-    common(sub.add_parser("gen-data", help="write every split as JSON-lines"))
+    common(sub.add_parser("gen-data", help="write every split as JSON-lines"),
+           cmd_gen_data, backbone)
 
     p = sub.add_parser("train", help="run one training stage")
     p.add_argument("--stage", type=int, required=True, choices=(1, 2, 3))
-    common(p)
+    common(p, cmd_train, {1: backbone, 2: backbone, 3: run})
 
     # no abbreviations, or a refused --seed would be read as --seeds
     p = sub.add_parser("ablate-layers", allow_abbrev=False,
@@ -345,56 +346,40 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated LM layer taps (default 0,1,2,4)")
     p.add_argument("--seeds", default="0,1,2",
                    help="comma-separated run seeds (default 0,1,2)")
-    common(p, seed=False)
+    common(p, cmd_ablate_layers)
 
     p = sub.add_parser("analyze-attention",
                        help="per-layer median attention by modality")
     p.add_argument("--batch", type=int, default=32,
                    help="scenes in the probe batch (default 32)")
-    common(p)
+    common(p, cmd_analyze_attention, backbone)
 
     p = sub.add_parser("flops-report",
                        help="params / FLOPs / latency accounting table")
     p.add_argument("--latency", action="store_true",
                    help="also measure median wall-clock latency")
-    common(p, seed=False)
+    common(p, cmd_flops_report)
 
     common(sub.add_parser("substitute-baseline",
-                          help="train the linear substitution control"))
+                          help="train the linear substitution control"),
+           lambda cfg, out, args: _train_head(cfg, out, "substitution"), run)
     common(sub.add_parser("gradcheck",
-                          help="finite-difference gradient verification"))
+                          help="finite-difference gradient verification"),
+           cmd_gradcheck, run, out=False)
 
     common(sub.add_parser("eval", help="score the baseline and every "
-                          "trained head on the val splits"), seed=False)
+                          "trained head on the val splits"), cmd_eval)
     return parser
-
-
-_BACKBONE_COMMANDS = {"gen-data", "analyze-attention"}
-# commands that only read: no --out directory, no resolved-config.txt
-_READ_ONLY_COMMANDS = {"gradcheck"}
 
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_file(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        if (args.command in _BACKBONE_COMMANDS
-                or (args.command == "train" and args.stage in (1, 2))):
-            cfg = replace(cfg, seed=args.seed, data_seed=args.seed)
-        else:
-            cfg = replace(cfg, run_seed=args.seed)
+        keys = args.seed_keys
+        if isinstance(keys, dict):
+            keys = keys[args.stage]
+        cfg = replace(cfg, **dict.fromkeys(keys, args.seed))
     return cfg
-
-
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "ablate-layers": cmd_ablate_layers,
-    "analyze-attention": cmd_analyze_attention,
-    "flops-report": cmd_flops_report,
-    "substitute-baseline": cmd_substitute_baseline,
-    "gradcheck": cmd_gradcheck,
-    "eval": cmd_eval,
-}
 
 
 def cli(argv: list[str] | None = None) -> int:
@@ -405,11 +390,11 @@ def cli(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         cfg = _resolve_config(args)
-        out = Path(args.out)
-        if args.command not in _READ_ONLY_COMMANDS:
+        out = Path(args.out) if "out" in args else None
+        if out is not None:
             out.mkdir(parents=True, exist_ok=True)
             save_file(cfg, out / "resolved-config.txt")
-        return COMMANDS[args.command](cfg, out, args)
+        return args.handler(cfg, out, args)
     except (ConfigurationError, DegenerateInputError, DimensionError,
             NumericsError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,8 +8,9 @@ of one of its sections, ``mllm`` (``MllmConfig``), ``detector``
 module.  Any other key is refused by name.  A config is checked when it is
 built, so an adapter that cannot attach fails before any stage runs, and a
 seed (``seed``, ``run_seed``, ``data_seed``) below 0 fails by name before any
-generator is built from it.  Reports embed the resolved config so any run can
-be reproduced from its own output.
+generator is built from it, as does a learning rate that is not finite and
+positive before any step applies it.  Reports embed the resolved config so
+any run can be reproduced from its own output.
 
 Only real choices are keys; a value no run varies is a module constant: the
 canvas (``scenes.CANVAS``), the vocabulary (``scenes.VOCAB``), the RoPE base
@@ -29,6 +30,7 @@ each reads its widths, grids and depths from the ``MllmConfig`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from pathlib import Path
@@ -88,8 +90,9 @@ class ExperimentConfig:
         counts = [n for n in names if n.startswith("n_")
                   or n.endswith(("eval_chunk", "_batch", "_steps"))]
         check_fields(self, "", counts, "at least 1", lambda v: v >= 1)
-        check_fields(self, "", [n for n in names if n.endswith("_lr")],
-                     "positive", lambda v: v > 0)
+        lrs = [n for n in names if n.endswith("_lr")]
+        check_fields(self, "", lrs, "finite", math.isfinite)
+        check_fields(self, "", lrs, "positive", lambda v: v > 0)
         check_fields(self.detector, "detector.", ("queries",),
                      f"at least {MAX_CANDIDATES}, the most candidates a "
                      "scene has", lambda v: v >= MAX_CANDIDATES)

@@ -45,6 +45,10 @@ class DetectorConfig:
         if self.d % self.heads:
             raise ConfigurationError(
                 f"d {self.d} not divisible by heads {self.heads}")
+        if self.d // self.heads % 2:
+            raise ConfigurationError(
+                "detector.d / detector.heads must be even (RoPE rotates "
+                f"channel pairs), got {self.d} / {self.heads}")
 
 
 class TextEncoder(Module):

@@ -40,6 +40,10 @@ class MllmConfig:
         if self.d_lm % self.heads:
             raise ConfigurationError(
                 f"d_lm {self.d_lm} not divisible by heads {self.heads}")
+        if self.d_lm // self.heads % 2:
+            raise ConfigurationError(
+                "mllm.d_lm / mllm.heads must be even (RoPE rotates channel "
+                f"pairs), got {self.d_lm} / {self.heads}")
         if self.canvas % self.patch:
             raise ConfigurationError(
                 f"canvas {self.canvas} not divisible by patch {self.patch}")

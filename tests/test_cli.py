@@ -19,15 +19,17 @@ from fusedet import training as tr
 from fusedet.checkpoint import load_checkpoint, save_checkpoint
 from fusedet.config import load_file
 from fusedet.scenes import SPLITS
+from fusedet.tensor import UsageError
 
 
-def test_gradcheck_is_read_only(tmp_path, monkeypatch):
-    """``gradcheck`` creates no ``--out`` directory and writes no
+def test_gradcheck_is_read_only(tmp_path, monkeypatch, capsys):
+    """``gradcheck`` writes nothing, so it takes no ``--out`` and leaves no
     resolved config; the verification itself is stubbed to keep this fast."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "run_gradcheck", lambda seed: [("stub", 0.0)])
     assert cli.cli(["gradcheck"]) == 0
-    assert cli.cli(["gradcheck", "--out", "elsewhere"]) == 0
+    assert cli.cli(["gradcheck", "--out", "x"]) == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -485,6 +487,13 @@ BAD_VALUES = [
     ("s1_steps = 0", "s1_steps must be at least 1, got 0"),
     ("pretrain_lr = -1", "pretrain_lr must be positive, got -1.0"),
     ("s3_adapter_lr = 0", "s3_adapter_lr must be positive, got 0.0"),
+    ("pretrain_lr = inf", "pretrain_lr must be finite, got inf"),
+    ("s3_adapter_lr = 1e400", "s3_adapter_lr must be finite, got inf"),
+    ("sub_lr = infinity", "sub_lr must be finite, got inf"),
+    ("detector.d = 12", "detector.d / detector.heads must be even (RoPE "
+     "rotates channel pairs), got 12 / 4"),
+    ("mllm.d_lm = 12", "mllm.d_lm / mllm.heads must be even (RoPE rotates "
+     "channel pairs), got 12 / 4"),
     ("seed = -1", "seed must be at least 0, got -1"),
     ("run_seed = -2", "run_seed must be at least 0, got -2"),
     ("data_seed = -1", "data_seed must be at least 0, got -1")]
@@ -494,14 +503,17 @@ BAD_VALUES = [
     text.replace(" = ", "=") for text, _ in BAD_VALUES])
 def test_bad_config_value_is_a_named_error(tmp_path, monkeypatch, capsys,
                                            text, message):
-    """A size, count or stride below 1, a learning rate that is not
-    positive or a seed below 0 is refused when the config loads, naming its
-    key: the first four used to raise ``ZeroDivisionError`` here, zero
-    queries failed only inside a pass, and the rest were accepted (zero
-    ``sys_len`` then failed in ``analyze-attention``, with no system keys to
-    score, and a negative seed in numpy's ``default_rng``).  A stage budget
-    below 1 is refused before any stage runs, instead of training nothing
-    and reporting a ``NaN`` final loss."""
+    """A size, count or stride below 1, a learning rate that is not finite
+    and positive, an odd attention-head width or a seed below 0 is refused
+    when the config loads, naming its key: the first four used to raise
+    ``ZeroDivisionError`` here, zero queries failed only inside a pass, and
+    the rest were accepted (zero ``sys_len`` then failed in
+    ``analyze-attention``, with no system keys to score, an infinite
+    learning rate wrote NaN into every parameter at the first step, an odd
+    head width failed in RoPE naming no key, and a negative seed failed in
+    numpy's ``default_rng``).  A stage budget below 1 is refused before any
+    stage runs, instead of training nothing and reporting a ``NaN`` final
+    loss."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text + "\n")
     assert cli.cli(["flops-report", "--config", "bad.cfg"]) == 1
@@ -571,6 +583,30 @@ def test_non_finite_checkpoint_value_is_named_at_its_file(staged, tmp_path,
     assert cli.cli(command + ["--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: non-finite values\n", err
+
+
+@pytest.mark.parametrize("command, seeds", [
+    (["gen-data"], (7, 7, 0)),
+    (["analyze-attention"], (7, 7, 0)),
+    (["train", "--stage", "1"], (7, 7, 0)),
+    (["train", "--stage", "2"], (7, 7, 0)),
+    (["train", "--stage", "3"], (0, 0, 7)),
+    (["substitute-baseline"], (0, 0, 7))],
+    ids=["gen-data", "analyze-attention", "stage1", "stage2", "stage3",
+         "substitution"])
+def test_seed_sets_the_fields_its_command_declares(tmp_path, monkeypatch,
+                                                   command, seeds):
+    """``--seed`` sets the model and data seeds of a backbone stage and the
+    run seed of a head, as ``resolved-config.txt`` records before the
+    command fails on its stubbed-out scenes or a missing checkpoint."""
+    monkeypatch.chdir(tmp_path)
+
+    def no_scenes(cfg, split):
+        raise UsageError("no scenes")
+    monkeypatch.setattr(tr, "load_split", no_scenes)
+    assert cli.cli(command + ["--seed", "7"]) == 1
+    cfg = load_file(tmp_path / "runs" / "resolved-config.txt")
+    assert (cfg.seed, cfg.data_seed, cfg.run_seed) == seeds
 
 
 def test_gen_data_seed_sets_both_backbone_seeds(tmp_path, monkeypatch):
