@@ -192,6 +192,17 @@ def attention_flops(t_q: int, t_k: int, d: int, heads: int,
     return f
 
 
+def memory_attention_flops(t_q: int, t_k: int, d: int, heads: int) -> int:
+    """``T.memory_attention``: absorbed queries, the q.b_k term, scores,
+    b_k add, scale, softmax, weighted memory, value map, b_v add."""
+    f = 2 * t_q * d * d + 2 * t_q * d             # q_h W_k,h^T and q_h . b_k,h
+    f += 2 * heads * t_q * d * t_k                # scores over the raw memory
+    f += 5 * heads * t_q * t_k                    # b_k add, scale, softmax
+    f += 2 * heads * t_q * t_k * d                # weights @ memory
+    f += 2 * t_q * d * d + t_q * d                # value map and b_v
+    return f
+
+
 def mha_flops(t_q: int, t_k: int, d: int, heads: int,
               rope: bool = False) -> int:
     """``MultiHeadAttention``: q/k/v projections, the attention core, output
@@ -234,9 +245,13 @@ def detector_forward_flops(dcfg: DetectorConfig, mcfg: MllmConfig) -> int:
     f += (mha_flops(w, w, d, h, rope=True) + w * d
           + _layernorm_flops(w, d))                       # text encoder
     f += 2 * q * w * d                                    # phrase pooling
+
+    def cross(t_k):                                       # MemoryAttention
+        return 2 * linear_flops(q, d, d) + memory_attention_flops(q, t_k, d, h)
+
     per_layer = (_layernorm_flops(q, d) + mha_flops(q, q, d, h) + q * d
-                 + _layernorm_flops(q, d) + mha_flops(q, p, d, h) + q * d
-                 + _layernorm_flops(q, d) + mha_flops(q, w, d, h) + q * d
+                 + _layernorm_flops(q, d) + cross(p) + q * d
+                 + _layernorm_flops(q, d) + cross(w) + q * d
                  + _layernorm_flops(q, d)
                  + _mlp_flops(q, d, MLP_RATIO * d, d) + q * d)
     f += dcfg.depth * per_layer

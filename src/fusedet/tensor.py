@@ -21,8 +21,8 @@ Three scopes act on every op inside their ``with`` block, and each nests:
 
 * ``no_tape()``       - no gradient tape is recorded;
 * ``FlopsMeter()``    - FLOPs are counted, by ``FLOP_CONVENTIONS``;
-* ``attention_tap()`` - each ``attention`` call's scaled scores and weights
-  are collected as detached copies.
+* ``attention_tap()`` - each ``attention`` and ``memory_attention`` call's
+  scaled scores and weights are collected as detached copies.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ layer_norm               mean, center, mean square, +eps, **-0.5, scale,
 attention                rope on q and k (when on), scores matmul, 1/sqrt(d_h)
                          scale, softmax per key segment, gate (when on: 1 per
                          gated weight), weights @ values
+
+memory_attention         its own sequence (no unfused form; equal to attention
+                         over linear keys and values only up to rounding):
+                         absorbed queries 2*Tq*d*d, q.b_k 2*Tq*d, scores
+                         2*h*Tq*d*Tk, b_k add + scale + softmax 5*h*Tq*Tk,
+                         weights @ memory 2*h*Tq*Tk*d, value map 2*Tq*d*d,
+                         b_v add Tq*d (per batch element)
 """
 
 
@@ -208,9 +215,10 @@ _TAPS: list[list] = []          # one record list per open ``attention_tap``
 
 @contextmanager
 def attention_tap():
-    """Every ``attention`` call inside the ``with`` block appends one
-    ``(scaled scores, weights)`` pair of detached [B, h, Tq, Tk] copies to
-    the yielded list, in call order; nested taps each record every call.
+    """Every ``attention`` or ``memory_attention`` call inside the ``with``
+    block appends one ``(scaled scores, weights)`` pair of detached
+    [B, h, Tq, Tk] copies to the yielded list, in call order; nested taps
+    each record every call.
     For read-only diagnostics: ``analysis.attention_medians`` and the
     adapter's gate and prompt-segment mass."""
     _TAPS.append([])
@@ -551,6 +559,33 @@ def layer_norm(x, gamma, beta) -> Tensor:
     return _make(out_data, (x, gamma, beta), bw, "layer_norm")
 
 
+def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax of ``z + mask`` along the last axis, in a new array; a row
+    with no finite entry left is rejected.  The forward of both attention
+    cores."""
+    if mask is not None:
+        z = z + mask
+        if not np.all(np.isfinite(z).any(axis=-1)):
+            raise DegenerateInputError("softmax slice fully masked out")
+    e = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_bw(y: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Gradient of the pre-softmax scores from softmax ``y``'s gradient
+    ``gy``, along the last axis."""
+    return y * (gy - np.sum(gy * y, axis=-1, keepdims=True))
+
+
+def _record_tap(scores: np.ndarray, weights: np.ndarray) -> None:
+    if _TAPS:
+        record = (scores.copy(), weights.copy())
+        for tap in _TAPS:
+            tap.append(record)
+
+
 def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
               rope_base: float | None = None, pos_q=None, pos_k=None,
               gate=None, gated_keys: int = 0):
@@ -611,15 +646,8 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
         mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), scores.shape)
 
     def seg_softmax(lo, hi):
-        z = scores[..., lo:hi]
-        if mask is not None:
-            z = z + mask[..., lo:hi]
-            if not np.all(np.isfinite(z).any(axis=-1)):
-                raise DegenerateInputError("softmax slice fully masked out")
-        e = z - np.max(z, axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        e /= np.sum(e, axis=-1, keepdims=True)
-        return e
+        return _masked_softmax(scores[..., lo:hi],
+                               None if mask is None else mask[..., lo:hi])
 
     y_p = seg_softmax(0, l)
     y_s = seg_softmax(l, tk) if l < tk else None
@@ -636,9 +664,6 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     flops += 4 * scores.size * dh + 4 * scores.size
     _count_flops(flops)
     parents = (q, k, v) if gate is None else (q, k, v, gate)
-
-    def softmax_bw(y, gy):
-        return y * (gy - np.sum(gy * y, axis=-1, keepdims=True))
 
     def merge(gh, rope, n):
         """[B, h, T, dh] head gradient -> [B, T, d] input gradient."""
@@ -657,15 +682,15 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
             return
         gw = np.matmul(go, np.swapaxes(vt, -1, -2))          # [B, h, Tq, Tk]
         if gate is None:
-            gs = softmax_bw(y_p, gw)
+            gs = _softmax_bw(y_p, gw)
         else:
             gw_p = gw[..., :l]
             if gated:
                 acc(gate, np.sum(gw_p * y_p, axis=(0, 2, 3)))
             gs = np.empty_like(scores)
-            gs[..., :l] = softmax_bw(y_p, gw_p * g4)
+            gs[..., :l] = _softmax_bw(y_p, gw_p * g4)
             if y_s is not None:
-                gs[..., l:] = softmax_bw(y_s, gw[..., l:])
+                gs[..., l:] = _softmax_bw(y_s, gw[..., l:])
         gs *= scale
         if q.requires_grad:
             acc(q, merge(np.matmul(gs, np.swapaxes(kt, -1, -2)), rope_q, tq))
@@ -673,10 +698,118 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
             acc(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qt), rope_k, tk))
 
     out = _make(out_data, parents, bw, "attention")
-    if _TAPS:
-        record = (scores.copy(), weights.copy())
-        for tap in _TAPS:
-            tap.append(record)
+    _record_tap(scores, weights)
+    return out
+
+
+def memory_attention(q, mem, wk, bk, wv, bv, heads: int,
+                     mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention of projected queries over an unprojected
+    memory, with the key and value maps absorbed into the queries: one tape
+    node.
+
+    ``q`` is [B, Tq, d] (already through the query map), ``mem`` is
+    [B, Tk, d], ``wk``/``wv`` are [d, d] and ``bk``/``bv`` are [d], as in
+    ``linear``.  Per head h, with ``W_k,h`` the head's d_h columns of
+    ``wk``, the output is
+
+        softmax(((q_h W_k,h^T) mem^T + q_h . b_k,h) / sqrt(d_h) + mask)
+            mem W_v,h + b_v,h
+
+    which in exact arithmetic is ``attention(q, linear(mem, wk, bk),
+    linear(mem, wv, bv), heads, mask)``: the value bias is added once after
+    the weights, which sum to one.  Each GEMM runs per batch element over
+    heads x Tq rows, so the memory is never projected; that costs less than
+    projecting it while heads x Tq stays below Tk.  Values equal
+    ``attention``'s up to rounding.  ``mask`` is an additive ndarray
+    broadcastable to [B, heads, Tq, Tk]; a row with no unmasked key is
+    rejected.  Each open ``attention_tap`` records the scaled scores and the
+    weights.
+    """
+    q, mem = as_tensor(q), as_tensor(mem)
+    wk, bk, wv, bv = as_tensor(wk), as_tensor(bk), as_tensor(wv), as_tensor(bv)
+    if q.ndim != 3 or mem.ndim != 3 or q.shape[0] != mem.shape[0] \
+            or q.shape[2] != mem.shape[2]:
+        raise DimensionError(
+            f"memory_attention wants q [B,Tq,d] and mem [B,Tk,d]; got "
+            f"{q.shape}, {mem.shape}")
+    b, tq, d = q.shape
+    tk = mem.shape[1]
+    if wk.shape != (d, d) or wv.shape != (d, d) or bk.shape != (d,) \
+            or bv.shape != (d,):
+        raise DimensionError(
+            f"memory_attention maps must be ({d}, {d}) with ({d},) biases; "
+            f"got {wk.shape}, {bk.shape}, {wv.shape}, {bv.shape}")
+    if d % heads:
+        raise DimensionError(f"width {d} not divisible by {heads} heads")
+    dh = d // heads
+    rows = heads * tq
+    wkh = wk.data.reshape(d, heads, dh).transpose(1, 0, 2)   # [h, d, dh]
+    wvh = wv.data.reshape(d, heads, dh).transpose(1, 0, 2)
+    qt = q.data.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)  # [B,h,Tq,dh]
+    # a C-ordered W_k,h^T runs the stacked products faster than a view
+    qa = np.matmul(qt, np.ascontiguousarray(wkh.transpose(0, 2, 1))).reshape(
+        b, rows, d)
+    qb = np.matmul(qt, bk.data.reshape(heads, dh, 1))        # [B, h, Tq, 1]
+    scale = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qa, mem.data.transpose(0, 2, 1)).reshape(
+        b, heads, tq, tk)
+    scores += qb
+    scores *= scale
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), scores.shape)
+    weights = _masked_softmax(scores, mask)
+    ctx = np.matmul(weights.reshape(b, rows, tk), mem.data)  # [B, h*Tq, d]
+    out_data = np.matmul(ctx.reshape(b, heads, tq, d), wvh)  # [B,h,Tq,dh]
+    out_data = out_data.transpose(0, 2, 1, 3).reshape(b, tq, d)
+    out_data += bv.data
+    # absorbed queries, q.b_k, scores, weighted memory, value map (2 per
+    # multiply-add each); b_k add, scale, softmax (5 per score); b_v add
+    _count_flops(4 * b * tq * d * d + 2 * b * tq * d + 4 * scores.size * d
+                 + 5 * scores.size + b * tq * d)
+
+    def head_cols(gh):
+        """[h, d, dh] per-head map gradient -> [d, d] columns, C order."""
+        return np.ascontiguousarray(gh.transpose(1, 0, 2)).reshape(d, d)
+
+    def bw(g, acc):
+        go = g.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)  # [B,h,Tq,dh]
+        if bv.requires_grad:
+            acc(bv, g.reshape(-1, d).sum(axis=0))
+        if wv.requires_grad:
+            acc(wv, head_cols(np.matmul(
+                ctx.reshape(b, heads, tq, d).transpose(1, 3, 0, 2).reshape(
+                    heads, d, b * tq),
+                go.transpose(1, 0, 2, 3).reshape(heads, b * tq, dh))))
+        if not (q.requires_grad or mem.requires_grad or wk.requires_grad
+                or bk.requires_grad):
+            return
+        gctx = np.matmul(go, np.ascontiguousarray(wvh.transpose(0, 2, 1))
+                         ).reshape(b, rows, d)
+        gw = np.matmul(gctx, mem.data.transpose(0, 2, 1))     # [B, h*Tq, Tk]
+        gs = _softmax_bw(weights, gw.reshape(b, heads, tq, tk))
+        gs *= scale
+        gs2 = gs.reshape(b, rows, tk)
+        if mem.requires_grad:
+            gmem = np.matmul(weights.reshape(b, rows, tk).transpose(0, 2, 1),
+                             gctx)
+            gmem += np.matmul(gs2.transpose(0, 2, 1), qa)
+            acc(mem, gmem)
+        gqb = gs.sum(axis=-1, keepdims=True)                 # [B, h, Tq, 1]
+        gqa = np.matmul(gs2, mem.data).reshape(b, heads, tq, d)
+        if q.requires_grad:
+            gqt = np.matmul(gqa, wkh)                        # [B, h, Tq, dh]
+            gqt += gqb * bk.data.reshape(heads, 1, dh)
+            acc(q, gqt.transpose(0, 2, 1, 3).reshape(b, tq, d))
+        if wk.requires_grad:
+            acc(wk, head_cols(np.matmul(
+                gqa.transpose(1, 3, 0, 2).reshape(heads, d, b * tq),
+                qt.transpose(1, 0, 2, 3).reshape(heads, b * tq, dh))))
+        if bk.requires_grad:
+            acc(bk, np.sum(gqb * qt, axis=(0, 2)).reshape(d))
+
+    out = _make(out_data, (q, mem, wk, bk, wv, bv), bw, "memory_attention")
+    _record_tap(scores, weights)
     return out
 
 
@@ -803,7 +936,11 @@ def conv2d_output_hw(h: int, w: int, kh: int, kw: int, stride: int,
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
-    """Cross-correlation of [B,C,H,W] with [Cout,C,kh,kw]."""
+    """Cross-correlation of [B,C,H,W] with [Cout,C,kh,kw].
+
+    The forward is one GEMM per sample over its im2col windows, so a
+    sample's output does not depend on the batch it shares; the kernel
+    gradient is one C-ordered GEMM over every sample's windows."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(
@@ -821,13 +958,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]          # [B, C, Ho, Wo, kh, kw]
-    out_data = np.einsum("bchwkl,dckl->bdhw", win, kernel.data, optimize=True)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, -1)
+    kmat = kernel.data.reshape(cout, -1)         # [Cout, C*kh*kw]
+    out_data = np.matmul(kmat, cols.transpose(0, 2, 1)).reshape(
+        bsz, cout, ho, wo)
     _count_flops(2 * bsz * cout * ho * wo * cin * kh * kw)
     if bias is not None and bias.shape != (cout,):
         raise DimensionError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
     def bw(g, acc):
-        acc(kernel, np.einsum("bdhw,bchwkl->dckl", g, win, optimize=True))
+        gk = np.matmul(g.reshape(bsz, cout, -1).transpose(1, 0, 2)
+                       .reshape(cout, -1), cols.reshape(-1, kmat.shape[1]))
+        acc(kernel, gk.reshape(kernel.shape))
         # every tap's input gradient in one einsum, bitwise the per-tap
         # "bdhw,dc->bchw" products, added in (i, j) order
         taps = np.einsum("bdhw,dckl->bchwkl", g, kernel.data)

@@ -186,8 +186,9 @@ class Adam:
     optimizer built over it.  A parameter may appear once across the groups.
     ``step`` updates the buffers in place, block by block, with the same
     ufuncs in the same operand order as a per-tensor update, and sums the
-    clip norm per tensor in group order, so every value is bitwise that of
-    the per-tensor recurrence.
+    clip norm per tensor (in C order, whatever the gradient's layout) in
+    group order, so every value is bitwise that of the per-tensor
+    recurrence.
     """
 
     def __init__(self, groups: list[ParamGroup], total: int):
@@ -231,11 +232,8 @@ class Adam:
         np.concatenate([p.grad.reshape(-1) for _, p in self._named],
                        out=self._g)
         sq = 0.0
-        for (_, p), (g, squares) in zip(self._named, self._norm):
-            # a gradient not in C order sums in its own memory order
-            sq += float(np.multiply(g, g, out=squares).sum()
-                        if p.grad.flags.c_contiguous
-                        else np.sum(p.grad * p.grad))
+        for g, squares in self._norm:
+            sq += float(np.multiply(g, g, out=squares).sum())
         norm = np.sqrt(sq)
         if not np.isfinite(norm):
             bad = next((label for label, p in self._named

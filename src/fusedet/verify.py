@@ -149,6 +149,18 @@ def _attention_gated(gated_keys):
     return build
 
 
+def _memory_attention_masked(rng):
+    """Three queries over five raw memory rows, random keys masked, with
+    drawn biases (``bk``'s gradient is zero up to rounding: a per-row
+    constant moves no softmax weight)."""
+    q, mem = _param(rng, 2, 3, 4, scale=0.7), _param(rng, 2, 5, 4, scale=0.7)
+    wk, wv = _param(rng, 4, 4, scale=0.7), _param(rng, 4, 4, scale=0.7)
+    bk, bv = _param(rng, 4, scale=0.5), _param(rng, 4, scale=0.5)
+    mask = _key_mask(rng, 2, 5)
+    return (lambda: _weighted_sum(T.memory_attention(
+        q, mem, wk, bk, wv, bv, 2, mask=mask))), [q, mem, wk, bk, wv, bv]
+
+
 def _cross_entropy_masked(rng):
     """The detection loss's CE: random candidate columns (background kept),
     labels on kept columns or background, random row weights."""
@@ -351,6 +363,7 @@ CASES = [
     ("op/attention-rope-offsets", _attention_rope_offsets),
     ("op/attention-gated-segments", _attention_gated(2)),
     ("op/attention-gated-only", _attention_gated(4)),
+    ("op/memory-attention-masked", _memory_attention_masked),
     ("op/cross-entropy-masked", _cross_entropy_masked),
     ("op/conv2d", _conv2d),
     ("op/pixel_unshuffle",

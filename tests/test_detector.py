@@ -12,6 +12,7 @@ from fusedet.detector import (BOX_WEIGHT, DetectorConfig, GroundingDetector,
                               SubstitutionHead, detection_loss, eval_grounding,
                               match_hungarian, pack_candidates, pool_phrases,
                               query_column, substitution_index)
+from fusedet.layers import MultiHeadAttention
 from fusedet.mllm import MllmConfig
 from fusedet.scenes import (PACK_WIDTH, PAD, SyntheticScene, encode,
                             generate_scenes)
@@ -120,6 +121,22 @@ class TestPoolPhrases:
 
 
 # -- decoding ----------------------------------------------------------------
+
+
+class TestParameters:
+    def test_cross_attention_keeps_the_mha_parameters(self, monkeypatch):
+        """The decoder's vision and text attention carry exactly the
+        parameters ``MultiHeadAttention`` would, drawn in the same order:
+        same names, shapes and initial values, so run directories saved
+        before they absorbed their key and value maps still load."""
+        det, cfg = make_detector()
+        monkeypatch.setattr(detector, "MemoryAttention", MultiHeadAttention)
+        want = GroundingDetector(cfg, MllmConfig(), np.random.default_rng(0))
+        got = det.named_parameters()
+        assert list(got) == list(want.named_parameters())
+        for name, p in want.named_parameters().items():
+            assert got[name].data.tobytes() == p.data.tobytes(), name
+        assert "layers.5.vis_attn.wk.weight" in got
 
 
 class TestDecode:

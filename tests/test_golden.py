@@ -16,6 +16,10 @@ ran.
 After a change that moves outputs on purpose, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per part and for the gradcheck lines, whether the hash moved
+from the file it replaces, and each part's worst relative difference of
+final losses and metrics against that file's values.
 """
 
 import ctypes
@@ -200,9 +204,35 @@ def test_gradcheck_lines_match_the_golden_hash(golden):
         assert err < GRADCHECK_TOL, name
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per part of entry ``new`` (and its gradcheck hash): whether
+    the hash differs from entry ``old``'s, and the worst relative difference
+    of the part's recorded values against ``old``'s."""
+    lines = []
+    for part, digest in sorted(new["sha256"].items()):
+        diffs = [abs(v - old["values"][k]) / max(abs(old["values"][k]), 1e-300)
+                 for k, v in new["values"].items()
+                 if k.split("/", 1)[0] == part and k in old["values"]]
+        worst = f"{max(diffs):.2e} over {len(diffs)}" if diffs else "no values"
+        state = "same" if old["sha256"].get(part) == digest else "moved"
+        lines.append(f"{part:16s} hash {state:5s} worst rel diff {worst}")
+    state = "same" if old.get("gradcheck") == new["gradcheck"] else "moved"
+    lines.append(f"{'gradcheck':16s} hash {state}")
+    missing = sorted(set(old["values"]) ^ set(new["values"]))
+    if missing:
+        lines.append(f"values in one file only: {missing}")
+    return lines
+
+
 if __name__ == "__main__":
     entry = record(fingerprint())
     entry["gradcheck"] = gradcheck_digest(run_gradcheck(0))
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if previous:
+        key = platform_key() if platform_key() in previous else next(
+            iter(previous))
+        print(f"against {GOLDEN.name} [{key}]:")
+        print("\n".join(moved(previous[key], entry)))
     GOLDEN.write_text(json.dumps({platform_key(): entry},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} for {platform_key()}")

@@ -7,7 +7,7 @@ from scipy.special import erf
 
 from fusedet import tensor as T
 from fusedet.config import ExperimentConfig
-from fusedet.layers import (LayerNorm, Linear, MLP, Module,
+from fusedet.layers import (LayerNorm, Linear, MLP, MemoryAttention, Module,
                             MultiHeadAttention, TransformerBlock,
                             cross_entropy)
 from fusedet.tensor import Tensor, UsageError
@@ -172,6 +172,67 @@ class TestMultiHeadAttention:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError):
             MultiHeadAttention(8, 3, np.random.default_rng(0))
+
+
+class TestMemoryAttention:
+    """``MemoryAttention`` is ``MultiHeadAttention`` with ``wk`` and ``wv``
+    absorbed into the queries: same parameters, same values and gradients
+    up to rounding."""
+
+    @staticmethod
+    def twins(d=64, heads=4):
+        """The two modules over the same drawn weights and biases."""
+        plain = MultiHeadAttention(d, heads, np.random.default_rng(0))
+        fused = MemoryAttention(d, heads, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for p, twin in zip(plain.parameters(), fused.parameters()):
+            if p.ndim == 1:
+                p.data = rng.standard_normal(p.shape) * 0.3
+                twin.data = p.data.copy()
+        return plain, fused
+
+    # the detector's vision and text memories at the default widths
+    @pytest.mark.parametrize("t_k", [64, 20])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_values_and_gradients_match_mha(self, t_k, masked):
+        plain, fused = self.twins()
+        rng = np.random.default_rng(t_k + masked)
+        xq = rng.standard_normal((3, 4, 64))
+        mem = rng.standard_normal((3, t_k, 64))
+        mask = None
+        if masked:
+            valid = rng.uniform(size=(3, t_k)) > 0.4
+            valid[:, 0] = True
+            mask = T.additive_mask(valid)[:, None, None, :]
+        upstream = T.constant(rng.standard_normal((3, 4, 64)))
+        runs = []
+        for m in (plain, fused):
+            q, k = Tensor(xq, requires_grad=True), Tensor(mem, requires_grad=True)
+            out = m(q, k, mask=mask)
+            T.tsum(T.mul(out, upstream)).backward()
+            runs.append({"out": out.data, "x_q": q.grad, "mem": k.grad,
+                         **{n: p.grad for n, p in m.named_parameters().items()}})
+        want, got = runs
+        assert sorted(got) == sorted(want)
+        scale = max(np.abs(g).max() for g in want.values())
+        for name in want:
+            # wk.bias shifts every key of a row alike, which no softmax
+            # weight sees: its gradient is zero up to rounding in both
+            tol = 1e-13 * scale if name == "wk.bias" else \
+                1e-12 * np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= tol, name
+
+    def test_taps_record_the_scores_mha_records(self):
+        plain, fused = self.twins(8, 2)
+        rng = np.random.default_rng(2)
+        xq, mem = rng.standard_normal((2, 3, 8)), rng.standard_normal((2, 7, 8))
+        with T.attention_tap() as taps:
+            for m in (plain, fused):
+                m(T.constant(xq), T.constant(mem))
+        (s_plain, w_plain), (s_fused, w_fused) = taps
+        assert s_fused.shape == w_fused.shape == (2, 2, 3, 7)
+        assert np.allclose(s_fused, s_plain, rtol=0, atol=1e-13)
+        assert np.allclose(w_fused, w_plain, rtol=0, atol=1e-14)
 
 
 class TestTransformerBlock:

@@ -448,6 +448,16 @@ class TestFusedOps:
         assert flops == want_flops
         assert flops == 2 * attention_flops(3, 5, 8, 2) + 2 * 2 * 3 * gated_keys
 
+    def test_memory_attention_flops(self):
+        from fusedet.analysis import memory_attention_flops
+        rng = np.random.default_rng(11)
+        q, mem = (T.constant(rng.standard_normal((2, n, 8))) for n in (3, 5))
+        wk, wv = (T.constant(rng.standard_normal((8, 8))) for _ in "kv")
+        bk, bv = (T.constant(rng.standard_normal(8)) for _ in "kv")
+        _, flops = self.metered(
+            lambda: T.memory_attention(q, mem, wk, bk, wv, bv, 2))
+        assert flops == 2 * memory_attention_flops(3, 5, 8, 2)
+
     def test_gelu(self):
         from scipy import special
         x = np.random.default_rng(9).standard_normal((3, 5)) * 2
@@ -558,6 +568,10 @@ def fused_op_case(name, rng):
         pos_q, pos_k = np.arange(5, 8), np.arange(5)
         return [q, k, v], [mask, pos_q, pos_k], lambda: T.attention(
             q, k, v, 2, mask=mask, rope_base=50.0, pos_q=pos_q, pos_k=pos_k)
+    if name == "memory_attention":
+        wk, bk, wv, bv = t(8, 8), t(8), t(8, 8), t(8)
+        return [q, k, wk, bk, wv, bv], [mask], lambda: T.memory_attention(
+            q, k, wk, bk, wv, bv, 2, mask=mask)
     if name.startswith("attention_gated"):
         keys = 2 if name.endswith("2") else 5
         return [q, k, v, gate], [mask], lambda: T.attention(
@@ -580,7 +594,8 @@ class TestFusedOpsLeaveInputs:
     @pytest.mark.parametrize("name", [
         "linear_2d_bias", "linear_2d", "linear_3d_bias", "linear_3d",
         "layer_norm", "gelu", "attention_mask", "attention_rope",
-        "attention_gated_2", "attention_gated_5", "weighted_cross_entropy"])
+        "attention_gated_2", "attention_gated_5", "memory_attention",
+        "weighted_cross_entropy"])
     def test_inputs_unchanged(self, name):
         rng = np.random.default_rng(23)
         tensors, arrays, forward = fused_op_case(name, rng)
@@ -698,6 +713,16 @@ class TestFusedOpsGuards:
         with pytest.raises(DegenerateInputError):
             T.attention(q, k, v, 2, mask=T.additive_mask(valid)[:, None, None, :],
                         gate=T.constant(np.ones(2)), gated_keys=2)
+
+    def test_fully_masked_memory_attention_row_rejected(self):
+        rng = np.random.default_rng(3)
+        q, mem, _ = fused_attention_inputs(rng)
+        w, bias = T.constant(np.eye(8)), T.constant(np.zeros(8))
+        valid = np.ones((2, 5), dtype=bool)
+        valid[0] = False
+        with pytest.raises(DegenerateInputError):
+            T.memory_attention(q, mem, w, bias, w, bias, 2,
+                               mask=T.additive_mask(valid)[:, None, None, :])
 
     def test_masked_cross_entropy_rejects_dead_rows_and_targets(self):
         x = T.constant(np.zeros((2, 3)))
