@@ -14,13 +14,13 @@ two derived properties of ``AdapterConfig``:
                      before decoder layer ``l_d``.
 
 The adapter has no sizes of its own: its widths, grid and head counts come
-from the two models it connects.  The gate (one entry per head) and the gated
-kernel split detector width into ``detector.heads``, and text fusion splits
-LM width into ``mllm.heads``.  ``AdapterConfig.resolve`` checks no widths,
-only the depths that bound ``l_lm`` and ``l_d``, and resolves an unset
-``l_d``: to 1 for Arch I and III, else to the detector's last layer.
-``FusionState`` holds the resolved config, so ``state.cfg.l_d`` is always the
-layer the hook runs before.
+from the two models it connects.  The gate (one entry per head) and the
+kernel's attentions split detector width into ``detector.heads``, and text
+fusion splits LM width into ``mllm.heads``.  ``AdapterConfig.resolve``
+checks no widths, only the depths that bound ``l_lm`` and ``l_d``, and
+resolves an unset ``l_d``: to 1 for Arch I and III, else to the detector's
+last layer.  ``FusionState`` holds the resolved config, so
+``state.cfg.l_d`` is always the layer the hook runs before.
 
 The prompt conv's kernel and padding are the constants ``CONV_K`` = 3 and
 ``CONV_PAD`` = 1, so over an aligned grid side h it keeps (h - 1) // stride
@@ -39,21 +39,24 @@ Arch III  yes          no            before decoder layer 1 (``l_d``
 Arch IV   no           no            before decoder layer ``l_d``
 ========  ===========  ============  =================================
 
-The kernel, ``zero_init_cross_attn``: queries attend over the prompts and,
-when injecting, also over themselves as a second key segment.  The preset
-picks that self segment (none with ``fuses_vision``), never the caller, and
-``fuse_vision`` is the same kernel under its own name.  Each segment is
-softmax-normalized on its own; prompt-segment weights are scaled by tanh(g)
-(one gate per head) and self-segment weights are a plain softmax.  Every gate
-starts at exactly 0, so the prompt segment contributes exactly nothing at
-construction:
+The kernel, ``zero_init_cross_attn``, follows LLaMA-Adapter's zero-init
+attention (arXiv 2303.16199) as a sum of two plain ``T.attention`` calls:
 
-* with ``fuses_vision`` the prompt segment is the whole attention core, so
-  the core is exactly 0 and the output projection keeps its random weight
-  (with a zero bias); the gate then gets a gradient from the first step;
-* when injecting, the self segment keeps the core non-zero, so the output
-  projection (weight and bias) starts at exactly 0 as well; its weight gets a
-  gradient from the first step and opens the gate after it.
+    x + out_proj(tanh(g) * Attn(x -> prompts) + Attn(x -> x))
+
+with one gate g per head, broadcast over that head's channels.  Each
+attention is softmax-normalized on its own, so the prompt term's mass is
+tanh(g) by construction and the self term's is 1.  The preset drops the
+self term (with ``fuses_vision``), never the caller, and ``fuse_vision`` is
+the same kernel under its own name.  Every gate starts at exactly 0, so the
+prompt term contributes exactly nothing at construction:
+
+* with ``fuses_vision`` the prompt term is the whole core, so the core is
+  exactly 0 and the output projection keeps its random weight (with a zero
+  bias); the gate then gets a gradient from the first step;
+* when injecting, the self term keeps the core non-zero, so the output
+  projection (weight and bias) starts at exactly 0 as well; its weight gets
+  a gradient from the first step and opens the gate after it.
 
 Either way a fresh adapter is an exact identity from either entry, so a
 freshly attached adapter cannot disturb the host detector, and no weight sits
@@ -130,7 +133,7 @@ class FusionState(Module):
     """All adapter weights, sized by the LM and detector configs the adapter
     attaches to, with ``cfg.l_d`` resolved.  Invariants at construction:
     every gate is exactly zero and the output projection's bias is exactly
-    zero; its weight is exactly zero too when injecting (the self segment
+    zero; its weight is exactly zero too when injecting (the self term
     needs it) and stays random with ``fuses_vision`` (a zero gate already
     zeroes the core)."""
 
@@ -189,32 +192,37 @@ def make_prompts(e_v_l: Tensor, e_t: Tensor | None, cfg: AdapterConfig,
 
 
 def zero_init_cross_attn(x: Tensor, a_p: Tensor, state: FusionState) -> Tensor:
-    """The adapter's one kernel: ``x + out_proj(attention)`` where the rows of
-    ``x`` attend over the L prompts and, unless the preset ``fuses_vision``,
-    over the T rows of ``x`` as a second key segment.  The attention core is
-    ``T.attention``, the same op ``MultiHeadAttention`` runs, with the
-    prompts as its gated key segment and one head per gate.
+    """The adapter's one kernel, ``x + out_proj(core)`` with
 
-    RoPE positions run 0..L-1 over the prompts and L..L+T-1 over ``x`` (as
-    queries and as self keys).  Per row and head the prompt segment sums to
-    tanh(g) and the self segment to 1; a ``T.attention_tap`` reads both.
+        core = tanh(g) * attention(q, wk(a_p), wv(a_p))
+               + attention(q, wk(x), wv(x))
+
+    where ``q = wq(x)``, each attention is ``T.attention`` (the core
+    ``MultiHeadAttention`` runs) with one head per gate, and tanh(g) scales
+    its head's channels.  The second (self) term is left out when the preset
+    ``fuses_vision``.
+
+    RoPE positions run 0..L-1 over the L prompts and L..L+T-1 over the T
+    rows of ``x``, as queries and as self keys.  A ``T.attention_tap``
+    records the prompt attention, then the self attention; each one's
+    weights sum to 1, so the gate's share is tanh(g) itself.
     """
     b, t, d = x.shape
     l = a_p.shape[1]
     if a_p.shape[2] != d:
         raise DimensionError(
             f"prompt width {a_p.shape[2]} != detector width {d}")
-    injects = not state.cfg.fuses_vision    # the preset's self segment
+    heads = state.gate.shape[0]
+    q, pos_q = state.wq(x), np.arange(l, l + t)
 
-    def keys(proj):
-        seg = proj(a_p)
-        return T.concat([seg, proj(x)], axis=1) if injects else seg
+    def attend(keys, pos_k):
+        return T.attention(q, state.wk(keys), state.wv(keys), heads,
+                           rope_base=T.ROPE_BASE, pos_q=pos_q, pos_k=pos_k)
 
-    q = state.wq(x)
-    k, v = keys(state.wk), keys(state.wv)
-    core = T.attention(q, k, v, state.gate.shape[0], rope_base=T.ROPE_BASE,
-                       pos_q=np.arange(l, l + t), pos_k=np.arange(k.shape[1]),
-                       gate=T.tanh(state.gate), gated_keys=l)
+    gate = T.index_select(T.tanh(state.gate), 0, np.arange(d) // (d // heads))
+    core = T.mul(gate, attend(a_p, np.arange(l)))
+    if not state.cfg.fuses_vision:          # the preset's self term
+        core = T.add(core, attend(x, pos_q))
     return T.add(x, state.out_proj(core))
 
 

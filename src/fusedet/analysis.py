@@ -182,8 +182,8 @@ def linear_flops(rows: int, d_in: int, d_out: int) -> int:
 
 def attention_flops(t_q: int, t_k: int, d: int, heads: int,
                     rope: bool = False) -> int:
-    """The ungated ``T.attention`` core: optional RoPE, scaled scores,
-    softmax, weighted values."""
+    """The ``T.attention`` core: optional RoPE, scaled scores, softmax,
+    weighted values."""
     f = 3 * t_q * d + 3 * t_k * d if rope else 0
     f += 2 * t_q * d * t_k                        # scores
     f += heads * t_q * t_k                        # 1/sqrt(d_head) scale
@@ -285,7 +285,6 @@ def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
     d, d_lm, h, k = dcfg.d, mcfg.d_lm, dcfg.heads, CONV_K
     ph, pw = acfg.prompt_grid(mcfg)
     l_v, l, t = mcfg.l_v, ph * pw, t_queries              # l: prompt keys
-    s = 0 if acfg.fuses_vision else t                     # self-segment keys
 
     params = 4 * (d * d + d) + h                          # wq,wk,wv,out_proj + gate
     flops = 0
@@ -299,9 +298,11 @@ def adapter_param_flops(acfg: AdapterConfig, mcfg: MllmConfig,
         params += d * d_lm * k ** 2 + d
         flops += 2 * d * l * d_lm * k ** 2
         flops += d * l                                    # conv bias add
-    # gated attention over L prompt + S self keys, out_proj included
-    flops += mha_flops(t, l + s, d, h, rope=True)
-    flops += h + h * t * l                                # tanh(g) + gating
+    # prompt attention with wq and out_proj, tanh(g) and the gate multiply
+    flops += mha_flops(t, l, d, h, rope=True) + h + t * d
+    if not acfg.fuses_vision:     # self term: its keys, values and add
+        flops += (2 * linear_flops(t, d, d)
+                  + attention_flops(t, t, d, h, rope=True) + t * d)
     flops += t * d                                        # residual add
     return params, flops
 

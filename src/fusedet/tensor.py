@@ -23,6 +23,9 @@ Three scopes act on every op inside their ``with`` block, and each nests:
 * ``FlopsMeter()``    - FLOPs are counted, by ``FLOP_CONVENTIONS``;
 * ``attention_tap()`` - each ``attention`` and ``memory_attention`` call's
   scaled scores and weights are collected as detached copies.
+
+Both attention cores are plain: one softmax over all of a call's keys, and
+no gate.  A gated or segmented attention (the adapter's) is a sum of calls.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ linear                   matmul + bias add: 2*rows*d_in*d_out + rows*d_out
 layer_norm               mean, center, mean square, +eps, **-0.5, scale,
                          shift: 7 per element + 4 per row
 attention                rope on q and k (when on), scores matmul, 1/sqrt(d_h)
-                         scale, softmax per key segment, gate (when on: 1 per
-                         gated weight), weights @ values
+                         scale, softmax over all keys, weights @ values; the
+                         adapter's gated sum of two calls rotates its queries
+                         in each and pays its gate multiply and its add as
+                         element-wise ops
 
 memory_attention         its own sequence (no unfused form; equal to attention
                          over linear keys and values only up to rounding):
@@ -218,9 +223,9 @@ def attention_tap():
     """Every ``attention`` or ``memory_attention`` call inside the ``with``
     block appends one ``(scaled scores, weights)`` pair of detached
     [B, h, Tq, Tk] copies to the yielded list, in call order; nested taps
-    each record every call.
+    each record every call.  Every record's weights sum to 1 along the keys.
     For read-only diagnostics: ``analysis.attention_medians`` and the
-    adapter's gate and prompt-segment mass."""
+    adapter's two attentions (prompts, then self)."""
     _TAPS.append([])
     try:
         yield _TAPS[-1]
@@ -562,7 +567,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
 def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Softmax of ``z + mask`` along the last axis, in a new array; a row
     with no finite entry left is rejected.  The forward of both attention
-    cores."""
+    cores, over every key of the call (callers reject an empty key axis)."""
     if mask is not None:
         z = z + mask
         if not np.all(np.isfinite(z).any(axis=-1)):
@@ -579,6 +584,16 @@ def _softmax_bw(y: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return y * (gy - np.sum(gy * y, axis=-1, keepdims=True))
 
 
+def _check_attention_shape(d: int, heads: int, tk: int) -> None:
+    """Reject a width that ``heads`` does not split, and an empty key
+    sequence before a softmax reduces over it.  Shared by both attention
+    cores."""
+    if d % heads:
+        raise DimensionError(f"width {d} not divisible by {heads} heads")
+    if tk < 1:
+        raise DimensionError(f"attention over {tk} keys")
+
+
 def _record_tap(scores: np.ndarray, weights: np.ndarray) -> None:
     if _TAPS:
         record = (scores.copy(), weights.copy())
@@ -587,25 +602,21 @@ def _record_tap(scores: np.ndarray, weights: np.ndarray) -> None:
 
 
 def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
-              rope_base: float | None = None, pos_q=None, pos_k=None,
-              gate=None, gated_keys: int = 0):
+              rope_base: float | None = None, pos_q=None, pos_k=None):
     """Multi-head attention core on projected inputs: one tape node.
 
-    ``q`` is [B, Tq, d]; ``k`` and ``v`` are [B, Tk, d].  Each is split into
-    ``heads`` heads; with ``rope_base`` set, q and k are rotated by RoPE at
-    ``pos_q`` / ``pos_k`` (default 0..T-1).  Scores q.k / sqrt(d_h) are
-    softmax-normalized along the keys and weight the values; heads merge back
-    to [B, Tq, d].  ``mask`` is an additive ndarray broadcastable to
-    [B, heads, Tq, Tk]; a row with no unmasked key is rejected.
-
-    With ``gate`` (a [heads] tensor) the first ``gated_keys`` keys form a
-    segment of their own: softmax-normalized alone and scaled by ``gate``
-    per head.  The remaining keys, if any, form a plain softmax segment.
+    ``q`` is [B, Tq, d]; ``k`` and ``v`` are [B, Tk, d] with Tk >= 1.  Each
+    is split into ``heads`` heads; with ``rope_base`` set, q and k are
+    rotated by RoPE at ``pos_q`` / ``pos_k`` (default 0..T-1).  Scores
+    q.k / sqrt(d_h) are softmax-normalized along the keys and weight the
+    values; heads merge back to [B, Tq, d].  ``mask`` is an additive ndarray
+    broadcastable to [B, heads, Tq, Tk]; a row with no unmasked key is
+    rejected.
 
     The forward repeats the unfused op sequence (split, rope, transpose,
-    matmul, scale, softmax per segment, gate, concat, matmul, merge) on the
-    same arrays, so values and FLOPs equal it.  Each open ``attention_tap``
-    records the scaled scores and the weights.
+    matmul, scale, softmax, matmul, merge) on the same arrays, so values and
+    FLOPs equal it.  Each open ``attention_tap`` records the scaled scores
+    and the weights.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape \
@@ -615,16 +626,8 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
             f"{k.shape}, {v.shape}")
     b, tq, d = q.shape
     tk = k.shape[1]
-    if d % heads:
-        raise DimensionError(f"width {d} not divisible by {heads} heads")
+    _check_attention_shape(d, heads, tk)
     dh = d // heads
-    l = tk if gate is None else gated_keys
-    if not 0 < l <= tk:
-        raise DimensionError(f"gated segment of {l} keys outside [1, {tk}]")
-    if gate is not None:
-        gate = as_tensor(gate)
-        if gate.shape != (heads,):
-            raise DimensionError(f"gate shape {gate.shape} != ({heads},)")
     qh = q.data.reshape(b, tq, heads, dh)
     kh = k.data.reshape(b, tk, heads, dh)
     flops = 0
@@ -644,26 +647,10 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     scores *= scale
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), scores.shape)
-
-    def seg_softmax(lo, hi):
-        return _masked_softmax(scores[..., lo:hi],
-                               None if mask is None else mask[..., lo:hi])
-
-    y_p = seg_softmax(0, l)
-    y_s = seg_softmax(l, tk) if l < tk else None
-    if gate is None:
-        weights = y_p
-    else:
-        g4 = gate.data.reshape(1, heads, 1, 1)
-        weights = g4 * y_p
-        flops += weights.size
-        if y_s is not None:
-            weights = np.concatenate([weights, y_s], axis=3)
+    weights = _masked_softmax(scores, mask)
     out_data = np.matmul(weights, vt).transpose(0, 2, 1, 3).reshape(b, tq, d)
     # scores and weighted values (2 * dh each), scale (1), softmax (3)
-    flops += 4 * scores.size * dh + 4 * scores.size
-    _count_flops(flops)
-    parents = (q, k, v) if gate is None else (q, k, v, gate)
+    _count_flops(flops + 4 * scores.size * dh + 4 * scores.size)
 
     def merge(gh, rope, n):
         """[B, h, T, dh] head gradient -> [B, T, d] input gradient."""
@@ -677,27 +664,16 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
         if v.requires_grad:
             gv = np.matmul(np.swapaxes(weights, -1, -2), go)
             acc(v, gv.transpose(0, 2, 1, 3).reshape(b, tk, d))
-        gated = gate is not None and gate.requires_grad
-        if not (q.requires_grad or k.requires_grad or gated):
+        if not (q.requires_grad or k.requires_grad):
             return
-        gw = np.matmul(go, np.swapaxes(vt, -1, -2))          # [B, h, Tq, Tk]
-        if gate is None:
-            gs = _softmax_bw(y_p, gw)
-        else:
-            gw_p = gw[..., :l]
-            if gated:
-                acc(gate, np.sum(gw_p * y_p, axis=(0, 2, 3)))
-            gs = np.empty_like(scores)
-            gs[..., :l] = _softmax_bw(y_p, gw_p * g4)
-            if y_s is not None:
-                gs[..., l:] = _softmax_bw(y_s, gw[..., l:])
+        gs = _softmax_bw(weights, np.matmul(go, np.swapaxes(vt, -1, -2)))
         gs *= scale
         if q.requires_grad:
             acc(q, merge(np.matmul(gs, np.swapaxes(kt, -1, -2)), rope_q, tq))
         if k.requires_grad:
             acc(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qt), rope_k, tk))
 
-    out = _make(out_data, parents, bw, "attention")
+    out = _make(out_data, (q, k, v), bw, "attention")
     _record_tap(scores, weights)
     return out
 
@@ -740,8 +716,7 @@ def memory_attention(q, mem, wk, bk, wv, bv, heads: int,
         raise DimensionError(
             f"memory_attention maps must be ({d}, {d}) with ({d},) biases; "
             f"got {wk.shape}, {bk.shape}, {wv.shape}, {bv.shape}")
-    if d % heads:
-        raise DimensionError(f"width {d} not divisible by {heads} heads")
+    _check_attention_shape(d, heads, tk)
     dh = d // heads
     rows = heads * tq
     wkh = wk.data.reshape(d, heads, dh).transpose(1, 0, 2)   # [h, d, dh]

@@ -133,22 +133,6 @@ def _attention_rope_offsets(rng):
         pos_k=np.arange(4)))), [q, k, v]
 
 
-def _attention_gated(gated_keys):
-    """A tanh-gated prompt segment of ``gated_keys`` keys before a plain
-    segment (none when every key is gated), one prompt key masked."""
-    def build(rng):
-        q, k, v = _qkv(rng)
-        gate = _param(rng, 2, scale=0.5)
-        valid = np.ones((2, 4), dtype=bool)
-        valid[1, 1] = False
-        mask = T.additive_mask(valid)[:, None, None, :]
-        return (lambda: _weighted_sum(T.attention(
-            q, k, v, 2, mask=mask, rope_base=100.0,
-            pos_q=np.arange(gated_keys, gated_keys + 3), pos_k=np.arange(4),
-            gate=T.tanh(gate), gated_keys=gated_keys))), [q, k, v, gate]
-    return build
-
-
 def _memory_attention_masked(rng):
     """Three queries over five raw memory rows, random keys masked, with
     drawn biases (``bk``'s gradient is zero up to rounding: a per-row
@@ -361,8 +345,6 @@ CASES = [
     ("op/layer_norm", _on(T.layer_norm, (2, 3, 4), (4,), (4,))),
     ("op/attention-masked", _attention_masked),
     ("op/attention-rope-offsets", _attention_rope_offsets),
-    ("op/attention-gated-segments", _attention_gated(2)),
-    ("op/attention-gated-only", _attention_gated(4)),
     ("op/memory-attention-masked", _memory_attention_masked),
     ("op/cross-entropy-masked", _cross_entropy_masked),
     ("op/conv2d", _conv2d),

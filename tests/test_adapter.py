@@ -1,6 +1,6 @@
-"""The fusion adapter: exact zero-init identity, gate algebra against a
-brute-force softmax oracle, architecture surgery, injection locality,
-gradient escape, and the closed-form parameter/FLOP accounting of
+"""The fusion adapter: exact zero-init identity, the gated kernel's outputs
+against a brute-force numpy oracle, architecture surgery, injection
+locality, gradient escape, and the closed-form parameter/FLOP accounting of
 ``analysis``."""
 
 import numpy as np
@@ -51,30 +51,63 @@ def prompt_len(state):
     return make_prompts(e_v_l, e_t, state.cfg, state).shape[1]
 
 
-def segment_softmax_oracle(scores, gate, l, mask=None):
-    """Brute-force reference for the two-segment attention weights; the self
-    segment is empty when ``scores`` has only the ``l`` prompt columns."""
-    s = scores.copy()
-    if mask is not None:
-        s = s + mask
-    out = np.empty_like(s)
-    for seg, g in ((slice(0, l), np.tanh(gate)), (slice(l, None), None)):
-        block = s[..., seg]
-        if block.shape[-1] == 0:
-            continue
-        e = np.exp(block - block.max(-1, keepdims=True))
-        w = e / e.sum(-1, keepdims=True)
-        if g is not None:
-            w = w * g[None, :, None, None]
-        out[..., seg] = w
+def rope_oracle(x, pos):
+    """[B, T, h, d_h] with each (even, odd) channel pair rotated by
+    pos * ROPE_BASE**(-2i/d_h)."""
+    dh = x.shape[-1]
+    ang = np.asarray(pos, dtype=float)[:, None] \
+        * T.ROPE_BASE ** (-np.arange(0, dh, 2) / dh)
+    cos, sin = np.cos(ang)[None, :, None], np.sin(ang)[None, :, None]
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+    out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
     return out
+
+
+def kernel_oracle(state, x, a_p):
+    """Brute force of the adapter kernel in numpy, head by head:
+
+        x + out_proj(tanh(g_h) softmax(q_h k_p,h^T / sqrt(d_h)) v_p,h
+                     + softmax(q_h k_s,h^T / sqrt(d_h)) v_s,h)
+
+    with the self term only when injecting and RoPE at the kernel's
+    positions.  Returns the output and each term's [B, h, T, keys] weights,
+    prompts first."""
+    x, a_p = x.data, a_p.data
+    b, t, d = x.shape
+    l, h = a_p.shape[1], state.gate.shape[0]
+    dh = d // h
+
+    def heads(lin, z):
+        return (z @ lin.weight.data + lin.bias.data).reshape(
+            z.shape[0], z.shape[1], h, dh)
+
+    q = rope_oracle(heads(state.wq, x), np.arange(l, l + t))
+    terms = [(a_p, np.arange(l), np.tanh(state.gate.data))]
+    if not state.cfg.fuses_vision:
+        terms.append((x, np.arange(l, l + t), np.ones(h)))
+    core, weights = np.zeros((b, t, h, dh)), []
+    for keys, pos, gate in terms:
+        k = rope_oracle(heads(state.wk, keys), pos)
+        v = heads(state.wv, keys)
+        w = np.empty((b, h, t, keys.shape[1]))
+        for i in range(h):
+            z = np.einsum("btc,bkc->btk", q[:, :, i], k[:, :, i]) / np.sqrt(dh)
+            e = np.exp(z - z.max(-1, keepdims=True))
+            w[:, i] = e / e.sum(-1, keepdims=True)
+            core[:, :, i] += gate[i] * np.einsum("btk,bkc->btc", w[:, i],
+                                                 v[:, :, i])
+        weights.append(w)
+    out = x + core.reshape(b, t, d) @ state.out_proj.weight.data \
+        + state.out_proj.bias.data
+    return out, weights
 
 
 class TestZeroInitIdentity:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_injection_is_exact_identity(self, arch):
         """A freshly built adapter must be a bit-exact no-op from either
-        entry: the preset, not the entry, picks the self segment."""
+        entry: the preset, not the entry, picks the self term."""
         state = make_state(arch)
         rng = np.random.default_rng(1)
         e_v_l, e_t, e_v_d, e_d_prev = adapter_inputs(state, rng)
@@ -109,89 +142,96 @@ class TestZeroInitIdentity:
         assert not np.allclose(out.data, e_d_prev.data)
 
 
-def tapped(run):
-    """(scaled scores, weights) of the one attention call ``run()`` makes."""
-    with T.attention_tap() as taps:
-        run()
-    (scores, weights), = taps
-    return scores, weights
-
-
 class TestGateAlgebra:
-    def build_internals(self, gate_values, seed=3):
-        state = make_state("IV")
+    """The gate is checked on the kernel's outputs; a tap only shows the two
+    plain attentions it sums."""
+
+    def build(self, arch, gate_values, seed=3):
+        """A randomized adapter over a 4x4 LM grid: 4 prompts for Arch IV,
+        16 for Arch I."""
+        state = make_state(arch, mcfg=MllmConfig(shuffle_r=2))
         randomize(state, seed)
         state.gate.data = np.asarray(gate_values, dtype=float)
         rng = np.random.default_rng(seed + 1)
-        e_v_l, _, _, e_d_prev = adapter_inputs(state, rng, b=2, t=3)
-        a_p = make_prompts(e_v_l, None, state.cfg, state)
-        return state, *tapped(lambda: zero_init_cross_attn(e_d_prev, a_p, state))
+        e_v_l, e_t, e_v_d, e_d_prev = adapter_inputs(state, rng, b=2, t=3)
+        a_p = make_prompts(e_v_l, e_t if state.cfg.text_fusion else None,
+                           state.cfg, state)
+        x = e_v_d if state.cfg.fuses_vision else e_d_prev
+        return state, x, a_p
+
+    def run(self, state, x, a_p):
+        """The kernel's output and the weights of each tapped record."""
+        with T.attention_tap() as taps:
+            out = zero_init_cross_attn(x, a_p, state)
+        return out.data, [w for _, w in taps]
+
+    def unit_values(self, state):
+        """Every value row all ones and ``out_proj`` the identity, so the
+        output less ``x`` is the kernel's per-channel mass."""
+        state.wv.weight.data = np.zeros_like(state.wv.weight.data)
+        state.wv.bias.data = np.ones_like(state.wv.bias.data)
+        state.out_proj.weight.data = np.eye(D)
+        state.out_proj.bias.data = np.zeros(D)
+
+    def per_channel(self, values):
+        return np.repeat(values, D // len(values))
 
     def test_weights_match_bruteforce(self):
-        gate = [0.7, -0.4, 0.0, 2.0]
-        state, scores, weights = self.build_internals(gate)
-        want = segment_softmax_oracle(scores, np.array(gate),
-                                      prompt_len(state))
-        assert np.allclose(weights, want, atol=1e-12)
+        """Arch IV: the outputs match the oracle, and the tap holds the
+        prompt attention's weights, then the self attention's."""
+        state, x, a_p = self.build("IV", [0.7, -0.4, 0.0, 2.0])
+        out, weights = self.run(state, x, a_p)
+        want, want_weights = kernel_oracle(state, x, a_p)
+        assert np.allclose(out, want, rtol=0, atol=1e-12)
+        assert [w.shape for w in weights] == [(2, 4, 3, prompt_len(state)),
+                                              (2, 4, 3, 3)]
+        for w, ref in zip(weights, want_weights, strict=True):
+            assert np.allclose(w, ref, rtol=0, atol=1e-12)
 
     def test_segment_masses(self):
-        state, _, w = self.build_internals([0.3, 1.2, -0.8, 0.5])
-        l = prompt_len(state)
-        prompt_mass = w[..., :l].sum(-1)       # [B, h, T]
-        self_mass = w[..., l:].sum(-1)
-        g = np.tanh(state.gate.data)
-        assert np.allclose(prompt_mass, g[None, :, None], atol=1e-12)
-        assert np.allclose(self_mass, 1.0, atol=1e-12)
-
-    def vision_internals(self, gate_values, seed=3):
-        state = make_state("I")
-        randomize(state, seed)
-        state.gate.data = np.asarray(gate_values, dtype=float)
-        rng = np.random.default_rng(seed + 1)
-        e_v_l, e_t, e_v_d, _ = adapter_inputs(state, rng, b=2, t=3)
-        a_p = make_prompts(e_v_l, e_t, state.cfg, state)
-        return state, *tapped(lambda: fuse_vision(e_v_d, a_p, state))
+        """Per head the prompt term carries tanh(g) and the self term 1;
+        each tapped record's weights sum to 1."""
+        gate = np.array([0.3, 1.2, -0.8, 0.5])
+        state, x, a_p = self.build("IV", gate)
+        self.unit_values(state)
+        out, weights = self.run(state, x, a_p)
+        assert np.allclose(out - x.data, self.per_channel(np.tanh(gate) + 1.0),
+                           rtol=0, atol=1e-12)
+        assert len(weights) == 2
+        for w in weights:
+            assert np.allclose(w.sum(-1), 1.0, rtol=0, atol=1e-12)
 
     def test_vision_path_weights_match_bruteforce(self):
-        """Arch I runs the same kernel with no self segment: its weights are
-        the prompt segment alone."""
-        gate = [0.7, -0.4, 0.0, 2.0]
-        state, scores, weights = self.vision_internals(gate)
-        l = prompt_len(state)
-        assert weights.shape == (2, 4, 3, l)
-        want = segment_softmax_oracle(scores, np.array(gate), l)
-        assert np.allclose(weights, want, atol=1e-12)
+        """Arch I runs the same kernel with no self term: one tapped record,
+        the prompt attention's."""
+        state, x, a_p = self.build("I", [0.7, -0.4, 0.0, 2.0])
+        out, weights = self.run(state, x, a_p)
+        want, (want_w,) = kernel_oracle(state, x, a_p)
+        assert np.allclose(out, want, rtol=0, atol=1e-12)
+        (w,) = weights
+        assert w.shape == (2, 4, 3, prompt_len(state))
+        assert np.allclose(w, want_w, rtol=0, atol=1e-12)
 
     def test_vision_path_mass_is_the_gate(self):
-        state, _, weights = self.vision_internals([0.3, 1.2, -0.8, 0.5])
-        g = np.tanh(state.gate.data)
-        assert np.allclose(weights.sum(-1), g[None, :, None], atol=1e-12)
+        gate = np.array([0.3, 1.2, -0.8, 0.5])
+        state, x, a_p = self.build("I", gate)
+        self.unit_values(state)
+        out, (w,) = self.run(state, x, a_p)
+        assert np.allclose(out - x.data, self.per_channel(np.tanh(gate)),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(w.sum(-1), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_gate_heads_pass_nothing(self):
-        state, _, weights = self.build_internals([0.0, 0.0, 1.0, 1.0])
-        l = prompt_len(state)
-        assert np.all(weights[:, :2, :, :l] == 0.0)
-
-    def test_masked_prompt_columns_renormalize(self):
-        """Masking with -inf zeroes the blocked column and renormalizes the
-        surviving prompt columns to the same tanh(g) mass: the gated
-        attention core the adapter runs, on 16 prompt and 3 self keys."""
-        rng = np.random.default_rng(5)
-        l, t, d = 16, 3, 64
-        q = T.constant(rng.standard_normal((1, t, d)))
-        k, v = (T.constant(rng.standard_normal((1, l + t, d))) for _ in "kv")
-        gate = np.array([0.9, 0.2, -0.3, 1.5])
-        mask = np.zeros((1, 1, t, l + t))
-        mask[..., 2] = -np.inf                 # block prompt column 2
-        scores, w = tapped(lambda: T.attention(
-            q, k, v, 4, mask=mask, rope_base=10000.0,
-            pos_q=np.arange(l, l + t), pos_k=np.arange(l + t),
-            gate=T.tanh(T.constant(gate)), gated_keys=l))
-        assert np.all(w[..., 2] == 0.0)
-        assert np.allclose(w[..., :l].sum(-1),
-                           np.tanh(gate)[None, :, None], atol=1e-12)
-        want = segment_softmax_oracle(scores, gate, l, mask)
-        assert np.allclose(w, want, atol=1e-12)
+        """With an identity ``out_proj``, a zero-gate head's channels are
+        bitwise the same whatever the prompts; an open head's are not."""
+        state, x, a_p = self.build("IV", [0.0, 0.0, 1.0, 1.0])
+        state.out_proj.weight.data = np.eye(D)
+        other = T.constant(a_p.data[::-1] + 1.0)
+        out = zero_init_cross_attn(x, a_p, state).data
+        moved = zero_init_cross_attn(x, other, state).data
+        shut = D // 2
+        assert np.array_equal(out[..., :shut], moved[..., :shut])
+        assert not np.allclose(out[..., shut:], moved[..., shut:])
 
 
 class TestArchitectureRelations:
@@ -419,7 +459,7 @@ class TestConfigValidation:
         rng = np.random.default_rng(33)
         _, _, _, e_d_prev = adapter_inputs(state, rng)
         empty = T.constant(np.zeros((2, 0, 64)))
-        with pytest.raises(DimensionError, match="gated segment of 0 keys"):
+        with pytest.raises(DimensionError, match="^attention over 0 keys$"):
             zero_init_cross_attn(e_d_prev, empty, state)
         narrow = T.constant(np.zeros((2, 1, 32)))
         with pytest.raises(DimensionError):
@@ -461,9 +501,9 @@ class TestAccounting:
         assert meter.accumulated == b * analytic - (b - 1) * DCFG.heads
 
     def test_head_counts_come_from_the_models(self):
-        """The gate and the gated kernel run one head per detector head,
-        text fusion runs the LM's heads, and the closed form prices both:
-        here an LM of 2 heads and a detector of 8."""
+        """The gate and the kernel's attentions run one head per detector
+        head, text fusion runs the LM's heads, and the closed form prices
+        both: here an LM of 2 heads and a detector of 8."""
         mcfg, dcfg = MllmConfig(shuffle_r=4, heads=2), DetectorConfig(heads=8)
         state = FusionState(AdapterConfig(arch="II"), mcfg, dcfg,
                             np.random.default_rng(40))
@@ -475,7 +515,7 @@ class TestAccounting:
             zero_init_cross_attn(
                 e_d_prev, make_prompts(e_v_l, e_t, state.cfg, state), state)
         assert state.gate.shape == (8,)
-        assert [w.shape[1] for _, w in taps] == [2, 8]
+        assert [w.shape[1] for _, w in taps] == [2, 8, 8]
         params, analytic = adapter_param_flops(state.cfg, mcfg, dcfg, 4)
         assert (state.param_count(), meter.accumulated) == (params, analytic)
 

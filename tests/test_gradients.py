@@ -37,8 +37,6 @@ BINARY = {"add": "op/add", "sub": "op/sub", "mul": "op/mul",
           "mul_broadcast": "op/mul-broadcast",
           "matmul_batched": "op/matmul-batched"}
 LINEAR = {"2d-bias": "op/linear-2d-bias", "3d-bias": "op/linear-3d-bias"}
-GATED = {"two-segments": "op/attention-gated-segments",
-         "gated-only": "op/attention-gated-only"}
 SINGLE = ["op/conv2d", "op/rope", "op/pixel_unshuffle",
           "op/concat", "op/index-select", "op/softmax-masked",
           "op/softmax-matmul", "op/layer_norm", "op/attention-masked",
@@ -47,8 +45,8 @@ SINGLE = ["op/conv2d", "op/rope", "op/pixel_unshuffle",
 ELSEWHERE = ["layer/layernorm", "layer/transformer-block",
              "composed/adapter-injection", "composed/adapter-vision",
              "composed/detection-loss"]
-NAMED = {*UNARY.values(), *BINARY.values(), *LINEAR.values(),
-         *GATED.values(), *SINGLE, *ELSEWHERE}
+NAMED = {*UNARY.values(), *BINARY.values(), *LINEAR.values(), *SINGLE,
+         *ELSEWHERE}
 OTHERS = [name for name, _ in CASES if name not in NAMED]
 
 
@@ -70,11 +68,6 @@ def test_binary_ops(op):
 @pytest.mark.parametrize("kind", LINEAR)
 def test_linear_grads(kind):
     check(LINEAR[kind])
-
-
-@pytest.mark.parametrize("kind", GATED)
-def test_attention_gated_segment_grads(kind):
-    check(GATED[kind])
 
 
 def test_conv2d_grads():

@@ -342,8 +342,7 @@ def fused_attention_inputs(rng, tq=3, tk=5, d=8):
                  for n in (tq, tk, tk))
 
 
-def unfused_attention(q, k, v, heads, mask=None, rope=None, gate=None,
-                      gated_keys=0):
+def unfused_attention(q, k, v, heads, mask=None, rope=None):
     """The op sequence ``T.attention`` fuses, written with the unfused ops."""
     b, tq, d = q.shape
     tk, dh = k.shape[1], d // heads
@@ -355,18 +354,7 @@ def unfused_attention(q, k, v, heads, mask=None, rope=None, gate=None,
     kh = T.transpose(kh, (0, 2, 3, 1))
     vh = T.transpose(T.reshape(v, b, tk, heads, dh), (0, 2, 1, 3))
     scores = T.mul(T.matmul(qh, kh), 1.0 / np.sqrt(dh))
-    if gate is None:
-        weights = T.softmax(scores, axis=-1, mask=mask)
-    else:
-        m = None if mask is None else np.broadcast_to(mask, scores.shape)
-        l = gated_keys
-        weights = T.mul(T.reshape(gate, 1, heads, 1, 1), T.softmax(
-            T.slice_axis(scores, 3, 0, l), axis=-1,
-            mask=None if m is None else m[..., :l]))
-        if l < tk:
-            weights = T.concat([weights, T.softmax(
-                T.slice_axis(scores, 3, l, tk), axis=-1,
-                mask=None if m is None else m[..., l:])], axis=3)
+    weights = T.softmax(scores, axis=-1, mask=mask)
     out = T.transpose(T.matmul(weights, vh), (0, 2, 1, 3))
     return T.reshape(out, b, tq, d)
 
@@ -432,22 +420,6 @@ class TestFusedOps:
         # two batch rows cost twice the per-row closed form
         assert flops == want_flops == 2 * attention_flops(3, 5, 8, 2, rope=rope)
 
-    @pytest.mark.parametrize("gated_keys", [2, 5])
-    def test_gated_attention(self, gated_keys):
-        from fusedet.analysis import attention_flops
-        rng = np.random.default_rng(6)
-        q, k, v = fused_attention_inputs(rng)
-        gate = T.constant(rng.uniform(-1, 1, 2))
-        valid = np.ones((2, 5), dtype=bool)
-        valid[1, 0] = False
-        mask = T.additive_mask(valid)[:, None, None, :]
-        kw = dict(mask=mask, gate=gate, gated_keys=gated_keys)
-        got, flops = self.metered(lambda: T.attention(q, k, v, 2, **kw))
-        want, want_flops = self.metered(lambda: unfused_attention(q, k, v, 2, **kw))
-        assert got.tobytes() == want.tobytes()
-        assert flops == want_flops
-        assert flops == 2 * attention_flops(3, 5, 8, 2) + 2 * 2 * 3 * gated_keys
-
     def test_memory_attention_flops(self):
         from fusedet.analysis import memory_attention_flops
         rng = np.random.default_rng(11)
@@ -502,17 +474,16 @@ class TestFusedOps:
         assert outer[0][0].tobytes() == inner[0][0].tobytes()
         assert outer[1][0].shape == (2, 2, 3, 4)
 
-    @pytest.mark.parametrize("gated_keys", [0, 2])
-    def test_tap_leaves_outputs_bitwise_equal(self, gated_keys):
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_tap_leaves_outputs_bitwise_equal(self, offset):
+        """RoPE'd queries start at position ``offset``: 0, or 2 as after
+        the adapter's prompt positions."""
         rng = np.random.default_rng(10)
         q, k, v = fused_attention_inputs(rng)
-        kw = {}
-        if gated_keys:
-            kw = dict(gate=T.constant(rng.standard_normal(2)),
-                      gated_keys=gated_keys)
-        plain = T.attention(q, k, v, 2, rope_base=100.0, **kw)
+        kw = dict(rope_base=100.0, pos_q=np.arange(offset, offset + 3))
+        plain = T.attention(q, k, v, 2, **kw)
         with T.attention_tap():
-            tapped = T.attention(q, k, v, 2, rope_base=100.0, **kw)
+            tapped = T.attention(q, k, v, 2, **kw)
         assert plain.data.tobytes() == tapped.data.tobytes()
 
     def test_masked_cross_entropy_matches_log_softmax(self):
@@ -545,7 +516,7 @@ def fused_op_case(name, rng):
     valid = np.ones((2, 5), dtype=bool)
     valid[1, 0] = False
     mask = T.additive_mask(valid)[:, None, None, :]
-    q, k, v, gate = t(2, 3, 8), t(2, 5, 8), t(2, 5, 8), t(2)
+    q, k, v = t(2, 3, 8), t(2, 5, 8), t(2, 5, 8)
     if name.startswith("linear"):
         # "_bias" trains the bias; without it the bias is frozen, as in the
         # vision encoder
@@ -572,10 +543,6 @@ def fused_op_case(name, rng):
         wk, bk, wv, bv = t(8, 8), t(8), t(8, 8), t(8)
         return [q, k, wk, bk, wv, bv], [mask], lambda: T.memory_attention(
             q, k, wk, bk, wv, bv, 2, mask=mask)
-    if name.startswith("attention_gated"):
-        keys = 2 if name.endswith("2") else 5
-        return [q, k, v, gate], [mask], lambda: T.attention(
-            q, k, v, 2, mask=mask, gate=gate, gated_keys=keys)
     assert name == "weighted_cross_entropy"
     logits = t(2, 3, 5)
     targets = np.array([[0, 4, 1], [3, 2, 4]])
@@ -594,8 +561,7 @@ class TestFusedOpsLeaveInputs:
     @pytest.mark.parametrize("name", [
         "linear_2d_bias", "linear_2d", "linear_3d_bias", "linear_3d",
         "layer_norm", "gelu", "attention_mask", "attention_rope",
-        "attention_gated_2", "attention_gated_5", "memory_attention",
-        "weighted_cross_entropy"])
+        "memory_attention", "weighted_cross_entropy"])
     def test_inputs_unchanged(self, name):
         rng = np.random.default_rng(23)
         tensors, arrays, forward = fused_op_case(name, rng)
@@ -692,16 +658,11 @@ class TestFusedOpsGuards:
         with pytest.raises(NumericsError, match="'layer_norm'"):
             ln(T.constant(np.arange(8.0).reshape(2, 4)))
 
-    def test_nan_attention_input_and_gate_name_attention(self):
+    def test_nan_attention_input_names_attention(self):
         q, k, v = fused_attention_inputs(np.random.default_rng(1))
         v.data[0, 1, 2] = np.nan
         with pytest.raises(NumericsError, match="'attention'"):
             T.attention(q, k, v, 2)
-        q, k, v = fused_attention_inputs(np.random.default_rng(1))
-        gate = T.constant(np.zeros(2))
-        gate.data[1] = np.nan
-        with pytest.raises(NumericsError, match="'attention'"):
-            T.attention(q, k, v, 2, gate=gate, gated_keys=2)
 
     def test_fully_masked_attention_row_rejected(self):
         q, k, v = fused_attention_inputs(np.random.default_rng(2))
@@ -709,10 +670,17 @@ class TestFusedOpsGuards:
         valid[1] = False
         with pytest.raises(DegenerateInputError):
             T.attention(q, k, v, 2, mask=T.additive_mask(valid)[:, None, None, :])
-        valid[1] = [False, False, True, True, True]     # prompt segment empty
-        with pytest.raises(DegenerateInputError):
-            T.attention(q, k, v, 2, mask=T.additive_mask(valid)[:, None, None, :],
-                        gate=T.constant(np.ones(2)), gated_keys=2)
+
+    def test_attention_over_no_keys_rejected(self):
+        """An empty key sequence is refused by name before any softmax
+        reduces over it, by both attention cores."""
+        q, _, _ = fused_attention_inputs(np.random.default_rng(4))
+        empty = T.constant(np.zeros((2, 0, 8)))
+        with pytest.raises(DimensionError, match="^attention over 0 keys$"):
+            T.attention(q, empty, empty, 2)
+        w, bias = T.constant(np.eye(8)), T.constant(np.zeros(8))
+        with pytest.raises(DimensionError, match="^attention over 0 keys$"):
+            T.memory_attention(q, empty, w, bias, w, bias, 2)
 
     def test_fully_masked_memory_attention_row_rejected(self):
         rng = np.random.default_rng(3)

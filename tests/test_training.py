@@ -588,10 +588,12 @@ class TestCachedEquivalence:
 
 
 class TestAttentionTap:
-    def test_tap_reads_the_gate_of_an_opened_adapter(self, bench):
-        """A tap around one cached stage-3 loss holds the adapter's record
-        among the LM's and the decoder's: the one with L + Q keys, whose
-        prompt segment carries tanh(gate) per head."""
+    def test_tap_holds_the_adapter_attentions(self, bench):
+        """A tap around one cached stage-3 loss holds the adapter's two
+        records among the LM's and the decoder's: the queries over the L
+        prompts, then over themselves.  Each record's weights sum to 1; the
+        gate scales the first term outside the tap, so its share is
+        tanh(gate) itself."""
         b = bench
         cfg = b["cfg"]
         tr.restore(b["mllm"].projector, b["projector"])
@@ -605,11 +607,13 @@ class TestAttentionTap:
             tr.stage3_loss_cached(cfg, b["mllm"], b["det"], state,
                                   stage3_cache(b), idx)
         l, q = np.prod(state.cfg.prompt_grid(cfg.mllm)), cfg.detector.queries
-        (w,) = [w for _, w in taps if w.shape[-1] == l + q]
-        assert len(taps) > 1
-        assert w.shape == (len(idx), cfg.detector.heads, q, l + q)
-        assert np.allclose(w[..., :l].sum(-1),
-                           np.tanh(state.gate.data)[None, :, None], atol=1e-12)
+        shapes = [w.shape for _, w in taps]
+        heads = cfg.detector.heads
+        at = shapes.index((len(idx), heads, q, l))
+        assert shapes[at + 1] == (len(idx), heads, q, q)
+        assert len(taps) > 2
+        for _, w in taps[at:at + 2]:
+            assert np.allclose(w.sum(-1), 1.0, rtol=0, atol=1e-12)
 
 
 def non_leaf_tape_nodes(loss) -> int:
@@ -645,6 +649,20 @@ class TestTapeSize:
         tr.pretrain_detector(cfg, mllm, det, tr.load_split(cfg, "pretrain"))
         assert len(sizes) == 1
         assert sizes[0] <= 200, sizes
+
+    def test_default_stage3_loss_tape_is_small(self):
+        """One default-config cached Arch IV loss at batch 8: the LM prefix,
+        the adapter's two attentions and one decoder layer (91 interior
+        nodes when this bound was set)."""
+        cfg = dataclasses.replace(ExperimentConfig(), n_train=8)
+        assert cfg.s3_batch == 8 and cfg.adapter.arch == "IV"
+        mllm, det = tr.build_models(cfg)
+        state = tr.build_adapter(cfg)
+        cache = tr.Stage3Cache(mllm, det, tr.load_split(cfg, "train"),
+                               state.cfg.l_d, chunk=cfg.eval_chunk)
+        loss = tr.stage3_loss_cached(cfg, mllm, det, state, cache,
+                                     np.arange(cfg.s3_batch))
+        assert non_leaf_tape_nodes(loss) <= 100
 
 
 class TestRunLoop:
